@@ -204,14 +204,9 @@ def cmd_bench(args) -> int:
             raise ConfigError(
                 f"--sizes expects integer NxD entries, got {chunk!r}") \
                 from None
-    variants = None if args.variants == "all" else \
-        tuple(v.strip() for v in args.variants.split(","))
-    reports = []
-    for n_tokens, dim in sizes:
-        kwargs = {} if variants is None else {"variants": variants}
-        reports.append(micro_benchmark(n_tokens, dim,
-                                       repetitions=args.reps,
-                                       seed=args.seed, **kwargs))
+    reports = [micro_benchmark(n_tokens, dim, repetitions=args.reps,
+                               seed=args.seed)
+               for n_tokens, dim in sizes]
     if args.json:
         sys.stdout.write(benchmark_json(
             reports[0] if len(reports) == 1 else reports))
@@ -221,7 +216,8 @@ def cmd_bench(args) -> int:
             print(f"n={report['n_tokens']} d={report['dim']} "
                   f"variant={name} "
                   f"median_us={stats['median_s'] * 1e6:.2f} "
-                  f"iqr_us={stats['iqr_s'] * 1e6:.2f}")
+                  f"iqr_us={stats['iqr_s'] * 1e6:.2f} "
+                  f"blas_pinned={report['blas_pinned']}")
     return 0
 
 
@@ -328,13 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_flops)
 
     sub = commands.add_parser(
-        "bench", help="micro-benchmark the merge implementations")
+        "bench", help="time the grouped merge kernel against the dense matmul")
     sub.add_argument("--sizes", default="197x192",
                      help="comma-separated NxD problem sizes")
     sub.add_argument("--reps", type=int, default=25)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--variants", default="all",
-                     help="comma-separated variant names or 'all'")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=cmd_bench)
 

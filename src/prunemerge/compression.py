@@ -3,15 +3,20 @@
 A compressed layer replaces B(z) with  M+ . B(M.z) + z*(1-mask):  tokens
 are folded into per-group weighted sums before the block and scattered
 back afterwards, while pruned tokens bypass the block entirely through
-the masked shortcut.  Group structure makes both directions O(N*D); the
-dense matrix products exist only as test oracles.
+the masked shortcut.  Group structure makes both directions O(N*D): every
+grouped merge (the model's, its gradients' and ``grouped_merge``) is one
+segmented sum and every grouped reconstruct one gather.  The dense
+matrix products exist only as test oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvecs
 
 from . import tensor as T
 from .errors import ContractError, ShapeMismatchError, SingularMatrixError
@@ -20,19 +25,51 @@ from .tensor import Tensor, from_op
 from .vit import (AttentionTrace, BlockParams, VisionTransformer,
                   block_forward, clone_params, patchify)
 
-# Compiled segmented row-sum kernel.  The generic reduceat path pays a
-# per-segment dispatch cost that loses to a dense BLAS matmul even
-# though it does ~kept-times less arithmetic; scipy's CSR kernel has one
-# flat C loop and stays ahead at every size.  The symbol has lived at
-# this spot for a very long time, but fall back gracefully if it moves.
-try:
-    from scipy.sparse import _sparsetools as _sp_tools
-    _csr_matvecs = _sp_tools.csr_matvecs
-except (ImportError, AttributeError):  # pragma: no cover
-    _csr_matvecs = None
-
 RANK_TOL = 1e-10
-_F8 = np.dtype(np.float64)
+
+
+class Segments:
+    """Contiguous token groups partitioning [0, n), as the kernels read them.
+
+    ``gid[j]`` is token j's group; ``live[j]`` is False for pruned tokens,
+    which the autodiff ops send no gradient.  ``merge_at``/``recon_at``
+    flat-index each token's own entry M[gid[j], j] and R[j, gid[j]].
+    The CSR layout of stacked batch copies is kept for the last batch
+    size asked for.
+    """
+
+    def __init__(self, groups, live: np.ndarray):
+        self.live = np.asarray(live, dtype=bool)
+        self.n = n = self.live.size
+        bounds = np.asarray(groups, dtype=np.int64).reshape(-1, 2)
+        starts, stops = bounds[:, 0], bounds[:, 1]
+        covered = np.concatenate([[0], stops])
+        if (starts != covered[:-1]).any() or (stops <= starts).any() \
+                or covered[-1] != n:
+            raise ContractError(f"groups do not partition [0, {n})")
+        self.kept = len(bounds)
+        self.gid = np.repeat(np.arange(self.kept), stops - starts)
+        tokens = np.arange(n)
+        self.merge_at = self.gid * n + tokens
+        self.recon_at = tokens * self.kept + self.gid
+        self._starts, self._batch = starts, 1
+        self._layout = (np.append(starts, n), tokens)
+
+    def layout(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
+        """CSR row pointers and column indices of ``batch`` stacked copies."""
+        if batch != self._batch:
+            offsets = self.n * np.arange(batch)[:, None]
+            self._layout = (np.append((self._starts + offsets).ravel(),
+                                      batch * self.n),
+                            np.arange(batch * self.n))
+            self._batch = batch
+        return self._layout
+
+    def outside(self, matrix: np.ndarray) -> np.ndarray:
+        """Rows of a (kept, n) matrix with support outside their group."""
+        rest = matrix.copy()
+        rest.put(self.merge_at, 0.0)
+        return np.flatnonzero(rest.any(axis=1))
 
 
 @dataclass
@@ -40,8 +77,8 @@ class MergeMatrix:
     """Dense (kept x n_tokens) merge weights plus the group partition.
 
     ``groups`` lists one half-open [start, stop) range per row; together
-    the ranges partition [0, n_tokens), which is what lets the grouped
-    fast path use a single segmented reduction.
+    the ranges partition [0, n_tokens), which is what lets the merge run
+    as one segmented sum.  The instance is treated as immutable once built.
     """
 
     data: np.ndarray
@@ -55,66 +92,41 @@ class MergeMatrix:
     def n_tokens(self) -> int:
         return self.data.shape[1]
 
-    def group_ids(self) -> np.ndarray:
-        """Map each original token index to its owning row."""
-        gid = np.empty(self.n_tokens, dtype=np.int64)
-        for row, (a, b) in enumerate(self.groups):
-            gid[a:b] = row
-        return gid
+    @cached_property
+    def segments(self) -> Segments:
+        """The groups in kernel form; a token is live when its column is
+        nonzero, which ``validate(mask=...)`` ties to the plan's mask."""
+        return Segments(self.groups, self.data.any(axis=0))
 
-    def weight_vector(self) -> np.ndarray:
-        """w[j] = this token's weight inside its own group's row."""
-        return self.data[self.group_ids(), np.arange(self.n_tokens)]
-
-    def csr_parts(self) -> tuple:
-        """(kept, n_tokens, indptr, indices, weights): CSR form, cached.
-
-        Valid because every row's support is exactly its contiguous
-        group; the instance is treated as immutable once built.  Row and
-        column counts ride along so the merge hot path pays one method
-        call instead of four attribute lookups.
-        """
-        cached = getattr(self, "_csr_parts", None)
-        if cached is None:
-            n = self.n_tokens
-            indptr = np.empty(len(self.groups) + 1, dtype=np.int32)
-            indptr[:-1] = [a for a, _ in self.groups]
-            indptr[-1] = n
-            cached = (self.kept, n, indptr, np.arange(n, dtype=np.int32),
-                      np.ascontiguousarray(self.weight_vector()))
-            self._csr_parts = cached
-        return cached
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Each token's weight in its own group's row."""
+        return self.data.take(self.segments.merge_at)
 
     def validate(self, mask: np.ndarray | None = None,
                  class_token: bool = False, atol: float = 1e-10) -> None:
-        m, n = self.data.shape
+        """Invariants of a generated matrix: one row per group, groups
+        that partition the tokens, support inside each row's group, rows
+        summing to one, zero columns exactly at the pruned tokens of
+        ``mask`` and, with ``class_token``, row 0 equal to e_0."""
+        m = self.data.shape[0]
         if len(self.groups) != m:
             raise ContractError(
                 f"{m} rows but {len(self.groups)} groups")
-        covered = 0
-        for a, b in self.groups:
-            if a != covered or b <= a:
-                raise ContractError(
-                    f"groups do not partition [0, {n}): saw ({a}, {b}) "
-                    f"after covering {covered}")
-            covered = b
-        if covered != n:
-            raise ContractError(f"groups cover [0, {covered}) of [0, {n})")
-        for row, (a, b) in enumerate(self.groups):
-            outside = np.delete(self.data[row], np.s_[a:b])
-            if outside.any():
-                raise ContractError(
-                    f"row {row} has support outside its group ({a}, {b})")
-            total = self.data[row].sum()
-            if abs(total - 1.0) > atol:
-                raise ContractError(
-                    f"row {row} sums to {total}, expected 1")
-        if mask is not None:
-            col_zero = ~self.data.any(axis=0)
-            pruned = np.asarray(mask) == 0
-            if not (col_zero == pruned).all():
-                raise ContractError(
-                    "zero columns of the merge matrix disagree with the mask")
+        rows = self.segments.outside(self.data)
+        if rows.size:
+            raise ContractError(
+                f"row {rows[0]} has support outside its group "
+                f"{self.groups[rows[0]]}")
+        totals = self.data.sum(axis=1)
+        rows = np.flatnonzero(np.abs(totals - 1.0) > atol)
+        if rows.size:
+            raise ContractError(
+                f"row {rows[0]} sums to {totals[rows[0]]}, expected 1")
+        if mask is not None and \
+                (self.segments.live != (np.asarray(mask) != 0)).any():
+            raise ContractError(
+                "zero columns of the merge matrix disagree with the mask")
         if class_token:
             row0 = self.data[0]
             if row0[0] != 1.0 or row0[1:].any():
@@ -141,6 +153,10 @@ class CompressionPlan:
         if len(self.entries) != self.depth:
             raise ContractError(
                 f"{len(self.entries)} entries for depth {self.depth}")
+        if not self.uncompressed <= set(range(self.depth)):
+            raise ContractError(
+                f"uncompressed layers {sorted(self.uncompressed)} outside "
+                f"[0, {self.depth})")
         for layer, entry in enumerate(self.entries):
             if (entry is None) != (layer in self.uncompressed):
                 raise ContractError(
@@ -178,6 +194,8 @@ class CompressionPlan:
             uncompressed = frozenset(int(i) for i in arrays["plan.uncompressed"])
         except KeyError as e:
             raise ContractError(f"plan arrays missing {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ContractError(f"plan header unreadable: {e}") from None
         entries: list[PlanEntry | None] = []
         for layer in range(depth):
             p = f"plan.layer{layer}."
@@ -185,15 +203,47 @@ class CompressionPlan:
                 entries.append(None)
                 continue
             try:
-                mask = arrays[p + "mask"].astype(np.uint8)
-                merge = MergeMatrix(
-                    np.asarray(arrays[p + "merge"], dtype=np.float64),
-                    [(int(a), int(b)) for a, b in arrays[p + "groups"]])
-                recon = np.asarray(arrays[p + "reconstruct"], dtype=np.float64)
+                parts = [arrays[p + k] for k in
+                         ("mask", "merge", "reconstruct", "groups")]
             except KeyError as e:
                 raise ContractError(f"plan arrays missing {e}") from None
-            entries.append(PlanEntry(mask, merge, recon, merge.kept))
+            try:
+                entries.append(_checked_entry(*parts))
+            except ContractError as e:
+                raise ContractError(f"plan layer {layer}: {e}") from None
         return cls(depth, entries, uncompressed, class_token)
+
+
+def _checked_entry(mask: np.ndarray, merge: np.ndarray, recon: np.ndarray,
+                   groups: np.ndarray) -> PlanEntry:
+    """A plan entry read from a file, checked for what every plan keeps
+    through fine-tuning: agreeing shapes, finite values, a 0/1 mask,
+    groups that partition the tokens, support inside each token's group,
+    and pruned tokens exactly at the zero columns of M and zero rows of
+    R.  Training moves row sums and the class-token row, so those pass."""
+    n, kept = mask.size, len(groups) if groups.ndim else 0
+    if mask.ndim != 1 or groups.ndim != 2 or groups.shape[1] != 2 \
+            or groups.dtype.kind not in "iu" \
+            or merge.shape != (kept, n) or recon.shape != (n, kept):
+        raise ContractError(
+            f"shapes disagree: mask {mask.shape}, merge {merge.shape}, "
+            f"reconstruct {recon.shape}, groups {groups.shape} "
+            f"{groups.dtype}")
+    merge = np.asarray(merge, dtype=np.float64)
+    recon = np.asarray(recon, dtype=np.float64)
+    if not (np.isfinite(merge).all() and np.isfinite(recon).all()):
+        raise ContractError("merge and reconstruct values must be finite")
+    if not np.isin(mask, (0, 1)).all():
+        raise ContractError("mask values must be 0 or 1")
+    matrix = MergeMatrix(merge, [(int(a), int(b)) for a, b in groups])
+    matrix.validate(mask=mask, atol=np.inf)  # any row sum passes
+    bad = matrix.segments.outside(recon.T)
+    if bad.size:
+        raise ContractError(f"reconstruct column {bad[0]} has support "
+                            f"outside its group {matrix.groups[bad[0]]}")
+    if recon[mask == 0].any():
+        raise ContractError("reconstruct rows of pruned tokens must be zero")
+    return PlanEntry(mask.astype(np.uint8), matrix, recon, kept)
 
 
 # ----------------------------------------------------------------------
@@ -304,11 +354,11 @@ def generate_merge_matrix(scores: np.ndarray, pm_threshold: float | None,
 
 
 def pseudoinverse(merge: MergeMatrix | np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a merge matrix.
+    """Moore-Penrose pseudoinverse of a merge matrix with disjoint rows.
 
-    Generated matrices have disjointly supported rows, making M.M^T
-    diagonal, so column i of the result is row_i / ||row_i||^2.  If
-    learnable updates have broken disjointness, fall back to a dense SVD.
+    Disjointly supported rows make M.M^T diagonal, so column i of the
+    result is row_i / ||row_i||^2.  Generated matrices always qualify and
+    trained matrices are never inverted, so overlapping rows are rejected.
     """
     m = merge.data if isinstance(merge, MergeMatrix) else \
         np.asarray(merge, dtype=np.float64)
@@ -318,119 +368,96 @@ def pseudoinverse(merge: MergeMatrix | np.ndarray) -> np.ndarray:
     if (norms2 <= RANK_TOL ** 2).any():
         bad = int(np.argmin(norms2))
         raise SingularMatrixError(f"merge-matrix row {bad} is zero")
-    disjoint = (np.count_nonzero(m, axis=0) <= 1).all()
-    if disjoint:
-        return (m / norms2[:, None]).T
-    return np.linalg.pinv(m, rcond=RANK_TOL)
+    if (np.count_nonzero(m, axis=0) > 1).any():
+        raise ContractError(
+            "merge-matrix rows overlap; the closed form needs disjoint rows")
+    return (m / norms2[:, None]).T
 
 
 # ----------------------------------------------------------------------
-# grouped fast paths (and their autodiff ops)
+# the grouped kernels and their autodiff ops
 # ----------------------------------------------------------------------
 
-def merge_flop_count(n_tokens: int, dim: int) -> int:
-    """Multiply-adds of one grouped merge or reconstruct pass: 2*N*D."""
-    return 2 * n_tokens * dim
+def _segment_sum(x: np.ndarray, w: np.ndarray, seg: Segments) -> np.ndarray:
+    """The merge kernel: out[..., g, :] = sum of w[j] * x[..., j, :] over
+    the tokens j of group g, each group summed left to right.
 
-
-def grouped_merge(z: np.ndarray, merge: MergeMatrix,
-                  counter: dict | None = None) -> np.ndarray:
-    """Per-group weighted token sums; identical to merge.data @ z.
-
-    One multiply and one add per token element: 2*N*D operations,
-    recorded into ``counter`` when given.  Unbatched input goes through
-    the compiled CSR kernel; batched input uses a segmented reduction
-    along the token axis.  Both accumulate each group left to right.
+    Leading axes fold into one flat (B*N, D) row block that scipy's CSR
+    kernel sums in one call against a block-diagonal layout: no
+    transpose, and no copy of contiguous input.
     """
-    if _csr_matvecs is not None and type(z) is np.ndarray and z.ndim == 2 \
-            and z.dtype == _F8 and z.flags.c_contiguous:
-        kept, n, indptr, indices, w = merge.csr_parts()
-        rows, d = z.shape
-        if rows != n:
-            raise ShapeMismatchError(
-                f"tokens axis {z.shape} does not match merge width {n}")
-        out = np.zeros((kept, d))
-        _csr_matvecs(kept, n, d, indptr, indices, w, z.ravel(), out.ravel())
-    else:
-        z = np.asarray(z, dtype=np.float64)
-        n, d = merge.n_tokens, z.shape[-1]
-        if z.shape[-2] != n:
-            raise ShapeMismatchError(
-                f"tokens axis {z.shape} does not match merge width {n}")
-        w = merge.csr_parts()[4]
-        starts = [a for a, _ in merge.groups]
-        out = np.add.reduceat(z * w[:, None], starts, axis=-2)
-    if counter is not None:
-        counter["multiply_adds"] = counter.get("multiply_adds", 0) \
-            + merge_flop_count(n, d)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    *lead, n, d = x.shape
+    if n != seg.n:
+        raise ShapeMismatchError(
+            f"tokens axis {x.shape} does not match merge width {seg.n}")
+    batch = math.prod(lead)
+    indptr, cols = seg.layout(batch)
+    out = np.zeros((*lead, seg.kept, d))
+    csr_matvecs(batch * seg.kept, batch * n, d, indptr, cols,
+                w if batch == 1 else np.tile(w, batch), x, out)
     return out
 
 
-def grouped_reconstruct(y: np.ndarray, reconstruct: np.ndarray,
-                        groups: list[tuple[int, int]],
-                        counter: dict | None = None) -> np.ndarray:
-    """Scatter merged tokens back to full width; equals reconstruct @ y."""
-    y = np.asarray(y, dtype=np.float64)
-    n = reconstruct.shape[0]
-    gid = _group_ids(groups, n)
-    w = reconstruct[np.arange(n), gid]
-    out = y[..., gid, :] * w[:, None]
-    if counter is not None:
-        counter["multiply_adds"] = counter.get("multiply_adds", 0) \
-            + merge_flop_count(n, y.shape[-1])
-    return out
+def _gather(y: np.ndarray, seg: Segments) -> np.ndarray:
+    """The reconstruct gather: token j takes row gid[j] of ``y``.
+
+    np.take returns a fresh C-contiguous array, which callers may scale in
+    place; fancy indexing would lay the token axis outermost in memory.
+    """
+    return np.take(y, seg.gid, axis=-2)
 
 
-def _group_ids(groups: list[tuple[int, int]], n: int) -> np.ndarray:
-    gid = np.empty(n, dtype=np.int64)
-    for row, (a, b) in enumerate(groups):
-        gid[a:b] = row
-    return gid
+def _token_grad(a: np.ndarray, b: np.ndarray, seg: Segments) -> np.ndarray:
+    """Per-token matrix gradient: a * b summed over every axis but the
+    token axis, zero on pruned tokens so that they stay pruned."""
+    per_token = (a * b).sum(axis=-1)
+    per_token = per_token.sum(axis=tuple(range(per_token.ndim - 1)))
+    return np.where(seg.live, per_token, 0.0)
 
 
-def merge_tokens(z: Tensor, merge_t: Tensor, groups: list[tuple[int, int]]
-                 ) -> Tensor:
+def grouped_merge(z: np.ndarray, merge: MergeMatrix) -> np.ndarray:
+    """Per-group weighted token sums; equal to merge.data @ z.
+
+    Runs the merge kernel of ``merge_tokens`` on 2-D or batched input.
+    """
+    return _segment_sum(z, merge.weights, merge.segments)
+
+
+def merge_tokens(z: Tensor, merge_t: Tensor, seg: Segments) -> Tensor:
     """Autodiff grouped merge: out[g] = sum_{j in g} M[g, j] * z[j].
 
-    Gradients to the matrix touch only in-group entries, so structural
-    zeros stay exactly zero through any number of training steps.
+    Gradients to the matrix touch only each live token's entry in its own
+    group's row, so structural zeros and pruned columns stay exactly zero
+    through any number of training steps.
     """
-    n = merge_t.shape[1]
-    gid = _group_ids(groups, n)
-    idx = np.arange(n)
-    starts = [a for a, _ in groups]
-    w = merge_t.data[gid, idx]
-    data = np.add.reduceat(z.data * w[:, None], starts, axis=-2)
+    w = merge_t.data.take(seg.merge_at)
+    data = _segment_sum(z.data, w, seg)
 
     def grad_fn(g):
-        g_tok = g[..., gid, :]
-        dz = g_tok * w[:, None]
-        per_token = (g_tok * z.data).sum(axis=-1)
-        per_token = per_token.sum(axis=tuple(range(per_token.ndim - 1)))
+        g_tok = _gather(g, seg)
         dm = np.zeros_like(merge_t.data)
-        dm[gid, idx] = per_token
-        return dz, dm
+        dm.put(seg.merge_at, _token_grad(g_tok, z.data, seg))
+        g_tok *= w[:, None]
+        return g_tok, dm
 
     return from_op(data, (z, merge_t), grad_fn, "merge_tokens")
 
 
-def reconstruct_tokens(y: Tensor, recon_t: Tensor,
-                       groups: list[tuple[int, int]]) -> Tensor:
-    """Autodiff grouped reconstruct: out[j] = R[j, group(j)] * y[group(j)]."""
-    n = recon_t.shape[0]
-    gid = _group_ids(groups, n)
-    idx = np.arange(n)
-    starts = [a for a, _ in groups]
-    w = recon_t.data[idx, gid]
-    data = y.data[..., gid, :] * w[:, None]
+def reconstruct_tokens(y: Tensor, recon_t: Tensor, seg: Segments) -> Tensor:
+    """Autodiff grouped reconstruct: out[j] = R[j, group(j)] * y[group(j)].
+
+    Gradients to the matrix touch only each live token's entry in its own
+    group's column; pruned rows stay exactly zero.
+    """
+    w = recon_t.data.take(seg.recon_at)
+    data = _gather(y.data, seg)
+    data *= w[:, None]
 
     def grad_fn(g):
-        dy = np.add.reduceat(g * w[:, None], starts, axis=-2)
-        per_token = (g * y.data[..., gid, :]).sum(axis=-1)
-        per_token = per_token.sum(axis=tuple(range(per_token.ndim - 1)))
         dr = np.zeros_like(recon_t.data)
-        dr[idx, gid] = per_token
-        return dy, dr
+        dr.put(seg.recon_at, _token_grad(g, _gather(y.data, seg), seg))
+        return _segment_sum(g, w, seg), dr
 
     return from_op(data, (y, recon_t), grad_fn, "reconstruct_tokens")
 
@@ -440,22 +467,18 @@ def pm_forward(z: Tensor, entry: PlanEntry, block: BlockParams, heads: int,
     """Compressed layer forward with a frozen plan entry."""
     merge_t = Tensor(entry.merge.data)
     recon_t = Tensor(entry.reconstruct)
-    return pm_forward_tensors(z, merge_t, recon_t, entry.merge.groups,
+    return pm_forward_tensors(z, merge_t, recon_t, entry.merge.segments,
                               entry.mask, block, heads, trace=trace)
 
 
 def pm_forward_tensors(z: Tensor, merge_t: Tensor, recon_t: Tensor,
-                       groups: list[tuple[int, int]], mask: np.ndarray,
+                       segments: Segments, mask: np.ndarray,
                        block: BlockParams, heads: int,
                        trace: AttentionTrace | None = None) -> Tensor:
     """Compressed layer forward with explicit (possibly learnable) matrices."""
-    n = merge_t.shape[1]
-    if z.shape[-2] != n:
-        raise ShapeMismatchError(
-            f"token axis {z.shape} does not match plan width {n}")
-    z_c = merge_tokens(z, merge_t, groups)
+    z_c = merge_tokens(z, merge_t, segments)
     y = block_forward(z_c, block, heads, trace=trace)
-    out = reconstruct_tokens(y, recon_t, groups)
+    out = reconstruct_tokens(y, recon_t, segments)
     inv_mask = (1.0 - np.asarray(mask, dtype=np.float64))[:, None]
     z_r = z * Tensor(inv_mask)
     return out + z_r
@@ -562,8 +585,8 @@ class CompressedModel:
 
     Owns an independent copy of the base parameters.  Merge and
     reconstruct matrices are first-class parameters; when
-    ``learnable_matrices`` they receive gradients (structural zeros
-    excluded by the grouped ops) until explicitly frozen.
+    ``learnable_matrices`` they receive gradients (structural zeros and
+    pruned tokens excluded by the grouped ops) until explicitly frozen.
     """
 
     def __init__(self, base: VisionTransformer, plan: CompressionPlan,
@@ -581,7 +604,7 @@ class CompressedModel:
         self.params = clone_params(base.params, requires_grad=True)
         self.merge_t: dict[int, Tensor] = {}
         self.recon_t: dict[int, Tensor] = {}
-        self._groups: dict[int, list[tuple[int, int]]] = {}
+        self._segments: dict[int, Segments] = {}
         self._masks: dict[int, np.ndarray] = {}
         for layer, entry in enumerate(plan.entries):
             if entry is None:
@@ -590,7 +613,7 @@ class CompressedModel:
                                          requires_grad=learnable_matrices)
             self.recon_t[layer] = Tensor(entry.reconstruct.copy(),
                                          requires_grad=learnable_matrices)
-            self._groups[layer] = list(entry.merge.groups)
+            self._segments[layer] = entry.merge.segments
             self._masks[layer] = entry.mask.copy()
 
     def forward(self, images: np.ndarray,
@@ -605,7 +628,7 @@ class CompressedModel:
             if layer in self.merge_t:
                 z = pm_forward_tensors(z, self.merge_t[layer],
                                        self.recon_t[layer],
-                                       self._groups[layer],
+                                       self._segments[layer],
                                        self._masks[layer], blk,
                                        self.config.heads, trace=trace)
             else:
@@ -636,7 +659,7 @@ class CompressedModel:
                 entries.append(None)
                 continue
             merge = MergeMatrix(self.merge_t[layer].data.copy(),
-                                list(self._groups[layer]))
+                                list(self.plan.entries[layer].merge.groups))
             entries.append(PlanEntry(self._masks[layer].copy(), merge,
                                      self.recon_t[layer].data.copy(),
                                      merge.kept))

@@ -179,51 +179,27 @@ def model_flops(config, plan=None) -> FlopsReport:
 # wall-clock micro-benchmark
 # ----------------------------------------------------------------------
 
-def _merge_dense(z, merge):
-    return merge.data @ z
-
-
-def _merge_gather_scatter(z, merge):
-    gid = merge.group_ids()
-    w = merge.weight_vector()
-    out = np.zeros((merge.kept, z.shape[-1]))
-    np.add.at(out, gid, z * w[:, None])
-    return out
-
-
-def _merge_sort_select(z, merge):
-    gid = merge.group_ids()
-    w = merge.weight_vector()
-    order = np.argsort(gid, kind="stable")
-    zs = (z * w[:, None])[order]
-    starts = np.flatnonzero(np.r_[True, np.diff(gid[order]) != 0])
-    return np.add.reduceat(zs, starts, axis=-2)
-
-
 MERGE_VARIANTS = {
-    "grouped": lambda z, merge: grouped_merge(z, merge),
-    "dense": _merge_dense,
-    "gather_scatter": _merge_gather_scatter,
-    "sort_select": _merge_sort_select,
+    "grouped": grouped_merge,
+    "dense": lambda z, merge: merge.data @ z,
 }
 
 
 def micro_benchmark(n_tokens: int = 128, dim: int = 128,
-                    repetitions: int = 25, seed: int = 0,
-                    variants=tuple(MERGE_VARIANTS)) -> dict:
-    """Median/IQR wall-clock comparison of merge implementations.
+                    repetitions: int = 25, seed: int = 0) -> dict:
+    """Median/IQR wall-clock comparison of the grouped merge kernel (the
+    one the model runs) against the dense matmul.
 
-    All variants run on identical inputs and must agree within 1e-10
-    before any timing is recorded.  Timing runs pinned to a single BLAS
-    worker so medians are stable; absolute numbers are machine-specific
-    and only the relative ordering is meaningful.
+    Both run on identical inputs and must agree within 1e-10 before any
+    timing is recorded.  Timing runs pinned to a single BLAS worker when
+    threadpoolctl is installed; otherwise BLAS keeps the threads its
+    environment allows (OPENBLAS_NUM_THREADS and friends).  The report's
+    ``blas_pinned`` says which happened.  Absolute numbers are
+    machine-specific and only the relative ordering is meaningful.
     """
     if repetitions < 10:
         raise ContractError(
             f"need at least 10 repetitions, got {repetitions}")
-    unknown = set(variants) - set(MERGE_VARIANTS)
-    if unknown:
-        raise ContractError(f"unknown merge variants: {sorted(unknown)}")
     rng = np.random.default_rng(seed)
     scores = rng.uniform(0.05, 1.0, size=n_tokens)
     from .compression import generate_merge_matrix
@@ -237,25 +213,24 @@ def micro_benchmark(n_tokens: int = 128, dim: int = 128,
                      else contextlib.nullcontext())
     results = {}
     with single_worker:
-        for name in variants:
-            got = MERGE_VARIANTS[name](z, merge)
-            if not np.allclose(got, reference, atol=1e-10):
+        for name, fn in MERGE_VARIANTS.items():
+            if not np.allclose(fn(z, merge), reference, atol=1e-10):
                 raise ContractError(f"variant {name} disagrees with dense "
                                     f"reference before timing")
         # Warm every variant before timing any: in a cold process the
         # first-timed variant otherwise absorbs the CPU ramp-up and cache
         # misses, which skews comparisons more than the kernels differ.
         for _ in range(100):
-            for name in variants:
-                MERGE_VARIANTS[name](z, merge)
+            for fn in MERGE_VARIANTS.values():
+                fn(z, merge)
         # Three timing passes per variant, order alternating between
         # passes; each variant reports its best pass by median.  Noise
         # here (scheduler, frequency ramps) is strictly one-sided, so the
         # lowest attainable median is the honest steady-state figure.
-        passes: dict[str, list[list[float]]] = {n: [] for n in variants}
+        names = list(MERGE_VARIANTS)
+        passes: dict[str, list[list[float]]] = {n: [] for n in names}
         for p in range(3):
-            order = tuple(reversed(variants)) if p % 2 else tuple(variants)
-            for name in order:
+            for name in names[::-1] if p % 2 else names:
                 fn = MERGE_VARIANTS[name]
                 times = []
                 for _ in range(repetitions):
@@ -263,8 +238,8 @@ def micro_benchmark(n_tokens: int = 128, dim: int = 128,
                     fn(z, merge)
                     times.append(time.perf_counter() - t0)
                 passes[name].append(times)
-        for name in variants:
-            best = min(passes[name], key=np.median)
+        for name, runs in passes.items():
+            best = min(runs, key=np.median)
             q1, q2, q3 = np.percentile(best, [25, 50, 75])
             results[name] = {"median_s": float(q2), "iqr_s": float(q3 - q1)}
 
@@ -272,6 +247,7 @@ def micro_benchmark(n_tokens: int = 128, dim: int = 128,
         "n_tokens": n_tokens,
         "dim": dim,
         "repetitions": repetitions,
+        "blas_pinned": threadpool_limits is not None,
         "variants": results,
     }
 

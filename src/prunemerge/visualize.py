@@ -74,7 +74,7 @@ def render_merge_map(image: np.ndarray, entry: PlanEntry,
     # weighted-average patch per group, in patch space; token j in the
     # grid is patch j-1 (token 0 is the class token and has no pixels)
     merged = np.empty_like(patches)
-    gid = entry.merge.group_ids()
+    gid = entry.merge.segments.gid
     for j in range(1, n):
         if entry.mask[j] == 0:
             merged[j - 1] = 1.0  # pruned: white

@@ -389,8 +389,7 @@ def test_criterion_8_overhead_and_walltime():
 
     lines = []
     for n_tok, dim in ((64, 64), (128, 128), (197, 192)):
-        rep = flops.micro_benchmark(n_tok, dim, repetitions=300, seed=0,
-                                    variants=("grouped", "dense"))
+        rep = flops.micro_benchmark(n_tok, dim, repetitions=300, seed=0)
         g = rep["variants"]["grouped"]["median_s"]
         d = rep["variants"]["dense"]["median_s"]
         lines.append(f"  N={n_tok:>3} D={dim:>3}:  grouped {g * 1e6:7.2f} us"

@@ -112,8 +112,8 @@ def test_bench_json_schema(capsys):
                  "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["n_tokens"] == 24 and doc["dim"] == 8
-    assert set(doc["variants"]) == {"grouped", "dense", "gather_scatter",
-                                    "sort_select"}
+    assert set(doc["variants"]) == {"grouped", "dense"}
+    assert isinstance(doc["blas_pinned"], bool)
     for stats in doc["variants"].values():
         assert stats["median_s"] > 0.0
 
@@ -247,6 +247,19 @@ def test_eval_rejects_plan_on_compressed_checkpoint(workdir, cfg, plan_file,
                  "--ckpt", str(workdir / "comp.pmvt"),
                  "--plan", plan_file]) == 1
     assert "already-compressed" in capsys.readouterr().err
+
+
+def test_plan_with_gap_is_one_line_error(workdir, cfg, base_ckpt, plan_file,
+                                        capsys):
+    arrays = checkpoint.load_arrays(plan_file)
+    arrays["plan.layer0.groups"][1, 0] += 1
+    bad = str(workdir / "bad.pmvt")
+    checkpoint.save_arrays(bad, arrays)
+    assert main(["eval", "--config", cfg, "--ckpt", base_ckpt,
+                 "--plan", bad]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ContractError: plan layer 0:")
+    assert err.count("\n") == 1
 
 
 def test_unknown_flag_exits_nonzero():

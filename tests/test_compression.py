@@ -5,8 +5,7 @@ from prunemerge import tensor as T
 from prunemerge.compression import (CompressionPlan, MergeMatrix,
                                     compress_model, generate_merge_matrix,
                                     global_plan, grouped_merge,
-                                    grouped_reconstruct, identity_plan,
-                                    merge_flop_count, merge_tokens,
+                                    identity_plan, merge_tokens,
                                     pm_forward, pseudoinverse,
                                     reconstruct_tokens)
 from prunemerge.errors import ContractError, SingularMatrixError
@@ -204,14 +203,12 @@ class TestPseudoinverse:
         with pytest.raises(SingularMatrixError):
             pseudoinverse(data)
 
-    def test_overlapping_rows_use_svd_fallback(self):
-        # not producible by the generator, but learnable training can
-        # create overlapping support; result must still satisfy M.M+.M = M
+    def test_overlapping_rows_rejected(self):
+        # not producible by the generator, and trained matrices are never
+        # inverted: the closed form needs disjoint rows
         data = np.array([[0.6, 0.4, 0.0], [0.0, 0.5, 0.5]])
-        plus = pseudoinverse(data)
-        np.testing.assert_allclose(data @ plus @ data, data, atol=1e-10)
-        np.testing.assert_allclose(plus, np.linalg.pinv(data, rcond=1e-10),
-                                   atol=1e-12)
+        with pytest.raises(ContractError):
+            pseudoinverse(data)
 
 
 class TestGroupedOps:
@@ -227,8 +224,6 @@ class TestGroupedOps:
                                        atol=1e-12)
 
     def test_grouped_merge_unbatched_matches_dense(self):
-        # 2-D input takes the compiled CSR kernel, not the segmented
-        # reduction; both must agree with the dense product
         rng = np.random.default_rng(44)
         for _ in range(100):
             n = int(rng.integers(2, 40))
@@ -238,15 +233,21 @@ class TestGroupedOps:
             np.testing.assert_allclose(grouped_merge(z, merge),
                                        merge.data @ z, atol=1e-12)
 
-    def test_grouped_merge_paths_agree(self):
+    def test_merge_tokens_matches_dense(self):
+        # one kernel for every layout: unbatched, batched, non-contiguous
         rng = np.random.default_rng(45)
-        _, _, merge = random_merge(12, 5, rng)
-        z = rng.standard_normal((12, 7))
-        flat = grouped_merge(z, merge)                # CSR kernel
-        batched = grouped_merge(z[None], merge)[0]    # segmented reduction
-        strided = grouped_merge(np.asfortranarray(z), merge)  # fallback
-        np.testing.assert_allclose(batched, flat, atol=1e-14)
-        np.testing.assert_allclose(strided, flat, atol=1e-14)
+        for _ in range(50):
+            n = int(rng.integers(2, 20))
+            kept = int(rng.integers(1, n))
+            _, _, merge = random_merge(n, kept, rng)
+            m_t = Tensor(merge.data)
+            for z in (rng.standard_normal((n, 7)),
+                      rng.standard_normal((2, 3, n, 7)),
+                      rng.standard_normal((7, n)).T,
+                      rng.standard_normal((2, n, 14))[..., ::2]):
+                out = merge_tokens(Tensor(z), m_t, merge.segments).data
+                np.testing.assert_allclose(out, merge.data @ z, atol=1e-12)
+                assert np.array_equal(out, grouped_merge(z, merge))
 
     def test_grouped_reconstruct_matches_dense(self):
         rng = np.random.default_rng(34)
@@ -255,33 +256,23 @@ class TestGroupedOps:
             kept = int(rng.integers(1, n))
             _, _, merge = random_merge(n, kept, rng)
             plus = pseudoinverse(merge)
-            y = rng.standard_normal((2, kept, 4))
-            dense = np.einsum("nk,bkd->bnd", plus, y)
-            np.testing.assert_allclose(
-                grouped_reconstruct(y, plus, merge.groups), dense,
-                atol=1e-12)
-
-    def test_operation_counter(self):
-        rng = np.random.default_rng(35)
-        _, _, merge = random_merge(10, 4, rng)
-        z = rng.standard_normal((2, 10, 6))
-        counter = {}
-        grouped_merge(z, merge, counter=counter)
-        assert counter["multiply_adds"] == merge_flop_count(10, 6) == 120
-        grouped_reconstruct(rng.standard_normal((2, 4, 6)),
-                            pseudoinverse(merge), merge.groups,
-                            counter=counter)
-        assert counter["multiply_adds"] == 240
+            for y in (rng.standard_normal((kept, 4)),
+                      rng.standard_normal((2, kept, 4)),
+                      rng.standard_normal((2, 4, kept)).swapaxes(1, 2)):
+                out = reconstruct_tokens(Tensor(y), Tensor(plus),
+                                         merge.segments).data
+                np.testing.assert_allclose(out, plus @ y, atol=1e-12)
 
     def test_merge_tokens_gradients(self):
         rng = np.random.default_rng(36)
-        _, _, merge = random_merge(7, 3, rng)
+        mask, merge = generate_merge_matrix(rng.uniform(0.05, 1.0, size=7),
+                                            None, 3, prune_count=2)
         z = Tensor(rng.standard_normal((2, 7, 4)), requires_grad=True)
         m_t = Tensor(merge.data.copy(), requires_grad=True)
         coef = rng.standard_normal((2, 3, 4))
 
         def loss_fn():
-            out = merge_tokens(z, m_t, merge.groups)
+            out = merge_tokens(z, m_t, merge.segments)
             return T.tensor_sum(out * Tensor(coef))
 
         loss = loss_fn()
@@ -289,23 +280,25 @@ class TestGroupedOps:
         num_z = numeric_grad(lambda: float(loss_fn().data), z.data)
         assert_grads_close(z.grad, num_z)
         num_m = numeric_grad(lambda: float(loss_fn().data), m_t.data)
-        # structural zeros never receive gradient, by construction
-        support = merge.data != 0
+        # structural zeros and pruned columns never receive gradient
+        support = np.zeros_like(merge.data, dtype=bool)
         for row, (a, b) in enumerate(merge.groups):
             support[row, a:b] = True
+        support[:, mask == 0] = False
         assert np.all(m_t.grad[~support] == 0.0)
         assert_grads_close(m_t.grad[support], num_m[support])
 
     def test_reconstruct_tokens_gradients(self):
         rng = np.random.default_rng(37)
-        _, _, merge = random_merge(6, 2, rng)
+        mask, merge = generate_merge_matrix(rng.uniform(0.05, 1.0, size=6),
+                                            None, 2, prune_count=2)
         plus = pseudoinverse(merge)
         y = Tensor(rng.standard_normal((2, 2, 3)), requires_grad=True)
         r_t = Tensor(plus.copy(), requires_grad=True)
         coef = rng.standard_normal((2, 6, 3))
 
         def loss_fn():
-            out = reconstruct_tokens(y, r_t, merge.groups)
+            out = reconstruct_tokens(y, r_t, merge.segments)
             return T.tensor_sum(out * Tensor(coef))
 
         loss = loss_fn()
@@ -318,6 +311,7 @@ class TestGroupedOps:
             gid[a:b] = row
         support = np.zeros_like(plus, dtype=bool)
         support[np.arange(6), gid] = True
+        support[mask == 0] = False  # pruned rows never receive gradient
         assert np.all(r_t.grad[~support] == 0.0)
         assert_grads_close(r_t.grad[support], num_r[support])
 
@@ -379,16 +373,22 @@ class TestPmForward:
         from prunemerge.compression import pm_forward_tensors
 
         def loss_fn():
-            out = pm_forward_tensors(z, m_t, r_t, merge.groups, mask,
+            out = pm_forward_tensors(z, m_t, r_t, merge.segments, mask,
                                      block, heads=1)
             return T.tensor_sum(out * Tensor(coef))
 
         loss = loss_fn()
         T.backward(loss)
-        for target, grad in ((z.data, z.grad), (m_t.data, m_t.grad),
-                             (r_t.data, r_t.grad)):
+        # pruned tokens' entries are held at zero: no gradient reaches them
+        live = np.ones_like(z.data, dtype=bool)
+        m_live = np.broadcast_to(mask != 0, m_t.data.shape)
+        r_live = np.broadcast_to((mask != 0)[:, None], r_t.data.shape)
+        for target, grad, keep in ((z.data, z.grad, live),
+                                   (m_t.data, m_t.grad, m_live),
+                                   (r_t.data, r_t.grad, r_live)):
             num = numeric_grad(lambda: float(loss_fn().data), target)
-            assert_grads_close(grad, num, rel=2e-4)
+            assert_grads_close(grad[keep], num[keep], rel=2e-4)
+            assert np.all(grad[~keep] == 0.0)
 
 
 class TestGlobalPlan:
@@ -511,6 +511,77 @@ class TestGlobalPlan:
             np.testing.assert_array_equal(ea.merge.data, eb.merge.data)
             np.testing.assert_array_equal(ea.reconstruct, eb.reconstruct)
             assert ea.merge.groups == eb.merge.groups
+
+
+class TestPlanLoading:
+    """A plan read from a file is checked before any kernel sees it."""
+
+    @staticmethod
+    def arrays():
+        rng = np.random.default_rng(63)
+        scores = [rng.uniform(0.1, 1.0, size=9) for _ in range(2)]
+        arrays = global_plan(scores, rate=0.6, pm_threshold=0.2).to_arrays()
+        assert (arrays["plan.layer0.mask"] == 0).any()
+        return arrays
+
+    def test_valid_plan_loads(self):
+        CompressionPlan.from_arrays(self.arrays())
+
+    @pytest.mark.parametrize("key, corrupt", [
+        ("groups", lambda g: g.__setitem__((1, 0), g[1, 0] + 1)),    # gap
+        ("groups", lambda g: g.__setitem__((1, 0), g[1, 0] - 1)),    # overlap
+        ("groups", lambda g: g.__setitem__((-1, 1), 12)),    # out of range
+        ("merge", lambda m: m.__setitem__((0, 0), np.nan)),
+        ("reconstruct", lambda r: r.__setitem__((1, 1), np.inf)),
+        ("mask", lambda m: m.__setitem__(0, 2)),
+    ], ids=["gap", "overlap", "out-of-range", "nan", "inf", "mask-value"])
+    def test_corruption_rejected(self, key, corrupt):
+        arrays = self.arrays()
+        corrupt(arrays[f"plan.layer1.{key}"])
+        with pytest.raises(ContractError, match="plan layer 1"):
+            CompressionPlan.from_arrays(arrays)
+
+    @pytest.mark.parametrize("key", ["mask", "merge", "reconstruct",
+                                     "groups"])
+    def test_wrong_shape_rejected(self, key):
+        arrays = self.arrays()
+        arrays[f"plan.layer0.{key}"] = arrays[f"plan.layer0.{key}"][:-1]
+        with pytest.raises(ContractError, match="shapes disagree"):
+            CompressionPlan.from_arrays(arrays)
+
+    @pytest.mark.parametrize("key", ["plan.depth", "plan.uncompressed",
+                                     "plan.layer0.groups"])
+    def test_wrong_rank_rejected(self, key):
+        arrays = self.arrays()
+        arrays[key] = np.zeros((2, 2)) if key == "plan.depth" else \
+            np.array(1, dtype=np.int64)
+        with pytest.raises(ContractError):
+            CompressionPlan.from_arrays(arrays)
+
+    def test_uncompressed_layer_out_of_range_rejected(self):
+        arrays = self.arrays()
+        arrays["plan.uncompressed"] = np.array([7], dtype=np.int64)
+        with pytest.raises(ContractError, match="outside"):
+            CompressionPlan.from_arrays(arrays)
+
+    def test_support_outside_group_rejected(self):
+        arrays = self.arrays()
+        arrays["plan.layer0.reconstruct"][-1, 0] = 0.5
+        with pytest.raises(ContractError, match="outside"):
+            CompressionPlan.from_arrays(arrays)
+
+    def test_pruned_token_with_weight_rejected(self):
+        arrays = self.arrays()
+        mask = arrays["plan.layer0.mask"]
+        mask[np.flatnonzero(mask == 0)[0]] = 1
+        with pytest.raises(ContractError, match="mask"):
+            CompressionPlan.from_arrays(arrays)
+
+    def test_trained_row_sums_accepted(self):
+        arrays = self.arrays()
+        arrays["plan.layer0.merge"] *= 1.1
+        arrays["plan.layer0.reconstruct"] *= 0.9
+        CompressionPlan.from_arrays(arrays)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from prunemerge import tensor as T
-from prunemerge.compression import compress_model, global_plan
+from prunemerge.compression import (CompressionPlan, compress_model,
+                                    global_plan, pm_forward_tensors)
 from prunemerge.data import synthetic_shapes
 from prunemerge.errors import ConfigError, ContractError, NumericError
 from prunemerge.finetune import (METRICS_HEADER, AdamW, DistillConfig,
@@ -233,6 +234,30 @@ class TestFinetune:
             not np.array_equal(comp2.merge_t[l].data, comp3.merge_t[l].data)
             for l in comp2.merge_t)
         assert different  # freeze schedule affects the final matrices
+
+    def test_pruned_tokens_stay_pruned(self, compressed_pair):
+        base, plan = compressed_pair
+        data = tiny_dataset(16)
+        comp = compress_model(base, plan, learnable_matrices=True)
+        cfg = DistillConfig(epochs=2, freeze_epoch=2, batch_size=8, seed=9)
+        finetune(comp, base.frozen_copy(), data, cfg)
+        rng = np.random.default_rng(10)
+        seen = 0
+        for layer, m_t in comp.merge_t.items():
+            mask = plan.entries[layer].mask
+            pruned = np.flatnonzero(mask == 0)
+            seen += pruned.size
+            assert not np.array_equal(m_t.data, plan.entries[layer].merge.data)
+            assert np.all(m_t.data[:, pruned] == 0.0)
+            assert np.all(comp.recon_t[layer].data[pruned] == 0.0)
+            z = Tensor(rng.standard_normal((3, mask.size, 8)))
+            out = pm_forward_tensors(z, m_t, comp.recon_t[layer],
+                                     comp._segments[layer], mask,
+                                     comp.params.blocks[layer], heads=2)
+            assert np.array_equal(out.data[:, pruned], z.data[:, pruned])
+        assert seen > 0
+        # the trained plan passes the checks every loaded plan must pass
+        CompressionPlan.from_arrays(comp.export_plan().to_arrays())
 
     def test_matrices_byte_stable_after_freeze(self, compressed_pair):
         base, plan = compressed_pair

@@ -130,9 +130,10 @@ class TestModelFlops:
 class TestMicroBenchmark:
     def test_schema_and_correctness_gate(self):
         report = micro_benchmark(n_tokens=64, dim=32, repetitions=10)
-        assert set(report) == {"n_tokens", "dim", "repetitions", "variants"}
-        assert set(report["variants"]) == {"grouped", "dense",
-                                           "gather_scatter", "sort_select"}
+        assert set(report) == {"n_tokens", "dim", "repetitions",
+                               "blas_pinned", "variants"}
+        assert isinstance(report["blas_pinned"], bool)
+        assert set(report["variants"]) == {"grouped", "dense"}
         for stats in report["variants"].values():
             assert set(stats) == {"median_s", "iqr_s"}
             assert stats["median_s"] > 0
@@ -140,10 +141,6 @@ class TestMicroBenchmark:
     def test_repetition_floor(self):
         with pytest.raises(ContractError):
             micro_benchmark(repetitions=9)
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ContractError):
-            micro_benchmark(repetitions=10, variants=("grouped", "nope"))
 
     def test_relative_ordering_reported_at_scale(self):
         # wall-clock ordering is machine-specific and deliberately not

@@ -130,7 +130,7 @@ def test_alive_group_members_share_one_average_patch():
     entry = plan.entries[1]
     merge_px, _ = render_merge_map(image, entry, CFG)
     patch_view = merge_px.reshape(4, 2, 4, 2, 3).transpose(0, 2, 1, 3, 4)
-    gid = entry.merge.group_ids()
+    gid = entry.merge.segments.gid
     by_group = {}
     for token in range(1, N):
         if entry.mask[token] == 0:

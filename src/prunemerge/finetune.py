@@ -189,13 +189,17 @@ def metrics_to_csv(rows: list[dict]) -> str:
 
 
 def evaluate_accuracy(model, dataset: Dataset, batch_size: int = 64) -> float:
-    """Top-1 accuracy of any object with .forward(images) -> logits."""
+    """Top-1 accuracy of any object with .forward(images) -> logits.
+
+    Runs under ``no_grad``: no graph is recorded and no gradient changes.
+    """
     if len(dataset.labels) == 0:
         raise ContractError("cannot evaluate on an empty dataset")
     hits = 0
     for images, labels in batches(dataset, batch_size, seed=0, epoch=0,
                                   shuffle=False):
-        logits = model.forward(images)
+        with T.no_grad():
+            logits = model.forward(images)
         hits += int((np.argmax(logits.data, axis=1) == labels).sum())
     return hits / len(dataset.labels)
 

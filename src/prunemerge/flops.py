@@ -223,24 +223,19 @@ def micro_benchmark(n_tokens: int = 128, dim: int = 128,
         for _ in range(100):
             for fn in MERGE_VARIANTS.values():
                 fn(z, merge)
-        # Three timing passes per variant, order alternating between
-        # passes; each variant reports its best pass by median.  Noise
-        # here (scheduler, frequency ramps) is strictly one-sided, so the
-        # lowest attainable median is the honest steady-state figure.
+        # Both kernels run in every repetition, the order alternating
+        # between repetitions, so that host load and cache state during
+        # the run land on both alike and cannot flip the comparison.
         names = list(MERGE_VARIANTS)
-        passes: dict[str, list[list[float]]] = {n: [] for n in names}
-        for p in range(3):
-            for name in names[::-1] if p % 2 else names:
+        times: dict[str, list[float]] = {n: [] for n in names}
+        for rep in range(repetitions):
+            for name in names[::-1] if rep % 2 else names:
                 fn = MERGE_VARIANTS[name]
-                times = []
-                for _ in range(repetitions):
-                    t0 = time.perf_counter()
-                    fn(z, merge)
-                    times.append(time.perf_counter() - t0)
-                passes[name].append(times)
-        for name, runs in passes.items():
-            best = min(runs, key=np.median)
-            q1, q2, q3 = np.percentile(best, [25, 50, 75])
+                t0 = time.perf_counter()
+                fn(z, merge)
+                times[name].append(time.perf_counter() - t0)
+        for name, samples in times.items():
+            q1, q2, q3 = np.percentile(samples, [25, 50, 75])
             results[name] = {"median_s": float(q2), "iqr_s": float(q3 - q1)}
 
     return {

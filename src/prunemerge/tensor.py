@@ -6,11 +6,26 @@ topologically sorts the nodes reaching the loss and replays them once in
 reverse.  Gradient flow inside a single replay uses fresh buffers; the
 results are then *accumulated* into each tensor's ``grad``, so separate
 forward/backward rounds add up until ``zero_grad`` is called.
+
+Graph lifetime: a tensor owns its node and a node owns its inputs, but a
+node refers back to its output only weakly.  A graph is therefore a tree
+of strong references rooted at its newest tensors, and reference counting
+frees it the moment the last tensor that reaches it is dropped -- no
+garbage-collector pass is needed.  ``backward`` may run any number of
+times while the root is alive.
+
+Inference mode: inside ``with no_grad():`` operations record no node and
+their outputs never require grad, so a forward pass keeps no graph and no
+saved activations.  Parameters keep ``requires_grad``; only recording
+stops.  The previous mode returns on exit, also after an exception.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,6 +36,9 @@ Array = np.ndarray
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+
+# Whether ``from_op`` records graph nodes; see ``no_grad``.
+_RECORDING = contextvars.ContextVar("prunemerge_recording", default=True)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -35,11 +53,14 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 class _OpNode:
+    """One recorded operation.  ``output`` is a weak reference, so the
+    node does not keep its own output (and with it the graph) alive."""
+
     __slots__ = ("inputs", "output", "grad_fn", "name")
 
     def __init__(self, inputs, output, grad_fn, name):
         self.inputs = inputs
-        self.output = output
+        self.output = weakref.ref(output)
         self.grad_fn = grad_fn
         self.name = name
 
@@ -47,7 +68,7 @@ class _OpNode:
 class Tensor:
     """A float64 array plus an optional gradient and graph linkage."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -155,11 +176,23 @@ def from_op(data: Array, inputs: Sequence[Tensor],
     ``grad_fn`` receives the output gradient and returns one gradient (or
     None) per input, each already shaped like the matching input.  This is
     the extension hook other modules use to define custom operations.
+    Under ``no_grad`` nothing is recorded and the output needs no grad.
     """
-    out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
-    if out.requires_grad:
+    out = Tensor(data)
+    if _RECORDING.get() and any(t.requires_grad for t in inputs):
+        out.requires_grad = True
         out._node = _OpNode(tuple(inputs), out, grad_fn, name)
     return out
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the body without recording graph nodes (inference mode)."""
+    token = _RECORDING.set(False)
+    try:
+        yield
+    finally:
+        _RECORDING.reset(token)
 
 
 class Tape:
@@ -207,11 +240,13 @@ class Tape:
         self.visit_counts = {}
         for node in reversed(self.nodes):
             self.visit_counts[id(node)] = self.visit_counts.get(id(node), 0) + 1
-            out_grad = flow.pop(id(node.output), None)
+            # Alive: the output is the root or an input of a later node.
+            output = node.output()
+            out_grad = flow.pop(id(output), None)
             if out_grad is None:
                 continue
-            if node.output.requires_grad and node.output is not root:
-                node.output.accumulate_grad(out_grad)
+            if output.requires_grad and output is not root:
+                output.accumulate_grad(out_grad)
             grads = node.grad_fn(out_grad)
             for t, g in zip(node.inputs, grads):
                 if g is None or not t.requires_grad:
@@ -294,7 +329,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(g):
         ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+        if b.ndim == 2 and a.ndim > 2:
+            # A batch of rows times one weight matrix: fold the batch into
+            # the contraction, one GEMM instead of a batched one plus a sum.
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                              b.data.shape)
         return ga, gb
 
     return from_op(data, (a, b), grad_fn, "matmul")
@@ -406,21 +447,29 @@ def _normalize_axes(axis, ndim) -> tuple[int, ...] | None:
     return tuple(a % ndim for a in axis)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax along the last axis, numerically stabilised.
+def softmax_rows(x: Tensor, scale: float = 1.0) -> Tensor:
+    """Softmax of ``scale * x`` along the last axis, numerically stabilised.
 
-    Non-finite inputs are rejected: a NaN or infinity here is always an
-    upstream defect and would otherwise surface as silent garbage.
+    Folding a positive ``scale`` in here (attention's 1/sqrt(d)) spares the
+    caller a scaled copy of ``x`` and a graph node.  Non-finite inputs are
+    rejected: a NaN or infinity here is always an upstream defect and would
+    otherwise surface as silent garbage.
     """
+    if not 0.0 < scale < math.inf:
+        raise ContractError(f"softmax scale must be positive, got {scale}")
     if not np.isfinite(x.data).all():
         raise NumericError("softmax input contains non-finite values")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    y *= scale
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def grad_fn(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        gx = g - dot
+        gx *= y
+        gx *= scale
+        return (gx,)
 
     return from_op(y, (x,), grad_fn, "softmax_rows")
 
@@ -450,16 +499,48 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     return from_op(data, (x, gamma, beta), grad_fn, "layer_norm")
 
 
+def _gelu_tanh(x: Array) -> tuple[Array, Array]:
+    """tanh(c * (x + a * x**3)) and x * x, each in a fresh buffer.
+
+    Powers are products: ``x ** 3`` calls libm's pow, about 40 times slower.
+    """
+    x2 = np.multiply(x, x, out=np.empty_like(x))
+    t = np.multiply(x2, x, out=np.empty_like(x))
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t), x2
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh approximation."""
-    u = _GELU_C * (x.data + _GELU_A * x.data ** 3)
-    t = np.tanh(u)
-    data = 0.5 * x.data * (1.0 + t)
+    """Gaussian error linear unit, tanh approximation.
+
+    Every temporary is a fresh buffer updated in place (``out=`` needs an
+    array, so 0-d inputs get ``empty_like`` buffers too); ``x.data`` is
+    never written.  The backward pass recomputes tanh, so the graph holds
+    no activation-sized array beyond ``x`` itself.
+    """
+    xd = x.data
+    data, _ = _gelu_tanh(xd)
+    data += 1.0
+    data *= xd
+    data *= 0.5
 
     def grad_fn(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * x.data ** 2)
-        local = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
-        return (g * local,)
+        # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)
+        t, slope = _gelu_tanh(xd)          # slope holds x^2 until scaled
+        slope *= 3.0 * _GELU_A
+        slope += 1.0
+        slope *= _GELU_C
+        slope *= xd
+        sech2 = np.multiply(t, t, out=np.empty_like(xd))
+        np.subtract(1.0, sech2, out=sech2)
+        slope *= sech2
+        t += 1.0
+        t += slope
+        t *= 0.5
+        t *= g
+        return (t,)
 
     return from_op(data, (x,), grad_fn, "gelu")
 

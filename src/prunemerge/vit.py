@@ -251,9 +251,9 @@ def block_forward(z: Tensor, params: BlockParams, heads: int,
     def split(t: Tensor) -> Tensor:
         return T.transpose(T.reshape(t, (b, n, heads, d)), (0, 2, 1, 3))
 
-    scale = 1.0 / math.sqrt(d)
-    scores = T.matmul(split(q), T.swap_last2(split(k))) * scale
-    attn = T.softmax_rows(scores)  # (B, H, N, N), rows are queries
+    scores = T.matmul(split(q), T.swap_last2(split(k)))
+    # (B, H, N, N), rows are queries; softmax applies the 1/sqrt(d) scale
+    attn = T.softmax_rows(scores, 1.0 / math.sqrt(d))
     if trace is not None:
         trace.attention = attn
     if attn_bump is not None:

@@ -360,6 +360,23 @@ class TestEvaluateAccuracy:
         assert evaluate_accuracy(base, data, batch_size=3) \
             == evaluate_accuracy(base, data, batch_size=20)
 
+    def test_records_no_graph(self, compressed_pair):
+        base, plan = compressed_pair
+        model = compress_model(base, plan, learnable_matrices=True)
+        outputs = []
+
+        class Spy:
+            def forward(self, images):
+                outputs.append(model.forward(images))
+                return outputs[-1]
+
+        evaluate_accuracy(Spy(), tiny_dataset(20), batch_size=8)
+        assert len(outputs) == 3
+        assert all(o._node is None and not o.requires_grad for o in outputs)
+        assert all(p.grad is None for _, p in model.named_parameters())
+        with_graph = model.forward(tiny_dataset(20).images[:8])
+        np.testing.assert_array_equal(outputs[0].data, with_graph.data)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ContractError):
             tiny_dataset(8).subset(0, 0)

@@ -1,12 +1,15 @@
 """Unit tests for the reverse-mode tensor module."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from prunemerge import tensor as T
 from prunemerge.errors import ContractError, NumericError, ShapeMismatchError
+from prunemerge.vit import ModelConfig, VisionTransformer
 
 from helpers import assert_grads_close, numeric_grad
 
@@ -62,6 +65,25 @@ class TestMatmul:
         assert_grads_close(a.grad, numeric_grad(loss, a.data))
         assert_grads_close(b.grad, numeric_grad(loss, b.data))
 
+    @pytest.mark.parametrize("a_shape", [(3, 5, 4), (2, 3, 5, 4)])
+    def test_folded_weight_gradient(self, a_shape):
+        # Batched rows @ one 2-D weight: the weight gradient is one GEMM
+        # over the flattened batch.
+        rng = np.random.default_rng(19)
+        a = T.Tensor(rng.normal(size=a_shape), requires_grad=True)
+        b = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        w = rng.normal(size=a_shape[:-1] + (2,))
+        T.backward(((a @ b) * T.Tensor(w)).sum())
+
+        def loss():
+            return float((np.matmul(a.data, b.data) * w).sum())
+
+        assert_grads_close(a.grad, numeric_grad(loss, a.data))
+        assert_grads_close(b.grad, numeric_grad(loss, b.data))
+        batched = T._unbroadcast(
+            np.matmul(np.swapaxes(a.data, -1, -2), w), b.shape)
+        np.testing.assert_allclose(b.grad, batched, rtol=1e-13, atol=1e-14)
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -101,6 +123,34 @@ class TestSoftmax:
             return float((e / e.sum(axis=-1, keepdims=True) * w).sum())
 
         assert_grads_close(x.grad, numeric_grad(loss, x.data))
+
+    def test_scale_matches_scaled_input(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(scale=4.0, size=(2, 3, 5, 5))
+        for scale in (1.0, 0.125, 1.0 / math.sqrt(48), 3.0):
+            np.testing.assert_allclose(
+                T.softmax_rows(T.Tensor(x), scale).data,
+                T.softmax_rows(T.Tensor(x * scale)).data,
+                rtol=0.0, atol=1e-14)
+
+    def test_scaled_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(9)
+        x = T.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = rng.normal(size=(2, 3, 4))
+        scale = 0.37
+        T.backward((T.softmax_rows(x, scale) * T.Tensor(w)).sum())
+
+        def loss():
+            z = scale * x.data
+            e = np.exp(z - z.max(axis=-1, keepdims=True))
+            return float((e / e.sum(axis=-1, keepdims=True) * w).sum())
+
+        assert_grads_close(x.grad, numeric_grad(loss, x.data))
+
+    def test_nonpositive_scale_rejected(self):
+        for scale in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ContractError):
+                T.softmax_rows(T.Tensor([0.0, 1.0]), scale)
 
 
 class TestLayerNorm:
@@ -168,6 +218,30 @@ class TestGelu:
             return float((0.5 * x.data * (1.0 + np.tanh(u))).sum())
 
         assert_grads_close(x.grad, numeric_grad(loss, x.data), rel=1e-6)
+
+    def test_weighted_batched_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(4)
+        x = T.Tensor(rng.normal(scale=2.0, size=(2, 3, 5)), requires_grad=True)
+        w = rng.normal(size=(2, 3, 5))
+        T.backward((T.gelu(x) * T.Tensor(w)).sum())
+
+        def loss():
+            c = math.sqrt(2.0 / math.pi)
+            u = c * (x.data + 0.044715 * x.data ** 3)
+            return float((0.5 * x.data * (1.0 + np.tanh(u)) * w).sum())
+
+        assert_grads_close(x.grad, numeric_grad(loss, x.data), rel=1e-6)
+
+    def test_zero_dim_gradient(self):
+        x = T.Tensor(0.0, requires_grad=True)
+        T.backward(T.gelu(x))
+        assert x.grad == 0.5
+
+    def test_input_never_written(self):
+        x = T.Tensor(np.linspace(-4.0, 4.0, 9), requires_grad=True)
+        before = x.data.copy()
+        T.backward(T.gelu(x).sum())
+        np.testing.assert_array_equal(x.data, before)
 
 
 class TestCrossEntropy:
@@ -384,3 +458,75 @@ class TestShapeOps:
         assert y.requires_grad is False
         z = y * T.Tensor([3.0])
         assert z.requires_grad is False
+
+
+def _tiny_model():
+    config = ModelConfig(image_size=8, patch_size=4, channels=1,
+                         embed_dim=8, depth=2, heads=2, num_classes=3)
+    images = np.random.default_rng(1).random((2, 1, 8, 8))
+    return VisionTransformer.build(config, seed=2), images
+
+
+class TestNoGrad:
+    def test_forward_records_nothing(self):
+        model, images = _tiny_model()
+        with T.no_grad():
+            logits = model.forward(images)
+            loss = T.cross_entropy(logits, np.array([0, 2]))
+        for t in (logits, loss):
+            assert t._node is None
+            assert t.requires_grad is False
+        T.backward(loss)
+        assert all(p.grad is None for _, p in model.named_parameters())
+        np.testing.assert_array_equal(logits.data, model.forward(images).data)
+
+    def test_parameters_keep_requires_grad(self):
+        model, images = _tiny_model()
+        with T.no_grad():
+            model.forward(images)
+        assert all(p.requires_grad for _, p in model.named_parameters())
+
+    def test_nesting_restores_previous_mode(self):
+        x = T.Tensor(np.ones(2), requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                assert (x * x)._node is None
+            assert (x * x)._node is None
+        assert (x * x)._node is not None
+
+    def test_exception_restores_recording(self):
+        x = T.Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(NumericError):
+            with T.no_grad():
+                T.softmax_rows(T.Tensor([np.nan, 0.0]))
+        y = x * x
+        assert y.requires_grad and y._node is not None
+
+
+class TestGraphLifetime:
+    def test_dropping_logits_frees_the_graph(self):
+        model, images = _tiny_model()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            traces = []
+            logits = model.forward(images, traces=traces)
+            # The second block's input is referenced by the graph only.
+            inner = weakref.ref(traces[1].tokens)
+            del traces
+            assert inner() is not None
+            del logits
+            assert inner() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_backward_twice_on_live_loss_accumulates(self):
+        model, images = _tiny_model()
+        loss = T.cross_entropy(model.forward(images), np.array([1, 0]))
+        T.backward(loss)
+        params = dict(model.named_parameters())
+        first = {k: p.grad.copy() for k, p in params.items()}
+        T.backward(loss)
+        for k, p in params.items():
+            np.testing.assert_array_equal(p.grad, 2.0 * first[k])

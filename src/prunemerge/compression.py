@@ -1,12 +1,14 @@
-"""Merge/reconstruct matrix construction and the compressed forward path.
+"""Merge/reconstruct construction and the compressed forward path.
 
 A compressed layer replaces B(z) with  M+ . B(M.z) + z*(1-mask):  tokens
 are folded into per-group weighted sums before the block and scattered
 back afterwards, while pruned tokens bypass the block entirely through
-the masked shortcut.  Group structure makes both directions O(N*D): every
-grouped merge (the model's, its gradients' and ``grouped_merge``) is one
-segmented sum and every grouped reconstruct one gather.  The dense
-matrix products exist only as test oracles.
+the masked shortcut.  The groups partition the tokens and token j has one
+entry in each matrix, w[j] = M[gid[j], j] and r[j] = R[j, gid[j]]; plans
+store only the groups and those two vectors.  Both directions run in
+O(N*D): every grouped merge (the model's, its gradients' and
+``grouped_merge``) is one segmented sum and every grouped reconstruct one
+gather.  Dense M and R are derived views.
 """
 
 from __future__ import annotations
@@ -65,70 +67,68 @@ class Segments:
             self._batch = batch
         return self._layout
 
-    def outside(self, matrix: np.ndarray) -> np.ndarray:
-        """Rows of a (kept, n) matrix with support outside their group."""
-        rest = matrix.copy()
-        rest.put(self.merge_at, 0.0)
-        return np.flatnonzero(rest.any(axis=1))
+    def merge_matrix(self, w: np.ndarray) -> np.ndarray:
+        """Dense (kept, n) matrix holding w[j] at [gid[j], j]."""
+        out = np.zeros((self.kept, self.n))
+        out.put(self.merge_at, w)
+        return out
+
+    def recon_matrix(self, r: np.ndarray) -> np.ndarray:
+        """Dense (n, kept) matrix holding r[j] at [j, gid[j]]."""
+        out = np.zeros((self.n, self.kept))
+        out.put(self.recon_at, r)
+        return out
 
 
 @dataclass
 class MergeMatrix:
-    """Dense (kept x n_tokens) merge weights plus the group partition.
+    """A merge matrix as its group partition plus one weight per token.
 
     ``groups`` lists one half-open [start, stop) range per row; together
     the ranges partition [0, n_tokens), which is what lets the merge run
-    as one segmented sum.  The instance is treated as immutable once built.
+    as one segmented sum.  ``w[j]`` is token j's weight in its own group's
+    row, M[gid[j], j]; every other entry of M is zero.  The instance is
+    treated as immutable once built.
     """
 
-    data: np.ndarray
     groups: list[tuple[int, int]]
+    w: np.ndarray
 
     @property
     def kept(self) -> int:
-        return self.data.shape[0]
+        return len(self.groups)
 
     @property
     def n_tokens(self) -> int:
-        return self.data.shape[1]
+        return self.w.size
 
     @cached_property
     def segments(self) -> Segments:
-        """The groups in kernel form; a token is live when its column is
+        """The groups in kernel form; a token is live when its weight is
         nonzero, which ``validate(mask=...)`` ties to the plan's mask."""
-        return Segments(self.groups, self.data.any(axis=0))
+        return Segments(self.groups, self.w != 0)
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Each token's weight in its own group's row."""
-        return self.data.take(self.segments.merge_at)
+    @property
+    def data(self) -> np.ndarray:
+        """The dense (kept, n_tokens) matrix, built afresh on every read."""
+        return self.segments.merge_matrix(self.w)
 
     def validate(self, mask: np.ndarray | None = None,
                  class_token: bool = False, atol: float = 1e-10) -> None:
-        """Invariants of a generated matrix: one row per group, groups
-        that partition the tokens, support inside each row's group, rows
-        summing to one, zero columns exactly at the pruned tokens of
-        ``mask`` and, with ``class_token``, row 0 equal to e_0."""
-        m = self.data.shape[0]
-        if len(self.groups) != m:
-            raise ContractError(
-                f"{m} rows but {len(self.groups)} groups")
-        rows = self.segments.outside(self.data)
-        if rows.size:
-            raise ContractError(
-                f"row {rows[0]} has support outside its group "
-                f"{self.groups[rows[0]]}")
-        totals = self.data.sum(axis=1)
+        """Invariants of a generated matrix: groups that partition the
+        tokens, rows summing to one, zero weights exactly at the pruned
+        tokens of ``mask`` and, with ``class_token``, row 0 equal to e_0."""
+        seg = self.segments
+        totals = np.bincount(seg.gid, weights=self.w, minlength=seg.kept)
         rows = np.flatnonzero(np.abs(totals - 1.0) > atol)
         if rows.size:
             raise ContractError(
                 f"row {rows[0]} sums to {totals[rows[0]]}, expected 1")
-        if mask is not None and \
-                (self.segments.live != (np.asarray(mask) != 0)).any():
+        if mask is not None and (seg.live != (np.asarray(mask) != 0)).any():
             raise ContractError(
-                "zero columns of the merge matrix disagree with the mask")
+                "zero weights of the merge matrix disagree with the mask")
         if class_token:
-            row0 = self.data[0]
+            row0 = self.w[:self.groups[0][1]]
             if row0[0] != 1.0 or row0[1:].any():
                 raise ContractError(
                     "class-token row must be the unit vector e_0")
@@ -136,10 +136,18 @@ class MergeMatrix:
 
 @dataclass
 class PlanEntry:
-    mask: np.ndarray           # (n,) uint8; 0 = pruned
-    merge: MergeMatrix         # (kept, n)
-    reconstruct: np.ndarray    # (n, kept)
+    """One compressed layer: the mask (0 = pruned), the merge matrix and
+    the reconstruct weights, ``r[j]`` = R[j, gid[j]]."""
+
+    mask: np.ndarray           # (n,) uint8
+    merge: MergeMatrix
+    r: np.ndarray              # (n,)
     kept: int
+
+    @property
+    def reconstruct(self) -> np.ndarray:
+        """The dense (n, kept) matrix, built afresh on every read."""
+        return self.merge.segments.recon_matrix(self.r)
 
 
 @dataclass
@@ -181,8 +189,8 @@ class CompressionPlan:
                 continue
             p = f"plan.layer{layer}."
             out[p + "mask"] = entry.mask.astype(np.uint8)
-            out[p + "merge"] = entry.merge.data
-            out[p + "reconstruct"] = entry.reconstruct
+            out[p + "merge"] = entry.merge.w
+            out[p + "reconstruct"] = entry.r
             out[p + "groups"] = np.array(entry.merge.groups, dtype=np.int64)
         return out
 
@@ -197,53 +205,55 @@ class CompressionPlan:
         except (TypeError, ValueError) as e:
             raise ContractError(f"plan header unreadable: {e}") from None
         entries: list[PlanEntry | None] = []
+        read = {"plan.depth", "plan.class_token", "plan.uncompressed"}
         for layer in range(depth):
-            p = f"plan.layer{layer}."
             if layer in uncompressed:
                 entries.append(None)
                 continue
+            keys = [f"plan.layer{layer}.{k}" for k in
+                    ("mask", "merge", "reconstruct", "groups")]
+            read.update(keys)
             try:
-                parts = [arrays[p + k] for k in
-                         ("mask", "merge", "reconstruct", "groups")]
+                parts = [arrays[k] for k in keys]
             except KeyError as e:
                 raise ContractError(f"plan arrays missing {e}") from None
             try:
                 entries.append(_checked_entry(*parts))
             except ContractError as e:
                 raise ContractError(f"plan layer {layer}: {e}") from None
+        stray = sorted(set(arrays) - read)
+        if stray:
+            raise ContractError(
+                f"plan array {stray[0]} belongs to no compressed layer")
         return cls(depth, entries, uncompressed, class_token)
 
 
 def _checked_entry(mask: np.ndarray, merge: np.ndarray, recon: np.ndarray,
                    groups: np.ndarray) -> PlanEntry:
     """A plan entry read from a file, checked for what every plan keeps
-    through fine-tuning: agreeing shapes, finite values, a 0/1 mask,
-    groups that partition the tokens, support inside each token's group,
-    and pruned tokens exactly at the zero columns of M and zero rows of
-    R.  Training moves row sums and the class-token row, so those pass."""
+    through fine-tuning: the container's dtypes (u1 mask, i8 groups, f8
+    weights), agreeing shapes, finite values, a 0/1 mask, groups that
+    partition the tokens, and pruned tokens exactly at the zero weights
+    of M and R.  Training moves row sums and the class-token row, so
+    those pass."""
     n, kept = mask.size, len(groups) if groups.ndim else 0
     if mask.ndim != 1 or groups.ndim != 2 or groups.shape[1] != 2 \
-            or groups.dtype.kind not in "iu" \
-            or merge.shape != (kept, n) or recon.shape != (n, kept):
+            or merge.shape != (n,) or recon.shape != (n,) \
+            or (mask.dtype, groups.dtype, merge.dtype, recon.dtype) \
+            != (np.uint8, np.int64, np.float64, np.float64):
         raise ContractError(
-            f"shapes disagree: mask {mask.shape}, merge {merge.shape}, "
-            f"reconstruct {recon.shape}, groups {groups.shape} "
-            f"{groups.dtype}")
-    merge = np.asarray(merge, dtype=np.float64)
-    recon = np.asarray(recon, dtype=np.float64)
+            f"shapes disagree: mask {mask.shape} {mask.dtype}, merge "
+            f"{merge.shape} {merge.dtype}, reconstruct {recon.shape} "
+            f"{recon.dtype}, groups {groups.shape} {groups.dtype}")
     if not (np.isfinite(merge).all() and np.isfinite(recon).all()):
         raise ContractError("merge and reconstruct values must be finite")
     if not np.isin(mask, (0, 1)).all():
         raise ContractError("mask values must be 0 or 1")
-    matrix = MergeMatrix(merge, [(int(a), int(b)) for a, b in groups])
+    matrix = MergeMatrix([(int(a), int(b)) for a, b in groups], merge)
     matrix.validate(mask=mask, atol=np.inf)  # any row sum passes
-    bad = matrix.segments.outside(recon.T)
-    if bad.size:
-        raise ContractError(f"reconstruct column {bad[0]} has support "
-                            f"outside its group {matrix.groups[bad[0]]}")
     if recon[mask == 0].any():
-        raise ContractError("reconstruct rows of pruned tokens must be zero")
-    return PlanEntry(mask.astype(np.uint8), matrix, recon, kept)
+        raise ContractError("pruned tokens must have zero reconstruct weights")
+    return PlanEntry(mask, matrix, recon, kept)
 
 
 # ----------------------------------------------------------------------
@@ -265,16 +275,14 @@ def _assemble(scores: np.ndarray, reserved: np.ndarray, pruned: np.ndarray,
     pruned_flag = mask == 0
 
     weights = np.where(pruned_flag, 0.0, np.asarray(scores, dtype=np.float64))
-    rows: list[np.ndarray] = []
+    w = np.zeros(n)
     groups: list[tuple[int, int]] = []
     reserved = np.asarray(reserved, dtype=np.int64)
 
     if class_token:
         if pruned_flag[0]:
             raise ContractError("the class token cannot be pruned")
-        row = np.zeros(n)
-        row[0] = 1.0
-        rows.append(row)
+        w[0] = 1.0
         # With no merge groups at all, the class group absorbs the (fully
         # pruned) remainder so the partition invariant holds.
         groups.append((0, 1) if reserved.size else (0, n))
@@ -293,22 +301,19 @@ def _assemble(scores: np.ndarray, reserved: np.ndarray, pruned: np.ndarray,
             seg = weights[a:b]
             alive = ~pruned_flag[a:b]
             total = seg.sum()
-            row = np.zeros(n)
             if total > 0.0 and not np.any(alive & (seg == 0.0)):
-                row[a:b] = seg / total
+                w[a:b] = seg / total
             else:
                 # Degenerate group: normalized scores would zero out a
                 # surviving member (or the whole group scored zero),
                 # leaving a kept token with an all-zero column and nothing
                 # to reconstruct from.  Uniform weights over survivors
                 # keep every kept column nonzero and the row full rank.
-                row[a:b][alive] = 1.0 / alive.sum()
-            rows.append(row)
+                w[a:b][alive] = 1.0 / alive.sum()
             groups.append((a, b))
             prev = int(r)
 
-    merge = MergeMatrix(np.vstack(rows), groups)
-    return mask, merge
+    return mask, MergeMatrix(groups, w)
 
 
 def generate_merge_matrix(scores: np.ndarray, pm_threshold: float | None,
@@ -353,25 +358,19 @@ def generate_merge_matrix(scores: np.ndarray, pm_threshold: float | None,
     return _assemble(scores, reserved, pruned, class_token)
 
 
-def pseudoinverse(merge: MergeMatrix | np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a merge matrix with disjoint rows.
+def pseudoinverse(merge: MergeMatrix) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of a merge matrix, as the vector r.
 
-    Disjointly supported rows make M.M^T diagonal, so column i of the
-    result is row_i / ||row_i||^2.  Generated matrices always qualify and
-    trained matrices are never inverted, so overlapping rows are rejected.
+    Rows supported on disjoint groups make M.M^T diagonal, so column g of
+    M+ is row_g / ||row_g||^2: r[j] = w[j] / ||row gid[j]||^2.
     """
-    m = merge.data if isinstance(merge, MergeMatrix) else \
-        np.asarray(merge, dtype=np.float64)
-    if m.ndim != 2:
-        raise ContractError(f"expected a matrix, got shape {m.shape}")
-    norms2 = (m * m).sum(axis=1)
+    seg = merge.segments
+    norms2 = np.bincount(seg.gid, weights=merge.w * merge.w,
+                         minlength=seg.kept)
     if (norms2 <= RANK_TOL ** 2).any():
         bad = int(np.argmin(norms2))
         raise SingularMatrixError(f"merge-matrix row {bad} is zero")
-    if (np.count_nonzero(m, axis=0) > 1).any():
-        raise ContractError(
-            "merge-matrix rows overlap; the closed form needs disjoint rows")
-    return (m / norms2[:, None]).T
+    return merge.w / norms2[seg.gid]
 
 
 # ----------------------------------------------------------------------
@@ -421,7 +420,7 @@ def grouped_merge(z: np.ndarray, merge: MergeMatrix) -> np.ndarray:
 
     Runs the merge kernel of ``merge_tokens`` on 2-D or batched input.
     """
-    return _segment_sum(z, merge.weights, merge.segments)
+    return _segment_sum(z, merge.w, merge.segments)
 
 
 def merge_tokens(z: Tensor, merge_t: Tensor, seg: Segments) -> Tensor:
@@ -436,8 +435,7 @@ def merge_tokens(z: Tensor, merge_t: Tensor, seg: Segments) -> Tensor:
 
     def grad_fn(g):
         g_tok = _gather(g, seg)
-        dm = np.zeros_like(merge_t.data)
-        dm.put(seg.merge_at, _token_grad(g_tok, z.data, seg))
+        dm = seg.merge_matrix(_token_grad(g_tok, z.data, seg))
         g_tok *= w[:, None]
         return g_tok, dm
 
@@ -455,8 +453,7 @@ def reconstruct_tokens(y: Tensor, recon_t: Tensor, seg: Segments) -> Tensor:
     data *= w[:, None]
 
     def grad_fn(g):
-        dr = np.zeros_like(recon_t.data)
-        dr.put(seg.recon_at, _token_grad(g, _gather(y.data, seg), seg))
+        dr = seg.recon_matrix(_token_grad(g, _gather(y.data, seg), seg))
         return _segment_sum(g, w, seg), dr
 
     return from_op(data, (y, recon_t), grad_fn, "reconstruct_tokens")
@@ -569,8 +566,8 @@ def identity_plan(depth: int, n_tokens: int,
     """A no-op plan: every layer keeps every token in its own group."""
     entries = []
     for _ in range(depth):
-        merge = MergeMatrix(np.eye(n_tokens),
-                            [(j, j + 1) for j in range(n_tokens)])
+        merge = MergeMatrix([(j, j + 1) for j in range(n_tokens)],
+                            np.ones(n_tokens))
         entries.append(PlanEntry(np.ones(n_tokens, dtype=np.uint8), merge,
                                  pseudoinverse(merge), n_tokens))
     return CompressionPlan(depth, entries, frozenset(), class_token)
@@ -584,7 +581,9 @@ class CompressedModel:
     """A vision transformer whose blocks run behind plan entries.
 
     Owns an independent copy of the base parameters.  Merge and
-    reconstruct matrices are first-class parameters; when
+    reconstruct matrices are first-class parameters, held as the dense
+    (kept, N) and (N, kept) views of the plan's vectors, so AdamW decays
+    them as matrices; ``export_plan`` reads the vectors back.  When
     ``learnable_matrices`` they receive gradients (structural zeros and
     pruned tokens excluded by the grouped ops) until explicitly frozen.
     """
@@ -609,9 +608,9 @@ class CompressedModel:
         for layer, entry in enumerate(plan.entries):
             if entry is None:
                 continue
-            self.merge_t[layer] = Tensor(entry.merge.data.copy(),
+            self.merge_t[layer] = Tensor(entry.merge.data,
                                          requires_grad=learnable_matrices)
-            self.recon_t[layer] = Tensor(entry.reconstruct.copy(),
+            self.recon_t[layer] = Tensor(entry.reconstruct,
                                          requires_grad=learnable_matrices)
             self._segments[layer] = entry.merge.segments
             self._masks[layer] = entry.mask.copy()
@@ -658,11 +657,12 @@ class CompressedModel:
             if layer not in self.merge_t:
                 entries.append(None)
                 continue
-            merge = MergeMatrix(self.merge_t[layer].data.copy(),
-                                list(self.plan.entries[layer].merge.groups))
+            seg = self._segments[layer]
+            merge = MergeMatrix(list(self.plan.entries[layer].merge.groups),
+                                self.merge_t[layer].data.take(seg.merge_at))
             entries.append(PlanEntry(self._masks[layer].copy(), merge,
-                                     self.recon_t[layer].data.copy(),
-                                     merge.kept))
+                                     self.recon_t[layer].data.take(
+                                         seg.recon_at), merge.kept))
         return CompressionPlan(self.plan.depth, entries,
                                self.plan.uncompressed, self.plan.class_token)
 

@@ -204,11 +204,6 @@ def evaluate_accuracy(model, dataset: Dataset, batch_size: int = 64) -> float:
     return hits / len(dataset.labels)
 
 
-def _zero_param_grads(named_params) -> None:
-    for _, p in named_params:
-        p.grad = None
-
-
 def _dump_state(state: TrainState, path) -> None:
     from .checkpoint import save_arrays
     save_arrays(path, state.to_arrays())
@@ -234,8 +229,8 @@ def finetune(model, teacher: VisionTransformer, train_data: Dataset,
         if p.requires_grad:
             raise ContractError("teacher parameters must be frozen")
 
-    params = list(model.named_parameters())
-    optimizer = AdamW(params, weight_decay=config.weight_decay)
+    optimizer = AdamW(model.named_parameters(),
+                      weight_decay=config.weight_decay)
     state = resume or TrainState(epoch=0, step=0, seed=config.seed)
     if resume is not None:
         if resume.seed != config.seed:
@@ -268,7 +263,7 @@ def finetune(model, teacher: VisionTransformer, train_data: Dataset,
                 raise NumericError(
                     f"non-finite loss {loss_val} at epoch {epoch} "
                     f"step {state.step}")
-            _zero_param_grads(params)
+            optimizer.zero_grad()
             T.backward(loss)
             optimizer.step(lr)
             state.step += 1
@@ -278,6 +273,8 @@ def finetune(model, teacher: VisionTransformer, train_data: Dataset,
                             "loss": loss_val, "ce": float(ce.data),
                             "kl": float(kl.data), "lr": lr,
                             "val_acc": None})
+            # Free this step's graph before the next step's forwards run.
+            del teacher_logits, student_logits, loss, ce, kl
         if val_data is not None and metrics:
             metrics[-1]["val_acc"] = evaluate_accuracy(model, val_data)
         state.epoch = epoch + 1
@@ -294,8 +291,7 @@ def train_baseline(config: ModelConfig, train_data: Dataset, epochs: int,
     if epochs < 0:
         raise ConfigError(f"epochs must be nonnegative, got {epochs}")
     model = VisionTransformer.build(config, seed=seed)
-    params = list(model.named_parameters())
-    optimizer = AdamW(params, weight_decay=weight_decay)
+    optimizer = AdamW(model.named_parameters(), weight_decay=weight_decay)
     steps_per_epoch = max(1, math.ceil(len(train_data.labels) / batch_size))
     total_steps = epochs * steps_per_epoch
     metrics: list[dict] = []
@@ -309,7 +305,7 @@ def train_baseline(config: ModelConfig, train_data: Dataset, epochs: int,
             if not np.isfinite(loss_val):
                 raise NumericError(
                     f"non-finite loss {loss_val} at epoch {epoch} step {step}")
-            _zero_param_grads(params)
+            optimizer.zero_grad()
             T.backward(loss)
             optimizer.step(lr)
             step += 1

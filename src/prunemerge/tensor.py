@@ -480,10 +480,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     A constant row (zero variance) maps to zeros, so eps keeps the
     division finite rather than changing the result.
     """
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     data = xhat * gamma.data + beta.data
 
     def grad_fn(g):

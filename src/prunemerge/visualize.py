@@ -75,11 +75,12 @@ def render_merge_map(image: np.ndarray, entry: PlanEntry,
     # grid is patch j-1 (token 0 is the class token and has no pixels)
     merged = np.empty_like(patches)
     gid = entry.merge.segments.gid
+    m = entry.merge.data   # a derived view: read once
     for j in range(1, n):
         if entry.mask[j] == 0:
             merged[j - 1] = 1.0  # pruned: white
             continue
-        row = entry.merge.data[gid[j]]
+        row = m[gid[j]]
         weights = row[1:]  # drop the class column; patch tokens only
         total = weights.sum()
         if total <= 0:
@@ -90,7 +91,7 @@ def render_merge_map(image: np.ndarray, entry: PlanEntry,
     # reconstruction round trip on raw patch pixels; class token carries
     # zero pixels so it contributes nothing
     z = np.vstack([np.zeros((1, patches.shape[1])), patches])
-    round_trip = entry.reconstruct @ (entry.merge.data @ z)
+    round_trip = entry.reconstruct @ (m @ z)
     return (_patches_to_grid(merged, config),
             _patches_to_grid(round_trip[1:], config))
 

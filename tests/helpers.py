@@ -1,6 +1,15 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking and the
+dense pseudoinverse the oracles compare against."""
 
 import numpy as np
+
+from prunemerge.compression import pseudoinverse
+
+
+def dense_pinv(merge) -> np.ndarray:
+    """The dense (n, kept) pseudoinverse of a merge matrix, derived from
+    the vector ``pseudoinverse`` returns."""
+    return merge.segments.recon_matrix(pseudoinverse(merge))
 
 
 def numeric_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

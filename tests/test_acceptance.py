@@ -26,7 +26,7 @@ from prunemerge.scoring import ScorerVariant, collect_scores, scores_from_trace
 from prunemerge.tensor import Tensor
 from prunemerge.vit import ModelConfig, VisionTransformer
 
-from helpers import assert_grads_close, numeric_grad
+from helpers import assert_grads_close, dense_pinv, numeric_grad
 
 
 def criterion(num: int, summary: str, budget_s: float | None = None):
@@ -106,7 +106,7 @@ def test_criterion_2_pseudoinverse():
                                          prune_count=prune,
                                          class_token=class_token)
         m = merge.data
-        p = pseudoinverse(merge)
+        p = dense_pinv(merge)
         assert np.abs(m @ p @ m - m).max() < 1e-6
         assert np.abs(p @ m @ p - p).max() < 1e-6
         mp, pm = m @ p, p @ m

@@ -3,6 +3,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from prunemerge.checkpoint import (MAGIC, load_arrays, load_model, load_plan,
                                    save_arrays, save_model, save_plan)
@@ -179,3 +181,87 @@ class TestModelCodec:
                 continue
             np.testing.assert_array_equal(ea.merge.data, eb.merge.data)
             np.testing.assert_array_equal(ea.mask, eb.mask)
+
+
+def _saved_plan_arrays():
+    """Arrays of a saved plan with a pruned token in every compressed
+    layer and an exempt layer between two compressed ones."""
+    rng = np.random.default_rng(91)
+    scores = [rng.uniform(0.1, 1.0, size=9) for _ in range(3)]
+    plan = global_plan(scores, rate=0.6, pm_threshold=0.2,
+                       exempt_layers=(1,))
+    arrays = plan.to_arrays()
+    assert all((arrays[f"plan.layer{l}.mask"] == 0).any() for l in (0, 2))
+    return arrays
+
+
+PLAN_ARRAYS = _saved_plan_arrays()
+ENTRY_KEYS = [f"plan.layer{l}.{k}" for l in (0, 2)
+              for k in ("mask", "merge", "reconstruct", "groups")]
+CONTAINER_DTYPES = [np.dtype(np.float64), np.dtype(np.int64),
+                    np.dtype(np.uint8)]
+
+
+@st.composite
+def one_mutation(draw):
+    """A copy of PLAN_ARRAYS with exactly one thing changed."""
+    arrays = {k: v.copy() for k, v in PLAN_ARRAYS.items()}
+    kind = draw(st.sampled_from(["shape", "dtype", "nonfinite", "bound",
+                                 "mask", "pruned", "header"]))
+    layer = draw(st.sampled_from([0, 2]))
+    p = f"plan.layer{layer}."
+    if kind == "shape":
+        key = draw(st.sampled_from(ENTRY_KEYS))
+        a = arrays[key]
+        arrays[key] = draw(st.sampled_from([
+            a[:-1], np.concatenate([a, a[:1]]), a[None], a.reshape(-1, 1),
+            np.stack([a, a], axis=-1)]))
+    elif kind == "dtype":
+        key = draw(st.sampled_from(ENTRY_KEYS))
+        dtype = draw(st.sampled_from(
+            [d for d in CONTAINER_DTYPES if d != arrays[key].dtype]))
+        arrays[key] = arrays[key].astype(dtype)
+    elif kind == "nonfinite":
+        a = arrays[p + draw(st.sampled_from(["merge", "reconstruct"]))]
+        a[draw(st.integers(0, a.size - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif kind == "bound":
+        g = arrays[p + "groups"]
+        at = (draw(st.integers(0, len(g) - 1)), draw(st.integers(0, 1)))
+        g[at] = draw(st.integers(-2 ** 63, 2 ** 63 - 1).filter(
+            lambda v: v != g[at]))
+    elif kind == "mask":
+        m = arrays[p + "mask"]
+        j = draw(st.integers(0, m.size - 1))
+        m[j] = draw(st.integers(0, 255).filter(lambda v: v != m[j]))
+    elif kind == "pruned":
+        j = draw(st.sampled_from(
+            np.flatnonzero(arrays[p + "mask"] == 0).tolist()))
+        arrays[p + draw(st.sampled_from(["merge", "reconstruct"]))][j] = \
+            draw(st.floats(allow_nan=False, allow_infinity=False).filter(
+                lambda v: v != 0.0))
+    else:
+        key, value = draw(st.sampled_from([
+            ("plan.depth", 2), ("plan.depth", 4),
+            ("plan.uncompressed", [1, 2]), ("plan.uncompressed", [])]))
+        arrays[key] = np.array(value, dtype=np.int64)
+    return arrays
+
+
+class TestPlanDecoderFuzz:
+    """Every single mutation of a saved plan is refused on load with one
+    of the documented error types; nothing else escapes."""
+
+    def test_unmutated_plan_loads(self, tmp_path):
+        save_arrays(tmp_path / "plan.pmvt", PLAN_ARRAYS)
+        load_plan(tmp_path / "plan.pmvt")
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arrays=one_mutation())
+    def test_any_mutation_is_refused(self, tmp_path, arrays):
+        path = tmp_path / "plan.pmvt"
+        save_arrays(path, arrays)
+        with pytest.raises((ContractError, CheckpointError)):
+            load_plan(path)

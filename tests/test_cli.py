@@ -13,7 +13,8 @@ import pytest
 
 from prunemerge import checkpoint
 from prunemerge.cli import main
-from prunemerge.compression import CompressedModel, compress_model
+from prunemerge.compression import (CompressedModel, CompressionPlan,
+                                    compress_model)
 from prunemerge.visualize import read_ppm
 
 CONFIG_TEXT = """\
@@ -249,10 +250,22 @@ def test_eval_rejects_plan_on_compressed_checkpoint(workdir, cfg, plan_file,
     assert "already-compressed" in capsys.readouterr().err
 
 
-def test_plan_with_gap_is_one_line_error(workdir, cfg, base_ckpt, plan_file,
-                                        capsys):
-    arrays = checkpoint.load_arrays(plan_file)
+def _open_a_gap(arrays):
     arrays["plan.layer0.groups"][1, 0] += 1
+
+
+def _dense_era_merge(arrays):
+    # plans once stored M densely, (kept, N); only per-token vectors load
+    entry = CompressionPlan.from_arrays(arrays).entries[0]
+    arrays["plan.layer0.merge"] = entry.merge.data
+
+
+@pytest.mark.parametrize("corrupt", [_open_a_gap, _dense_era_merge],
+                         ids=["gap", "dense-era-merge"])
+def test_plan_with_gap_is_one_line_error(workdir, cfg, base_ckpt, plan_file,
+                                        capsys, corrupt):
+    arrays = checkpoint.load_arrays(plan_file)
+    corrupt(arrays)
     bad = str(workdir / "bad.pmvt")
     checkpoint.save_arrays(bad, arrays)
     assert main(["eval", "--config", cfg, "--ckpt", base_ckpt,

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -273,6 +275,30 @@ class TestFinetune:
         for l, (m_bytes, r_bytes) in snapshot.items():
             assert comp.merge_t[l].data.tobytes() == m_bytes
             assert comp.recon_t[l].data.tobytes() == r_bytes
+
+    def test_step_graph_freed_before_next_forward(self, compressed_pair):
+        # With the cyclic collector off, only reference counting frees a
+        # step's logits and the graph behind them; none may be alive when
+        # the next step's student forward starts.
+        base, plan = compressed_pair
+        comp = compress_model(base, plan, learnable_matrices=True)
+        forward, refs, alive = comp.forward, [], []
+
+        def spy(images):
+            alive.append([r() is not None for r in refs])
+            out = forward(images)
+            refs.append(weakref.ref(out))
+            return out
+
+        comp.forward = spy
+        gc.disable()
+        try:
+            finetune(comp, base.frozen_copy(), tiny_dataset(16),
+                     DistillConfig(epochs=1, freeze_epoch=1, batch_size=4))
+        finally:
+            gc.enable()
+        assert len(refs) == 4
+        assert alive == [[False] * k for k in range(4)]
 
     def test_resume_is_bit_identical(self, compressed_pair):
         base, plan = compressed_pair

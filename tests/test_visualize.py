@@ -105,7 +105,7 @@ def test_all_pruned_but_class_is_white_and_black():
     mask, merge = generate_merge_matrix(scores, None, 1, prune_count=N - 1,
                                         class_token=True)
     entry = PlanEntry(mask=mask, merge=merge,
-                      reconstruct=pseudoinverse(merge), kept=1)
+                      r=pseudoinverse(merge), kept=1)
     image = make_image(4)
     merge_px, recon_px = render_merge_map(image, entry, CFG)
     assert np.all(merge_px == 255)   # every patch pruned: all white

@@ -218,7 +218,7 @@ class CompressionPlan:
             except KeyError as e:
                 raise ContractError(f"plan arrays missing {e}") from None
             try:
-                entries.append(_checked_entry(*parts))
+                entries.append(_checked_entry(*parts, class_token))
             except ContractError as e:
                 raise ContractError(f"plan layer {layer}: {e}") from None
         stray = sorted(set(arrays) - read)
@@ -229,12 +229,13 @@ class CompressionPlan:
 
 
 def _checked_entry(mask: np.ndarray, merge: np.ndarray, recon: np.ndarray,
-                   groups: np.ndarray) -> PlanEntry:
+                   groups: np.ndarray, class_token: bool) -> PlanEntry:
     """A plan entry read from a file, checked for what every plan keeps
     through fine-tuning: the container's dtypes (u1 mask, i8 groups, f8
     weights), agreeing shapes, finite values, a 0/1 mask, groups that
-    partition the tokens, and pruned tokens exactly at the zero weights
-    of M and R.  Training moves row sums and the class-token row, so
+    partition the tokens, pruned tokens exactly at the zero weights of M
+    and R and, with ``class_token``, token 0 live and the only live token
+    of group 0.  Training moves row sums and the class-token weights, so
     those pass."""
     n, kept = mask.size, len(groups) if groups.ndim else 0
     if mask.ndim != 1 or groups.ndim != 2 or groups.shape[1] != 2 \
@@ -253,6 +254,11 @@ def _checked_entry(mask: np.ndarray, merge: np.ndarray, recon: np.ndarray,
     matrix.validate(mask=mask, atol=np.inf)  # any row sum passes
     if recon[mask == 0].any():
         raise ContractError("pruned tokens must have zero reconstruct weights")
+    live = matrix.segments.live
+    if class_token and (not live[:1].any() or live[1:groups[0, 1]].any()):
+        raise ContractError(
+            "class_token is set but token 0 is not alone and unpruned in "
+            "group 0")
     return PlanEntry(mask, matrix, recon, kept)
 
 
@@ -428,14 +434,17 @@ def merge_tokens(z: Tensor, merge_t: Tensor, seg: Segments) -> Tensor:
 
     Gradients to the matrix touch only each live token's entry in its own
     group's row, so structural zeros and pruned columns stay exactly zero
-    through any number of training steps.
+    through any number of training steps.  A frozen matrix gets no
+    gradient, so its backward neither keeps ``z`` nor builds one.
     """
     w = merge_t.data.take(seg.merge_at)
+    zd = z.data if merge_t.requires_grad else None
     data = _segment_sum(z.data, w, seg)
 
     def grad_fn(g):
         g_tok = _gather(g, seg)
-        dm = seg.merge_matrix(_token_grad(g_tok, z.data, seg))
+        dm = None if zd is None else \
+            seg.merge_matrix(_token_grad(g_tok, zd, seg))
         g_tok *= w[:, None]
         return g_tok, dm
 
@@ -446,14 +455,17 @@ def reconstruct_tokens(y: Tensor, recon_t: Tensor, seg: Segments) -> Tensor:
     """Autodiff grouped reconstruct: out[j] = R[j, group(j)] * y[group(j)].
 
     Gradients to the matrix touch only each live token's entry in its own
-    group's column; pruned rows stay exactly zero.
+    group's column; pruned rows stay exactly zero.  As in ``merge_tokens``,
+    a frozen matrix gets no gradient and its backward keeps no ``y``.
     """
     w = recon_t.data.take(seg.recon_at)
+    yd = y.data if recon_t.requires_grad else None
     data = _gather(y.data, seg)
     data *= w[:, None]
 
     def grad_fn(g):
-        dr = seg.recon_matrix(_token_grad(g, _gather(y.data, seg), seg))
+        dr = None if yd is None else \
+            seg.recon_matrix(_token_grad(g, _gather(yd, seg), seg))
         return _segment_sum(g, w, seg), dr
 
     return from_op(data, (y, recon_t), grad_fn, "reconstruct_tokens")

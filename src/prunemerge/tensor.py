@@ -1,15 +1,20 @@
 """Float64 tensors with reverse-mode automatic differentiation.
 
-Every differentiable operation records a node holding its inputs and a
-closure that maps the output gradient to input gradients.  ``backward``
-topologically sorts the nodes reaching the loss and replays them once in
-reverse.  Gradient flow inside a single replay uses fresh buffers; the
-results are then *accumulated* into each tensor's ``grad``, so separate
+Every differentiable operation records a node holding one edge per input
+and a closure that maps the output gradient to input gradients.
+``backward`` topologically sorts the nodes reaching the loss and replays
+them once in reverse.  Gradient flow inside a single replay uses fresh
+buffers; the results are then *accumulated* into the ``grad`` of every
+leaf and of every intermediate tensor the caller still holds, so separate
 forward/backward rounds add up until ``zero_grad`` is called.
 
-Graph lifetime: a tensor owns its node and a node owns its inputs, but a
-node refers back to its output only weakly.  A graph is therefore a tree
-of strong references rooted at its newest tensors, and reference counting
+Graph lifetime: a tensor owns its node, and a node owns its edges (the
+input's node, the input itself when it is a leaf that requires grad, or
+None for a constant) plus the arrays its closure saved.  A node refers to
+its output only weakly and to no intermediate tensor at all, so a graph
+keeps exactly what backward reads: an intermediate array nothing saved
+dies as soon as the caller drops its tensor.  The graph is a tree of
+strong references rooted at its newest tensors, and reference counting
 frees it the moment the last tensor that reaches it is dropped -- no
 garbage-collector pass is needed.  ``backward`` may run any number of
 times while the root is alive.
@@ -53,8 +58,10 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 class _OpNode:
-    """One recorded operation.  ``output`` is a weak reference, so the
-    node does not keep its own output (and with it the graph) alive."""
+    """One recorded operation.  ``inputs`` holds one edge per input: the
+    input's node, the input itself when it is a grad-requiring leaf, or
+    None for a constant.  ``output`` is a weak reference, so the node does
+    not keep its own output (and with it the graph) alive."""
 
     __slots__ = ("inputs", "output", "grad_fn", "name")
 
@@ -168,6 +175,13 @@ def _as_tensor(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=np.float64))
 
 
+def _edge(t: Tensor):
+    """What a node keeps of input ``t``: see ``_OpNode``."""
+    if not t.requires_grad:
+        return None
+    return t if t._node is None else t._node
+
+
 def from_op(data: Array, inputs: Sequence[Tensor],
             grad_fn: Callable[[Array], Sequence[Array | None]],
             name: str) -> Tensor:
@@ -176,12 +190,18 @@ def from_op(data: Array, inputs: Sequence[Tensor],
     ``grad_fn`` receives the output gradient and returns one gradient (or
     None) per input, each already shaped like the matching input.  This is
     the extension hook other modules use to define custom operations.
-    Under ``no_grad`` nothing is recorded and the output needs no grad.
+    ``grad_fn`` must close over the arrays (and shapes) it reads, never
+    over an input ``Tensor``: the node keeps its closure alive, so a
+    captured tensor would keep that tensor's data alive for the graph's
+    whole life.  Returning None for an input that needs no grad spares
+    computing its gradient (see ``mul``).  Under ``no_grad`` nothing is
+    recorded and the output needs no grad.
     """
     out = Tensor(data)
     if _RECORDING.get() and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._node = _OpNode(tuple(inputs), out, grad_fn, name)
+        out._node = _OpNode(tuple(_edge(t) for t in inputs), out, grad_fn,
+                            name)
     return out
 
 
@@ -215,7 +235,7 @@ class Tape:
             return cls(nodes)
 
         def children(node: _OpNode):
-            return (t._node for t in node.inputs if t._node is not None)
+            return (e for e in node.inputs if type(e) is _OpNode)
 
         seen: set[int] = {id(root._node)}
         stack: list[tuple[_OpNode, object]] = [
@@ -235,34 +255,37 @@ class Tape:
         return cls(nodes)
 
     def replay_backward(self, root: Tensor, seed: Array) -> None:
-        """Propagate ``seed`` from ``root`` through the tape exactly once."""
-        flow: dict[int, Array] = {id(root): seed}
+        """Propagate ``seed`` from ``root`` through the tape exactly once.
+
+        ``flow`` is keyed by edge: by node for intermediates, by tensor for
+        leaves.  An intermediate output receives ``grad`` only while the
+        caller still holds it; a dropped one could never be read.
+        """
         self.visit_counts = {}
+        if root._node is None:
+            return
+        flow: dict[object, Array] = {root._node: seed}
         for node in reversed(self.nodes):
             self.visit_counts[id(node)] = self.visit_counts.get(id(node), 0) + 1
-            # Alive: the output is the root or an input of a later node.
-            output = node.output()
-            out_grad = flow.pop(id(output), None)
+            out_grad = flow.pop(node, None)
             if out_grad is None:
                 continue
-            if output.requires_grad and output is not root:
+            output = node.output()
+            if output is not None and output is not root:
                 output.accumulate_grad(out_grad)
             grads = node.grad_fn(out_grad)
-            for t, g in zip(node.inputs, grads):
-                if g is None or not t.requires_grad:
+            for e, g in zip(node.inputs, grads):
+                if g is None or e is None:
                     continue
-                key = id(t)
-                if key in flow:
-                    flow[key] = flow[key] + g
+                if e in flow:
+                    flow[e] = flow[e] + g
                 else:
-                    flow[key] = g
+                    flow[e] = g
         # Anything left in ``flow`` belongs to graph leaves (parameters,
         # traced inputs): fold it into their persistent grads.
-        for node in self.nodes:
-            for t in node.inputs:
-                g = flow.pop(id(t), None)
-                if g is not None and t.requires_grad:
-                    t.accumulate_grad(g)
+        for leaf, g in flow.items():
+            if leaf.requires_grad:
+                leaf.accumulate_grad(g)
 
 
 def backward(loss: Tensor) -> Tape:
@@ -292,28 +315,35 @@ def zero_grads(tensors) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return from_op(data, (a, b), grad_fn, "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return from_op(data, (a, b), grad_fn, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product.  Each operand's array is saved only when the
+    other operand requires grad; a constant operand gets no gradient."""
     data = a.data * b.data
+    a_shape, b_shape = a.shape, b.shape
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def grad_fn(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (None if bd is None else _unbroadcast(g * bd, a_shape),
+                None if ad is None else _unbroadcast(g * ad, b_shape))
 
     return from_op(data, (a, b), grad_fn, "mul")
 
@@ -326,16 +356,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(
             f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     data = np.matmul(a.data, b.data)
+    a_shape, b_shape = a.shape, b.shape
+    # As in ``mul``: save an operand only for the other operand's gradient.
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def grad_fn(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-        if b.ndim == 2 and a.ndim > 2:
+        ga = gb = None
+        if bd is not None:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a_shape)
+        if ad is not None and len(b_shape) == 2 and len(a_shape) > 2:
             # A batch of rows times one weight matrix: fold the batch into
             # the contraction, one GEMM instead of a batched one plus a sum.
-            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
-                              b.data.shape)
+            gb = ad.reshape(-1, a_shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        elif ad is not None:
+            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b_shape)
         return ga, gb
 
     return from_op(data, (a, b), grad_fn, "matmul")
@@ -343,9 +378,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = x.data.reshape(shape)
+    x_shape = x.shape
 
     def grad_fn(g):
-        return (g.reshape(x.data.shape),)
+        return (g.reshape(x_shape),)
 
     return from_op(data, (x,), grad_fn, "reshape")
 
@@ -376,9 +412,10 @@ def take(x: Tensor, key) -> Tensor:
     if not _is_basic_key(key):
         raise ContractError("take supports basic indexing only (int/slice/ellipsis)")
     data = x.data[key]
+    x_shape = x.shape
 
     def grad_fn(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(x_shape)
         full[key] = g
         return (full,)
 
@@ -386,15 +423,13 @@ def take(x: Tensor, key) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    parts = [t.data for t in tensors]
-    data = np.concatenate(parts, axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def grad_fn(g):
         slicer = [slice(None)] * g.ndim
         outs = []
-        for i in range(len(parts)):
+        for i in range(len(offsets) - 1):
             slicer[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
             outs.append(g[tuple(slicer)])
         return tuple(outs)
@@ -404,9 +439,10 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 def broadcast_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = np.broadcast_to(x.data, shape).copy()
+    x_shape = x.shape
 
     def grad_fn(g):
-        return (_unbroadcast(g, x.data.shape),)
+        return (_unbroadcast(g, x_shape),)
 
     return from_op(data, (x,), grad_fn, "broadcast_to")
 
@@ -414,11 +450,12 @@ def broadcast_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims)
     axes = _normalize_axes(axis, x.ndim)
+    x_shape = x.shape
 
     def grad_fn(g):
         if not keepdims and axes is not None:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, x.data.shape).copy(),)
+        return (np.broadcast_to(g, x_shape).copy(),)
 
     return from_op(data, (x,), grad_fn, "sum")
 
@@ -430,11 +467,12 @@ def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     else:
         count = int(np.prod([x.shape[a] for a in axes]))
     data = x.data.mean(axis=axis, keepdims=keepdims)
+    x_shape = x.shape
 
     def grad_fn(g):
         if not keepdims and axes is not None:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g / count, x.data.shape).copy(),)
+        return (np.broadcast_to(g / count, x_shape).copy(),)
 
     return from_op(data, (x,), grad_fn, "mean")
 
@@ -484,13 +522,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    data = xhat * gamma.data + beta.data
+    gd = gamma.data
+    data = xhat * gd + beta.data
+    beta_shape = beta.shape
 
     def grad_fn(g):
-        d = x.data.shape[-1]
-        dgamma = _unbroadcast(g * xhat, gamma.data.shape)
-        dbeta = _unbroadcast(g, beta.data.shape)
-        dxhat = g * gamma.data
+        dgamma = _unbroadcast(g * xhat, gd.shape)
+        dbeta = _unbroadcast(g, beta_shape)
+        dxhat = g * gd
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         dx = inv * (dxhat - m1 - xhat * m2)
@@ -602,8 +641,8 @@ def kl_divergence(p_logits: Tensor, q_logits: Tensor, temperature: float = 1.0) 
 
     def grad_fn(g):
         p = np.exp(logp)
-        return (g * (p - q) / (batch * temperature), None)
+        return (g * (p - q) / (batch * temperature),)
 
-    # q_logits joins the node for shape bookkeeping only; its gradient
-    # slot is always None, which keeps the teacher detached by contract.
-    return from_op(data, (p_logits, q_logits), grad_fn, "kl_divergence")
+    # q_logits is no input of the node, which keeps the teacher detached
+    # by contract.
+    return from_op(data, (p_logits,), grad_fn, "kl_divergence")

@@ -183,19 +183,25 @@ class TestModelCodec:
             np.testing.assert_array_equal(ea.mask, eb.mask)
 
 
-def _saved_plan_arrays():
+def _saved_plan_arrays(class_token=True):
     """Arrays of a saved plan with a pruned token in every compressed
     layer and an exempt layer between two compressed ones."""
     rng = np.random.default_rng(91)
     scores = [rng.uniform(0.1, 1.0, size=9) for _ in range(3)]
     plan = global_plan(scores, rate=0.6, pm_threshold=0.2,
-                       exempt_layers=(1,))
+                       exempt_layers=(1,), class_token=class_token)
     arrays = plan.to_arrays()
     assert all((arrays[f"plan.layer{l}.mask"] == 0).any() for l in (0, 2))
     return arrays
 
 
 PLAN_ARRAYS = _saved_plan_arrays()
+# A plan built without a class token, its flag flipped: layer 0 prunes
+# token 0 and groups live token 1 with it, so the flag cannot hold.
+FLIPPED_FLAG_ARRAYS = {**_saved_plan_arrays(class_token=False),
+                       "plan.class_token": np.array(1, dtype=np.uint8)}
+assert FLIPPED_FLAG_ARRAYS["plan.layer0.mask"][:2].tolist() == [0, 1]
+assert FLIPPED_FLAG_ARRAYS["plan.layer0.groups"][0, 1] > 1
 ENTRY_KEYS = [f"plan.layer{l}.{k}" for l in (0, 2)
               for k in ("mask", "merge", "reconstruct", "groups")]
 CONTAINER_DTYPES = [np.dtype(np.float64), np.dtype(np.int64),
@@ -207,10 +213,12 @@ def one_mutation(draw):
     """A copy of PLAN_ARRAYS with exactly one thing changed."""
     arrays = {k: v.copy() for k, v in PLAN_ARRAYS.items()}
     kind = draw(st.sampled_from(["shape", "dtype", "nonfinite", "bound",
-                                 "mask", "pruned", "header"]))
+                                 "mask", "pruned", "header", "flag"]))
     layer = draw(st.sampled_from([0, 2]))
     p = f"plan.layer{layer}."
-    if kind == "shape":
+    if kind == "flag":
+        arrays = {k: v.copy() for k, v in FLIPPED_FLAG_ARRAYS.items()}
+    elif kind == "shape":
         key = draw(st.sampled_from(ENTRY_KEYS))
         a = arrays[key]
         arrays[key] = draw(st.sampled_from([

@@ -3,7 +3,7 @@ import pytest
 
 from prunemerge import tensor as T
 from prunemerge.compression import (CompressionPlan, MergeMatrix,
-                                    compress_model, generate_merge_matrix,
+                                    Segments, compress_model, generate_merge_matrix,
                                     global_plan, grouped_merge,
                                     identity_plan, merge_tokens,
                                     pm_forward, pseudoinverse,
@@ -546,6 +546,23 @@ class TestPlanLoading:
         with pytest.raises(ContractError, match="plan layer 1"):
             CompressionPlan.from_arrays(arrays)
 
+    def test_class_token_flag_checked(self):
+        rng = np.random.default_rng(68)
+        scores = [rng.uniform(0.1, 1.0, size=9) for _ in range(2)]
+        plan = global_plan(scores, rate=0.6, pm_threshold=0.2,
+                           class_token=False)
+        arrays = plan.to_arrays()
+        # Group 0 holds live tokens 0 and 1.
+        assert arrays["plan.layer0.groups"][0, 1] == 2
+        assert arrays["plan.layer0.mask"][:2].tolist() == [1, 1]
+        arrays["plan.class_token"] = np.array(1, dtype=np.uint8)
+        with pytest.raises(ContractError, match="plan layer 0: class_token"):
+            CompressionPlan.from_arrays(arrays)
+        # Token 0 alone in an identity plan satisfies the flag either way.
+        arrays = identity_plan(2, 9, class_token=False).to_arrays()
+        arrays["plan.class_token"] = np.array(1, dtype=np.uint8)
+        assert CompressionPlan.from_arrays(arrays).class_token
+
     @pytest.mark.parametrize("key", ["mask", "merge", "reconstruct",
                                      "groups"])
     def test_wrong_shape_rejected(self, key):
@@ -652,6 +669,29 @@ class TestCompressedModel:
         for m_t in comp.merge_t.values():
             assert m_t.grad is None
         assert comp.params.embed.w.grad is not None
+
+    def test_frozen_matrices_build_no_dense_gradient(self, base_model,
+                                                     monkeypatch):
+        rng = np.random.default_rng(75)
+        images = rng.uniform(0, 1, size=(2, 1, 8, 8))
+        n = base_model.config.num_tokens
+        scores = [rng.uniform(0.1, 1.0, size=n) for _ in range(2)]
+        plan = global_plan(scores, rate=0.6, pm_threshold=0.2)
+        calls = []
+        for name in ("merge_matrix", "recon_matrix"):
+            def counted(self, w, _original=getattr(Segments, name)):
+                calls.append(w)
+                return _original(self, w)
+            monkeypatch.setattr(Segments, name, counted)
+        for learnable, expected in ((True, 2 * len(plan.entries)),
+                                    (False, 0)):
+            comp = compress_model(base_model, plan,
+                                  learnable_matrices=learnable)
+            loss = T.cross_entropy(comp.forward(images), np.array([0, 1]))
+            calls.clear()
+            T.backward(loss)
+            assert len(calls) == expected
+            assert comp.params.embed.w.grad is not None
 
     def test_export_plan_reflects_trained_matrices(self, base_model):
         rng = np.random.default_rng(74)

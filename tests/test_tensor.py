@@ -1,5 +1,6 @@
 """Unit tests for the reverse-mode tensor module."""
 
+import contextlib
 import gc
 import math
 import weakref
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from prunemerge import tensor as T
+from prunemerge import vit
 from prunemerge.errors import ContractError, NumericError, ShapeMismatchError
-from prunemerge.vit import ModelConfig, VisionTransformer
+from prunemerge.vit import ModelConfig, VisionTransformer, block_forward
 
 from helpers import assert_grads_close, numeric_grad
 
@@ -460,6 +462,28 @@ class TestShapeOps:
         assert z.requires_grad is False
 
 
+class TestConstantOperands:
+    def test_mul_and_matmul_give_a_constant_no_gradient(self):
+        rng = np.random.default_rng(8)
+        w = T.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        row = rng.standard_normal(3)
+        patches = rng.standard_normal((2, 4, 3))
+        cols = rng.standard_normal((3, 2))
+        cases = [(T.mul, row, 1), (T.mul, row, 0), (T.matmul, patches, 0),
+                 (T.matmul, cols, 1)]
+        for op, const, slot in cases:
+            c = T.Tensor(const)
+            out = op(w, c) if slot else op(c, w)
+            grads = out._node.grad_fn(np.ones(out.shape))
+            assert grads[slot] is None and out._node.inputs[slot] is None
+            assert out._node.inputs[1 - slot] is w
+            # w's gradient is the one it gets beside a learnable operand.
+            c.requires_grad = True
+            both = (op(w, c) if slot else op(c, w))._node.grad_fn(
+                np.ones(out.shape))
+            np.testing.assert_array_equal(grads[1 - slot], both[1 - slot])
+
+
 def _tiny_model():
     config = ModelConfig(image_size=8, patch_size=4, channels=1,
                          embed_dim=8, depth=2, heads=2, num_classes=3)
@@ -503,23 +527,55 @@ class TestNoGrad:
         assert y.requires_grad and y._node is not None
 
 
+@contextlib.contextmanager
+def _gc_off():
+    """Reference counting alone decides lifetimes inside the body."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class TestGraphLifetime:
     def test_dropping_logits_frees_the_graph(self):
         model, images = _tiny_model()
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with _gc_off():
             traces = []
             logits = model.forward(images, traces=traces)
-            # The second block's input is referenced by the graph only.
-            inner = weakref.ref(traces[1].tokens)
+            # Backward reads the attention maps (softmax and the context
+            # product save them), so the graph keeps them alive.
+            saved = weakref.ref(traces[1].attention.data)
             del traces
-            assert inner() is not None
+            assert saved() is not None
             del logits
-            assert inner() is None
-        finally:
-            if enabled:
-                gc.enable()
+            assert saved() is None
+
+    def test_block_inputs_are_not_kept_by_the_graph(self, monkeypatch):
+        model, images = _tiny_model()
+        inputs = []
+
+        def spy(z, *args, **kwargs):
+            inputs.append(weakref.ref(z.data))
+            return block_forward(z, *args, **kwargs)
+
+        monkeypatch.setattr(vit, "block_forward", spy)
+        with _gc_off():
+            logits = model.forward(images)
+            assert len(inputs) == model.config.depth
+            # No backward reads a block input, so nothing saved one.
+            assert all(ref() is None for ref in inputs)
+            T.backward(T.cross_entropy(logits, np.array([1, 0])))
+        assert all(p.grad is not None for _, p in model.named_parameters())
+
+    def test_held_intermediate_gets_grad(self):
+        x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = x * x
+        T.backward((y * T.Tensor([3.0, 5.0])).sum())
+        np.testing.assert_array_equal(y.grad, [3.0, 5.0])
+        np.testing.assert_array_equal(x.grad, [6.0, 20.0])
 
     def test_backward_twice_on_live_loss_accumulates(self):
         model, images = _tiny_model()

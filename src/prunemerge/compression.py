@@ -471,6 +471,30 @@ def reconstruct_tokens(y: Tensor, recon_t: Tensor, seg: Segments) -> Tensor:
     return from_op(data, (y, recon_t), grad_fn, "reconstruct_tokens")
 
 
+def reconstruct_class_row(y: Tensor, recon_t: Tensor,
+                          seg: Segments) -> Tensor:
+    """Token 0 of ``reconstruct_tokens`` from a class-row block output:
+    out = R[0, 0] * y, with ``y`` the (B, 1, D) row of group 0.  Every
+    plan's groups start at token 0, so gid[0] = 0 holds with or without a
+    class token.  As in ``reconstruct_tokens``, a frozen matrix gets no
+    gradient, and a pruned token 0 none either.
+    """
+    r0 = recon_t.data[0, 0]
+    yd = y.data if recon_t.requires_grad else None
+    data = y.data * r0
+
+    def grad_fn(g):
+        dr = None
+        if yd is not None:
+            per_token = np.zeros(seg.n)
+            if seg.live[0]:
+                per_token[0] = (g * yd).sum(axis=-1).sum()
+            dr = seg.recon_matrix(per_token)
+        return g * r0, dr
+
+    return from_op(data, (y, recon_t), grad_fn, "reconstruct_class_row")
+
+
 def pm_forward(z: Tensor, entry: PlanEntry, block: BlockParams, heads: int,
                trace: AttentionTrace | None = None) -> Tensor:
     """Compressed layer forward with a frozen plan entry."""
@@ -483,13 +507,23 @@ def pm_forward(z: Tensor, entry: PlanEntry, block: BlockParams, heads: int,
 def pm_forward_tensors(z: Tensor, merge_t: Tensor, recon_t: Tensor,
                        segments: Segments, mask: np.ndarray,
                        block: BlockParams, heads: int,
-                       trace: AttentionTrace | None = None) -> Tensor:
-    """Compressed layer forward with explicit (possibly learnable) matrices."""
+                       trace: AttentionTrace | None = None,
+                       class_row: bool = False) -> Tensor:
+    """Compressed layer forward with explicit (possibly learnable) matrices.
+
+    With ``class_row`` every token is still merged, because keys and values
+    need every group, but the block and the reconstruct produce token 0
+    only, as (B, 1, D).
+    """
     z_c = merge_tokens(z, merge_t, segments)
-    y = block_forward(z_c, block, heads, trace=trace)
-    out = reconstruct_tokens(y, recon_t, segments)
-    inv_mask = (1.0 - np.asarray(mask, dtype=np.float64))[:, None]
-    z_r = z * Tensor(inv_mask)
+    y = block_forward(z_c, block, heads, trace=trace, class_row=class_row)
+    mask = np.asarray(mask, dtype=np.float64)
+    if class_row:
+        out = reconstruct_class_row(y, recon_t, segments)
+        z, mask = z[:, :1], mask[:1]
+    else:
+        out = reconstruct_tokens(y, recon_t, segments)
+    z_r = z * Tensor((1.0 - mask)[:, None])
     return out + z_r
 
 
@@ -629,21 +663,27 @@ class CompressedModel:
 
     def forward(self, images: np.ndarray,
                 traces: list[AttentionTrace] | None = None) -> Tensor:
+        """Logits of the compressed model; as in ``vit.model_forward``,
+        the last layer computes only the class-token row unless traced."""
         p = self.params
         z = patchify(images, self.config, p.embed)
+        last = len(p.blocks) - 1
         for layer, blk in enumerate(p.blocks):
             trace = None
             if traces is not None:
                 trace = AttentionTrace(layer)
                 traces.append(trace)
+            class_row = layer == last and trace is None
             if layer in self.merge_t:
                 z = pm_forward_tensors(z, self.merge_t[layer],
                                        self.recon_t[layer],
                                        self._segments[layer],
                                        self._masks[layer], blk,
-                                       self.config.heads, trace=trace)
+                                       self.config.heads, trace=trace,
+                                       class_row=class_row)
             else:
-                z = block_forward(z, blk, self.config.heads, trace=trace)
+                z = block_forward(z, blk, self.config.heads, trace=trace,
+                                  class_row=class_row)
         z = T.layer_norm(z, p.ln_f_g, p.ln_f_b)
         return T.matmul(z[:, 0, :], p.head_w) + p.head_b
 

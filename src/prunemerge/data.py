@@ -6,6 +6,7 @@ resumed or replayed bit-identically without serializing generator state.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,7 +68,7 @@ def read_idx(path: str | Path) -> np.ndarray:
         raise ContractError(f"{path}: truncated IDX dimension block")
     dims = struct.unpack(f">{ndim}I", raw[4:header_end])
     dtype = IDX_DTYPES[dtype_code]
-    expected = int(np.prod(dims)) * dtype.itemsize
+    expected = math.prod(dims) * dtype.itemsize
     payload = raw[header_end:]
     if len(payload) != expected:
         raise ContractError(
@@ -95,7 +96,9 @@ def load_idx_pair(image_path: str | Path, label_path: str | Path,
     """Load an images/labels IDX file pair into a float dataset.
 
     Images must be a 3-D unsigned-byte tensor (count, H, W); they are
-    scaled to [0, 1] and given a single channel axis.
+    scaled to [0, 1] and given a single channel axis.  Labels must be a
+    1-D integer vector: a float label would otherwise be truncated to a
+    class without notice.
     """
     images = read_idx(image_path)
     labels = read_idx(label_path)
@@ -110,10 +113,13 @@ def load_idx_pair(image_path: str | Path, label_path: str | Path,
             f"image count {images.shape[0]} != label count {labels.shape[0]}")
     if images.dtype != np.dtype(">u1"):
         raise ContractError(f"{image_path}: image tensor must be unsigned bytes")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ContractError(
+            f"{label_path}: label vector must be integers, got {labels.dtype}")
     imgs = images.astype(np.float64)[:, None, :, :] / 255.0
     labs = labels.astype(np.int64)
     if num_classes is None:
-        num_classes = int(labs.max()) + 1
+        num_classes = int(labs.max(initial=-1)) + 1
     return Dataset(imgs, labs, num_classes)
 
 

@@ -80,6 +80,12 @@ class AdamW:
     gains/offsets are exempt.  Parameters whose grad is None this step
     are skipped entirely — neither moments nor decay touch them — which
     is what keeps frozen merge matrices byte-stable.
+
+    ``step`` updates the moments and the parameters in place, with the
+    textbook expression's operations in its order, so the result is bit
+    for bit that of ``p -= lr * m_hat / (sqrt(v_hat) + eps)``.  Its
+    temporaries are two views of one scratch buffer sized for the largest
+    parameter.
     """
 
     def __init__(self, named_params, weight_decay: float = 0.0,
@@ -93,21 +99,37 @@ class AdamW:
         self.m = {n: np.zeros_like(t.data) for n, t in self.params}
         self.v = {n: np.zeros_like(t.data) for n, t in self.params}
         self.t = {n: 0 for n, _ in self.params}
+        largest = max((t.data.size for _, t in self.params), default=0)
+        self._scratch = np.empty(2 * largest)
 
     def step(self, lr: float) -> None:
+        b1, b2 = self.beta1, self.beta2
         for name, p in self.params:
             if p.grad is None:
                 continue
             g = p.grad
             self.t[name] += 1
             t = self.t[name]
-            m = self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
+            m, v = self.m[name], self.v[name]
+            a = self._scratch[:g.size].reshape(g.shape)
+            b = self._scratch[g.size:2 * g.size].reshape(g.shape)
+            # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+            m *= b1
+            m += np.multiply(g, 1 - b1, out=a)
+            v *= b2
+            np.multiply(g, 1 - b2, out=a)
+            a *= g
+            v += a
             if self.weight_decay and p.data.ndim >= 2:
-                p.data -= lr * self.weight_decay * p.data
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                p.data -= np.multiply(p.data, lr * self.weight_decay, out=a)
+            # p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+            np.divide(m, 1 - b1 ** t, out=a)
+            a *= lr
+            np.divide(v, 1 - b2 ** t, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p.data -= a
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -116,8 +138,8 @@ class AdamW:
     def state_arrays(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
         for name, _ in self.params:
-            out[f"opt.m.{name}"] = self.m[name]
-            out[f"opt.v.{name}"] = self.v[name]
+            out[f"opt.m.{name}"] = self.m[name].copy()
+            out[f"opt.v.{name}"] = self.v[name].copy()
             out[f"opt.t.{name}"] = np.array(self.t[name], dtype=np.int64)
         return out
 

@@ -10,7 +10,9 @@ runs its block at the kept-token width and pays a fixed 6*N*D overhead:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -147,7 +149,14 @@ def _kept_counts(depth: int, plan) -> dict[int, int]:
 
 def model_flops(config, plan=None) -> FlopsReport:
     """Whole-model accounting; ``plan`` is a CompressionPlan or a
-    {layer: kept_tokens} mapping (absent layers run uncompressed)."""
+    {layer: kept_tokens} mapping (absent layers run uncompressed).
+
+    The count is the paper's: every layer's full block at its token
+    width.  The forward pass computes only the class-token row of the
+    last block past its keys and values (``vit.block_forward``), on the
+    base model and the compressed one alike, so measured speed-ups include
+    a saving this count does not model.
+    """
     n, d = config.num_tokens, config.embed_dim
     kept = _kept_counts(config.depth, plan)
     layers: list[dict[str, int]] = []
@@ -181,17 +190,65 @@ def model_flops(config, plan=None) -> FlopsReport:
 # wall-clock micro-benchmark
 # ----------------------------------------------------------------------
 
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS this process has
+    loaded, found through the library's own exports.  Empty where the
+    process map cannot be read or no library exports them."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        if not path.startswith("/"):
+            continue
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"),
+                                                ("64_", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _single_blas_worker():
+    """Run the body with BLAS pinned to one worker, yielding whether the
+    pin took effect.  Uses threadpoolctl when installed, else OpenBLAS's
+    own thread-count functions; the previous counts return on exit."""
+    if threadpool_limits is not None:
+        with threadpool_limits(limits=1):
+            yield True
+        return
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(1)
+        yield bool(controls) and all(get() == 1 for get, _ in controls)
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
+
+
 def micro_benchmark(n_tokens: int = 128, dim: int = 128,
                     repetitions: int = 25, seed: int = 0) -> dict:
     """Median/IQR wall-clock comparison of the grouped merge kernel (the
     one the model runs) against the dense matmul.
 
     Both run on identical inputs and must agree within 1e-10 before any
-    timing is recorded.  Timing runs pinned to a single BLAS worker when
-    threadpoolctl is installed; otherwise BLAS keeps the threads its
-    environment allows (OPENBLAS_NUM_THREADS and friends).  The report's
-    ``blas_pinned`` says which happened.  Absolute numbers are
-    machine-specific and only the relative ordering is meaningful.
+    timing is recorded.  Timing runs pinned to a single BLAS worker (see
+    ``_single_blas_worker``) where that is possible; otherwise BLAS keeps
+    the threads its environment allows (OPENBLAS_NUM_THREADS and
+    friends).  The report's ``blas_pinned`` says which happened.
+    Absolute numbers are machine-specific and only the relative ordering
+    is meaningful.
     """
     if repetitions < 10:
         raise ContractError(
@@ -209,10 +266,8 @@ def micro_benchmark(n_tokens: int = 128, dim: int = 128,
     variants = {"grouped": functools.partial(grouped_merge, z, merge),
                 "dense": functools.partial(np.matmul, dense, z)}
     reference = variants["dense"]()
-    single_worker = (threadpool_limits(limits=1) if threadpool_limits
-                     else contextlib.nullcontext())
     results = {}
-    with single_worker:
+    with _single_blas_worker() as pinned:
         for name, fn in variants.items():
             if not np.allclose(fn(), reference, atol=1e-10):
                 raise ContractError(f"variant {name} disagrees with dense "
@@ -242,7 +297,7 @@ def micro_benchmark(n_tokens: int = 128, dim: int = 128,
         "n_tokens": n_tokens,
         "dim": dim,
         "repetitions": repetitions,
-        "blas_pinned": threadpool_limits is not None,
+        "blas_pinned": pinned,
         "variants": results,
     }
 

@@ -538,48 +538,71 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     return from_op(data, (x, gamma, beta), grad_fn, "layer_norm")
 
 
-def _gelu_tanh(x: Array) -> tuple[Array, Array]:
-    """tanh(c * (x + a * x**3)) and x * x, each in a fresh buffer.
+# Elements per pass of a chunked elementwise chain: 256 KB of float64, so
+# that every pass after the first reads the chunk from cache, not memory.
+_CHUNK = 32768
+
+
+def _chunks(*arrays: Array):
+    """Matching flat slices of equally shaped C-contiguous arrays, at most
+    ``_CHUNK`` elements each.  Slices are views, so results written into a
+    slice land in its array."""
+    flats = [a.reshape(-1) for a in arrays]
+    for start in range(0, flats[0].size, _CHUNK):
+        yield [f[start:start + _CHUNK] for f in flats]
+
+
+def _gelu_tanh(x: Array, t: Array, x2: Array) -> None:
+    """t = tanh(c * (x + a * x**3)) and x2 = x * x, written in place.
 
     Powers are products: ``x ** 3`` calls libm's pow, about 40 times slower.
     """
-    x2 = np.multiply(x, x, out=np.empty_like(x))
-    t = np.multiply(x2, x, out=np.empty_like(x))
+    np.multiply(x, x, out=x2)
+    np.multiply(x2, x, out=t)
     t *= _GELU_A
     t += x
     t *= _GELU_C
-    return np.tanh(t, out=t), x2
+    np.tanh(t, out=t)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation.
 
-    Every temporary is a fresh buffer updated in place (``out=`` needs an
-    array, so 0-d inputs get ``empty_like`` buffers too); ``x.data`` is
-    never written.  The backward pass recomputes tanh, so the graph holds
-    no activation-sized array beyond ``x`` itself.
+    Both directions run their chain of in-place passes chunk by chunk (see
+    ``_chunks``); chunking changes no arithmetic, only how often each
+    element travels from memory.  ``x.data`` is never written.  The
+    backward pass recomputes tanh, so the graph holds no activation-sized
+    array beyond ``x`` itself.
     """
-    xd = x.data
-    data, _ = _gelu_tanh(xd)
-    data += 1.0
-    data *= xd
-    data *= 0.5
+    xd = np.asarray(x.data, order="C")
+    data = np.empty(xd.shape)
+    x2 = np.empty(min(xd.size, _CHUNK))
+    for xs, t in _chunks(xd, data):
+        _gelu_tanh(xs, t, x2[:xs.size])
+        t += 1.0
+        t *= xs
+        t *= 0.5
 
     def grad_fn(g):
         # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)
-        t, slope = _gelu_tanh(xd)          # slope holds x^2 until scaled
-        slope *= 3.0 * _GELU_A
-        slope += 1.0
-        slope *= _GELU_C
-        slope *= xd
-        sech2 = np.multiply(t, t, out=np.empty_like(xd))
-        np.subtract(1.0, sech2, out=sech2)
-        slope *= sech2
-        t += 1.0
-        t += slope
-        t *= 0.5
-        t *= g
-        return (t,)
+        out = np.empty(xd.shape)
+        slope_buf = np.empty(min(xd.size, _CHUNK))
+        sech2_buf = np.empty_like(slope_buf)
+        for xs, gs, t in _chunks(xd, np.asarray(g, order="C"), out):
+            slope, sech2 = slope_buf[:xs.size], sech2_buf[:xs.size]
+            _gelu_tanh(xs, t, slope)       # slope holds x^2 until scaled
+            slope *= 3.0 * _GELU_A
+            slope += 1.0
+            slope *= _GELU_C
+            slope *= xs
+            np.multiply(t, t, out=sech2)
+            np.subtract(1.0, sech2, out=sech2)
+            slope *= sech2
+            t += 1.0
+            t += slope
+            t *= 0.5
+            t *= gs
+        return (out,)
 
     return from_op(data, (x,), grad_fn, "gelu")
 

@@ -4,6 +4,11 @@ Blocks follow the DeiT convention: z' = z + SA(LN(z)); out = z' + MLP(LN(z')).
 Attention projections are bias-free; the patch embedding and the head carry
 biases.  Every block can record its post-softmax attention maps (and, after a
 backward pass, their gradients) into an AttentionTrace sink.
+
+The head reads only the class token (token 0), so the forward pass runs
+its last block in class-row mode: keys and values for every token, the rest
+for token 0 alone.  A trace or an attention bump on that layer needs its
+full maps and brings the full block back.
 """
 
 from __future__ import annotations
@@ -231,35 +236,50 @@ def patchify(images: np.ndarray, config: ModelConfig,
 
 def block_forward(z: Tensor, params: BlockParams, heads: int,
                   trace: AttentionTrace | None = None,
-                  attn_bump: np.ndarray | None = None) -> Tensor:
+                  attn_bump: np.ndarray | None = None,
+                  class_row: bool = False) -> Tensor:
     """One pre-norm transformer block on a (B, N, D) token tensor.
 
     ``attn_bump`` adds a constant to the post-softmax attention maps;
     finite-difference tests use it to probe dL/dA at the exact tensor the
     trace records.
+
+    With ``class_row`` the block computes keys and values for every token
+    but everything else -- queries, the (B, H, 1, N) attention row, the
+    output projection, both residuals and the MLP -- for token 0 only, and
+    returns (B, 1, D): row 0 of the full result up to GEMV-versus-GEMM
+    rounding.  A trace or bump needs every row's maps, so it requires the
+    full block.
     """
     b, n, d_model = z.shape
     d = d_model // heads
+    if class_row and (trace is not None or attn_bump is not None):
+        raise ContractError(
+            "a class-row block has no full attention maps to trace or bump")
     if trace is not None:
         trace.tokens = z
 
     h = T.layer_norm(z, params.ln1_g, params.ln1_b)
-    q = T.matmul(h, params.w_q)
     k = T.matmul(h, params.w_k)
     v = T.matmul(h, params.w_v)
+    if class_row:
+        z, h = z[:, :1], h[:, :1]
+    q = T.matmul(h, params.w_q)
+    rows = q.shape[1]
 
     def split(t: Tensor) -> Tensor:
-        return T.transpose(T.reshape(t, (b, n, heads, d)), (0, 2, 1, 3))
+        return T.transpose(T.reshape(t, (b, t.shape[1], heads, d)),
+                           (0, 2, 1, 3))
 
     scores = T.matmul(split(q), T.swap_last2(split(k)))
-    # (B, H, N, N), rows are queries; softmax applies the 1/sqrt(d) scale
+    # (B, H, rows, N), rows are queries; softmax applies the 1/sqrt(d) scale
     attn = T.softmax_rows(scores, 1.0 / math.sqrt(d))
     if trace is not None:
         trace.attention = attn
     if attn_bump is not None:
         attn = attn + Tensor(attn_bump)
     ctx = T.matmul(attn, split(v))
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, d_model))
+    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, rows, d_model))
     z = z + T.matmul(ctx, params.w_o)
 
     h2 = T.layer_norm(z, params.ln2_g, params.ln2_b)
@@ -270,15 +290,22 @@ def block_forward(z: Tensor, params: BlockParams, heads: int,
 def model_forward(images: np.ndarray, params: VitParams, config: ModelConfig,
                   traces: list[AttentionTrace] | None = None,
                   attn_bumps: dict[int, np.ndarray] | None = None) -> Tensor:
-    """Full forward pass to (B, num_classes) logits."""
+    """Full forward pass to (B, num_classes) logits.
+
+    The head reads only the class token, so the last block runs in
+    class-row mode unless a trace or a bump asks for its full maps.
+    """
     z = patchify(images, config, params.embed)
+    last = len(params.blocks) - 1
     for layer, blk in enumerate(params.blocks):
         trace = None
         if traces is not None:
             trace = AttentionTrace(layer)
             traces.append(trace)
         bump = attn_bumps.get(layer) if attn_bumps else None
-        z = block_forward(z, blk, config.heads, trace=trace, attn_bump=bump)
+        class_row = layer == last and trace is None and bump is None
+        z = block_forward(z, blk, config.heads, trace=trace, attn_bump=bump,
+                          class_row=class_row)
     z = T.layer_norm(z, params.ln_f_g, params.ln_f_b)
     cls = z[:, 0, :]
     return T.matmul(cls, params.head_w) + params.head_b

@@ -6,13 +6,13 @@ from prunemerge.compression import (CompressionPlan, MergeMatrix,
                                     Segments, compress_model, generate_merge_matrix,
                                     global_plan, grouped_merge,
                                     identity_plan, merge_tokens,
-                                    pm_forward, pseudoinverse,
-                                    reconstruct_tokens)
+                                    pm_forward, pm_forward_tensors,
+                                    pseudoinverse, reconstruct_tokens)
 from prunemerge.errors import ContractError, SingularMatrixError
 from prunemerge.scoring import round_half_up
 from prunemerge.tensor import Tensor
 from prunemerge.vit import (ModelConfig, VisionTransformer, block_forward,
-                            init_params)
+                            init_params, patchify)
 
 from helpers import assert_grads_close, dense_pinv, numeric_grad
 
@@ -730,3 +730,113 @@ class TestCompressedModel:
         plan = identity_plan(2, base_model.config.num_tokens + 1)
         with pytest.raises(ContractError):
             compress_model(base_model, plan)
+
+
+def class_free_plan(n, rng):
+    """Two layers planned without a class token; the last layer scores
+    token 0 lowest, so it is pruned there."""
+    scores = [rng.uniform(0.1, 1.0, size=n) for _ in range(2)]
+    scores[1][0] = 0.0
+    plan = global_plan(scores, rate=0.6, pm_threshold=0.2, class_token=False)
+    assert plan.entries[1].mask[0] == 0
+    return plan
+
+
+class TestClassRowPath:
+    """A compressed last layer merges every token but runs its block and
+    reconstruct for token 0 only; a traced forward runs it in full."""
+
+    @staticmethod
+    def step(comp, images, labels, traced):
+        for _, p in comp.named_parameters():
+            p.grad = None
+        logits = comp.forward(images, traces=[] if traced else None)
+        T.backward(T.cross_entropy(logits, labels))
+        return logits.data, {n: p.grad.copy()
+                             for n, p in comp.named_parameters()
+                             if p.grad is not None}
+
+    @pytest.mark.parametrize("class_token", [True, False])
+    @pytest.mark.parametrize("learnable", [True, False])
+    def test_logits_and_grads_match_full_path(self, base_model, class_token,
+                                              learnable):
+        rng = np.random.default_rng(76)
+        images = rng.uniform(0, 1, size=(3, 1, 8, 8))
+        labels = np.array([0, 3, 1])
+        n = base_model.config.num_tokens
+        if class_token:
+            scores = [rng.uniform(0.1, 1.0, size=n) for _ in range(2)]
+            plan = global_plan(scores, rate=0.6, pm_threshold=0.2)
+        else:
+            plan = class_free_plan(n, rng)
+        comp = compress_model(base_model, plan, learnable_matrices=learnable)
+        full, full_grads = self.step(comp, images, labels, traced=True)
+        row, row_grads = self.step(comp, images, labels, traced=False)
+        np.testing.assert_allclose(row, full, rtol=0, atol=1e-12)
+        assert full_grads.keys() == row_grads.keys()
+        assert ("pm.layer1.reconstruct" in row_grads) == learnable
+        for name, g in full_grads.items():
+            scale = max(np.abs(g).max(), 1e-300)
+            assert np.abs(row_grads[name] - g).max() <= 1e-9 * scale, name
+        if learnable:
+            # entries outside the groups and of pruned tokens stay exact 0
+            r_grad = row_grads["pm.layer1.reconstruct"]
+            seg = plan.entries[1].merge.segments
+            outside = np.ones(r_grad.shape, dtype=bool)
+            outside.flat[seg.recon_at[seg.live]] = False
+            assert not r_grad[outside].any()
+        with T.no_grad():
+            inference = comp.forward(images)
+        assert inference._node is None
+        np.testing.assert_array_equal(inference.data, row)
+
+    def test_pruned_token_zero_reads_the_shortcut(self, base_model):
+        rng = np.random.default_rng(77)
+        images = rng.uniform(0, 1, size=(2, 1, 8, 8))
+        plan = class_free_plan(base_model.config.num_tokens, rng)
+        comp = compress_model(base_model, plan, learnable_matrices=True)
+        z = patchify(images, comp.config, comp.params.embed)
+        z = pm_forward(z, plan.entries[0], comp.params.blocks[0],
+                       comp.config.heads)
+        entry, layer = plan.entries[1], 1
+        out = pm_forward_tensors(z, comp.merge_t[layer], comp.recon_t[layer],
+                                 entry.merge.segments, entry.mask,
+                                 comp.params.blocks[layer],
+                                 comp.config.heads, class_row=True)
+        assert out.shape == (2, 1, comp.config.embed_dim)
+        np.testing.assert_array_equal(out.data, z.data[:, :1])
+
+    def test_finite_differences_through_class_row_layer(self, base_model):
+        rng = np.random.default_rng(78)
+        images = rng.uniform(0, 1, size=(2, 1, 8, 8))
+        labels = np.array([2, 1])
+        n = base_model.config.num_tokens
+        scores = [rng.uniform(0.1, 1.0, size=n) for _ in range(2)]
+        plan = global_plan(scores, rate=0.6, pm_threshold=0.2)
+        comp = compress_model(base_model, plan, learnable_matrices=True)
+        for _, p in comp.params.named_parameters():
+            p.data += rng.normal(scale=0.3, size=p.shape)
+
+        def f():
+            return float(T.cross_entropy(comp.forward(images), labels).data)
+
+        T.backward(T.cross_entropy(comp.forward(images), labels))
+        seg = plan.entries[1].merge.segments
+        last = comp.params.blocks[1]
+        for t, at in ((comp.merge_t[1], seg.merge_at[seg.live]),
+                      (comp.recon_t[1], seg.recon_at[seg.live]),
+                      (last.w_q, slice(None)), (last.w_v, slice(None)),
+                      (last.ln1_b, slice(None))):
+            numeric = numeric_grad(f, t.data)
+            assert_grads_close(t.grad.ravel()[at], numeric.ravel()[at])
+
+    def test_traced_forward_records_full_last_maps(self, base_model):
+        rng = np.random.default_rng(79)
+        n = base_model.config.num_tokens
+        scores = [rng.uniform(0.1, 1.0, size=n) for _ in range(2)]
+        plan = global_plan(scores, rate=0.6, pm_threshold=0.2)
+        comp = compress_model(base_model, plan)
+        traces = []
+        comp.forward(rng.uniform(0, 1, size=(2, 1, 8, 8)), traces=traces)
+        kept = plan.entries[1].kept
+        assert traces[-1].maps.shape == (2, comp.config.heads, kept, kept)

@@ -4,9 +4,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from prunemerge.data import (Dataset, batches, load_idx_pair, read_idx,
-                             synthetic_shapes, write_idx, NUM_SHAPE_CLASSES)
+from prunemerge.cli import main
+from prunemerge.data import (IDX_DTYPES, Dataset, batches, load_idx_pair,
+                             read_idx, synthetic_shapes, write_idx,
+                             NUM_SHAPE_CLASSES)
 from prunemerge.errors import ContractError
 
 
@@ -115,6 +119,120 @@ def test_load_idx_pair_rejects_wrong_rank(tmp_path):
     write_idx(tmp_path / "lab.idx", np.zeros(4, dtype=np.uint8))
     with pytest.raises(ContractError, match="3-D"):
         load_idx_pair(tmp_path / "img.idx", tmp_path / "lab.idx")
+
+
+def test_load_idx_pair_rejects_float_labels(tmp_path):
+    write_idx(tmp_path / "img.idx", np.zeros((3, 6, 6), dtype=np.uint8))
+    write_idx(tmp_path / "lab.idx", np.array([0.4, 1.9, 2.5], dtype=">f4"))
+    with pytest.raises(ContractError, match="integers"):
+        load_idx_pair(tmp_path / "img.idx", tmp_path / "lab.idx")
+
+
+def test_read_idx_rejects_dimension_product_past_int64(tmp_path):
+    # 65536**4 = 2**64 wraps to 0 in int64 arithmetic, matching an empty
+    # payload; the size check must use exact integers.
+    path = tmp_path / "huge.idx"
+    path.write_bytes(struct.pack(">BBBB", 0, 0, 0x08, 4)
+                     + struct.pack(">4I", *[65536] * 4))
+    with pytest.raises(ContractError, match="payload"):
+        read_idx(path)
+
+
+def test_load_idx_pair_rejects_empty_pair(tmp_path):
+    write_idx(tmp_path / "img.idx", np.zeros((0, 6, 6), dtype=np.uint8))
+    write_idx(tmp_path / "lab.idx", np.zeros(0, dtype=np.uint8))
+    with pytest.raises(ContractError, match="at least one"):
+        load_idx_pair(tmp_path / "img.idx", tmp_path / "lab.idx")
+
+
+def _idx_bytes(array: np.ndarray, tmp_path) -> bytes:
+    write_idx(tmp_path / "blob.idx", array)
+    return (tmp_path / "blob.idx").read_bytes()
+
+
+# A valid pair.  The labels are >i4, whose one same-width IDX type is >f4,
+# and the images >u1, whose one same-width type is >i1, so a changed dtype
+# code either changes the payload size or reaches a type check.
+FUZZ_IMAGES = np.random.default_rng(5).integers(
+    0, 256, size=(6, 5, 7)).astype(np.uint8)
+FUZZ_LABELS = np.array([3, 0, 9, 1, 1, 4], dtype=">i4")
+
+
+@st.composite
+def one_idx_mutation(draw):
+    """(file, position, replacement bytes, bytes to cut or add): exactly
+    one change to one file of the valid pair."""
+    which = draw(st.sampled_from(["images", "labels"]))
+    ndim = 3 if which == "images" else 1
+    kind = draw(st.sampled_from(["magic", "dtype", "ndim", "dim", "length"]))
+    if kind == "magic":
+        return which, draw(st.integers(0, 1)), \
+            bytes([draw(st.integers(1, 255))]), 0
+    if kind == "dtype":
+        code = 0x08 if which == "images" else 0x0C
+        new = st.sampled_from(sorted(IDX_DTYPES)) | st.integers(0, 255)
+        return which, 2, bytes([draw(new.filter(lambda c: c != code))]), 0
+    if kind == "ndim":
+        return which, 3, bytes([draw(st.integers(0, 255).filter(
+            lambda n: n != ndim))]), 0
+    if kind == "dim":
+        axis = draw(st.integers(0, ndim - 1))
+        old = (FUZZ_IMAGES if which == "images" else FUZZ_LABELS).shape[axis]
+        value = draw(st.integers(0, 2 ** 32 - 1).filter(lambda v: v != old))
+        return which, 4 + 4 * axis, struct.pack(">I", value), 0
+    return which, None, b"", draw(st.integers(-16, 16).filter(bool))
+
+
+class TestIdxDecoderFuzz:
+    """Every single mutation of a valid IDX pair is refused with
+    ContractError, and through the CLI with the one-line error exit."""
+
+    @staticmethod
+    def write_pair(tmp_path, mutation):
+        which, at, patch, resize = mutation
+        blobs = {"images": _idx_bytes(FUZZ_IMAGES, tmp_path),
+                 "labels": _idx_bytes(FUZZ_LABELS, tmp_path)}
+        blob = bytearray(blobs[which])
+        if at is not None:
+            blob[at:at + len(patch)] = patch
+        elif resize > 0:
+            blob += bytes(range(resize))
+        elif resize < 0:
+            del blob[resize:]
+        blobs[which] = bytes(blob)
+        for name, data in blobs.items():
+            (tmp_path / f"{name}.idx").write_bytes(data)
+        return tmp_path / "images.idx", tmp_path / "labels.idx"
+
+    def test_unmutated_pair_loads(self, tmp_path):
+        ds = load_idx_pair(*self.write_pair(tmp_path, ("images", None, b"", 0)))
+        np.testing.assert_array_equal(ds.labels, FUZZ_LABELS)
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutation=one_idx_mutation())
+    def test_any_mutation_is_refused(self, tmp_path, mutation):
+        images, labels = self.write_pair(tmp_path, mutation)
+        with pytest.raises(ContractError):
+            load_idx_pair(images, labels)
+
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutation=one_idx_mutation())
+    def test_cli_reports_one_error_line(self, tmp_path, capsys, mutation):
+        images, labels = self.write_pair(tmp_path, mutation)
+        capsys.readouterr()
+        code = main(["train-baseline", "--set", "dataset=idx",
+                     "--set", f"idx_images={images}",
+                     "--set", f"idx_labels={labels}",
+                     "--out", str(tmp_path / "never.pmvt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ContractError: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "never.pmvt").exists()
 
 
 # --- synthetic corpus ------------------------------------------------------

@@ -146,6 +146,56 @@ class TestAdamW:
         np.testing.assert_array_equal(w.data, before)
         assert opt.t["w"] == 0
 
+    def test_in_place_step_matches_textbook_loop(self):
+        # The expression form AdamW.step used before it worked in place.
+        def reference(state, params, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+            for name, p in params:
+                if p.grad is None:
+                    continue
+                g = p.grad
+                state["t"][name] += 1
+                t = state["t"][name]
+                m = state["m"][name] = b1 * state["m"][name] + (1 - b1) * g
+                v = state["v"][name] = (b2 * state["v"][name]
+                                        + (1 - b2) * g * g)
+                m_hat = m / (1 - b1 ** t)
+                v_hat = v / (1 - b2 ** t)
+                if wd and p.data.ndim >= 2:
+                    p.data -= lr * wd * p.data
+                p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+        rng = np.random.default_rng(15)
+        shapes = {"w": (4, 3), "b": (3,), "frozen": (2, 2), "big": (5, 6)}
+        mine = [(n, Tensor(rng.standard_normal(s), requires_grad=True))
+                for n, s in shapes.items()]
+        ref = [(n, Tensor(t.data.copy(), requires_grad=True))
+               for n, t in mine]
+        state = {k: {n: (0 if k == "t" else np.zeros(shapes[n]))
+                     for n in shapes} for k in "mvt"}
+        opt = AdamW(mine, weight_decay=0.05)
+        for step in range(25):
+            for (name, a), (_, b) in zip(mine, ref):
+                g = None if name == "frozen" else rng.standard_normal(a.shape)
+                a.grad, b.grad = g, None if g is None else g.copy()
+            lr = cosine_lr(step, 25, 1e-2)
+            opt.step(lr)
+            reference(state, ref, lr, 0.05)
+        for (name, a), (_, b) in zip(mine, ref):
+            np.testing.assert_array_equal(a.data, b.data)
+            np.testing.assert_array_equal(opt.m[name], state["m"][name])
+            np.testing.assert_array_equal(opt.v[name], state["v"][name])
+        assert opt.t["frozen"] == 0
+
+    def test_state_arrays_are_snapshots(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        opt = AdamW([("w", w)])
+        w.grad = np.ones((2, 2))
+        opt.step(lr=0.1)
+        saved = opt.state_arrays()
+        before = saved["opt.m.w"].copy()
+        opt.step(lr=0.1)
+        np.testing.assert_array_equal(saved["opt.m.w"], before)
+
     def test_state_round_trip(self):
         rng = np.random.default_rng(14)
         w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prunemerge import flops
 from prunemerge.compression import global_plan
 from prunemerge.errors import ContractError
 from prunemerge.flops import (FlopsReport, block_flops, micro_benchmark,
@@ -137,6 +138,32 @@ class TestMicroBenchmark:
         for stats in report["variants"].values():
             assert set(stats) == {"median_s", "iqr_s"}
             assert stats["median_s"] > 0
+
+    def test_blas_pinned_then_thread_count_restored(self, monkeypatch):
+        monkeypatch.setattr(flops, "threadpool_limits", None)
+        controls = flops._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread-count functions in this process")
+        previous = [get() for get, _ in controls]
+        seen = []
+        original = flops.grouped_merge
+
+        def spy(*args):
+            seen.append([get() for get, _ in controls])
+            return original(*args)
+
+        monkeypatch.setattr(flops, "grouped_merge", spy)
+        try:
+            for _, set_ in controls:
+                set_(2)
+            report = micro_benchmark(n_tokens=32, dim=16, repetitions=10)
+            assert report["blas_pinned"] is True
+            assert seen and all(counts == [1] * len(controls)
+                                for counts in seen)
+            assert [get() for get, _ in controls] == [2] * len(controls)
+        finally:
+            for (_, set_), count in zip(controls, previous):
+                set_(count)
 
     def test_repetition_floor(self):
         with pytest.raises(ContractError):

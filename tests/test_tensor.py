@@ -239,6 +239,47 @@ class TestGelu:
         T.backward(T.gelu(x))
         assert x.grad == 0.5
 
+    def test_chunked_passes_match_whole_array_passes(self):
+        # The same chain of passes over whole arrays, as gelu ran them
+        # before it worked chunk by chunk: results must be bit-identical.
+        c, a = math.sqrt(2.0 / math.pi), 0.044715
+
+        def tanh_part(x):
+            t = np.multiply(x * x, x, out=np.empty(np.shape(x)))
+            t *= a
+            t += x
+            t *= c
+            return np.tanh(t, out=t)
+
+        def reference(x, g):
+            y = tanh_part(x)
+            y += 1.0
+            y *= x
+            y *= 0.5
+            t = tanh_part(x)
+            slope = np.multiply(x, x, out=np.empty(np.shape(x)))
+            slope *= 3.0 * a
+            slope += 1.0
+            slope *= c
+            slope *= x
+            slope *= 1.0 - t * t
+            t += 1.0
+            t += slope
+            t *= 0.5
+            t *= g
+            return y, t
+
+        rng = np.random.default_rng(9)
+        for shape in [(), (5,), (2, T._CHUNK + 3), (3, 7, 4097)]:
+            xd = rng.normal(scale=3.0, size=shape)
+            g = rng.normal(size=shape)
+            x = T.Tensor(xd.copy(), requires_grad=True)
+            y = T.gelu(x)
+            T.backward((y * T.Tensor(g)).sum())
+            want_y, want_grad = reference(xd, g)
+            np.testing.assert_array_equal(y.data, want_y)
+            np.testing.assert_array_equal(x.grad, want_grad)
+
     def test_input_never_written(self):
         x = T.Tensor(np.linspace(-4.0, 4.0, 9), requires_grad=True)
         before = x.data.copy()

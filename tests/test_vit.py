@@ -224,3 +224,104 @@ class TestModelForward:
         imgs = np.random.default_rng(4).uniform(size=(1, 1, 8, 8))
         logits = frozen.forward(imgs)
         assert logits._node is None  # no graph recorded for frozen params
+
+
+def assert_same_grads(got: dict, want: dict, rel: float = 1e-9) -> None:
+    """Every gradient agrees with its reference within ``rel`` of the
+    reference's largest entry."""
+    assert got.keys() == want.keys()
+    for name, g in want.items():
+        scale = max(np.abs(g).max(), 1e-300)
+        assert np.abs(got[name] - g).max() <= rel * scale, name
+
+
+def logits_and_grads(model, images, labels, traced: bool):
+    """Logits and every parameter gradient of one cross-entropy step.
+    A traced forward runs every block in full."""
+    for _, p in model.named_parameters():
+        p.grad = None
+    logits = model.forward(images, traces=[] if traced else None)
+    T.backward(T.cross_entropy(logits, labels))
+    return logits.data, {n: p.grad.copy() for n, p in model.named_parameters()
+                         if p.grad is not None}
+
+
+class TestClassRowBlock:
+    """The last block computes only the class-token row the head reads."""
+
+    def test_block_returns_row_zero_of_full_block(self):
+        p = vit.init_params(tiny_config(), seed=6).blocks[0]
+        z = np.random.default_rng(6).normal(size=(3, 5, 8))
+        full = vit.block_forward(Tensor(z), p, heads=2)
+        row = vit.block_forward(Tensor(z), p, heads=2, class_row=True)
+        assert row.shape == (3, 1, 8)
+        np.testing.assert_allclose(row.data, full.data[:, :1], atol=1e-14)
+
+    def test_trace_or_bump_refused(self):
+        p = vit.init_params(tiny_config(), seed=0).blocks[0]
+        z = Tensor(np.zeros((1, 5, 8)))
+        with pytest.raises(ContractError):
+            vit.block_forward(z, p, heads=2, trace=vit.AttentionTrace(0),
+                              class_row=True)
+        with pytest.raises(ContractError):
+            vit.block_forward(z, p, heads=2,
+                              attn_bump=np.zeros((1, 2, 5, 5)),
+                              class_row=True)
+
+    def test_logits_and_grads_match_full_path(self):
+        model = vit.VisionTransformer.build(tiny_config(depth=3), seed=8)
+        rng = np.random.default_rng(8)
+        imgs = rng.uniform(size=(4, 1, 8, 8))
+        labels = rng.integers(0, 3, size=4)
+        full, full_grads = logits_and_grads(model, imgs, labels, traced=True)
+        row, row_grads = logits_and_grads(model, imgs, labels, traced=False)
+        np.testing.assert_allclose(row, full, rtol=0, atol=1e-12)
+        assert_same_grads(row_grads, full_grads)
+        with T.no_grad():
+            inference = model.forward(imgs)
+        assert inference._node is None
+        np.testing.assert_array_equal(inference.data, row)
+
+    def test_finite_differences_through_class_row_block(self):
+        cfg = tiny_config(depth=2, embed_dim=4, heads=2)
+        model = vit.VisionTransformer.build(cfg, seed=12)
+        rng = np.random.default_rng(12)
+        for _, p in model.named_parameters():
+            p.data += rng.normal(scale=0.3, size=p.shape)
+        imgs = rng.uniform(size=(2, 1, 8, 8))
+        labels = np.array([0, 2])
+        last = model.params.blocks[-1]
+
+        def f():
+            return float(T.cross_entropy(model.forward(imgs), labels).data)
+
+        T.backward(T.cross_entropy(model.forward(imgs), labels))
+        for t in (last.w_q, last.w_k, last.w_v, last.ln1_g, last.w_fc1,
+                  model.params.blocks[0].w_o, model.params.embed.pos):
+            assert_grads_close(t.grad, numeric_grad(f, t.data))
+
+    def test_trace_and_bump_keep_full_last_block(self, monkeypatch):
+        cfg = tiny_config(depth=2)
+        model = vit.VisionTransformer.build(cfg, seed=4)
+        imgs = np.random.default_rng(4).uniform(size=(2, 1, 8, 8))
+        traces = []
+        model.forward(imgs, traces=traces)
+        assert traces[-1].maps.shape == (2, cfg.heads, 5, 5)
+
+        shapes = []
+
+        def recorded(*args, **kwargs):
+            out = block(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        block = vit.block_forward
+        monkeypatch.setattr(vit, "block_forward", recorded)
+        model.forward(imgs)
+        assert shapes == [(2, 5, 8), (2, 1, 8)]
+        shapes.clear()
+        model.forward(imgs, attn_bumps={1: np.zeros((2, cfg.heads, 5, 5))})
+        assert shapes == [(2, 5, 8), (2, 5, 8)]
+        shapes.clear()
+        model.forward(imgs, attn_bumps={0: np.zeros((2, cfg.heads, 5, 5))})
+        assert shapes == [(2, 5, 8), (2, 1, 8)]

@@ -19,6 +19,13 @@ frees it the moment the last tensor that reaches it is dropped -- no
 garbage-collector pass is needed.  ``backward`` may run any number of
 times while the root is alive.
 
+Fused ops trade a little backward arithmetic for graph memory: where an
+intermediate is a cheap function of arrays the graph keeps anyway, one
+node saves only those arrays and backward recomputes the intermediate
+with the forward's own kernel, so the result is bit-identical.
+``attention`` recomputes the softmax maps from q, k and v, and
+``gelu_matmul`` recomputes gelu's output from its input.
+
 Inference mode: inside ``with no_grad():`` operations record no node and
 their outputs never require grad, so a forward pass keeps no graph and no
 saved activations.  Parameters keep ``requires_grad``; only recording
@@ -194,8 +201,11 @@ def from_op(data: Array, inputs: Sequence[Tensor],
     over an input ``Tensor``: the node keeps its closure alive, so a
     captured tensor would keep that tensor's data alive for the graph's
     whole life.  Returning None for an input that needs no grad spares
-    computing its gradient (see ``mul``).  Under ``no_grad`` nothing is
-    recorded and the output needs no grad.
+    computing its gradient (see ``mul``).  A closure may recompute an
+    intermediate from the arrays it saved instead of saving the
+    intermediate itself (see ``attention``); run the forward's kernel on
+    the same arrays and the recomputation is exact.  Under ``no_grad``
+    nothing is recorded and the output needs no grad.
     """
     out = Tensor(data)
     if _RECORDING.get() and any(t.requires_grad for t in inputs):
@@ -348,13 +358,31 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return from_op(data, (a, b), grad_fn, "mul")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _check_matmul(a: Tensor, b: Tensor) -> None:
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatchError(
             f"matmul operands must be at least 2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(
             f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
+
+
+def _matmul_grad_a(g: Array, bd: Array, a_shape) -> Array:
+    """dL/da of ``a @ b`` for output gradient ``g``."""
+    return _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a_shape)
+
+
+def _matmul_grad_b(ad: Array, g: Array, a_shape, b_shape) -> Array:
+    """dL/db of ``a @ b`` for output gradient ``g``."""
+    if len(b_shape) == 2 and len(a_shape) > 2:
+        # A batch of rows times one weight matrix: fold the batch into the
+        # contraction, one GEMM instead of a batched one plus a sum.
+        return ad.reshape(-1, a_shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    return _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b_shape)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    _check_matmul(a, b)
     data = np.matmul(a.data, b.data)
     a_shape, b_shape = a.shape, b.shape
     # As in ``mul``: save an operand only for the other operand's gradient.
@@ -362,16 +390,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     bd = b.data if a.requires_grad else None
 
     def grad_fn(g):
-        ga = gb = None
-        if bd is not None:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a_shape)
-        if ad is not None and len(b_shape) == 2 and len(a_shape) > 2:
-            # A batch of rows times one weight matrix: fold the batch into
-            # the contraction, one GEMM instead of a batched one plus a sum.
-            gb = ad.reshape(-1, a_shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        elif ad is not None:
-            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b_shape)
-        return ga, gb
+        return (None if bd is None else _matmul_grad_a(g, bd, a_shape),
+                None if ad is None else _matmul_grad_b(ad, g, a_shape, b_shape))
 
     return from_op(data, (a, b), grad_fn, "matmul")
 
@@ -493,37 +513,108 @@ def softmax_rows(x: Tensor, scale: float = 1.0) -> Tensor:
     rejected: a NaN or infinity here is always an upstream defect and would
     otherwise surface as silent garbage.
     """
+    _check_scale(scale)
+    y = _softmax(x.data, scale)
+
+    def grad_fn(g):
+        return (_softmax_grad(g, y, scale),)
+
+    return from_op(y, (x,), grad_fn, "softmax_rows")
+
+
+def _check_scale(scale: float) -> None:
     if not 0.0 < scale < math.inf:
         raise ContractError(f"softmax scale must be positive, got {scale}")
-    if not np.isfinite(x.data).all():
+
+
+def _softmax(x: Array, scale: float) -> Array:
+    """The kernel of ``softmax_rows``: a new array, one softmax per row.
+
+    The row max propagates NaN and +inf and one ``min`` catches -inf, so
+    non-finite input is found without an x-sized boolean temporary.
+    """
+    top = x.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all() or x.min(initial=math.inf) == -math.inf:
         raise NumericError("softmax input contains non-finite values")
-    y = x.data - x.data.max(axis=-1, keepdims=True)
+    y = x - top
     y *= scale
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
+def _softmax_grad(g: Array, y: Array, scale: float,
+                  out: Array | None = None) -> Array:
+    """dL/dx of ``y = softmax(scale * x)`` for output gradient ``g``;
+    ``out=g`` computes it in place."""
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    gx = np.subtract(g, dot, out=out)
+    gx *= y
+    gx *= scale
+    return gx
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """``softmax_rows(q @ swap_last2(k), scale) @ v`` as one node.
+
+    The node saves ``q``, ``k`` and ``v`` but not the (..., rows, N)
+    attention maps: backward recomputes them with the forward's kernel,
+    bit for bit.  An operand that needs no gradient gets None and costs
+    nothing.  Callers that need the maps as a tensor (a trace, a bump)
+    compose ``matmul`` and ``softmax_rows`` instead.
+    """
+    _check_scale(scale)
+    if min(q.ndim, k.ndim, v.ndim) < 2:
+        raise ShapeMismatchError(
+            f"attention operands must be at least 2-D, got {q.shape}, "
+            f"{k.shape} and {v.shape}")
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise ShapeMismatchError(
+            f"attention shapes do not fit: q {q.shape}, k {k.shape}, "
+            f"v {v.shape}")
+    qd, kd, vd = q.data, k.data, v.data
+    kt = np.swapaxes(kd, -1, -2)
+    q_shape, kt_shape, v_shape = q.shape, kt.shape, v.shape
+    grad_q, grad_k, grad_v = q.requires_grad, k.requires_grad, v.requires_grad
+
+    def maps():
+        return _softmax(np.matmul(qd, kt), scale)
+
+    data = np.matmul(maps(), vd)
 
     def grad_fn(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        gx = g - dot
-        gx *= y
-        gx *= scale
-        return (gx,)
+        y = maps()
+        gq = gk = gv = None
+        if grad_v:
+            gv = _matmul_grad_b(y, g, y.shape, v_shape)
+        if grad_q or grad_k:
+            gs = _matmul_grad_a(g, vd, y.shape)
+            gs = _softmax_grad(gs, y, scale, out=gs)
+            if grad_q:
+                gq = _matmul_grad_a(gs, kt, q_shape)
+            if grad_k:
+                gk = np.swapaxes(_matmul_grad_b(qd, gs, q_shape, kt_shape),
+                                 -1, -2)
+        return gq, gk, gv
 
-    return from_op(y, (x,), grad_fn, "softmax_rows")
+    return from_op(data, (q, k, v), grad_fn, "attention")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalise the last axis to zero mean, unit variance; scale and shift.
 
     A constant row (zero variance) maps to zeros, so eps keeps the
-    division finite rather than changing the result.
+    division finite rather than changing the result.  The forward makes
+    two x-sized arrays, ``xhat`` (saved) and the output, which first
+    holds the squares for the variance.
     """
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    data = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(data.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
     gd = gamma.data
-    data = xhat * gd + beta.data
+    np.multiply(xhat, gd, out=data)
+    data += beta.data
     beta_shape = beta.shape
 
     def grad_fn(g):
@@ -543,13 +634,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 _CHUNK = 32768
 
 
-def _chunks(*arrays: Array):
+def _chunks(*arrays: Array | None):
     """Matching flat slices of equally shaped C-contiguous arrays, at most
-    ``_CHUNK`` elements each.  Slices are views, so results written into a
-    slice land in its array."""
-    flats = [a.reshape(-1) for a in arrays]
+    ``_CHUNK`` elements each; a None array yields None slices.  Slices are
+    views, so results written into a slice land in its array."""
+    flats = [None if a is None else a.reshape(-1) for a in arrays]
     for start in range(0, flats[0].size, _CHUNK):
-        yield [f[start:start + _CHUNK] for f in flats]
+        yield [None if f is None else f[start:start + _CHUNK] for f in flats]
 
 
 def _gelu_tanh(x: Array, t: Array, x2: Array) -> None:
@@ -565,32 +656,27 @@ def _gelu_tanh(x: Array, t: Array, x2: Array) -> None:
     np.tanh(t, out=t)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh approximation.
+def _gelu_passes(x: Array, y: Array | None = None, g: Array | None = None,
+                 dx: Array | None = None) -> None:
+    """Write ``y = gelu(x)`` and ``dx = gelu'(x) * g``, each when given,
+    in one chunked pass over C-contiguous ``x`` (``dx`` may be ``g``).
 
-    Both directions run their chain of in-place passes chunk by chunk (see
-    ``_chunks``); chunking changes no arithmetic, only how often each
-    element travels from memory.  ``x.data`` is never written.  The
-    backward pass recomputes tanh, so the graph holds no activation-sized
-    array beyond ``x`` itself.
+    Both share one tanh per chunk; chunking changes no arithmetic, only
+    how often each element travels from memory.
     """
-    xd = np.asarray(x.data, order="C")
-    data = np.empty(xd.shape)
-    x2 = np.empty(min(xd.size, _CHUNK))
-    for xs, t in _chunks(xd, data):
-        _gelu_tanh(xs, t, x2[:xs.size])
-        t += 1.0
-        t *= xs
-        t *= 0.5
-
-    def grad_fn(g):
-        # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)
-        out = np.empty(xd.shape)
-        slope_buf = np.empty(min(xd.size, _CHUNK))
-        sech2_buf = np.empty_like(slope_buf)
-        for xs, gs, t in _chunks(xd, np.asarray(g, order="C"), out):
-            slope, sech2 = slope_buf[:xs.size], sech2_buf[:xs.size]
-            _gelu_tanh(xs, t, slope)       # slope holds x^2 until scaled
+    n = min(x.size, _CHUNK)
+    t_buf, slope_buf, sech2_buf = np.empty(n), np.empty(n), np.empty(n)
+    for xs, ys, gs, ds in _chunks(x, y, g, dx):
+        slope = slope_buf[:xs.size]
+        t = ys if ds is None else t_buf[:xs.size]
+        _gelu_tanh(xs, t, slope)           # slope holds x^2 until scaled
+        if ys is not None:
+            np.add(t, 1.0, out=ys)
+            ys *= xs
+            ys *= 0.5
+        if ds is not None:
+            # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)
+            sech2 = sech2_buf[:xs.size]
             slope *= 3.0 * _GELU_A
             slope += 1.0
             slope *= _GELU_C
@@ -601,10 +687,56 @@ def gelu(x: Tensor) -> Tensor:
             t += 1.0
             t += slope
             t *= 0.5
-            t *= gs
+            np.multiply(t, gs, out=ds)
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Gaussian error linear unit, tanh approximation.
+
+    Both directions run their chain of in-place passes chunk by chunk (see
+    ``_gelu_passes``).  ``x.data`` is never written.  The backward pass
+    recomputes tanh, so the graph holds no activation-sized array beyond
+    ``x`` itself.
+    """
+    xd = np.asarray(x.data, order="C")
+    data = np.empty(xd.shape)
+    _gelu_passes(xd, y=data)
+
+    def grad_fn(g):
+        out = np.empty(xd.shape)
+        _gelu_passes(xd, g=np.asarray(g, order="C"), dx=out)
         return (out,)
 
     return from_op(data, (x,), grad_fn, "gelu")
+
+
+def gelu_matmul(x: Tensor, w: Tensor) -> Tensor:
+    """``matmul(gelu(x), w)`` as one node that saves ``x`` but not
+    ``gelu(x)``.
+
+    Backward recomputes ``gelu(x)`` for the weight gradient in the same
+    chunked pass that computes ``gelu'(x)``; both are bit-identical to the
+    composed ops.  As in ``matmul``, an operand that needs no gradient
+    gets None and costs nothing.
+    """
+    _check_matmul(x, w)
+    xd = np.asarray(x.data, order="C")
+    h = np.empty(xd.shape)
+    _gelu_passes(xd, y=h)
+    data = np.matmul(h, w.data)
+    x_shape, w_shape = x.shape, w.shape
+    wd = w.data if x.requires_grad else None
+    grad_w = w.requires_grad
+
+    def grad_fn(g):
+        gh = None if wd is None else np.ascontiguousarray(
+            _matmul_grad_a(g, wd, x_shape))
+        h = np.empty(xd.shape) if grad_w else None
+        _gelu_passes(xd, y=h, g=gh, dx=gh)
+        return (gh, None if h is None else _matmul_grad_b(h, g, x_shape,
+                                                          w_shape))
+
+    return from_op(data, (x, w), grad_fn, "gelu_matmul")
 
 
 def _log_softmax(z: Array) -> Array:

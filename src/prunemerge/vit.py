@@ -271,20 +271,25 @@ def block_forward(z: Tensor, params: BlockParams, heads: int,
         return T.transpose(T.reshape(t, (b, t.shape[1], heads, d)),
                            (0, 2, 1, 3))
 
-    scores = T.matmul(split(q), T.swap_last2(split(k)))
-    # (B, H, rows, N), rows are queries; softmax applies the 1/sqrt(d) scale
-    attn = T.softmax_rows(scores, 1.0 / math.sqrt(d))
-    if trace is not None:
-        trace.attention = attn
-    if attn_bump is not None:
-        attn = attn + Tensor(attn_bump)
-    ctx = T.matmul(attn, split(v))
+    # (B, H, rows, N) maps, rows are queries, scaled by 1/sqrt(d) inside
+    # the softmax.  Only a trace or a bump needs them as a graph tensor;
+    # otherwise the fused op keeps q, k and v and recomputes the maps.
+    scale = 1.0 / math.sqrt(d)
+    if trace is None and attn_bump is None:
+        ctx = T.attention(split(q), split(k), split(v), scale)
+    else:
+        attn = T.softmax_rows(T.matmul(split(q), T.swap_last2(split(k))),
+                              scale)
+        if trace is not None:
+            trace.attention = attn
+        if attn_bump is not None:
+            attn = attn + Tensor(attn_bump)
+        ctx = T.matmul(attn, split(v))
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, rows, d_model))
     z = z + T.matmul(ctx, params.w_o)
 
     h2 = T.layer_norm(z, params.ln2_g, params.ln2_b)
-    mlp = T.matmul(T.gelu(T.matmul(h2, params.w_fc1)), params.w_fc2)
-    return z + mlp
+    return z + T.gelu_matmul(T.matmul(h2, params.w_fc1), params.w_fc2)
 
 
 def model_forward(images: np.ndarray, params: VitParams, config: ModelConfig,

@@ -1,8 +1,9 @@
-"""Shared test utilities: finite-difference gradient checking and the
-dense pseudoinverse the oracles compare against."""
+"""Shared test utilities: finite-difference gradient checking, the dense
+pseudoinverse the oracles compare against, and composed attention."""
 
 import numpy as np
 
+from prunemerge import tensor as T
 from prunemerge.compression import pseudoinverse
 
 
@@ -45,3 +46,8 @@ def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray,
         f"{bad.sum()} of {bad.size} gradient entries disagree; "
         f"worst abs err {err.max():.3e}, worst rel "
         f"{(err / np.maximum(denom, 1e-300)).max():.3e}")
+
+
+def composed_attention(q, k, v, scale: float):
+    """The attention ``tensor.attention`` fuses, from its primitive ops."""
+    return T.matmul(T.softmax_rows(T.matmul(q, T.swap_last2(k)), scale), v)

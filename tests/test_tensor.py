@@ -13,7 +13,7 @@ from prunemerge import vit
 from prunemerge.errors import ContractError, NumericError, ShapeMismatchError
 from prunemerge.vit import ModelConfig, VisionTransformer, block_forward
 
-from helpers import assert_grads_close, numeric_grad
+from helpers import assert_grads_close, composed_attention, numeric_grad
 
 
 class TestMatmul:
@@ -114,6 +114,31 @@ class TestSoftmax:
         with pytest.raises(NumericError):
             T.softmax_rows(T.Tensor([np.nan, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_entry_rejected_anywhere(self, bad):
+        # One bad entry in an otherwise finite row, whether or not it is
+        # the row's max, raises the same error as before.
+        for pos in [(0, 0), (1, 2), (1, 4)]:
+            x = np.random.default_rng(1).normal(size=(2, 5))
+            x[pos] = bad
+            with pytest.raises(NumericError,
+                               match="softmax input contains non-finite"):
+                T.softmax_rows(T.Tensor(x))
+
+    def test_matches_former_expression(self):
+        # The finiteness check moved into reductions; the arithmetic did
+        # not, so the output is bit-identical to the former expression.
+        rng = np.random.default_rng(6)
+        for shape, scale in [((3, 7), 1.0), ((2, 3, 5, 9), 0.125),
+                             ((0, 4), 2.0)]:
+            x = rng.normal(scale=5.0, size=shape)
+            want = x - x.max(axis=-1, keepdims=True)
+            want *= scale
+            np.exp(want, out=want)
+            want /= want.sum(axis=-1, keepdims=True)
+            np.testing.assert_array_equal(
+                T.softmax_rows(T.Tensor(x), scale).data, want)
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
         x = T.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
@@ -200,6 +225,28 @@ class TestLayerNorm:
         assert_grads_close(gamma.grad, numeric_grad(loss, gamma.data))
         assert_grads_close(beta.grad, numeric_grad(loss, beta.data))
 
+    def test_in_place_forward_matches_former_expression(self):
+        # The forward as it read before it reused its buffers: results
+        # must be bit-identical, also for strided input.
+        def reference(x, gamma, beta, eps=1e-6):
+            xc = x - x.mean(axis=-1, keepdims=True)
+            var = (xc * xc).mean(axis=-1, keepdims=True)
+            inv = 1.0 / np.sqrt(var + eps)
+            return xc * inv * gamma + beta
+
+        rng = np.random.default_rng(12)
+        for x in [rng.normal(size=(7,)), rng.normal(size=(3, 5, 6)),
+                  rng.normal(scale=4.0, size=(4, 33, 48)) + 2.0,
+                  rng.normal(size=(6, 4, 5)).transpose(1, 0, 2),
+                  rng.normal(size=(4, 6, 5))[:, :1]]:
+            d = x.shape[-1]
+            gamma, beta = rng.normal(size=d), rng.normal(size=d)
+            before = x.copy()
+            got = T.layer_norm(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta))
+            np.testing.assert_array_equal(got.data,
+                                          reference(x, gamma, beta))
+            np.testing.assert_array_equal(x, before)
+
 
 class TestGelu:
     def test_zero(self):
@@ -285,6 +332,180 @@ class TestGelu:
         before = x.data.copy()
         T.backward(T.gelu(x).sum())
         np.testing.assert_array_equal(x.data, before)
+
+
+def _split_heads(base: T.Tensor, heads: int) -> T.Tensor:
+    """(B, N, D) -> (B, H, N, D/H) strided views, as vit's blocks split."""
+    b, n, d = base.shape
+    return T.transpose(T.reshape(base, (b, n, heads, d // heads)),
+                       (0, 2, 1, 3))
+
+
+def _run(op, inputs, w):
+    """Output data and every input's gradient under a weighted-sum loss."""
+    for t in inputs:
+        t.grad = None
+    out = op(*inputs)
+    T.backward((out * T.Tensor(w)).sum())
+    return out.data, [None if t.grad is None else t.grad.copy()
+                      for t in inputs]
+
+
+def _assert_same_run(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    assert len(got[1]) == len(want[1])
+    for g, w in zip(got[1], want[1]):
+        assert (g is None) == (w is None)
+        if g is not None:
+            np.testing.assert_array_equal(g, w)
+
+
+class TestAttention:
+    """The fused op is bit for bit the composed matmul-softmax-matmul."""
+
+    @pytest.mark.parametrize("rows", [None, 1])
+    def test_matches_composed_ops_on_split_views(self, rows):
+        rng = np.random.default_rng(21)
+        b, n, d, heads = 3, 9, 12, 3
+        scale = 1.0 / math.sqrt(d // heads)
+        bases = [T.Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
+                 for _ in range(3)]
+        w = rng.normal(size=(b, heads, rows or n, d // heads))
+
+        def op(attend):
+            def run(qb, kb, vb):
+                if rows is not None:
+                    qb = qb[:, :rows]
+                return attend(_split_heads(qb, heads), _split_heads(kb, heads),
+                              _split_heads(vb, heads), scale)
+            return run
+
+        _assert_same_run(_run(op(T.attention), bases, w),
+                         _run(op(composed_attention), bases, w))
+
+    def test_constant_operands_get_no_gradient(self):
+        rng = np.random.default_rng(22)
+        arrays = [rng.normal(size=(2, 2, 4, 3)), rng.normal(size=(2, 2, 6, 3)),
+                  rng.normal(size=(2, 2, 6, 5))]
+        w = rng.normal(size=(2, 2, 4, 5))
+        learnable = [T.Tensor(a, requires_grad=True) for a in arrays]
+        both = _run(lambda q, k, v: T.attention(q, k, v, 0.5), learnable, w)
+        for frozen in range(3):
+            inputs = [T.Tensor(a, requires_grad=i != frozen)
+                      for i, a in enumerate(arrays)]
+            out = T.attention(*inputs, 0.5)
+            assert out._node.inputs[frozen] is None
+            grads = out._node.grad_fn(w)
+            assert grads[frozen] is None
+            for i, g in enumerate(grads):
+                if i != frozen:
+                    np.testing.assert_array_equal(g, both[1][i])
+        only_v = [T.Tensor(arrays[0]), T.Tensor(arrays[1]),
+                  T.Tensor(arrays[2], requires_grad=True)]
+        grads = T.attention(*only_v, 0.5)._node.grad_fn(w)
+        assert grads[0] is None and grads[1] is None
+        np.testing.assert_array_equal(grads[2], both[1][2])
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(23)
+        q, k, v = (T.Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in [(2, 3, 4), (2, 5, 4), (2, 5, 3)])
+        w = rng.normal(size=(2, 3, 3))
+        scale = 0.6
+        T.backward((T.attention(q, k, v, scale) * T.Tensor(w)).sum())
+
+        def loss():
+            s = scale * (q.data @ np.swapaxes(k.data, -1, -2))
+            e = np.exp(s - s.max(axis=-1, keepdims=True))
+            a = e / e.sum(axis=-1, keepdims=True)
+            return float(((a @ v.data) * w).sum())
+
+        for t in (q, k, v):
+            assert_grads_close(t.grad, numeric_grad(loss, t.data))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_scores_raise(self, bad):
+        rng = np.random.default_rng(24)
+        q = rng.normal(size=(1, 3, 2))
+        q[0, 1, 0] = bad
+        k = rng.uniform(0.5, 1.0, size=(1, 4, 2))   # positive: no inf - inf
+        v = T.Tensor(rng.normal(size=(1, 4, 2)), requires_grad=True)
+        with pytest.raises(NumericError,
+                           match="softmax input contains non-finite"):
+            T.attention(T.Tensor(q), T.Tensor(k), v, 1.0)
+
+    def test_bad_shapes_and_scale_rejected(self):
+        q, k = T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 3)))
+        with pytest.raises(ShapeMismatchError):
+            T.attention(q, k, T.Tensor(np.zeros((5, 2))), 1.0)
+        with pytest.raises(ShapeMismatchError):
+            T.attention(q, T.Tensor(np.zeros((4, 2))),
+                        T.Tensor(np.zeros((4, 2))), 1.0)
+        with pytest.raises(ContractError):
+            T.attention(q, k, T.Tensor(np.zeros((4, 2))), 0.0)
+
+
+class TestGeluMatmul:
+    """The fused op is bit for bit ``matmul(gelu(x), w)``."""
+
+    @pytest.mark.parametrize("x_shape,w_shape", [
+        ((2, 3, 5), (5, 4)),
+        ((2, 70, 300), (300, 8)),          # x spans several chunks
+        ((6, 5), (5, 4)),
+        ((2, 3, 5), (2, 5, 4)),
+    ])
+    def test_matches_composed_ops(self, x_shape, w_shape):
+        rng = np.random.default_rng(31)
+        xd = rng.normal(scale=2.0, size=x_shape)
+        wd = rng.normal(size=w_shape)
+        g = rng.normal(size=np.matmul(xd, wd).shape)
+        for x_grad, w_grad in [(True, True), (True, False), (False, True)]:
+            def inputs():
+                return [T.Tensor(xd, requires_grad=x_grad),
+                        T.Tensor(wd, requires_grad=w_grad)]
+            _assert_same_run(
+                _run(T.gelu_matmul, inputs(), g),
+                _run(lambda x, w: T.matmul(T.gelu(x), w), inputs(), g))
+
+    def test_constant_operands_get_no_gradient(self):
+        rng = np.random.default_rng(32)
+        xd, wd = rng.normal(size=(2, 3, 5)), rng.normal(size=(5, 4))
+        g = rng.normal(size=(2, 3, 4))
+        both = T.gelu_matmul(T.Tensor(xd, requires_grad=True),
+                             T.Tensor(wd, requires_grad=True))._node.grad_fn(g)
+        for frozen in range(2):
+            out = T.gelu_matmul(T.Tensor(xd, requires_grad=frozen != 0),
+                                T.Tensor(wd, requires_grad=frozen != 1))
+            assert out._node.inputs[frozen] is None
+            grads = out._node.grad_fn(g)
+            assert grads[frozen] is None
+            np.testing.assert_array_equal(grads[1 - frozen],
+                                          both[1 - frozen])
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(33)
+        x = T.Tensor(rng.normal(scale=2.0, size=(2, 3, 5)), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        g = rng.normal(size=(2, 3, 4))
+        T.backward((T.gelu_matmul(x, w) * T.Tensor(g)).sum())
+
+        def loss():
+            c = math.sqrt(2.0 / math.pi)
+            u = c * (x.data + 0.044715 * x.data ** 3)
+            h = 0.5 * x.data * (1.0 + np.tanh(u))
+            return float(((h @ w.data) * g).sum())
+
+        assert_grads_close(x.grad, numeric_grad(loss, x.data), rel=1e-6)
+        assert_grads_close(w.grad, numeric_grad(loss, w.data), rel=1e-6)
+
+    def test_input_never_written_and_shapes_checked(self):
+        x = T.Tensor(np.linspace(-4.0, 4.0, 12).reshape(3, 4),
+                     requires_grad=True)
+        before = x.data.copy()
+        T.backward(T.gelu_matmul(x, T.Tensor(np.ones((4, 2)))).sum())
+        np.testing.assert_array_equal(x.data, before)
+        with pytest.raises(ShapeMismatchError):
+            T.gelu_matmul(x, T.Tensor(np.ones((3, 2))))
 
 
 class TestCrossEntropy:

@@ -1,5 +1,7 @@
 """Unit tests for the vision-transformer core."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from prunemerge import vit
 from prunemerge.errors import ContractError
 from prunemerge.tensor import Tensor
 
-from helpers import assert_grads_close, numeric_grad
+from helpers import assert_grads_close, composed_attention, numeric_grad
 
 
 def tiny_config(**kw):
@@ -146,6 +148,90 @@ class TestBlockForward:
                 assert maps.shape == (2, cfg.heads, 5, 5)
                 assert (maps >= 0).all()
                 np.testing.assert_allclose(maps.sum(axis=-1), 1.0, atol=1e-10)
+
+
+def _block_run(p, z, w, **kwargs):
+    """Output and every gradient (input and parameters) of one block under
+    a weighted-sum loss."""
+    for _, t in p.named():
+        t.grad = None
+    zt = Tensor(z, requires_grad=True)
+    out = vit.block_forward(zt, p, heads=2, **kwargs)
+    T.backward((out * Tensor(w)).sum())
+    return out.data, zt.grad, {n: t.grad for n, t in p.named()}
+
+
+class TestFusedBlock:
+    """An untraced block runs the fused attention and GELU-fc2 ops and
+    matches the composed ops bit for bit."""
+
+    def _setup(self, seed):
+        p = vit.init_params(tiny_config(embed_dim=12), seed=seed).blocks[0]
+        rng = np.random.default_rng(seed)
+        for _, t in p.named():
+            t.data += rng.normal(scale=0.3, size=t.shape)
+        return p, rng.normal(size=(3, 6, 12))
+
+    def test_untraced_block_equals_traced_block(self):
+        p, z = self._setup(41)
+        w = np.random.default_rng(41).normal(size=z.shape)
+        fused = _block_run(p, z, w)
+        traced = _block_run(p, z, w, trace=vit.AttentionTrace(0))
+        np.testing.assert_array_equal(fused[0], traced[0])
+        np.testing.assert_array_equal(fused[1], traced[1])
+        for name, g in traced[2].items():
+            np.testing.assert_array_equal(fused[2][name], g, err_msg=name)
+
+    def test_class_row_block_equals_composed_ops(self, monkeypatch):
+        p, z = self._setup(42)
+        w = np.random.default_rng(42).normal(size=(3, 1, 12))
+        fused = _block_run(p, z, w, class_row=True)
+        monkeypatch.setattr(T, "attention", composed_attention)
+        monkeypatch.setattr(T, "gelu_matmul",
+                            lambda x, w: T.matmul(T.gelu(x), w))
+        composed = _block_run(p, z, w, class_row=True)
+        np.testing.assert_array_equal(fused[0], composed[0])
+        np.testing.assert_array_equal(fused[1], composed[1])
+        for name, g in composed[2].items():
+            np.testing.assert_array_equal(fused[2][name], g, err_msg=name)
+
+    def test_only_traced_or_bumped_blocks_record_the_maps(self):
+        p, z = self._setup(43)
+
+        def op_names(**kwargs):
+            out = vit.block_forward(Tensor(z), p, heads=2, **kwargs)
+            return {node.name for node in T.Tape.trace(out).nodes}
+
+        for kwargs in ({}, {"class_row": True}):
+            names = op_names(**kwargs)
+            assert {"attention", "gelu_matmul"} <= names
+            assert not names & {"softmax_rows", "gelu"}
+        for kwargs in ({"trace": vit.AttentionTrace(0)},
+                       {"attn_bump": np.zeros((3, 2, 6, 6))}):
+            names = op_names(**kwargs)
+            assert {"softmax_rows", "gelu_matmul"} <= names
+            assert "attention" not in names
+
+    def test_recorded_block_keeps_neither_maps_nor_gelu_output(self):
+        # numpy reports its buffers to tracemalloc, so the traced memory
+        # still held after the call is what one recorded block keeps,
+        # output included.  Keeping the (B, H, N, N) maps or the
+        # (B, N, mlp_ratio * D) GELU output would break the bound.
+        b, n, d, heads, ratio = 4, 33, 32, 2, 4
+        p = vit.init_params(tiny_config(embed_dim=d, heads=heads,
+                                        mlp_ratio=ratio), seed=0).blocks[0]
+        z = Tensor(np.random.default_rng(0).normal(size=(b, n, d)),
+                   requires_grad=True)
+        vit.block_forward(z, p, heads)   # first-call allocations
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = vit.block_forward(z, p, heads)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out._node is not None
+        assert kept <= (ratio + 10) * b * n * d * 8
 
 
 class TestModelForward:

@@ -18,6 +18,7 @@ reader never guesses widths.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 
@@ -70,6 +71,25 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
         fh.write(body + struct.pack("<I", crc))
 
 
+def _manifest_entry(entry) -> tuple[str, str, tuple[int, ...]]:
+    """One manifest entry as (name, dtype code, shape), checked exactly:
+    JSON floats, booleans and negative sizes are refused, not coerced."""
+    if not (isinstance(entry, dict)
+            and set(entry) == {"name", "dtype", "shape"}):
+        raise CheckpointError(f"malformed manifest entry {entry!r:.80}")
+    name, code, shape = entry["name"], entry["dtype"], entry["shape"]
+    if not isinstance(name, str) or not name:
+        raise CheckpointError(
+            f"array name must be a nonempty string, got {name!r:.80}")
+    if not isinstance(code, str) or code not in DTYPE_CODES:
+        raise CheckpointError(f"unknown dtype code {code!r:.80}")
+    if not (isinstance(shape, list)
+            and all(type(s) is int and s >= 0 for s in shape)):
+        raise CheckpointError(f"array {name!r}: shape must be a list of "
+                              f"nonnegative integers, got {shape!r:.80}")
+    return name, code, tuple(shape)
+
+
 def load_arrays(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -92,31 +112,29 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         raise CheckpointError("manifest extends past end of file")
     try:
         manifest = json.loads(blob[12:12 + manifest_len].decode("utf-8"))
-        entries = manifest["arrays"]
-    except (ValueError, KeyError, UnicodeDecodeError) as e:
+    except (ValueError, RecursionError) as e:
         raise CheckpointError(f"malformed manifest: {e}") from None
+    if not (isinstance(manifest, dict) and set(manifest) == {"arrays"}
+            and isinstance(manifest["arrays"], list)):
+        raise CheckpointError(
+            'malformed manifest: expected {"arrays": [...]} at top level')
 
     arrays: dict[str, np.ndarray] = {}
     offset = 12 + manifest_len
-    for entry in entries:
-        try:
-            name, code = entry["name"], entry["dtype"]
-            shape = tuple(int(s) for s in entry["shape"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise CheckpointError(f"malformed manifest entry: {e}") from None
-        if code not in DTYPE_CODES:
-            raise CheckpointError(f"unknown dtype code {code!r}")
+    for entry in manifest["arrays"]:
+        name, code, shape = _manifest_entry(entry)
         if name in arrays:
             raise CheckpointError(f"duplicate array name {name!r}")
         dtype = DTYPE_CODES[code]
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * dtype.itemsize
-        end = offset + nbytes
+        end = offset + math.prod(shape) * dtype.itemsize
         if end > len(blob) - 4:
             raise CheckpointError(
                 f"array {name!r} extends past end of payload")
-        arrays[name] = np.frombuffer(blob[offset:end],
-                                     dtype=dtype).reshape(shape).copy()
+        try:
+            array = np.frombuffer(blob[offset:end], dtype=dtype).reshape(shape)
+        except ValueError as e:
+            raise CheckpointError(f"array {name!r}: {e}") from None
+        arrays[name] = array.copy()
         offset = end
     if offset != len(blob) - 4:
         raise CheckpointError(
@@ -140,13 +158,24 @@ def _config_arrays(config: ModelConfig) -> dict[str, np.ndarray]:
             for name in _CONFIG_FIELDS}
 
 
-def _config_from(arrays: dict[str, np.ndarray]) -> ModelConfig:
+def _int_scalar(arrays: dict[str, np.ndarray], name: str) -> int:
     try:
-        kwargs = {name: int(arrays[f"config.{name}"])
-                  for name in _CONFIG_FIELDS}
-    except KeyError as e:
-        raise CheckpointError(f"checkpoint missing {e}") from None
-    return ModelConfig(**kwargs)
+        value = arrays[name]
+    except KeyError:
+        raise CheckpointError(f"checkpoint missing {name!r}") from None
+    if value.shape != () or value.dtype.kind not in "iu":
+        raise CheckpointError(f"{name} must be an integer scalar, got "
+                              f"{value.dtype} {value.shape}")
+    return int(value)
+
+
+def _config_from(arrays: dict[str, np.ndarray]) -> ModelConfig:
+    kwargs = {name: _int_scalar(arrays, f"config.{name}")
+              for name in _CONFIG_FIELDS}
+    try:
+        return ModelConfig(**kwargs)
+    except ContractError as e:
+        raise CheckpointError(f"checkpoint config: {e}") from None
 
 
 def save_model(path, model, extra: dict[str, np.ndarray] | None = None) -> None:
@@ -178,14 +207,15 @@ def save_model(path, model, extra: dict[str, np.ndarray] | None = None) -> None:
 def load_model(path):
     """Inverse of save_model; returns the model and any extra arrays."""
     arrays = load_arrays(path)
-    try:
-        kind = int(arrays.pop("kind"))
-    except KeyError:
-        raise CheckpointError("checkpoint has no 'kind' marker") from None
+    kind = _int_scalar(arrays, "kind")
+    del arrays["kind"]
     config = _config_from(arrays)
     params = {name[len("param."):]: value
               for name, value in arrays.items() if name.startswith("param.")}
-    base = VisionTransformer(config, params_from_named(config, params))
+    try:
+        base = VisionTransformer(config, params_from_named(config, params))
+    except ContractError as e:
+        raise CheckpointError(f"checkpoint parameters: {e}") from None
     extra = {name: value for name, value in arrays.items()
              if not name.startswith(("param.", "config.", "plan."))}
 

@@ -132,7 +132,8 @@ def cmd_compress(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = _config_from_args(args)
     base = _load_base_model(args.ckpt)
-    teacher = _load_base_model(args.teacher or args.ckpt).frozen_copy()
+    teacher = (_load_base_model(args.teacher) if args.teacher
+               else base).frozen_copy()
     plan = checkpoint.load_plan(args.plan)
     model = compress_model(base, plan, learnable_matrices=True)
     epochs = args.epochs if args.epochs is not None else cfg["epochs"]

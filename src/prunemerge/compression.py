@@ -13,12 +13,15 @@ gather.  Dense M and R are derived views.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvecs
 
 from . import tensor as T
 from .errors import ContractError, ShapeMismatchError, SingularMatrixError
@@ -28,6 +31,37 @@ from .vit import (AttentionTrace, BlockParams, VisionTransformer,
                   block_forward, clone_params, patchify)
 
 RANK_TOL = 1e-10
+
+
+def _load_sparsetools():
+    """scipy's compiled ``scipy.sparse._sparsetools``, loaded from its file
+    under its own name without running ``scipy/sparse/__init__.py``.
+
+    Importing the package costs every process 0.2-0.35 s and about 22 MB
+    of RSS to reach this one kernel; loading the extension alone takes
+    under 1 ms (measured after ``import numpy``, one core).  A later
+    ``import scipy.sparse`` reuses the module registered here, as this
+    function reuses one already imported.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")  # finds, does not import
+    spec = None
+    if scipy is not None and scipy.submodule_search_locations:
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(p, "sparse")
+                   for p in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError(f"cannot find the compiled module {name}",
+                          name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+csr_matvecs = _load_sparsetools().csr_matvecs
 
 
 class Segments:

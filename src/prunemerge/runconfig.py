@@ -122,7 +122,13 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> dict:
     schema defaults for everything still absent."""
     values: dict[str, object] = {}
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        blob = Path(path).read_bytes()
+        try:
+            text = blob.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = blob.count(b"\n", 0, e.start) + 1
+            raise ConfigError(
+                f"{path}:{line}: not UTF-8 text ({e.reason})") from None
         values.update(parse_config_text(text, source=str(path)))
     for key, raw in (overrides or {}).items():
         if key not in SCHEMA:

@@ -273,16 +273,41 @@ def export_scores_csv(path: str | Path, per_layer: list[np.ndarray]) -> None:
 
 
 def load_scores_csv(path: str | Path) -> list[np.ndarray]:
+    """Inverse of export_scores_csv.  A malformed row raises ContractError
+    naming the path and the line."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise ContractError(
+            f"{path}:{line}: not UTF-8 text ({e.reason})") from None
+    reader = csv.reader(text.splitlines())
     rows: dict[int, dict[int, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["layer", "token_index", "score"]:
-            raise ContractError(
-                f"{path}: expected header layer,token_index,score, "
-                f"got {reader.fieldnames}")
-        for row in reader:
-            rows.setdefault(int(row["layer"]), {})[int(row["token_index"])] = \
-                float(row["score"])
+    try:
+        header = next(reader, None)
+        if header != ["layer", "token_index", "score"]:
+            raise ContractError(f"{path}: expected header "
+                                f"layer,token_index,score, got {header}")
+        for fields in reader:
+            where = f"{path}:{reader.line_num}"
+            if not fields:
+                continue
+            if len(fields) != 3:
+                raise ContractError(f"{where}: expected 3 fields "
+                                    f"layer,token_index,score, got {fields}")
+            try:
+                layer, idx = int(fields[0]), int(fields[1])
+                score = float(fields[2])
+            except ValueError as e:
+                raise ContractError(f"{where}: {e}") from None
+            entries = rows.setdefault(layer, {})
+            if idx in entries:
+                raise ContractError(
+                    f"{where}: layer {layer} token {idx} appears twice")
+            entries[idx] = score
+    except csv.Error as e:
+        raise ContractError(f"{path}:{reader.line_num}: {e}") from None
     if not rows:
         raise ContractError(f"{path}: no score rows")
     layers = sorted(rows)

@@ -37,6 +37,12 @@ class ModelConfig:
     num_classes: int = 10
 
     def __post_init__(self):
+        for name in ("image_size", "patch_size", "channels", "embed_dim",
+                     "heads", "mlp_ratio", "num_classes"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be positive")
+        if self.depth < 0:
+            raise ContractError("depth must be nonnegative")
         if self.image_size % self.patch_size != 0:
             raise ContractError(
                 f"image_size {self.image_size} not divisible by "
@@ -44,12 +50,6 @@ class ModelConfig:
         if self.embed_dim % self.heads != 0:
             raise ContractError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-        for name in ("image_size", "patch_size", "channels", "embed_dim",
-                     "heads", "mlp_ratio", "num_classes"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be positive")
-        if self.depth < 0:
-            raise ContractError("depth must be nonnegative")
 
     @property
     def grid_size(self) -> int:
@@ -195,6 +195,21 @@ def init_params(config: ModelConfig, seed: int = 0) -> VitParams:
         head_w=w((d, config.num_classes)),
         head_b=zeros(config.num_classes),
     )
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter ``init_params`` makes, by its
+    ``named_parameters`` name."""
+    d, h = config.embed_dim, config.mlp_ratio * config.embed_dim
+    block = {"w_q": (d, d), "w_k": (d, d), "w_v": (d, d), "w_o": (d, d),
+             "w_fc1": (d, h), "w_fc2": (h, d), "ln1_g": (d,), "ln1_b": (d,),
+             "ln2_g": (d,), "ln2_b": (d,)}
+    return {"embed.w": (config.patch_dim, d), "embed.b": (d,),
+            "embed.cls": (1, d), "embed.pos": (config.num_tokens, d),
+            **{f"block{i}.{name}": shape for i in range(config.depth)
+               for name, shape in block.items()},
+            "ln_f.g": (d,), "ln_f.b": (d,),
+            "head.w": (d, config.num_classes), "head.b": (config.num_classes,)}
 
 
 def extract_patches(images: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -363,15 +378,26 @@ def clone_params(params: VitParams, requires_grad: bool = True) -> VitParams:
 def params_from_named(config: ModelConfig, arrays: dict[str, np.ndarray],
                       requires_grad: bool = True) -> VitParams:
     """Rebuild a parameter tree from the dict produced by
-    ``dict(params.named_parameters())`` (values may be raw arrays)."""
+    ``dict(params.named_parameters())`` (values may be raw arrays).
+
+    Every parameter of ``config`` must be there as float64 of the shape
+    ``param_shapes`` gives it, and nothing else may be."""
+    shapes = param_shapes(config)
+    stray = sorted(set(arrays) - set(shapes))
+    if stray:
+        raise ContractError(f"{stray[0]!r} is no parameter of this config")
+
     def take(name: str) -> Tensor:
         try:
             value = arrays[name]
         except KeyError:
             raise ContractError(f"missing parameter {name!r}") from None
-        data = value.data if isinstance(value, Tensor) else value
-        return Tensor(np.asarray(data, dtype=np.float64).copy(),
-                      requires_grad=requires_grad)
+        data = np.asarray(value.data if isinstance(value, Tensor) else value)
+        if data.dtype != np.float64 or data.shape != shapes[name]:
+            raise ContractError(
+                f"parameter {name!r}: expected float64 {shapes[name]}, "
+                f"got {data.dtype} {data.shape}")
+        return Tensor(data.copy(), requires_grad=requires_grad)
 
     return VitParams(
         embed=PatchEmbedParams(w=take("embed.w"), b=take("embed.b"),

@@ -1,3 +1,4 @@
+import json
 import struct
 import zlib
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from prunemerge.checkpoint import (MAGIC, load_arrays, load_model, load_plan,
                                    save_arrays, save_model, save_plan)
+from prunemerge.cli import main
 from prunemerge.compression import compress_model, global_plan
 from prunemerge.errors import (CheckpointError, ContractError,
                                UnsupportedVersionError)
@@ -273,3 +275,208 @@ class TestPlanDecoderFuzz:
         save_arrays(path, arrays)
         with pytest.raises((ContractError, CheckpointError)):
             load_plan(path)
+
+
+def _container(manifest, payload: bytes) -> bytes:
+    """PMVT bytes around a manifest (JSON-able value or raw bytes) and a
+    payload, with lengths and CRC made consistent."""
+    if not isinstance(manifest, bytes):
+        manifest = json.dumps(manifest).encode("utf-8")
+    body = MAGIC + struct.pack("<II", 1, len(manifest)) + manifest + payload
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _split(blob: bytes):
+    """(manifest, payload) of a well-formed container."""
+    manifest_len = struct.unpack("<I", blob[8:12])[0]
+    return (json.loads(blob[12:12 + manifest_len]),
+            blob[12 + manifest_len:-4])
+
+
+def _one_array_manifest(name="x", shape=(1, 4)):
+    return {"arrays": [{"name": name, "dtype": "i8", "shape": list(shape)}]}
+
+
+FOUR_I8 = np.arange(4, dtype="<i8").tobytes()
+ESCAPED_BEFORE = {
+    "negative-dims": _one_array_manifest(shape=(-2, -2)),
+    "wrapping-dims": _one_array_manifest(shape=(2 ** 40, 2 ** 40)),
+    "manifest-list": [_one_array_manifest()],
+    "integer-name": _one_array_manifest(name=3),
+    "fractional-dim": _one_array_manifest(shape=(1.5, 4)),
+}
+
+
+class TestContainerStrictness:
+    """Manifests that once escaped as ValueError, TypeError or
+    AttributeError, or loaded with a coerced shape."""
+
+    @pytest.mark.parametrize("manifest", ESCAPED_BEFORE.values(),
+                             ids=ESCAPED_BEFORE.keys())
+    def test_refused_with_checkpoint_error(self, tmp_path, manifest):
+        path = tmp_path / "x.pmvt"
+        path.write_bytes(_container(manifest, FOUR_I8))
+        with pytest.raises(CheckpointError):
+            load_arrays(path)
+
+    def test_unmutated_manifest_loads(self, tmp_path):
+        path = tmp_path / "x.pmvt"
+        path.write_bytes(_container(_one_array_manifest(), FOUR_I8))
+        assert load_arrays(path)["x"].shape == (1, 4)
+
+    @pytest.mark.parametrize("name,value", [
+        ("kind", np.array([0], dtype=np.uint8)),
+        ("config.depth", np.array(2.0)),
+        ("param.head.b", np.zeros((1, 4))),
+        ("param.head.b", np.zeros(4, dtype=np.int64)),
+        ("param.block2.w_q", np.zeros((8, 8))),
+        ("config.patch_size", np.array(0, dtype=np.int64)),
+    ], ids=["kind-1d", "float-config", "param-shape", "param-dtype",
+            "stray-param", "zero-patch"])
+    def test_model_arrays_are_checked(self, tmp_path, name, value):
+        path = tmp_path / "m.pmvt"
+        save_model(path, small_model())
+        arrays = load_arrays(path)
+        arrays[name] = value
+        save_arrays(path, arrays)
+        with pytest.raises(CheckpointError, match=name.split(".")[-1]):
+            load_model(path)
+
+
+@pytest.fixture(scope="module")
+def base_blob(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("fuzz") / "base.pmvt"
+    save_model(path, small_model())
+    return path.read_bytes()
+
+
+WHITESPACE = b" \t\n\r"
+ODD_VALUES = st.one_of(
+    st.integers(-2 ** 70, -1), st.integers(2 ** 40, 2 ** 70),
+    st.floats(allow_nan=False), st.booleans(), st.none(), st.text(max_size=4),
+    st.lists(st.integers(0, 4), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 4), max_size=1))
+
+
+@st.composite
+def one_container_mutation(draw, blob):
+    """The bytes of a saved base checkpoint with exactly one thing
+    changed.  Payload bytes change only with the stored CRC left stale:
+    with the CRC rewritten they are just other weights.  For the same
+    reason no mutation swaps two same-shaped entries or turns manifest
+    whitespace into other whitespace."""
+    kind = draw(st.sampled_from(["byte", "resize", "header", "json",
+                                 "entry", "manifest"]))
+    manifest, payload = _split(blob)
+    if kind == "byte":
+        at = draw(st.integers(0, len(blob) - 1))
+        out = bytearray(blob)
+        out[at] ^= draw(st.integers(1, 255))
+        return bytes(out)
+    if kind == "resize":
+        body = blob[:-4]
+        k = draw(st.integers(-len(body), 16).filter(bool))
+        body = body[:k] if k < 0 else body + bytes(range(k))
+        if draw(st.booleans()):
+            return body + struct.pack("<I", zlib.crc32(body))
+        return body + blob[-4:]
+    if kind == "header":
+        at = draw(st.sampled_from([0, 4, 8]))
+        old = blob[at:at + 4]
+        new = draw(st.binary(min_size=4, max_size=4).filter(
+            lambda b: b != old))
+        body = blob[:at] + new + blob[at + 4:-4]
+        return body + struct.pack("<I", zlib.crc32(body))
+    raw = json.dumps(manifest).encode("utf-8")
+    if kind == "json":
+        # any one byte of the manifest text, lengths and CRC kept honest
+        at = draw(st.integers(0, len(raw) - 1))
+        new = draw(st.integers(0, 255).filter(
+            lambda b: b != raw[at]
+            and not (b in WHITESPACE and raw[at] in WHITESPACE)))
+        return _container(raw[:at] + bytes([new]) + raw[at + 1:], payload)
+    entries = manifest["arrays"]
+    i = draw(st.integers(0, len(entries) - 1))
+    if kind == "entry":
+        entry = entries[i]
+        field = draw(st.sampled_from(["name", "dtype", "shape", "key"]))
+        if field == "name":
+            entry["name"] = draw(st.one_of(
+                ODD_VALUES, st.just(""),
+                st.sampled_from([e["name"] for e in entries]),
+                st.text(min_size=1)).filter(lambda v: v != entry["name"]))
+        elif field == "dtype":
+            entry["dtype"] = draw(st.one_of(
+                ODD_VALUES, st.sampled_from(["f8", "i8", "u1", "f4"])).filter(
+                lambda v: v != entry["dtype"]))
+        elif field == "key":
+            key = draw(st.sampled_from(["name", "dtype", "shape", "extra"]))
+            if key == "extra":
+                entry["extra"] = 0
+            else:
+                del entry[key]
+        else:
+            shape = entry["shape"]
+            how = draw(st.sampled_from(["dim", "append", "whole"]))
+            if how == "dim" and shape:
+                j = draw(st.integers(0, len(shape) - 1))
+                shape[j] = draw(st.one_of(ODD_VALUES, st.integers(0, 64))
+                                .filter(lambda v: v != shape[j]))
+            elif how in ("dim", "append"):
+                shape.insert(draw(st.integers(0, len(shape))),
+                             draw(st.one_of(ODD_VALUES, st.integers(0, 3))))
+            else:
+                entry["shape"] = draw(ODD_VALUES.filter(
+                    lambda v: not isinstance(v, list)))
+        return _container(manifest, payload)
+    how = draw(st.sampled_from(["drop", "repeat", "wrap", "arrays",
+                                "top-key"]))
+    if how == "drop":
+        del entries[i]
+    elif how == "repeat":
+        entries.insert(i, dict(entries[i]))
+    elif how == "wrap":
+        manifest = [manifest]
+    elif how == "arrays":
+        manifest["arrays"] = draw(ODD_VALUES.filter(
+            lambda v: not isinstance(v, list)))
+    else:
+        manifest["version"] = 1
+    return _container(manifest, payload)
+
+
+class TestContainerDecoderFuzz:
+    """Every single mutation of a saved base checkpoint is refused on
+    load with CheckpointError (or its UnsupportedVersionError), and
+    through the CLI with the one-line error exit."""
+
+    def test_unmutated_checkpoint_loads(self, tmp_path, base_blob):
+        path = tmp_path / "m.pmvt"
+        path.write_bytes(base_blob)
+        assert isinstance(load_model(path)[0], VisionTransformer)
+        assert _container(*_split(base_blob)) == base_blob
+
+    @settings(max_examples=400, deadline=None, database=None,
+              derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_mutation_is_refused(self, tmp_path, base_blob, data):
+        path = tmp_path / "m.pmvt"
+        path.write_bytes(data.draw(one_container_mutation(base_blob)))
+        with pytest.raises(CheckpointError):
+            load_model(path)
+
+    @settings(max_examples=40, deadline=None, database=None,
+              derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_cli_reports_one_error_line(self, tmp_path, capsys, base_blob,
+                                        data):
+        path = tmp_path / "m.pmvt"
+        path.write_bytes(data.draw(one_container_mutation(base_blob)))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(("error: CheckpointError: ",
+                               "error: UnsupportedVersionError: "))
+        assert err.count("\n") == 1 and "Traceback" not in err

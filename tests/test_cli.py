@@ -188,6 +188,31 @@ def test_finetune_writes_checkpoint_and_metrics(workdir, cfg, base_ckpt,
     assert len(rows) == 1 + 4           # 64 examples / batch 16, 1 epoch
 
 
+def test_finetune_reads_its_checkpoint_once(workdir, cfg, base_ckpt,
+                                            plan_file, monkeypatch, capsys):
+    loads = []
+    load_model = checkpoint.load_model
+
+    def counting(path):
+        loads.append(str(path))
+        return load_model(path)
+
+    monkeypatch.setattr(checkpoint, "load_model", counting)
+    outputs = {}
+    for teacher in ([], ["--teacher", base_ckpt]):
+        loads.clear()
+        out, metrics = workdir / "once.pmvt", workdir / "once.csv"
+        assert main(["finetune", "--config", cfg, "--ckpt", base_ckpt,
+                     "--plan", plan_file, "--out", str(out),
+                     "--metrics", str(metrics), "--epochs", "1"]
+                    + teacher) == 0
+        assert loads == [base_ckpt] * (2 if teacher else 1)
+        outputs[bool(teacher)] = (out.read_bytes(), metrics.read_bytes())
+    capsys.readouterr()
+    # the teacher copied from the loaded base is the teacher read again
+    assert outputs[False] == outputs[True]
+
+
 def test_eval_train_split(workdir, cfg, base_ckpt, capsys):
     line = _eval_line(capsys, ["eval", "--config", cfg, "--ckpt", base_ckpt,
                                "--split", "train"])
@@ -273,6 +298,49 @@ def test_plan_with_gap_is_one_line_error(workdir, cfg, base_ckpt, plan_file,
     err = capsys.readouterr().err
     assert err.startswith("error: ContractError: plan layer 0:")
     assert err.count("\n") == 1
+
+
+SCORE_ROW_DEFECTS = {
+    "non-numeric-score": b"0,1,abc",
+    "short-row": b"0,1",
+    "long-row": b"0,1,0.5,9",
+    "non-integer-index": b"0,x,0.5",
+    "repeated-token": b"0,0,0.5",
+    "invalid-utf8": b"0,1,0.5\xff",
+    "oversized-field": b"0,1," + b"9" * 200_000,
+}
+
+
+@pytest.mark.parametrize("row", SCORE_ROW_DEFECTS.values(),
+                         ids=SCORE_ROW_DEFECTS.keys())
+def test_malformed_scores_row_is_one_line_error(workdir, cfg, base_ckpt,
+                                               scores_csv, capsys, row):
+    lines = open(scores_csv, "rb").read().splitlines()
+    lines[2] = row                      # line 3: layer 0, token 1
+    bad = workdir / "bad_scores.csv"
+    bad.write_bytes(b"\n".join(lines) + b"\n")
+    assert main(["compress", "--config", cfg, "--ckpt", base_ckpt,
+                 "--scores", str(bad), "--out",
+                 str(workdir / "never.pmvt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ContractError: {bad}:3: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (workdir / "never.pmvt").exists()
+
+
+def test_config_with_invalid_utf8_is_one_line_error(workdir, capsys):
+    bad = workdir / "latin1.cfg"
+    bad.write_bytes("epochs=2\n# caf\u00e9\n".encode("latin-1"))
+    assert main(["flops", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigError: {bad}:2: not UTF-8")
+    assert err.count("\n") == 1
+
+
+def test_zero_patch_size_is_one_line_error(capsys):
+    assert main(["flops", "--set", "patch_size=0"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: ContractError: patch_size must be positive\n"
 
 
 def test_unknown_flag_exits_nonzero():

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import prunemerge
 from prunemerge import tensor as T
 from prunemerge.compression import (CompressionPlan, MergeMatrix,
                                     Segments, compress_model, generate_merge_matrix,
@@ -840,3 +845,66 @@ class TestClassRowPath:
         comp.forward(rng.uniform(0, 1, size=(2, 1, 8, 8)), traces=traces)
         kept = plan.entries[1].kept
         assert traces[-1].maps.shape == (2, comp.config.heads, kept, kept)
+
+
+class TestSparsetoolsLoader:
+    """The merge kernel comes from scipy's compiled extension alone; the
+    scipy.sparse package is neither needed nor disturbed."""
+
+    @staticmethod
+    def run(code: str) -> str:
+        package_root = os.path.dirname(os.path.dirname(
+            os.path.abspath(prunemerge.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        return proc.stdout
+
+    def test_cli_import_loads_only_the_extension(self):
+        out = self.run(
+            "import sys, prunemerge.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))")
+        assert out.split() == ["['scipy.sparse._sparsetools']"]
+
+    def test_kernel_matches_the_package_import(self):
+        # one seeded random CSR product, computed once with each import
+        product = (
+            "import numpy as np\n"
+            "rng = np.random.default_rng(5)\n"
+            "dense = rng.standard_normal((13, 17))\n"
+            "dense[rng.uniform(size=dense.shape) < 0.6] = 0.0\n"
+            "rows, cols = np.nonzero(dense)\n"
+            "indptr = np.searchsorted(rows, np.arange(14)).astype(np.int32)\n"
+            "x = rng.standard_normal((17, 6))\n"
+            "out = np.zeros((13, 6))\n"
+            "csr_matvecs(13, 17, 6, indptr, cols.astype(np.int32),\n"
+            "            dense[rows, cols], x, out)\n"
+            "assert np.allclose(out, dense @ x)\n"
+            "print(out.tobytes().hex())\n")
+        loaded = self.run("from prunemerge.compression import csr_matvecs\n"
+                          + product)
+        package = self.run("from scipy.sparse._sparsetools import "
+                           "csr_matvecs\n" + product)
+        a, b = (np.frombuffer(bytes.fromhex(s.strip())) for s in
+                (loaded, package))
+        assert a.size == 13 * 6
+        assert np.array_equal(a, b)
+
+    def test_later_package_import_still_works(self):
+        out = self.run(
+            "import sys\n"
+            "import numpy as np\n"
+            "from prunemerge.compression import csr_matvecs\n"
+            "import scipy.sparse\n"
+            "rng = np.random.default_rng(6)\n"
+            "a = scipy.sparse.random(20, 30, density=0.2, format='csr',\n"
+            "                        random_state=7)\n"
+            "x = rng.standard_normal((30, 4))\n"
+            "np.testing.assert_allclose(a @ x, a.toarray() @ x, rtol=1e-12)\n"
+            "np.testing.assert_allclose(a.tocsc() @ x, a.toarray() @ x,\n"
+            "                           rtol=1e-12)\n"
+            "module = sys.modules['scipy.sparse._sparsetools']\n"
+            "print(module.csr_matvecs is csr_matvecs)")
+        assert out.split() == ["True"]

@@ -1,6 +1,8 @@
 """Config parsing: strict schema, file/override layering, derived values."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from prunemerge.errors import ConfigError
 from prunemerge.runconfig import (SCHEMA, load_config, model_config_from,
@@ -121,3 +123,23 @@ def test_freeze_epoch_two_thirds_default():
 
 def test_freeze_epoch_explicit_passthrough():
     assert resolve_freeze_epoch({"freeze_epoch": 3, "epochs": 60}) == 3
+
+
+CONFIG_BLOB = (b"# run\nrate=0.5\nepochs=3\nscorer=attn_only_avg\n"
+               b"exempt_layers=0,2\ndataset=synthetic\n")
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(at=st.integers(0, len(CONFIG_BLOB) - 1), byte=st.integers(0, 255),
+       how=st.sampled_from(["replace", "insert", "delete"]))
+def test_any_one_byte_edit_loads_or_is_a_config_error(tmp_path, at, byte,
+                                                      how):
+    blob = CONFIG_BLOB[:at] + (b"" if how == "delete" else bytes([byte])) \
+        + CONFIG_BLOB[at + (how != "insert"):]
+    path = tmp_path / "run.cfg"
+    path.write_bytes(blob)
+    try:
+        load_config(path)
+    except ConfigError as e:
+        assert str(e).startswith(str(path)) and "\n" not in str(e)

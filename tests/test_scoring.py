@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from prunemerge import scoring
 from prunemerge import tensor as T
@@ -239,3 +241,43 @@ class TestCollectScores:
         p.write_text("layer,token,score\n0,0,1.0\n")
         with pytest.raises(ContractError):
             scoring.load_scores_csv(p)
+
+
+@st.composite
+def one_csv_mutation(draw, blob: bytes) -> bytes:
+    """``blob`` with one byte replaced, inserted or deleted."""
+    at = draw(st.integers(0, len(blob) - 1))
+    how = draw(st.sampled_from(["replace", "insert", "delete"]))
+    if how == "delete":
+        return blob[:at] + blob[at + 1:]
+    new = bytes([draw(st.integers(0, 255))])
+    return blob[:at] + new + blob[at + (how == "replace"):]
+
+
+SCORES_BLOB = (b"layer,token_index,score\n0,0,0.25\n0,1,1.5e-3\n"
+               b"1,0,0.75\n1,1,2.0\n")
+
+
+class TestScoresCsvFuzz:
+    """A scores CSV with one byte changed either loads or is refused with
+    ContractError naming the file; nothing else escapes."""
+
+    def test_unmutated_csv_loads(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(SCORES_BLOB)
+        loaded = scoring.load_scores_csv(path)
+        np.testing.assert_array_equal(loaded[1], [0.75, 2.0])
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=one_csv_mutation(SCORES_BLOB))
+    def test_any_mutation_loads_or_is_refused(self, tmp_path, blob):
+        path = tmp_path / "s.csv"
+        path.write_bytes(blob)
+        try:
+            loaded = scoring.load_scores_csv(path)
+        except ContractError as e:
+            assert str(e).startswith(str(path)) and "\n" not in str(e)
+        else:
+            assert all(s.dtype == np.float64 for s in loaded)

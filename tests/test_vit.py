@@ -49,6 +49,19 @@ class TestInit:
             assert na == nb
             np.testing.assert_array_equal(ta.data, tb.data)
 
+    @pytest.mark.parametrize("config", [
+        tiny_config(), tiny_config(depth=0),
+        tiny_config(image_size=12, channels=3, mlp_ratio=2, num_classes=5)])
+    def test_param_shapes_match_init(self, config):
+        made = {name: t.shape for name, t in
+                vit.init_params(config, seed=0).named_parameters()}
+        assert list(vit.param_shapes(config).items()) == list(made.items())
+
+    @pytest.mark.parametrize("field", ["patch_size", "heads"])
+    def test_zero_divisor_is_a_contract_error(self, field):
+        with pytest.raises(ContractError, match=f"{field} must be positive"):
+            tiny_config(**{field: 0})
+
     def test_truncation_and_zero_biases(self):
         p = vit.init_params(tiny_config(), seed=0)
         assert np.abs(p.embed.w.data).max() <= 2 * vit.INIT_STD

@@ -103,7 +103,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
             f"container version {version} not supported (reader handles "
             f"{VERSION})")
     stored_crc = struct.unpack("<I", blob[-4:])[0]
-    actual_crc = zlib.crc32(blob[:-4]) & 0xFFFFFFFF
+    actual_crc = zlib.crc32(memoryview(blob)[:-4]) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise CheckpointError(
             f"CRC mismatch: stored {stored_crc:#010x}, "
@@ -126,15 +126,16 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         if name in arrays:
             raise CheckpointError(f"duplicate array name {name!r}")
         dtype = DTYPE_CODES[code]
-        end = offset + math.prod(shape) * dtype.itemsize
+        count = math.prod(shape)
+        end = offset + count * dtype.itemsize
         if end > len(blob) - 4:
             raise CheckpointError(
                 f"array {name!r} extends past end of payload")
         try:
-            array = np.frombuffer(blob[offset:end], dtype=dtype).reshape(shape)
+            array = np.frombuffer(blob, dtype, count, offset).reshape(shape)
         except ValueError as e:
             raise CheckpointError(f"array {name!r}: {e}") from None
-        arrays[name] = array.copy()
+        arrays[name] = array.copy()   # owned, aligned and writeable
         offset = end
     if offset != len(blob) - 4:
         raise CheckpointError(

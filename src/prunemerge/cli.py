@@ -20,8 +20,8 @@ from .errors import CheckpointError, ConfigError, ContractError, NumericError
 from .finetune import (DistillConfig, evaluate_accuracy, finetune,
                        metrics_to_csv, train_baseline)
 from .flops import benchmark_json, micro_benchmark, model_flops
-from .runconfig import (load_config, model_config_from, resolve_exempt,
-                        resolve_freeze_epoch)
+from .runconfig import (int_list, load_config, model_config_from,
+                        resolve_exempt, resolve_freeze_epoch)
 from .scoring import ScorerVariant, collect_scores, export_scores_csv, \
     load_scores_csv
 from .visualize import visualize_merge_map
@@ -237,7 +237,7 @@ def cmd_visualize(args) -> int:
         if not layers:
             raise ContractError("plan compresses no layers; nothing to draw")
     else:
-        layers = [int(part.strip()) for part in args.layers.split(",")]
+        layers = int_list(args.layers)
     for layer in layers:
         for path in visualize_merge_map(image, plan, layer, config,
                                         args.out_dir):

@@ -21,6 +21,11 @@ def _int(raw: str) -> int:
         raise ConfigError(f"expected an integer, got {raw!r}") from None
 
 
+def int_list(raw: str) -> list[int]:
+    """Comma-separated integers, each read by ``_int``."""
+    return [_int(part.strip()) for part in raw.split(",")]
+
+
 def _float(raw: str) -> float:
     try:
         return float(raw)
@@ -47,10 +52,8 @@ def _scorer(raw: str) -> str:
 
 
 def _exempt(raw: str) -> str:
-    if raw in ("auto", "none"):
-        return raw
-    for part in raw.split(","):
-        _int(part.strip())
+    if raw not in ("auto", "none"):
+        int_list(raw)
     return raw
 
 
@@ -163,7 +166,7 @@ def resolve_exempt(value: str, depth: int) -> tuple[int, ...]:
             if len(layers) < depth:
                 return tuple(layers)
         return ()
-    layers = tuple(sorted({int(p.strip()) for p in value.split(",")}))
+    layers = tuple(sorted(set(int_list(value))))
     for layer in layers:
         if not 0 <= layer < depth:
             raise ConfigError(

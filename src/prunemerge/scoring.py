@@ -129,25 +129,30 @@ def score_grad_class_attention(maps: np.ndarray, grads: np.ndarray) -> np.ndarra
 def scores_from_trace(trace: AttentionTrace, variant: ScorerVariant,
                       rng: np.random.Generator | None = None) -> np.ndarray:
     """Dispatch one layer's trace to the selected scoring rule."""
-    if variant is ScorerVariant.RANDOM:
-        if rng is None:
-            raise ContractError("random scorer needs a generator")
-        n = trace.maps.shape[-1]
-        return rng.uniform(size=n)
     if variant is ScorerVariant.TAYLOR_TOKEN:
         if trace.tokens is None or trace.tokens.grad is None:
             raise ContractError("taylor_token scoring needs traced token "
                                 "activations with gradients")
         return score_taylor_token(trace.tokens.data, trace.tokens.grad)
+    if variant is ScorerVariant.RANDOM and rng is None:
+        raise ContractError("random scorer needs a generator")
+    maps, grads = trace.maps, trace.grads
+    if maps is None:
+        raise ContractError("trace has no attention recorded yet")
+    if variant is ScorerVariant.RANDOM:
+        return rng.uniform(size=maps.shape[-1])
     if variant is ScorerVariant.ATTN_ONLY_AVG:
-        return score_attention_only(trace.maps)
+        return score_attention_only(maps)
     if variant is ScorerVariant.ATTN_ONLY_CLASS:
-        return score_attention_only(trace.maps, class_only=True)
+        return score_attention_only(maps, class_only=True)
+    if grads is None:
+        raise ContractError(
+            "attention gradients are present only after a backward pass")
     if variant is ScorerVariant.GRAD_ONLY:
-        return score_gradient_only(trace.grads)
+        return score_gradient_only(grads)
     if variant is ScorerVariant.GRAD_CLASS_ATTN:
-        return score_grad_class_attention(trace.maps, trace.grads)
-    return score_grad_weighted_attention(trace.maps, trace.grads)
+        return score_grad_class_attention(maps, grads)
+    return score_grad_weighted_attention(maps, grads)
 
 
 def accumulate(scores_sum: np.ndarray, batch_scores: np.ndarray) -> np.ndarray:

@@ -416,11 +416,6 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return from_op(data, (x,), grad_fn, "transpose")
 
 
-def swap_last2(x: Tensor) -> Tensor:
-    axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
-    return transpose(x, axes)
-
-
 def _is_basic_key(key) -> bool:
     if isinstance(key, tuple):
         return all(_is_basic_key(k) for k in key)
@@ -554,14 +549,22 @@ def _softmax_grad(g: Array, y: Array, scale: float,
     return gx
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
-    """``softmax_rows(q @ swap_last2(k), scale) @ v`` as one node.
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
+              sink=None, bump: Array | None = None) -> Tensor:
+    """``softmax_rows(q @ kᵀ, scale) @ v`` as one node, kᵀ swapping k's
+    last two axes.
 
     The node saves ``q``, ``k`` and ``v`` but not the (..., rows, N)
-    attention maps: backward recomputes them with the forward's kernel,
+    attention maps A: backward recomputes them with the forward's kernel,
     bit for bit.  An operand that needs no gradient gets None and costs
-    nothing.  Callers that need the maps as a tensor (a trace, a bump)
-    compose ``matmul`` and ``softmax_rows`` instead.
+    nothing.
+
+    ``sink`` is any object with ``maps`` and ``grads`` attributes.  The
+    forward stores A in ``sink.maps`` and clears ``sink.grads``; each
+    backward that reaches q or k adds dL/dA to ``sink.grads``, as a held
+    tensor's ``grad`` accumulates.  ``bump``, an array of A's shape, is a
+    constant added to A before the product with v, so dL/dA is what a
+    finite-difference probe of the bump measures.  The node copies it.
     """
     _check_scale(scale)
     if min(q.ndim, k.ndim, v.ndim) < 2:
@@ -580,15 +583,29 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     def maps():
         return _softmax(np.matmul(qd, kt), scale)
 
-    data = np.matmul(maps(), vd)
+    def bumped(y):
+        return y if bump is None else y + bump
+
+    y = maps()
+    if bump is not None:
+        bump = np.array(bump, dtype=np.float64)
+        if bump.shape != y.shape:
+            raise ShapeMismatchError(
+                f"bump of shape {bump.shape} does not fit maps {y.shape}")
+    if sink is not None:
+        sink.maps, sink.grads = y, None
+    data = np.matmul(bumped(y), vd)
 
     def grad_fn(g):
         y = maps()
         gq = gk = gv = None
         if grad_v:
-            gv = _matmul_grad_b(y, g, y.shape, v_shape)
+            gv = _matmul_grad_b(bumped(y), g, y.shape, v_shape)
         if grad_q or grad_k:
             gs = _matmul_grad_a(g, vd, y.shape)
+            if sink is not None:
+                sink.grads = gs.copy() if sink.grads is None \
+                    else sink.grads + gs
             gs = _softmax_grad(gs, y, scale, out=gs)
             if grad_q:
                 gq = _matmul_grad_a(gs, kt, q_shape)

@@ -2,8 +2,10 @@
 
 Blocks follow the DeiT convention: z' = z + SA(LN(z)); out = z' + MLP(LN(z')).
 Attention projections are bias-free; the patch embedding and the head carry
-biases.  Every block can record its post-softmax attention maps (and, after a
-backward pass, their gradients) into an AttentionTrace sink.
+biases.  Every block runs one fused attention op, ``tensor.attention``.
+Given an AttentionTrace as its sink, that op records the block's
+post-softmax attention maps and, in each backward pass, their gradients;
+given a bump, it adds a constant to the maps.
 
 The head reads only the class token (token 0), so the forward pass runs
 its last block in class-row mode: keys and values for every token, the rest
@@ -124,29 +126,18 @@ class VitParams:
 
 @dataclass
 class AttentionTrace:
-    """Per-layer sink for the post-softmax attention maps.
+    """Per-layer sink of ``tensor.attention``.
 
-    ``attention`` stays wired into the graph, so after backward its grad
-    holds dL/dA.  ``tokens`` is the block's input, captured for
-    activation-based scoring.
+    ``maps`` holds the post-softmax attention maps A of the forward pass
+    and ``grads`` the dL/dA its backward passes add up; each is None
+    until written.  ``tokens`` is the block's input, a graph tensor, so
+    after backward its grad serves activation-based scoring.
     """
 
     layer: int
-    attention: Tensor | None = None
+    maps: np.ndarray | None = None
+    grads: np.ndarray | None = None
     tokens: Tensor | None = None
-
-    @property
-    def maps(self) -> np.ndarray:
-        if self.attention is None:
-            raise ContractError("trace has no attention recorded yet")
-        return self.attention.data
-
-    @property
-    def grads(self) -> np.ndarray:
-        if self.attention is None or self.attention.grad is None:
-            raise ContractError(
-                "attention gradients are present only after a backward pass")
-        return self.attention.grad
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:
@@ -256,8 +247,7 @@ def block_forward(z: Tensor, params: BlockParams, heads: int,
     """One pre-norm transformer block on a (B, N, D) token tensor.
 
     ``attn_bump`` adds a constant to the post-softmax attention maps;
-    finite-difference tests use it to probe dL/dA at the exact tensor the
-    trace records.
+    finite-difference tests use it to probe the dL/dA the trace records.
 
     With ``class_row`` the block computes keys and values for every token
     but everything else -- queries, the (B, H, 1, N) attention row, the
@@ -287,19 +277,9 @@ def block_forward(z: Tensor, params: BlockParams, heads: int,
                            (0, 2, 1, 3))
 
     # (B, H, rows, N) maps, rows are queries, scaled by 1/sqrt(d) inside
-    # the softmax.  Only a trace or a bump needs them as a graph tensor;
-    # otherwise the fused op keeps q, k and v and recomputes the maps.
-    scale = 1.0 / math.sqrt(d)
-    if trace is None and attn_bump is None:
-        ctx = T.attention(split(q), split(k), split(v), scale)
-    else:
-        attn = T.softmax_rows(T.matmul(split(q), T.swap_last2(split(k))),
-                              scale)
-        if trace is not None:
-            trace.attention = attn
-        if attn_bump is not None:
-            attn = attn + Tensor(attn_bump)
-        ctx = T.matmul(attn, split(v))
+    # the softmax.
+    ctx = T.attention(split(q), split(k), split(v), 1.0 / math.sqrt(d),
+                      sink=trace, bump=attn_bump)
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, rows, d_model))
     z = z + T.matmul(ctx, params.w_o)
 

@@ -48,6 +48,30 @@ def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray,
         f"{(err / np.maximum(denom, 1e-300)).max():.3e}")
 
 
-def composed_attention(q, k, v, scale: float):
-    """The attention ``tensor.attention`` fuses, from its primitive ops."""
-    return T.matmul(T.softmax_rows(T.matmul(q, T.swap_last2(k)), scale), v)
+def swap_last2(x):
+    axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
+    return T.transpose(x, axes)
+
+
+def _record(attn, sink):
+    """Identity on ``attn`` that stores its data in ``sink.maps`` and whose
+    backward adds the gradient reaching it to ``sink.grads``."""
+    sink.maps, sink.grads = attn.data, None
+
+    def grad_fn(g):
+        sink.grads = g.copy() if sink.grads is None else sink.grads + g
+        return (g,)
+
+    return T.from_op(attn.data, (attn,), grad_fn, "record")
+
+
+def composed_attention(q, k, v, scale: float, sink=None, bump=None):
+    """The attention ``tensor.attention`` fuses, from its primitive ops:
+    the reference for its output, its gradients and what it writes to
+    ``sink``."""
+    attn = T.softmax_rows(T.matmul(q, swap_last2(k)), scale)
+    if sink is not None:
+        attn = _record(attn, sink)
+    if bump is not None:
+        attn = attn + T.Tensor(bump)
+    return T.matmul(attn, v)

@@ -45,6 +45,14 @@ class TestArrayRoundTrip:
         save_arrays(p2, sample_arrays)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_loaded_arrays_own_writeable_memory(self, tmp_path,
+                                                sample_arrays):
+        path = tmp_path / "arrays.pmvt"
+        save_arrays(path, sample_arrays)
+        for name, array in load_arrays(path).items():
+            assert array.flags.owndata, name
+            assert array.flags.writeable and array.flags.aligned, name
+
     def test_scalar_stays_zero_dimensional(self, tmp_path):
         path = tmp_path / "s.pmvt"
         save_arrays(path, {"x": np.array(7, dtype=np.int64)})

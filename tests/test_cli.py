@@ -343,6 +343,32 @@ def test_zero_patch_size_is_one_line_error(capsys):
     assert err == "error: ContractError: patch_size must be positive\n"
 
 
+INTEGER_LIST_DEFECTS = {
+    "exempt-word": ("compress", "x", "'x'"),
+    "exempt-empty-item": ("compress", "0,,1", "''"),
+    "layers-word": ("visualize", "x", "'x'"),
+}
+
+
+@pytest.mark.parametrize("command, value, shown",
+                         INTEGER_LIST_DEFECTS.values(),
+                         ids=INTEGER_LIST_DEFECTS.keys())
+def test_bad_integer_list_is_one_line_error(workdir, cfg, base_ckpt,
+                                            scores_csv, plan_file, capsys,
+                                            command, value, shown):
+    if command == "compress":
+        argv = ["compress", "--config", cfg, "--ckpt", base_ckpt,
+                "--scores", scores_csv, "--out", str(workdir / "never.pmvt"),
+                "--exempt", value]
+    else:
+        argv = ["visualize", "--config", cfg, "--plan", plan_file,
+                "--out-dir", str(workdir / "never_viz"), "--layers", value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ConfigError: expected an integer, got {shown}\n"
+    assert not (workdir / "never.pmvt").exists()
+
+
 def test_unknown_flag_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["flops", "--not-a-flag"])

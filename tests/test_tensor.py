@@ -11,6 +11,7 @@ import pytest
 from prunemerge import tensor as T
 from prunemerge import vit
 from prunemerge.errors import ContractError, NumericError, ShapeMismatchError
+from prunemerge.scoring import ScorerVariant, scores_from_trace
 from prunemerge.vit import ModelConfig, VisionTransformer, block_forward
 
 from helpers import assert_grads_close, composed_attention, numeric_grad
@@ -361,27 +362,44 @@ def _assert_same_run(got, want):
 
 
 class TestAttention:
-    """The fused op is bit for bit the composed matmul-softmax-matmul."""
+    """The fused op is bit for bit the composed matmul-softmax-matmul, also
+    in what it writes to a sink and under a bump."""
 
-    @pytest.mark.parametrize("rows", [None, 1])
-    def test_matches_composed_ops_on_split_views(self, rows):
+    @pytest.mark.parametrize("rows, recorded",
+                             [(None, False), (1, False), (None, True),
+                              (1, True)],
+                             ids=["None", "1", "None-sink-bump",
+                                  "1-sink-bump"])
+    def test_matches_composed_ops_on_split_views(self, rows, recorded):
         rng = np.random.default_rng(21)
         b, n, d, heads = 3, 9, 12, 3
         scale = 1.0 / math.sqrt(d // heads)
         bases = [T.Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
                  for _ in range(3)]
         w = rng.normal(size=(b, heads, rows or n, d // heads))
+        bump = rng.normal(scale=0.1, size=(b, heads, rows or n, n)) \
+            if recorded else None
+        sinks = []
 
         def op(attend):
+            sink = vit.AttentionTrace(0) if recorded else None
+            sinks.append(sink)
+
             def run(qb, kb, vb):
                 if rows is not None:
                     qb = qb[:, :rows]
                 return attend(_split_heads(qb, heads), _split_heads(kb, heads),
-                              _split_heads(vb, heads), scale)
+                              _split_heads(vb, heads), scale, sink=sink,
+                              bump=bump)
             return run
 
         _assert_same_run(_run(op(T.attention), bases, w),
                          _run(op(composed_attention), bases, w))
+        if recorded:
+            fused, composed = sinks
+            assert fused.maps.shape == (b, heads, rows or n, n)
+            np.testing.assert_array_equal(fused.maps, composed.maps)
+            np.testing.assert_array_equal(fused.grads, composed.grads)
 
     def test_constant_operands_get_no_gradient(self):
         rng = np.random.default_rng(22)
@@ -402,9 +420,18 @@ class TestAttention:
                     np.testing.assert_array_equal(g, both[1][i])
         only_v = [T.Tensor(arrays[0]), T.Tensor(arrays[1]),
                   T.Tensor(arrays[2], requires_grad=True)]
-        grads = T.attention(*only_v, 0.5)._node.grad_fn(w)
+        sink = vit.AttentionTrace(0)
+        grads = T.attention(*only_v, 0.5, sink=sink)._node.grad_fn(w)
         assert grads[0] is None and grads[1] is None
         np.testing.assert_array_equal(grads[2], both[1][2])
+        # No gradient reaches the maps, so the sink gets none, and a
+        # gradient scorer refuses the trace.
+        assert sink.maps is not None and sink.grads is None
+        for variant in (ScorerVariant.GRAD_WEIGHTED_AVG,
+                        ScorerVariant.GRAD_ONLY,
+                        ScorerVariant.GRAD_CLASS_ATTN):
+            with pytest.raises(ContractError, match="backward"):
+                scores_from_trace(sink, variant)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(23)
@@ -412,16 +439,30 @@ class TestAttention:
                    for s in [(2, 3, 4), (2, 5, 4), (2, 5, 3)])
         w = rng.normal(size=(2, 3, 3))
         scale = 0.6
-        T.backward((T.attention(q, k, v, scale) * T.Tensor(w)).sum())
+        # The second round adds a bump and reads dL/dA from a sink.
+        for bump in (None, rng.normal(scale=0.1, size=(2, 3, 5))):
+            sink = vit.AttentionTrace(0)
+            for t in (q, k, v):
+                t.grad = None
+            loss_t = (T.attention(q, k, v, scale, sink=sink, bump=bump)
+                      * T.Tensor(w)).sum()
+            T.backward(loss_t)
 
-        def loss():
-            s = scale * (q.data @ np.swapaxes(k.data, -1, -2))
-            e = np.exp(s - s.max(axis=-1, keepdims=True))
-            a = e / e.sum(axis=-1, keepdims=True)
-            return float(((a @ v.data) * w).sum())
+            def loss():
+                s = scale * (q.data @ np.swapaxes(k.data, -1, -2))
+                e = np.exp(s - s.max(axis=-1, keepdims=True))
+                a = e / e.sum(axis=-1, keepdims=True)
+                if bump is not None:
+                    a = a + bump
+                return float(((a @ v.data) * w).sum())
 
-        for t in (q, k, v):
-            assert_grads_close(t.grad, numeric_grad(loss, t.data))
+            for t in (q, k, v):
+                assert_grads_close(t.grad, numeric_grad(loss, t.data))
+            if bump is not None:
+                assert_grads_close(sink.grads, numeric_grad(loss, bump))
+                once = sink.grads.copy()
+                T.backward(loss_t)
+                np.testing.assert_array_equal(sink.grads, 2.0 * once)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_scores_raise(self, bad):
@@ -443,6 +484,9 @@ class TestAttention:
                         T.Tensor(np.zeros((4, 2))), 1.0)
         with pytest.raises(ContractError):
             T.attention(q, k, T.Tensor(np.zeros((4, 2))), 0.0)
+        with pytest.raises(ShapeMismatchError, match="bump"):
+            T.attention(q, k, T.Tensor(np.zeros((4, 2))), 1.0,
+                        bump=np.zeros((3, 2, 4)))
 
 
 class TestGeluMatmul:
@@ -802,14 +846,23 @@ def _gc_off():
 
 
 class TestGraphLifetime:
-    def test_dropping_logits_frees_the_graph(self):
+    def test_dropping_logits_frees_the_graph(self, monkeypatch):
         model, images = _tiny_model()
+        keys = []
+
+        def spy(q, k, *args, **kwargs):
+            # k is a per-head view; its base is the keys' own array
+            keys.append(weakref.ref(k.data.base))
+            return attention(q, k, *args, **kwargs)
+
+        attention = T.attention
+        monkeypatch.setattr(T, "attention", spy)
         with _gc_off():
             traces = []
             logits = model.forward(images, traces=traces)
-            # Backward reads the attention maps (softmax and the context
-            # product save them), so the graph keeps them alive.
-            saved = weakref.ref(traces[1].attention.data)
+            # Backward reads the keys (the fused attention op saves them),
+            # so the graph keeps them alive, and nothing else does.
+            saved = keys[1]
             del traces
             assert saved() is not None
             del logits

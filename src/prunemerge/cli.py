@@ -76,6 +76,14 @@ def _write_metrics(path, rows) -> None:
         Path(path).write_text(metrics_to_csv(rows), encoding="utf-8")
 
 
+def _final_accuracy(model, metrics, train, val) -> float:
+    """Top-1 accuracy after training: the last epoch's validation, which
+    the loop already ran on this model, or else a fresh evaluation."""
+    if val is not None and metrics:
+        return metrics[-1]["val_acc"]
+    return evaluate_accuracy(model, val if val is not None else train)
+
+
 def cmd_train_baseline(args) -> int:
     cfg = _config_from_args(args)
     train, val = _load_datasets(cfg)
@@ -85,7 +93,7 @@ def cmd_train_baseline(args) -> int:
         batch_size=cfg["batch_size"], seed=cfg["seed"], val_data=val)
     checkpoint.save_model(args.out, model)
     _write_metrics(args.metrics, metrics)
-    acc = evaluate_accuracy(model, val if val is not None else train)
+    acc = _final_accuracy(model, metrics, train, val)
     print(f"baseline checkpoint written to {args.out}")
     print(f"top1_accuracy={acc!r}")
     return 0
@@ -153,7 +161,7 @@ def cmd_finetune(args) -> int:
                                  val_data=val)
     checkpoint.save_model(args.out, model)
     _write_metrics(args.metrics, metrics)
-    acc = evaluate_accuracy(model, val if val is not None else train)
+    acc = _final_accuracy(model, metrics, train, val)
     print(f"fine-tuned checkpoint written to {args.out}")
     print(f"top1_accuracy={acc!r}")
     return 0

@@ -185,16 +185,24 @@ def synthetic_shapes(count: int, image_size: int = 28, seed: int = 0) -> Dataset
     return Dataset(images[order], labels[order], NUM_SHAPE_CLASSES)
 
 
-def batches(dataset: Dataset, batch_size: int, *, seed: int, epoch: int,
-            shuffle: bool = True):
-    """Yield (images, labels) pairs; order depends only on (seed, epoch)."""
+def batch_indices(n: int, batch_size: int, *, seed: int, epoch: int,
+                  shuffle: bool = True):
+    """Yield the index array of each batch over ``n`` examples; the order
+    depends only on (seed, epoch), and the last batch may be short."""
     if batch_size < 1:
         raise ContractError("batch_size must be positive")
-    n = len(dataset)
     if shuffle:
         order = np.random.default_rng([seed, epoch]).permutation(n)
     else:
         order = np.arange(n)
     for start in range(0, n, batch_size):
-        idx = order[start:start + batch_size]
+        yield order[start:start + batch_size]
+
+
+def batches(dataset: Dataset, batch_size: int, *, seed: int, epoch: int,
+            shuffle: bool = True):
+    """Yield (images, labels) pairs of the batches ``batch_indices``
+    picks."""
+    for idx in batch_indices(len(dataset), batch_size, seed=seed,
+                             epoch=epoch, shuffle=shuffle):
         yield dataset.images[idx], dataset.labels[idx]

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .data import Dataset, batches
-from .errors import ConfigError, ContractError, NumericError
+from .data import Dataset, batch_indices, batches
+from .errors import (ConfigError, ContractError, NumericError,
+                     ShapeMismatchError)
 from .tensor import Tensor
 from .vit import ModelConfig, VisionTransformer
 
@@ -41,13 +42,28 @@ class DistillConfig:
             raise ConfigError(
                 f"freeze_epoch must lie in (0, {self.epochs}], got "
                 f"{self.freeze_epoch}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.temperature <= 0:
+        if not 0 <= self.alpha < math.inf:
             raise ConfigError(
-                f"temperature must be positive, got {self.temperature}")
-        if self.base_lr <= 0 or self.batch_size < 1:
-            raise ConfigError("base_lr must be positive and batch_size >= 1")
+                f"alpha must be nonnegative and finite, got {self.alpha}")
+        if not 0 < self.temperature < math.inf:
+            raise ConfigError(
+                f"temperature must be positive and finite, got "
+                f"{self.temperature}")
+        _check_rates(self.base_lr, self.weight_decay)
+        if self.batch_size < 1:
+            raise ConfigError(
+                f"batch_size must be positive, got {self.batch_size}")
+
+
+def _check_rates(base_lr: float, weight_decay: float) -> None:
+    """NaN fails every comparison, so these refuse it too."""
+    if not 0 < base_lr < math.inf:
+        raise ConfigError(
+            f"base_lr must be positive and finite, got {base_lr}")
+    if not 0 <= weight_decay < math.inf:
+        raise ConfigError(
+            f"weight_decay must be nonnegative and finite, got "
+            f"{weight_decay}")
 
 
 def self_distill_loss(student_logits: Tensor, teacher_logits: Tensor,
@@ -81,11 +97,23 @@ class AdamW:
     are skipped entirely — neither moments nor decay touch them — which
     is what keeps frozen merge matrices byte-stable.
 
+    The optimizer adopts its parameters' storage: construction copies
+    every parameter, values unchanged, into one flat float64 buffer,
+    decayed parameters first, and makes each ``p.data`` a view of its
+    slice.  An array that held a parameter's old data no longer sees its
+    updates; read ``p.data`` again instead.  The moments are two flat
+    buffers written at construction; ``m[name]`` and ``v[name]`` are views
+    of them, and ``t[name]`` counts each parameter's steps.
+
     ``step`` updates the moments and the parameters in place, with the
     textbook expression's operations in its order, so the result is bit
-    for bit that of ``p -= lr * m_hat / (sqrt(v_hat) + eps)``.  Its
-    temporaries are two views of one scratch buffer sized for the largest
-    parameter.
+    for bit that of ``p -= lr * m_hat / (sqrt(v_hat) + eps)``.  It runs
+    one update per maximal run of adjacent parameters that have a grad and
+    the same step count, chunk by chunk, so that every pass reads its
+    chunk from cache: the grads of consecutive small parameters are
+    gathered into one chunk-sized scratch array, and a parameter larger
+    than a chunk is updated chunk by chunk from its own grad.  Nothing
+    parameter-sized is allocated.
     """
 
     def __init__(self, named_params, weight_decay: float = 0.0,
@@ -96,40 +124,101 @@ class AdamW:
             raise ContractError("duplicate parameter names")
         self.weight_decay = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {n: np.zeros_like(t.data) for n, t in self.params}
-        self.v = {n: np.zeros_like(t.data) for n, t in self.params}
+        total = sum(t.data.size for _, t in self.params)
+        self._flat = np.empty(total)
+        self._m, self._v = np.empty(total), np.empty(total)
+        self._m.fill(0.0)
+        self._v.fill(0.0)
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
         self.t = {n: 0 for n, _ in self.params}
-        largest = max((t.data.size for _, t in self.params), default=0)
-        self._scratch = np.empty(2 * largest)
+        # (name, tensor, offset) in buffer order: decayed parameters
+        # first, so the decay set is the range [0, _decay_end).
+        self._layout: list[tuple[str, Tensor, int]] = []
+        self._decay_end = offset = 0
+        for name, p in sorted(self.params, key=lambda item: item[1].ndim < 2):
+            stop = offset + p.data.size
+            view = self._flat[offset:stop].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self.m[name] = self._m[offset:stop].reshape(view.shape)
+            self.v[name] = self._v[offset:stop].reshape(view.shape)
+            self._layout.append((name, p, offset))
+            if view.ndim >= 2:
+                self._decay_end = stop
+            offset = stop
+        n = min(total, T._CHUNK)
+        self._scratch = np.empty(n), np.empty(n), np.empty(n)
 
     def step(self, lr: float) -> None:
-        b1, b2 = self.beta1, self.beta2
-        for name, p in self.params:
-            if p.grad is None:
-                continue
+        runs = []              # [t, first offset, flat grads]
+        run = None
+        for name, p, offset in self._layout:
             g = p.grad
-            self.t[name] += 1
-            t = self.t[name]
-            m, v = self.m[name], self.v[name]
-            a = self._scratch[:g.size].reshape(g.shape)
-            b = self._scratch[g.size:2 * g.size].reshape(g.shape)
-            # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
-            m *= b1
-            m += np.multiply(g, 1 - b1, out=a)
-            v *= b2
-            np.multiply(g, 1 - b2, out=a)
-            a *= g
-            v += a
-            if self.weight_decay and p.data.ndim >= 2:
-                p.data -= np.multiply(p.data, lr * self.weight_decay, out=a)
-            # p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
-            np.divide(m, 1 - b1 ** t, out=a)
-            a *= lr
-            np.divide(v, 1 - b2 ** t, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            p.data -= a
+            if g is None:
+                run = None
+                continue
+            if g.shape != p.data.shape:
+                raise ShapeMismatchError(
+                    f"grad of {name!r} is {g.shape}, parameter "
+                    f"{p.data.shape}")
+            t = self.t[name] = self.t[name] + 1
+            if run is None or run[0] != t:
+                run = [t, offset, []]
+                runs.append(run)
+            run[2].append(g.reshape(-1))
+        for t, offset, grads in runs:
+            self._update_run(t, offset, grads, lr)
+
+    def _update_run(self, t: int, offset: int, grads, lr: float) -> None:
+        """Update adjacent parameters from ``offset`` on: runs of whole
+        small grads gathered into one chunk, a large grad in chunks of
+        its own."""
+        g_buf = self._scratch[2]
+        group, size = [], 0
+        for g in grads + [None]:
+            if group and (g is None or size + g.size > T._CHUNK):
+                self._update_chunk(t, offset, np.concatenate(
+                    group, out=g_buf[:size]) if len(group) > 1 else group[0],
+                    lr)
+                offset += size
+                group, size = [], 0
+            if g is None:
+                break
+            if g.size > T._CHUNK:
+                for start in range(0, g.size, T._CHUNK):
+                    part = g[start:start + T._CHUNK]
+                    self._update_chunk(t, offset + start, part, lr)
+                offset += g.size
+            else:
+                group.append(g)
+                size += g.size
+
+    def _update_chunk(self, t: int, offset: int, g: np.ndarray,
+                      lr: float) -> None:
+        b1, b2 = self.beta1, self.beta2
+        end = offset + g.size
+        p, m, v = self._flat[offset:end], self._m[offset:end], \
+            self._v[offset:end]
+        a, b = self._scratch[0][:g.size], self._scratch[1][:g.size]
+        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+        m *= b1
+        m += np.multiply(g, 1 - b1, out=a)
+        v *= b2
+        np.multiply(g, 1 - b2, out=a)
+        a *= g
+        v += a
+        if self.weight_decay and offset < self._decay_end:
+            d = min(end, self._decay_end) - offset
+            p[:d] -= np.multiply(p[:d], lr * self.weight_decay, out=a[:d])
+        # p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+        np.divide(m, 1 - b1 ** t, out=a)
+        a *= lr
+        np.divide(v, 1 - b2 ** t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        p -= a
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -144,19 +233,29 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Load what ``state_arrays`` saved; all of it is checked before
+        any of it is written."""
+        loaded = []
         for name, p in self.params:
             try:
                 m = arrays[f"opt.m.{name}"]
                 v = arrays[f"opt.v.{name}"]
-                t = arrays[f"opt.t.{name}"]
+                t = np.asarray(arrays[f"opt.t.{name}"])
             except KeyError as e:
                 raise ContractError(f"optimizer state missing {e}") from None
             if m.shape != p.data.shape or v.shape != p.data.shape:
                 raise ContractError(
                     f"optimizer state shape mismatch for {name!r}")
-            self.m[name] = np.asarray(m, dtype=np.float64).copy()
-            self.v[name] = np.asarray(v, dtype=np.float64).copy()
-            self.t[name] = int(t)
+            if t.shape != () or not np.issubdtype(t.dtype, np.integer) \
+                    or t < 0:
+                raise ContractError(
+                    f"optimizer step count of {name!r} must be a "
+                    f"nonnegative integer, got {t.dtype} {t.tolist()!r}")
+            loaded.append((name, m, v, int(t)))
+        for name, m, v, t in loaded:
+            self.m[name][...] = m
+            self.v[name][...] = v
+            self.t[name] = t
 
 
 @dataclass
@@ -231,6 +330,16 @@ def _dump_state(state: TrainState, path) -> None:
     save_arrays(path, state.to_arrays())
 
 
+def teacher_logits_of(teacher, dataset: Dataset,
+                      batch_size: int) -> np.ndarray:
+    """The (n, num_classes) logits of ``teacher`` over ``dataset`` in
+    stored order, from ``no_grad`` forwards of ``batch_size`` examples."""
+    with T.no_grad():
+        return np.concatenate([
+            teacher.forward(dataset.images[start:start + batch_size]).data
+            for start in range(0, len(dataset.labels), batch_size)])
+
+
 def finetune(model, teacher: VisionTransformer, train_data: Dataset,
              config: DistillConfig, val_data: Dataset | None = None,
              resume: TrainState | None = None,
@@ -246,6 +355,16 @@ def finetune(model, teacher: VisionTransformer, train_data: Dataset,
     the LR schedule keeps the full config.epochs horizon; continuing via
     ``resume`` with the same config reproduces the uninterrupted run
     bit-for-bit.
+
+    The teacher is frozen and batches are not augmented, so its logits
+    are the same in every epoch: each call that trains computes them once,
+    ``teacher_logits_of`` over ``train_data`` in ``config.batch_size``
+    chunks, and each step reads its batch's rows.  The cache holds
+    n x num_classes float64.  A resumed run rebuilds the same cache.  Rows
+    equal per-batch teacher forwards bit for bit where BLAS gives a row
+    the same bits in any full batch; where n is no multiple of the batch
+    size, rows forwarded in the short chunk or the short shuffled batch
+    may differ by a few ulps (3 at most at the acceptance shape).
     """
     for _, p in teacher.named_parameters():
         if p.requires_grad:
@@ -260,19 +379,22 @@ def finetune(model, teacher: VisionTransformer, train_data: Dataset,
                 f"resume seed {resume.seed} != config seed {config.seed}")
         optimizer.load_state_arrays(resume.optimizer)
 
-    steps_per_epoch = max(1, math.ceil(len(train_data.labels)
-                                       / config.batch_size))
+    n = len(train_data.labels)
+    steps_per_epoch = max(1, math.ceil(n / config.batch_size))
     total_steps = config.epochs * steps_per_epoch
     metrics: list[dict] = []
     last_epoch = config.epochs if stop_after is None \
         else min(stop_after, config.epochs)
+    if state.epoch < last_epoch:
+        cached = teacher_logits_of(teacher, train_data, config.batch_size)
 
     for epoch in range(state.epoch, last_epoch):
         model.set_matrices_trainable(epoch < config.freeze_epoch)
-        for images, labels in batches(train_data, config.batch_size,
-                                      seed=config.seed, epoch=epoch):
+        for idx in batch_indices(n, config.batch_size, seed=config.seed,
+                                 epoch=epoch):
+            images, labels = train_data.images[idx], train_data.labels[idx]
             lr = cosine_lr(state.step, total_steps, config.base_lr)
-            teacher_logits = teacher.forward(images)
+            teacher_logits = Tensor(cached[idx])
             student_logits = model.forward(images)
             loss, ce, kl = self_distill_loss(
                 student_logits, teacher_logits, labels,
@@ -312,6 +434,7 @@ def train_baseline(config: ModelConfig, train_data: Dataset, epochs: int,
     """Plain cross-entropy training of the uncompressed model."""
     if epochs < 0:
         raise ConfigError(f"epochs must be nonnegative, got {epochs}")
+    _check_rates(base_lr, weight_decay)
     model = VisionTransformer.build(config, seed=seed)
     optimizer = AdamW(model.named_parameters(), weight_decay=weight_decay)
     steps_per_epoch = max(1, math.ceil(len(train_data.labels) / batch_size))

@@ -7,6 +7,7 @@ overrides pass through the same validation.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .errors import ConfigError, ContractError
@@ -28,9 +29,12 @@ def int_list(raw: str) -> list[int]:
 
 def _float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _str(raw: str) -> str:

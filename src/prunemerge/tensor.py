@@ -55,12 +55,14 @@ _RECORDING = contextvars.ContextVar("prunemerge_recording", default=True)
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = np.add.reduce(grad, axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = np.add.reduce(grad, axis=axes, keepdims=True)
     return grad
 
 
@@ -208,10 +210,13 @@ def from_op(data: Array, inputs: Sequence[Tensor],
     nothing is recorded and the output needs no grad.
     """
     out = Tensor(data)
-    if _RECORDING.get() and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        out._node = _OpNode(tuple(_edge(t) for t in inputs), out, grad_fn,
-                            name)
+    if _RECORDING.get():
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                out._node = _OpNode(tuple([_edge(t) for t in inputs]), out,
+                                    grad_fn, name)
+                break
     return out
 
 
@@ -243,23 +248,18 @@ class Tape:
         nodes: list[_OpNode] = []
         if root._node is None:
             return cls(nodes)
-
-        def children(node: _OpNode):
-            return (e for e in node.inputs if type(e) is _OpNode)
-
-        seen: set[int] = {id(root._node)}
-        stack: list[tuple[_OpNode, object]] = [
-            (root._node, children(root._node))]
+        # Nodes hash by identity; an edge that is no node (a leaf or None)
+        # is skipped.
+        seen = {root._node}
+        stack = [(root._node, iter(root._node.inputs))]
         while stack:
             node, it = stack[-1]
-            advanced = False
             for child in it:
-                if id(child) not in seen:
-                    seen.add(id(child))
-                    stack.append((child, children(child)))
-                    advanced = True
+                if type(child) is _OpNode and child not in seen:
+                    seen.add(child)
+                    stack.append((child, iter(child.inputs)))
                     break
-            if not advanced:
+            else:
                 nodes.append(node)
                 stack.pop()
         return cls(nodes)
@@ -369,7 +369,7 @@ def _check_matmul(a: Tensor, b: Tensor) -> None:
 
 def _matmul_grad_a(g: Array, bd: Array, a_shape) -> Array:
     """dL/da of ``a @ b`` for output gradient ``g``."""
-    return _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a_shape)
+    return _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), a_shape)
 
 
 def _matmul_grad_b(ad: Array, g: Array, a_shape, b_shape) -> Array:
@@ -378,7 +378,7 @@ def _matmul_grad_b(ad: Array, g: Array, a_shape, b_shape) -> Array:
         # A batch of rows times one weight matrix: fold the batch into the
         # contraction, one GEMM instead of a batched one plus a sum.
         return ad.reshape(-1, a_shape[-1]).T @ g.reshape(-1, g.shape[-1])
-    return _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b_shape)
+    return _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), b_shape)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -528,13 +528,14 @@ def _softmax(x: Array, scale: float) -> Array:
     The row max propagates NaN and +inf and one ``min`` catches -inf, so
     non-finite input is found without an x-sized boolean temporary.
     """
-    top = x.max(axis=-1, keepdims=True)
-    if not np.isfinite(top).all() or x.min(initial=math.inf) == -math.inf:
+    top = np.maximum.reduce(x, axis=-1, keepdims=True)
+    if not np.isfinite(top).all() \
+            or np.minimum.reduce(x, axis=None, initial=math.inf) == -math.inf:
         raise NumericError("softmax input contains non-finite values")
     y = x - top
     y *= scale
     np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
     return y
 
 
@@ -542,19 +543,35 @@ def _softmax_grad(g: Array, y: Array, scale: float,
                   out: Array | None = None) -> Array:
     """dL/dx of ``y = softmax(scale * x)`` for output gradient ``g``;
     ``out=g`` computes it in place."""
-    dot = (g * y).sum(axis=-1, keepdims=True)
+    dot = np.add.reduce(g * y, axis=-1, keepdims=True)
     gx = np.subtract(g, dot, out=out)
     gx *= y
     gx *= scale
     return gx
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
-              sink=None, bump: Array | None = None) -> Tensor:
-    """``softmax_rows(q @ kᵀ, scale) @ v`` as one node, kᵀ swapping k's
-    last two axes.
+def _split_heads(x: Array, heads: int) -> Array:
+    """(..., T, D) -> (..., heads, T, D/heads), a view of contiguous x."""
+    return x.reshape(x.shape[:-1] + (heads, -1)).swapaxes(-2, -3)
 
-    The node saves ``q``, ``k`` and ``v`` but not the (..., rows, N)
+
+def _merge_heads(x: Array) -> Array:
+    """(..., heads, T, d) -> (..., T, heads * d), a new C-contiguous array."""
+    x = x.swapaxes(-2, -3)
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
+              sink=None, bump: Array | None = None) -> Tensor:
+    """Multi-head ``softmax_rows(q @ kᵀ, scale) @ v`` as one node.
+
+    ``q`` is token-major (..., rows, D) and ``k`` and ``v`` are
+    (..., N, D) (v may have its own width); the op splits the last axis
+    into ``heads`` heads as views, attends per head, and merges the heads
+    back into one (..., rows, D) result.  Its gradients arrive and leave
+    token-major too, so a block records no reshape or transpose around it.
+
+    The node saves ``q``, ``k`` and ``v`` but not the (..., heads, rows, N)
     attention maps A: backward recomputes them with the forward's kernel,
     bit for bit.  An operand that needs no gradient gets None and costs
     nothing.
@@ -575,9 +592,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
         raise ShapeMismatchError(
             f"attention shapes do not fit: q {q.shape}, k {k.shape}, "
             f"v {v.shape}")
-    qd, kd, vd = q.data, k.data, v.data
-    kt = np.swapaxes(kd, -1, -2)
-    q_shape, kt_shape, v_shape = q.shape, kt.shape, v.shape
+    if not (isinstance(heads, (int, np.integer)) and heads >= 1
+            and q.shape[-1] % heads == 0 and v.shape[-1] % heads == 0):
+        raise ShapeMismatchError(
+            f"{heads!r} heads do not split widths {q.shape[-1]} and "
+            f"{v.shape[-1]}")
+    qd = _split_heads(q.data, heads)
+    kt = _split_heads(k.data, heads).swapaxes(-1, -2)
+    vd = _split_heads(v.data, heads)
+    q_shape, kt_shape, v_shape = qd.shape, kt.shape, vd.shape
     grad_q, grad_k, grad_v = q.requires_grad, k.requires_grad, v.requires_grad
 
     def maps():
@@ -594,13 +617,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
                 f"bump of shape {bump.shape} does not fit maps {y.shape}")
     if sink is not None:
         sink.maps, sink.grads = y, None
-    data = np.matmul(bumped(y), vd)
+    data = _merge_heads(np.matmul(bumped(y), vd))
 
     def grad_fn(g):
+        g = _split_heads(g, heads)
         y = maps()
         gq = gk = gv = None
         if grad_v:
-            gv = _matmul_grad_b(bumped(y), g, y.shape, v_shape)
+            gv = _merge_heads(_matmul_grad_b(bumped(y), g, y.shape, v_shape))
         if grad_q or grad_k:
             gs = _matmul_grad_a(g, vd, y.shape)
             if sink is not None:
@@ -608,39 +632,59 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
                     else sink.grads + gs
             gs = _softmax_grad(gs, y, scale, out=gs)
             if grad_q:
-                gq = _matmul_grad_a(gs, kt, q_shape)
+                gq = _merge_heads(_matmul_grad_a(gs, kt, q_shape))
             if grad_k:
-                gk = np.swapaxes(_matmul_grad_b(qd, gs, q_shape, kt_shape),
-                                 -1, -2)
+                gk = _merge_heads(_matmul_grad_b(
+                    qd, gs, q_shape, kt_shape).swapaxes(-1, -2))
         return gq, gk, gv
 
     return from_op(data, (q, k, v), grad_fn, "attention")
 
 
+def _mean_last(x: Array) -> Array:
+    """``x.mean(axis=-1, keepdims=True)`` without ``ndarray.mean``'s Python
+    wrapper: the same reduction and the same division, so the same bits."""
+    s = np.add.reduce(x, axis=-1, keepdims=True)
+    s /= x.shape[-1]
+    return s
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalise the last axis to zero mean, unit variance; scale and shift.
 
-    A constant row (zero variance) maps to zeros, so eps keeps the
-    division finite rather than changing the result.  The forward makes
-    two x-sized arrays, ``xhat`` (saved) and the output, which first
-    holds the squares for the variance.
+    ``gamma`` and ``beta`` are vectors as long as that axis.  A constant
+    row (zero variance) maps to zeros, so eps keeps the division finite
+    rather than changing the result.  The forward makes two x-sized
+    arrays, ``xhat`` (saved) and the output, which first holds the squares
+    for the variance; the backward makes two, one of which becomes dx.
     """
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    data = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(data.mean(axis=-1, keepdims=True) + eps)
-    xhat *= inv
     gd = gamma.data
+    if gd.shape != x.shape[-1:] or beta.shape != gd.shape:
+        raise ShapeMismatchError(
+            f"layer_norm gain {gd.shape} and offset {beta.shape} do not fit "
+            f"input {x.shape}")
+    xhat = x.data - _mean_last(x.data)
+    data = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(_mean_last(data) + eps)
+    xhat *= inv
     np.multiply(xhat, gd, out=data)
     data += beta.data
-    beta_shape = beta.shape
+    lead = tuple(range(x.ndim - 1))
 
     def grad_fn(g):
-        dgamma = _unbroadcast(g * xhat, gd.shape)
-        dbeta = _unbroadcast(g, beta_shape)
-        dxhat = g * gd
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
+        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+        # with dxhat = g * gamma, in the order the terms are written.
+        t = np.multiply(g, xhat)
+        dgamma = np.add.reduce(t, axis=lead)
+        dbeta = np.add.reduce(g, axis=lead)
+        dx = np.multiply(g, gd)
+        m1 = _mean_last(dx)
+        np.multiply(dx, xhat, out=t)
+        m2 = _mean_last(t)
+        dx -= m1
+        np.multiply(xhat, m2, out=t)
+        dx -= t
+        dx *= inv
         return dx, dgamma, dbeta
 
     return from_op(data, (x, gamma, beta), grad_fn, "layer_norm")
@@ -757,8 +801,9 @@ def gelu_matmul(x: Tensor, w: Tensor) -> Tensor:
 
 
 def _log_softmax(z: Array) -> Array:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1,
+                                          keepdims=True))
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

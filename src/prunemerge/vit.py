@@ -256,8 +256,6 @@ def block_forward(z: Tensor, params: BlockParams, heads: int,
     rounding.  A trace or bump needs every row's maps, so it requires the
     full block.
     """
-    b, n, d_model = z.shape
-    d = d_model // heads
     if class_row and (trace is not None or attn_bump is not None):
         raise ContractError(
             "a class-row block has no full attention maps to trace or bump")
@@ -270,17 +268,10 @@ def block_forward(z: Tensor, params: BlockParams, heads: int,
     if class_row:
         z, h = z[:, :1], h[:, :1]
     q = T.matmul(h, params.w_q)
-    rows = q.shape[1]
-
-    def split(t: Tensor) -> Tensor:
-        return T.transpose(T.reshape(t, (b, t.shape[1], heads, d)),
-                           (0, 2, 1, 3))
-
-    # (B, H, rows, N) maps, rows are queries, scaled by 1/sqrt(d) inside
-    # the softmax.
-    ctx = T.attention(split(q), split(k), split(v), 1.0 / math.sqrt(d),
+    # (B, H, rows, N) maps, rows are queries, scaled by 1/sqrt(head width)
+    # inside the softmax; the op splits and merges the heads itself.
+    ctx = T.attention(q, k, v, heads, 1.0 / math.sqrt(z.shape[-1] // heads),
                       sink=trace, bump=attn_bump)
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, rows, d_model))
     z = z + T.matmul(ctx, params.w_o)
 
     h2 = T.layer_norm(z, params.ln2_g, params.ln2_b)

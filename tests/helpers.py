@@ -65,13 +65,30 @@ def _record(attn, sink):
     return T.from_op(attn.data, (attn,), grad_fn, "record")
 
 
-def composed_attention(q, k, v, scale: float, sink=None, bump=None):
+def _split_heads(x, heads: int):
+    """(..., T, D) -> (..., heads, T, D/heads) from reshape and transpose
+    nodes."""
+    shape = x.shape[:-1] + (heads, x.shape[-1] // heads)
+    axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2, x.ndim)
+    return T.transpose(T.reshape(x, shape), axes)
+
+
+def _merge_heads(x):
+    """Inverse of ``_split_heads``."""
+    axes = tuple(range(x.ndim - 3)) + (x.ndim - 2, x.ndim - 3, x.ndim - 1)
+    x = T.transpose(x, axes)
+    return T.reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+
+
+def composed_attention(q, k, v, heads: int, scale: float, sink=None,
+                       bump=None):
     """The attention ``tensor.attention`` fuses, from its primitive ops:
     the reference for its output, its gradients and what it writes to
     ``sink``."""
+    q, k, v = (_split_heads(t, heads) for t in (q, k, v))
     attn = T.softmax_rows(T.matmul(q, swap_last2(k)), scale)
     if sink is not None:
         attn = _record(attn, sink)
     if bump is not None:
         attn = attn + T.Tensor(bump)
-    return T.matmul(attn, v)
+    return _merge_heads(T.matmul(attn, v))

@@ -4,6 +4,7 @@ The expensive steps (baseline training, scoring) run once per module;
 everything else reuses those artifacts.
 """
 
+import importlib
 import json
 import subprocess
 import sys
@@ -367,6 +368,67 @@ def test_bad_integer_list_is_one_line_error(workdir, cfg, base_ckpt,
     err = capsys.readouterr().err
     assert err == f"error: ConfigError: expected an integer, got {shown}\n"
     assert not (workdir / "never.pmvt").exists()
+
+
+HYPERPARAMETER_DEFECTS = {
+    "alpha-nan": ("finetune", ["--set", "alpha=nan"],
+                  "expected a finite number, got 'nan'"),
+    "alpha-flag-inf": ("finetune", ["--alpha", "inf"],
+                       "alpha must be nonnegative and finite, got inf"),
+    "decay-negative": ("finetune", ["--set", "weight_decay=-5"],
+                       "weight_decay must be nonnegative and finite, got "
+                       "-5.0"),
+    "baseline-lr-inf": ("train-baseline", ["--set", "baseline_lr=inf"],
+                        "expected a finite number, got 'inf'"),
+    "baseline-decay-negative": ("train-baseline",
+                                ["--set", "weight_decay=-1e-3"],
+                                "weight_decay must be nonnegative and "
+                                "finite, got -0.001"),
+}
+
+
+@pytest.mark.parametrize("command, extra, detail",
+                         HYPERPARAMETER_DEFECTS.values(),
+                         ids=HYPERPARAMETER_DEFECTS.keys())
+def test_bad_hyperparameter_is_one_line_error(workdir, cfg, base_ckpt,
+                                              plan_file, capsys, command,
+                                              extra, detail):
+    out = workdir / "never_trained.pmvt"
+    argv = [command, "--config", cfg, "--out", str(out)] + extra
+    if command == "finetune":
+        argv += ["--ckpt", base_ckpt, "--plan", plan_file]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ConfigError: {detail}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-baseline", "finetune"])
+def test_final_accuracy_is_the_last_validation(workdir, cfg, base_ckpt,
+                                               plan_file, capsys,
+                                               monkeypatch, command):
+    # The last epoch already validated the final model; the command
+    # prints that accuracy instead of evaluating once more.
+    from prunemerge import cli
+    finetune = importlib.import_module("prunemerge.finetune")
+    calls = []
+
+    def spy(model, dataset, batch_size=64):
+        calls.append(batch_size)
+        return evaluate(model, dataset, batch_size)
+
+    evaluate = finetune.evaluate_accuracy
+    monkeypatch.setattr(finetune, "evaluate_accuracy", spy)
+    monkeypatch.setattr(cli, "evaluate_accuracy", spy)
+    metrics = workdir / f"{command}.csv"
+    argv = [command, "--config", cfg, "--out",
+            str(workdir / f"{command}.pmvt"), "--metrics", str(metrics)]
+    if command == "finetune":
+        argv += ["--ckpt", base_ckpt, "--plan", plan_file]
+    assert main(argv) == 0
+    assert calls == [64, 64]                  # epochs=2, once per epoch
+    last = metrics.read_text().strip().split("\n")[-1].split(",")[-1]
+    assert f"top1_accuracy={float(last)!r}\n" in capsys.readouterr().out
 
 
 def test_unknown_flag_exits_nonzero():

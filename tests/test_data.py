@@ -8,9 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from prunemerge.cli import main
-from prunemerge.data import (IDX_DTYPES, Dataset, batches, load_idx_pair,
-                             read_idx, synthetic_shapes, write_idx,
-                             NUM_SHAPE_CLASSES)
+from prunemerge.data import (IDX_DTYPES, Dataset, batch_indices, batches,
+                             load_idx_pair, read_idx, synthetic_shapes,
+                             write_idx, NUM_SHAPE_CLASSES)
 from prunemerge.errors import ContractError
 
 
@@ -300,6 +300,18 @@ def test_batches_unshuffled_preserve_order():
     labs = np.concatenate([l for _, l in
                            batches(ds, 4, seed=9, epoch=3, shuffle=False)])
     np.testing.assert_array_equal(labs, ds.labels)
+
+
+def test_batches_are_the_rows_batch_indices_picks():
+    ds = synthetic_shapes(17, image_size=8, seed=0)
+    picks = list(batch_indices(17, 5, seed=3, epoch=2))
+    # the permutation every earlier run drew, cut into batches
+    order = np.random.default_rng([3, 2]).permutation(17)
+    np.testing.assert_array_equal(np.concatenate(picks), order)
+    for idx, (imgs, labs) in zip(picks, batches(ds, 5, seed=3, epoch=2),
+                                 strict=True):
+        np.testing.assert_array_equal(imgs, ds.images[idx])
+        np.testing.assert_array_equal(labs, ds.labels[idx])
 
 
 def test_batches_reject_bad_batch_size():

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,14 +9,14 @@ import pytest
 from prunemerge import tensor as T
 from prunemerge.compression import (CompressionPlan, compress_model,
                                     global_plan, pm_forward_tensors)
-from prunemerge.data import synthetic_shapes
+from prunemerge.data import batch_indices, synthetic_shapes
 from prunemerge.errors import ConfigError, ContractError, NumericError
 from prunemerge.finetune import (METRICS_HEADER, AdamW, DistillConfig,
                                  TrainState, cosine_lr, evaluate_accuracy,
                                  finetune, metrics_to_csv, self_distill_loss,
-                                 train_baseline)
+                                 teacher_logits_of, train_baseline)
 from prunemerge.tensor import Tensor
-from prunemerge.vit import ModelConfig, VisionTransformer
+from prunemerge.vit import ModelConfig, VisionTransformer, params_from_named
 
 
 def tiny_config():
@@ -58,6 +59,19 @@ class TestDistillConfig:
     def test_temperature_positive(self):
         with pytest.raises(ConfigError):
             DistillConfig(epochs=2, freeze_epoch=1, temperature=0.0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", math.nan), ("alpha", math.inf), ("temperature", math.nan),
+        ("temperature", math.inf), ("base_lr", math.nan),
+        ("base_lr", math.inf), ("weight_decay", math.nan),
+        ("weight_decay", math.inf), ("weight_decay", -5.0)])
+    def test_non_finite_or_negative_rates_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            DistillConfig(epochs=2, freeze_epoch=1, **{key: value})
+        if key in ("base_lr", "weight_decay"):
+            with pytest.raises(ConfigError, match=key):
+                train_baseline(tiny_config(), tiny_dataset(8), epochs=1,
+                               **{key: value})
 
 
 class TestSelfDistillLoss:
@@ -165,7 +179,13 @@ class TestAdamW:
                 p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
         rng = np.random.default_rng(15)
-        shapes = {"w": (4, 3), "b": (3,), "frozen": (2, 2), "big": (5, 6)}
+        # Decayed and exempt parameters interleave; "sometimes" skips every
+        # third step, so its step count falls behind its neighbours'; "wide"
+        # and "long" each span more than one update chunk.
+        shapes = {"w": (4, 3), "b": (3,), "frozen": (2, 2), "big": (5, 6),
+                  "sometimes": (3, 3), "gain": (5,),
+                  "wide": (2, T._CHUNK // 2 + 7), "long": (T._CHUNK + 9,),
+                  "last": (2, 3)}
         mine = [(n, Tensor(rng.standard_normal(s), requires_grad=True))
                 for n, s in shapes.items()]
         ref = [(n, Tensor(t.data.copy(), requires_grad=True))
@@ -175,7 +195,9 @@ class TestAdamW:
         opt = AdamW(mine, weight_decay=0.05)
         for step in range(25):
             for (name, a), (_, b) in zip(mine, ref):
-                g = None if name == "frozen" else rng.standard_normal(a.shape)
+                skip = name == "frozen" or (name == "sometimes"
+                                            and step % 3 == 0)
+                g = None if skip else rng.standard_normal(a.shape)
                 a.grad, b.grad = g, None if g is None else g.copy()
             lr = cosine_lr(step, 25, 1e-2)
             opt.step(lr)
@@ -185,6 +207,75 @@ class TestAdamW:
             np.testing.assert_array_equal(opt.m[name], state["m"][name])
             np.testing.assert_array_equal(opt.v[name], state["v"][name])
         assert opt.t["frozen"] == 0
+        assert opt.t["sometimes"] == 16 and opt.t["w"] == 25
+
+    def test_construction_leaves_values_unchanged(self):
+        rng = np.random.default_rng(16)
+        params = [(n, Tensor(rng.standard_normal(s), requires_grad=True))
+                  for n, s in [("b", (3,)), ("w", (4, 3)), ("c", (2, 1, 2))]]
+        before = {n: (p.data, p.data.copy()) for n, p in params}
+        opt = AdamW(params, weight_decay=0.1)
+        for name, p in params:
+            old, values = before[name]
+            assert p.data is not old          # adopted into the buffer
+            np.testing.assert_array_equal(p.data, values)
+            assert p.data.flags.c_contiguous and p.data.flags.writeable
+            assert not opt.m[name].any() and not opt.v[name].any()
+            assert opt.t[name] == 0
+
+    def test_model_forward_sees_updated_values(self):
+        config = tiny_config()
+        model = VisionTransformer.build(config, seed=17)
+        images = tiny_dataset(8).images
+        before = model.forward(images).data
+        opt = AdamW(model.named_parameters(), weight_decay=0.1)
+        T.backward(T.cross_entropy(model.forward(images),
+                                   tiny_dataset(8).labels))
+        opt.step(1e-2)
+        updated = {n: p.data.copy() for n, p in model.named_parameters()}
+        fresh = VisionTransformer(config, params_from_named(config, updated))
+        after = model.forward(images).data
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, fresh.forward(images).data)
+
+    def test_step_scratch_is_chunk_sized(self):
+        rng = np.random.default_rng(18)
+        size = 4 * T._CHUNK                 # each parameter spans 4 chunks
+        params = [(f"p{i}", Tensor(rng.standard_normal((2, size // 2)),
+                                   requires_grad=True)) for i in range(3)]
+        params.append(("bias", Tensor(rng.standard_normal(size),
+                                      requires_grad=True)))
+        opt = AdamW(params, weight_decay=0.1)
+        for _, p in params:
+            p.grad = rng.standard_normal(p.shape)
+        opt.step(1e-3)                       # first-call allocations
+        tracemalloc.start()
+        try:
+            opt.step(1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A parameter-sized temporary would be 8 * size bytes; the step
+        # allocates less than one chunk of float64.
+        assert peak < T._CHUNK * 8
+
+    @pytest.mark.parametrize("t", [np.array([1, 2]), np.array(1.5),
+                                   np.array(-1), np.array(True)],
+                             ids=["vector", "fraction", "negative", "bool"])
+    def test_load_refuses_bad_step_count(self, t):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        opt = AdamW([("w", w)])
+        w.grad = np.ones((2, 2))
+        opt.step(lr=0.1)
+        saved = opt.state_arrays()
+        before = {k: v.copy() for k, v in saved.items()}
+        saved["opt.m.w"] = np.full((2, 2), 7.0)
+        saved["opt.t.w"] = t
+        with pytest.raises(ContractError, match="step count"):
+            opt.load_state_arrays(saved)
+        # nothing was loaded: the valid moment stayed out too
+        np.testing.assert_array_equal(opt.m["w"], before["opt.m.w"])
+        assert opt.t["w"] == 1
 
     def test_state_arrays_are_snapshots(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -370,6 +461,66 @@ class TestFinetune:
         ref_losses = [m["loss"] for m in ref_metrics]
         split_losses = [m["loss"] for m in m1 + m2]
         assert ref_losses == split_losses
+
+    def test_teacher_runs_once_per_batch_of_stored_order(self,
+                                                         compressed_pair):
+        base, plan = compressed_pair
+        teacher = base.frozen_copy()
+        forward, calls = teacher.forward, []
+
+        def spy(images):
+            calls.append((len(images), T._RECORDING.get()))
+            return forward(images)
+
+        teacher.forward = spy
+        data = tiny_dataset(20)
+        for stop_after in (None, 1):
+            comp = compress_model(base, plan, learnable_matrices=True)
+            cfg = DistillConfig(epochs=3, freeze_epoch=2, batch_size=8)
+            calls.clear()
+            _, _, state = finetune(comp, teacher, data, cfg,
+                                   stop_after=stop_after)
+            # ceil(20 / 8) = 3 forwards per call, none of them recorded
+            assert calls == [(8, False), (8, False), (4, False)]
+        calls.clear()
+        finetune(comp, teacher, data, cfg, resume=state)
+        assert calls == [(8, False), (8, False), (4, False)]
+        calls.clear()
+        finetune(comp, teacher, data, DistillConfig(epochs=0, freeze_epoch=0))
+        assert calls == []
+
+    def test_cached_rows_equal_per_batch_forwards_at_acceptance_shape(self):
+        config = ModelConfig(image_size=28, patch_size=14, channels=1,
+                             embed_dim=48, depth=2, heads=4, mlp_ratio=2,
+                             num_classes=10)
+        teacher = VisionTransformer.build(config, seed=19).frozen_copy()
+        data = synthetic_shapes(256, image_size=28, seed=19)
+        cached = teacher_logits_of(teacher, data, 32)
+        assert cached.shape == (256, 10) and cached.dtype == np.float64
+        for epoch in range(2):
+            for idx in batch_indices(256, 32, seed=4, epoch=epoch):
+                np.testing.assert_array_equal(
+                    cached[idx], teacher.forward(data.images[idx]).data)
+
+    def test_resume_with_a_short_last_batch_is_bit_identical(
+            self, compressed_pair):
+        base, plan = compressed_pair
+        data = tiny_dataset(20)
+        cfg = DistillConfig(epochs=3, freeze_epoch=2, batch_size=8, seed=12)
+        ref = compress_model(base, plan, learnable_matrices=True)
+        _, ref_metrics, ref_state = finetune(ref, base.frozen_copy(), data,
+                                             cfg)
+        split = compress_model(base, plan, learnable_matrices=True)
+        _, m1, st = finetune(split, base.frozen_copy(), data, cfg,
+                             stop_after=1)
+        _, m2, state = finetune(split, base.frozen_copy(), data, cfg,
+                                resume=TrainState.from_arrays(st.to_arrays()))
+        assert m1 + m2 == ref_metrics
+        for (name, a), (_, b) in zip(ref.named_parameters(),
+                                     split.named_parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), name
+        for key, value in ref_state.to_arrays().items():
+            assert value.tobytes() == state.to_arrays()[key].tobytes(), key
 
     def test_resume_seed_mismatch_rejected(self, compressed_pair):
         base, plan = compressed_pair

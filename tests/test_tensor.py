@@ -248,6 +248,41 @@ class TestLayerNorm:
                                           reference(x, gamma, beta))
             np.testing.assert_array_equal(x, before)
 
+    def test_in_place_backward_matches_former_expression(self):
+        # The backward as it read before it reduced and reused buffers
+        # itself: gradients must be bit-identical, also for strided input.
+        def reference(x, gamma, g, eps=1e-6):
+            xc = x - x.mean(axis=-1, keepdims=True)
+            inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+            xhat = xc * inv
+            lead = tuple(range(x.ndim - 1))
+            dxhat = g * gamma
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            return (inv * (dxhat - m1 - xhat * m2), (g * xhat).sum(axis=lead),
+                    g.sum(axis=lead))
+
+        rng = np.random.default_rng(13)
+        for x in [rng.normal(size=(7,)), rng.normal(size=(3, 5, 6)),
+                  rng.normal(scale=4.0, size=(4, 33, 48)) + 2.0,
+                  rng.normal(size=(6, 4, 5)).transpose(1, 0, 2)]:
+            d = x.shape[-1]
+            gamma, beta = rng.normal(size=d), rng.normal(size=d)
+            g = rng.normal(size=x.shape)
+            y = T.layer_norm(T.Tensor(x, requires_grad=True),
+                             T.Tensor(gamma, requires_grad=True),
+                             T.Tensor(beta, requires_grad=True))
+            for got, want in zip(y._node.grad_fn(g),
+                                 reference(x, gamma, g)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_gain_and_offset_must_fit_the_last_axis(self):
+        x = T.Tensor(np.zeros((2, 4)))
+        with pytest.raises(ShapeMismatchError):
+            T.layer_norm(x, T.Tensor(np.ones(3)), T.Tensor(np.zeros(4)))
+        with pytest.raises(ShapeMismatchError):
+            T.layer_norm(x, T.Tensor(np.ones(4)), T.Tensor(np.zeros((1, 4))))
+
 
 class TestGelu:
     def test_zero(self):
@@ -335,13 +370,6 @@ class TestGelu:
         np.testing.assert_array_equal(x.data, before)
 
 
-def _split_heads(base: T.Tensor, heads: int) -> T.Tensor:
-    """(B, N, D) -> (B, H, N, D/H) strided views, as vit's blocks split."""
-    b, n, d = base.shape
-    return T.transpose(T.reshape(base, (b, n, heads, d // heads)),
-                       (0, 2, 1, 3))
-
-
 def _run(op, inputs, w):
     """Output data and every input's gradient under a weighted-sum loss."""
     for t in inputs:
@@ -362,8 +390,9 @@ def _assert_same_run(got, want):
 
 
 class TestAttention:
-    """The fused op is bit for bit the composed matmul-softmax-matmul, also
-    in what it writes to a sink and under a bump."""
+    """The fused op is bit for bit the composed head split,
+    matmul-softmax-matmul and head merge, also in what it writes to a sink
+    and under a bump."""
 
     @pytest.mark.parametrize("rows, recorded",
                              [(None, False), (1, False), (None, True),
@@ -376,7 +405,7 @@ class TestAttention:
         scale = 1.0 / math.sqrt(d // heads)
         bases = [T.Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
                  for _ in range(3)]
-        w = rng.normal(size=(b, heads, rows or n, d // heads))
+        w = rng.normal(size=(b, rows or n, d))
         bump = rng.normal(scale=0.1, size=(b, heads, rows or n, n)) \
             if recorded else None
         sinks = []
@@ -388,9 +417,7 @@ class TestAttention:
             def run(qb, kb, vb):
                 if rows is not None:
                     qb = qb[:, :rows]
-                return attend(_split_heads(qb, heads), _split_heads(kb, heads),
-                              _split_heads(vb, heads), scale, sink=sink,
-                              bump=bump)
+                return attend(qb, kb, vb, heads, scale, sink=sink, bump=bump)
             return run
 
         _assert_same_run(_run(op(T.attention), bases, w),
@@ -403,15 +430,16 @@ class TestAttention:
 
     def test_constant_operands_get_no_gradient(self):
         rng = np.random.default_rng(22)
-        arrays = [rng.normal(size=(2, 2, 4, 3)), rng.normal(size=(2, 2, 6, 3)),
-                  rng.normal(size=(2, 2, 6, 5))]
-        w = rng.normal(size=(2, 2, 4, 5))
+        arrays = [rng.normal(size=(2, 4, 6)), rng.normal(size=(2, 6, 6)),
+                  rng.normal(size=(2, 6, 10))]
+        w = rng.normal(size=(2, 4, 10))
         learnable = [T.Tensor(a, requires_grad=True) for a in arrays]
-        both = _run(lambda q, k, v: T.attention(q, k, v, 0.5), learnable, w)
+        both = _run(lambda q, k, v: T.attention(q, k, v, 2, 0.5), learnable,
+                    w)
         for frozen in range(3):
             inputs = [T.Tensor(a, requires_grad=i != frozen)
                       for i, a in enumerate(arrays)]
-            out = T.attention(*inputs, 0.5)
+            out = T.attention(*inputs, 2, 0.5)
             assert out._node.inputs[frozen] is None
             grads = out._node.grad_fn(w)
             assert grads[frozen] is None
@@ -421,7 +449,7 @@ class TestAttention:
         only_v = [T.Tensor(arrays[0]), T.Tensor(arrays[1]),
                   T.Tensor(arrays[2], requires_grad=True)]
         sink = vit.AttentionTrace(0)
-        grads = T.attention(*only_v, 0.5, sink=sink)._node.grad_fn(w)
+        grads = T.attention(*only_v, 2, 0.5, sink=sink)._node.grad_fn(w)
         assert grads[0] is None and grads[1] is None
         np.testing.assert_array_equal(grads[2], both[1][2])
         # No gradient reaches the maps, so the sink gets none, and a
@@ -436,25 +464,31 @@ class TestAttention:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(23)
         q, k, v = (T.Tensor(rng.normal(size=s), requires_grad=True)
-                   for s in [(2, 3, 4), (2, 5, 4), (2, 5, 3)])
-        w = rng.normal(size=(2, 3, 3))
+                   for s in [(2, 3, 4), (2, 5, 4), (2, 5, 6)])
+        w = rng.normal(size=(2, 3, 6))
         scale = 0.6
+
+        def heads(x):
+            return x.reshape(x.shape[:-1] + (2, -1)).transpose(0, 2, 1, 3)
+
         # The second round adds a bump and reads dL/dA from a sink.
-        for bump in (None, rng.normal(scale=0.1, size=(2, 3, 5))):
+        for bump in (None, rng.normal(scale=0.1, size=(2, 2, 3, 5))):
             sink = vit.AttentionTrace(0)
             for t in (q, k, v):
                 t.grad = None
-            loss_t = (T.attention(q, k, v, scale, sink=sink, bump=bump)
+            loss_t = (T.attention(q, k, v, 2, scale, sink=sink, bump=bump)
                       * T.Tensor(w)).sum()
             T.backward(loss_t)
 
             def loss():
-                s = scale * (q.data @ np.swapaxes(k.data, -1, -2))
+                kt = np.swapaxes(heads(k.data), -1, -2)
+                s = scale * (heads(q.data) @ kt)
                 e = np.exp(s - s.max(axis=-1, keepdims=True))
                 a = e / e.sum(axis=-1, keepdims=True)
                 if bump is not None:
                     a = a + bump
-                return float(((a @ v.data) * w).sum())
+                out = (a @ heads(v.data)).transpose(0, 2, 1, 3)
+                return float((out.reshape(w.shape) * w).sum())
 
             for t in (q, k, v):
                 assert_grads_close(t.grad, numeric_grad(loss, t.data))
@@ -473,20 +507,23 @@ class TestAttention:
         v = T.Tensor(rng.normal(size=(1, 4, 2)), requires_grad=True)
         with pytest.raises(NumericError,
                            match="softmax input contains non-finite"):
-            T.attention(T.Tensor(q), T.Tensor(k), v, 1.0)
+            T.attention(T.Tensor(q), T.Tensor(k), v, 1, 1.0)
 
     def test_bad_shapes_and_scale_rejected(self):
         q, k = T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 3)))
         with pytest.raises(ShapeMismatchError):
-            T.attention(q, k, T.Tensor(np.zeros((5, 2))), 1.0)
+            T.attention(q, k, T.Tensor(np.zeros((5, 2))), 1, 1.0)
         with pytest.raises(ShapeMismatchError):
             T.attention(q, T.Tensor(np.zeros((4, 2))),
-                        T.Tensor(np.zeros((4, 2))), 1.0)
+                        T.Tensor(np.zeros((4, 2))), 1, 1.0)
         with pytest.raises(ContractError):
-            T.attention(q, k, T.Tensor(np.zeros((4, 2))), 0.0)
+            T.attention(q, k, T.Tensor(np.zeros((4, 2))), 1, 0.0)
         with pytest.raises(ShapeMismatchError, match="bump"):
-            T.attention(q, k, T.Tensor(np.zeros((4, 2))), 1.0,
+            T.attention(q, k, T.Tensor(np.zeros((4, 2))), 1, 1.0,
                         bump=np.zeros((3, 2, 4)))
+        for heads in (0, 2, 1.0):
+            with pytest.raises(ShapeMismatchError, match="heads"):
+                T.attention(q, k, T.Tensor(np.zeros((4, 2))), heads, 1.0)
 
 
 class TestGeluMatmul:
@@ -851,8 +888,8 @@ class TestGraphLifetime:
         keys = []
 
         def spy(q, k, *args, **kwargs):
-            # k is a per-head view; its base is the keys' own array
-            keys.append(weakref.ref(k.data.base))
+            # k is token-major; the op saves per-head views of its array
+            keys.append(weakref.ref(k.data))
             return attention(q, k, *args, **kwargs)
 
         attention = T.attention

@@ -215,15 +215,17 @@ class TestFusedBlock:
             out = vit.block_forward(Tensor(z), p, heads=2, **kwargs)
             return [node.name for node in T.Tape.trace(out).nodes]
 
-        # Every block runs the one fused attention op; a trace is its
-        # sink, not a graph tensor, and only a traced block fills one.
+        # Every block runs the one fused attention op, which splits and
+        # merges the heads itself; a trace is its sink, not a graph
+        # tensor, and only a traced block fills one.
         trace = vit.AttentionTrace(0)
         for kwargs in ({}, {"class_row": True}, {"trace": trace},
                        {"attn_bump": np.zeros((3, 2, 6, 6))}):
             names = op_names(**kwargs)
             assert names.count("attention") == 1
             assert "gelu_matmul" in names
-            assert not set(names) & {"softmax_rows", "gelu"}
+            assert not set(names) & {"softmax_rows", "gelu", "reshape",
+                                     "transpose"}
         assert trace.maps.shape == (3, 2, 6, 6)
 
     def test_recorded_block_keeps_neither_maps_nor_gelu_output(self):

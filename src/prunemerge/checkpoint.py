@@ -13,12 +13,28 @@ Layout, all integers little-endian:
 Only three element types exist on purpose — f8 for parameters and
 matrices, i8 for indices and counters, u1 for masks and flags — so a
 reader never guesses widths.
+
+Both directions stream, so the payload passes through memory once.
+``save_arrays`` checks every name and dtype and builds the manifest
+before it opens the file, then writes each array's bytes straight from
+the array (only a non-contiguous or big-endian one is copied first).
+``load_arrays`` reads in this order:
+
+1. the 12-byte header and the manifest;
+2. every entry, duplicate name, array bound and trailing byte, checked
+   against the file size from ``fstat`` before any array is allocated,
+   so a manifest that claims more than the file holds costs nothing;
+3. one ``readinto`` per array, straight into its own ``np.empty``, so
+   each loaded array owns aligned, writeable memory;
+4. the CRC, accumulated over header, manifest and arrays as they are
+   read, compared with the stored one before any array is returned.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 
@@ -30,6 +46,8 @@ from .vit import ModelConfig, VisionTransformer, params_from_named
 
 MAGIC = b"PMVT"
 VERSION = 1
+_HEADER = struct.Struct("<4sII")        # magic, version, manifest length
+_CRC = struct.Struct("<I")
 
 DTYPE_CODES = {
     "f8": np.dtype("<f8"),
@@ -50,25 +68,29 @@ def _code_for(array: np.ndarray) -> str:
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
     """Write named arrays; round-trips bit-identically through load_arrays."""
     manifest = []
-    chunks = []
+    payload = []
     for name, array in arrays.items():
         if not isinstance(name, str) or not name:
             raise CheckpointError(f"array name must be a nonempty string, "
                                   f"got {name!r}")
-        # note: not ascontiguousarray, which would promote 0-d scalars to
-        # 1-d; tobytes() already serializes any layout in C order
         array = np.asarray(array)
         code = _code_for(array)
         manifest.append({"name": name, "dtype": code,
                          "shape": list(array.shape)})
-        chunks.append(array.astype(DTYPE_CODES[code], copy=False).tobytes())
+        payload.append((array, DTYPE_CODES[code]))
 
     manifest_bytes = json.dumps({"arrays": manifest}).encode("utf-8")
-    body = MAGIC + struct.pack("<II", VERSION, len(manifest_bytes)) \
-        + manifest_bytes + b"".join(chunks)
-    crc = zlib.crc32(body) & 0xFFFFFFFF
+    head = _HEADER.pack(MAGIC, VERSION, len(manifest_bytes)) + manifest_bytes
+    crc = zlib.crc32(head)
     with open(path, "wb") as fh:
-        fh.write(body + struct.pack("<I", crc))
+        fh.write(head)
+        for array, dtype in payload:
+            data = array.astype(dtype, copy=False)
+            if not data.flags.c_contiguous:
+                data = data.copy()          # C order; a 0-d array stays 0-d
+            fh.write(data)
+            crc = zlib.crc32(data, crc)
+        fh.write(_CRC.pack(crc))
 
 
 def _manifest_entry(entry) -> tuple[str, str, tuple[int, ...]]:
@@ -90,57 +112,78 @@ def _manifest_entry(entry) -> tuple[str, str, tuple[int, ...]]:
     return name, code, tuple(shape)
 
 
-def load_arrays(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12 + 4:
-        raise CheckpointError(f"file too short ({len(blob)} bytes)")
-    if blob[:4] != MAGIC:
-        raise CheckpointError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    version, manifest_len = struct.unpack("<II", blob[4:12])
-    if version != VERSION:
-        raise UnsupportedVersionError(
-            f"container version {version} not supported (reader handles "
-            f"{VERSION})")
-    stored_crc = struct.unpack("<I", blob[-4:])[0]
-    actual_crc = zlib.crc32(memoryview(blob)[:-4]) & 0xFFFFFFFF
-    if stored_crc != actual_crc:
-        raise CheckpointError(
-            f"CRC mismatch: stored {stored_crc:#010x}, "
-            f"computed {actual_crc:#010x}")
-    if 12 + manifest_len > len(blob) - 4:
-        raise CheckpointError("manifest extends past end of file")
+def _layout(manifest_bytes: bytes, payload_len: int
+            ) -> list[tuple[str, np.dtype, tuple[int, ...]]]:
+    """The arrays a manifest lists, in payload order, once every entry is
+    well formed, every name unique and the arrays cover exactly
+    ``payload_len`` bytes."""
     try:
-        manifest = json.loads(blob[12:12 + manifest_len].decode("utf-8"))
+        manifest = json.loads(manifest_bytes.decode("utf-8"))
     except (ValueError, RecursionError) as e:
         raise CheckpointError(f"malformed manifest: {e}") from None
     if not (isinstance(manifest, dict) and set(manifest) == {"arrays"}
             and isinstance(manifest["arrays"], list)):
         raise CheckpointError(
             'malformed manifest: expected {"arrays": [...]} at top level')
-
-    arrays: dict[str, np.ndarray] = {}
-    offset = 12 + manifest_len
+    layout, names, offset = [], set(), 0
     for entry in manifest["arrays"]:
         name, code, shape = _manifest_entry(entry)
-        if name in arrays:
+        if name in names:
             raise CheckpointError(f"duplicate array name {name!r}")
+        names.add(name)
         dtype = DTYPE_CODES[code]
-        count = math.prod(shape)
-        end = offset + count * dtype.itemsize
-        if end > len(blob) - 4:
+        offset += math.prod(shape) * dtype.itemsize
+        if offset > payload_len:
             raise CheckpointError(
                 f"array {name!r} extends past end of payload")
-        try:
-            array = np.frombuffer(blob, dtype, count, offset).reshape(shape)
-        except ValueError as e:
-            raise CheckpointError(f"array {name!r}: {e}") from None
-        arrays[name] = array.copy()   # owned, aligned and writeable
-        offset = end
-    if offset != len(blob) - 4:
+        layout.append((name, dtype, shape))
+    if offset != payload_len:
         raise CheckpointError(
-            f"{len(blob) - 4 - offset} trailing payload bytes not covered "
+            f"{payload_len - offset} trailing payload bytes not covered "
             f"by the manifest")
+    return layout
+
+
+def load_arrays(path) -> dict[str, np.ndarray]:
+    """Read what save_arrays wrote, each array into memory of its own;
+    see the module docstring for the order of reads and checks."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size + _CRC.size:
+            raise CheckpointError(f"file too short ({size} bytes)")
+        header = fh.read(_HEADER.size)
+        magic, version, manifest_len = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise UnsupportedVersionError(
+                f"container version {version} not supported (reader "
+                f"handles {VERSION})")
+        payload_len = size - _HEADER.size - manifest_len - _CRC.size
+        if payload_len < 0:
+            raise CheckpointError("manifest extends past end of file")
+        manifest_bytes = fh.read(manifest_len)
+        layout = _layout(manifest_bytes, payload_len)
+
+        crc = zlib.crc32(manifest_bytes, zlib.crc32(header))
+        arrays: dict[str, np.ndarray] = {}
+        for name, dtype, shape in layout:
+            try:
+                array = np.empty(shape, dtype)
+            except ValueError as e:         # a zero-size shape numpy refuses
+                raise CheckpointError(f"array {name!r}: {e}") from None
+            if fh.readinto(array) != array.nbytes:
+                raise CheckpointError(f"array {name!r}: file shrank while "
+                                      f"being read")
+            crc = zlib.crc32(array, crc)
+            arrays[name] = array
+        stored = fh.read(_CRC.size)
+    if len(stored) != _CRC.size:
+        raise CheckpointError("file shrank while being read")
+    stored_crc = _CRC.unpack(stored)[0]
+    if stored_crc != crc:
+        raise CheckpointError(
+            f"CRC mismatch: stored {stored_crc:#010x}, computed {crc:#010x}")
     return arrays
 
 

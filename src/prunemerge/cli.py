@@ -134,7 +134,25 @@ def cmd_compress(args) -> int:
     print(f"kept {plan.total_kept()}/{active_total} tokens across "
           f"{depth - len(plan.uncompressed)} compressed layers "
           f"(exempt: {sorted(plan.uncompressed) or 'none'})")
+    print(_plan_table(plan, scores))
     return 0
+
+
+def _plan_table(plan, scores) -> str:
+    """One row per layer: tokens in, kept (groups), merged (live tokens
+    folded into another token's group) and pruned; an exempt layer runs
+    all its tokens uncompressed."""
+    header = (f"{'layer':>6} {'tokens':>7} {'kept':>7} {'merged':>7} "
+              f"{'pruned':>7}")
+    rows = [header, "-" * len(header)]
+    for layer, entry in enumerate(plan.entries):
+        if entry is None:
+            rows.append(f"{layer:>6} {len(scores[layer]):>7} {'exempt':>7}")
+            continue
+        tokens, live = entry.mask.size, int(entry.mask.sum())
+        rows.append(f"{layer:>6} {tokens:>7} {entry.kept:>7} "
+                    f"{live - entry.kept:>7} {tokens - live:>7}")
+    return "\n".join(rows)
 
 
 def cmd_finetune(args) -> int:

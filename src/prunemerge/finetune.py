@@ -282,14 +282,36 @@ class TrainState:
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "TrainState":
-        try:
-            state = cls(epoch=int(arrays["state.epoch"]),
-                        step=int(arrays["state.step"]),
-                        seed=int(arrays["state.seed"]),
-                        loss_sum=float(arrays["state.loss_sum"]),
-                        loss_count=int(arrays["state.loss_count"]))
-        except KeyError as e:
-            raise ContractError(f"train state missing {e}") from None
+        """Inverse of ``to_arrays``.  Each counter must be a 0-d integer
+        array (nonnegative except the seed) and ``loss_sum`` a 0-d finite
+        float; nothing is coerced."""
+        def scalar(name: str, kinds: str) -> np.ndarray:
+            try:
+                value = np.asarray(arrays[f"state.{name}"])
+            except KeyError as e:
+                raise ContractError(f"train state missing {e}") from None
+            if value.shape != () or value.dtype.kind not in kinds:
+                raise ContractError(
+                    f"train state {name} must be a "
+                    f"{'float' if kinds == 'f' else 'integer'} scalar, "
+                    f"got {value.dtype} {value.shape}")
+            return value
+
+        def count(name: str) -> int:
+            value = int(scalar(name, "iu"))
+            if value < 0:
+                raise ContractError(
+                    f"train state {name} must be nonnegative, got {value}")
+            return value
+
+        epoch, step = count("epoch"), count("step")
+        seed = int(scalar("seed", "iu"))
+        loss_sum = float(scalar("loss_sum", "f"))
+        if not math.isfinite(loss_sum):
+            raise ContractError(
+                f"train state loss_sum must be finite, got {loss_sum}")
+        state = cls(epoch=epoch, step=step, seed=seed, loss_sum=loss_sum,
+                    loss_count=count("loss_count"))
         state.optimizer = {k: v for k, v in arrays.items()
                            if k.startswith("opt.")}
         return state

@@ -348,11 +348,14 @@ def clone_params(params: VitParams, requires_grad: bool = True) -> VitParams:
 
 def params_from_named(config: ModelConfig, arrays: dict[str, np.ndarray],
                       requires_grad: bool = True) -> VitParams:
-    """Rebuild a parameter tree from the dict produced by
-    ``dict(params.named_parameters())`` (values may be raw arrays).
+    """Build a parameter tree that adopts the given arrays, keyed as
+    ``params.named_parameters()`` names them.
 
-    Every parameter of ``config`` must be there as float64 of the shape
-    ``param_shapes`` gives it, and nothing else may be."""
+    Every parameter of ``config`` must be there as a float64 array of the
+    shape ``param_shapes`` gives it, and nothing else may be.  Nothing is
+    copied: each parameter's ``data`` is the caller's array, so pass
+    arrays nothing else holds or writes (a fresh ``load_arrays`` result,
+    say)."""
     shapes = param_shapes(config)
     stray = sorted(set(arrays) - set(shapes))
     if stray:
@@ -363,12 +366,12 @@ def params_from_named(config: ModelConfig, arrays: dict[str, np.ndarray],
             value = arrays[name]
         except KeyError:
             raise ContractError(f"missing parameter {name!r}") from None
-        data = np.asarray(value.data if isinstance(value, Tensor) else value)
+        data = np.asarray(value)
         if data.dtype != np.float64 or data.shape != shapes[name]:
             raise ContractError(
                 f"parameter {name!r}: expected float64 {shapes[name]}, "
                 f"got {data.dtype} {data.shape}")
-        return Tensor(data.copy(), requires_grad=requires_grad)
+        return Tensor(data, requires_grad=requires_grad)
 
     return VitParams(
         embed=PatchEmbedParams(w=take("embed.w"), b=take("embed.b"),

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -349,6 +350,74 @@ class TestContainerStrictness:
         save_arrays(path, arrays)
         with pytest.raises(CheckpointError, match=name.split(".")[-1]):
             load_model(path)
+
+
+def _traced_peak(fn, *args):
+    """(result, peak bytes traced while fn ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingIO:
+    """Each direction moves the payload through memory once."""
+
+    def test_load_model_peaks_at_the_parameter_bytes(self, tmp_path):
+        config = ModelConfig(image_size=8, patch_size=4, channels=1,
+                             embed_dim=160, depth=2, heads=2, num_classes=4)
+        model = VisionTransformer.build(config, seed=5)
+        param_bytes = sum(p.data.nbytes for _, p in model.named_parameters())
+        assert param_bytes >= 4 * 2 ** 20
+        path = tmp_path / "m.pmvt"
+        save_model(path, model)
+        (back, _), peak = _traced_peak(load_model, path)
+        assert peak <= param_bytes + 64 * 1024  # no blob, no second copy
+        for (name, a), (_, b) in zip(model.named_parameters(),
+                                     back.named_parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), name
+
+    def test_save_allocates_well_under_the_payload(self, tmp_path):
+        array = np.random.default_rng(6).standard_normal(2 ** 19)  # 4 MB
+        _, peak = _traced_peak(save_arrays, tmp_path / "a.pmvt", {"a": array})
+        assert peak < array.nbytes // 16
+        np.testing.assert_array_equal(load_arrays(tmp_path / "a.pmvt")["a"],
+                                      array)
+
+    def test_bytes_equal_the_reference_container(self, tmp_path):
+        base = np.arange(24, dtype=np.float64).reshape(4, 6)
+        arrays = {
+            "scalar": np.array(-3, dtype=np.int64),
+            "empty": np.zeros((0, 5)),
+            "strided": base[:, ::2],
+            "fortran": np.asfortranarray(base),
+            "before": np.linspace(0, 1, 3),
+            "flags": np.array([1, 0, 1, 1, 0], dtype=np.uint8),
+            "after": np.array([[0.5, -2.0]]),
+            "big-endian": np.arange(3, dtype=">i8"),
+        }
+        manifest = {"arrays": [
+            {"name": name, "dtype": {"f": "f8", "i": "i8", "u": "u1"}[
+                a.dtype.kind], "shape": list(a.shape)}
+            for name, a in arrays.items()]}
+        payload = b"".join(a.astype(a.dtype.newbyteorder("<")).tobytes()
+                           for a in arrays.values())
+        path = tmp_path / "ref.pmvt"
+        save_arrays(path, arrays)
+        assert path.read_bytes() == _container(manifest, payload)
+
+    def test_oversized_manifest_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "x.pmvt"
+        path.write_bytes(_container(_one_array_manifest(shape=(2 ** 20,)),
+                                    FOUR_I8))  # claims 8 MB, holds 32 bytes
+
+        def refused():
+            with pytest.raises(CheckpointError, match="past end"):
+                load_arrays(path)
+
+        assert _traced_peak(refused)[1] < 64 * 1024
 
 
 @pytest.fixture(scope="module")

@@ -173,6 +173,33 @@ def test_compress_reports_budget(workdir, cfg, base_ckpt, scores_csv,
     assert "kept 7/10 tokens" in out    # round(0.7 * 2 layers * 5 tokens)
 
 
+@pytest.mark.parametrize("exempt", ["none", "1"])
+def test_compress_prints_per_layer_table(workdir, cfg, base_ckpt, scores_csv,
+                                         capsys, exempt):
+    out = workdir / f"table-{exempt}.pmvt"
+    assert main(["compress", "--config", cfg, "--ckpt", base_ckpt,
+                 "--scores", scores_csv, "--out", str(out), "--exempt",
+                 exempt, "--rate", "0.7", "--pm-threshold", "0.2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index(next(l for l in lines
+                          if l.split()[:2] == ["layer", "tokens"]))
+    rows = [line.split() for line in lines[at + 2:]]
+    plan = checkpoint.load_plan(out)
+    assert [int(row[0]) for row in rows] == list(range(plan.depth))
+    kept = 0
+    for row, entry in zip(rows, plan.entries):
+        if entry is None:
+            assert row[1:] == ["5", "exempt"]
+            continue
+        tokens, k, merged, pruned = map(int, row[1:])
+        live = int(entry.mask.sum())
+        assert tokens == entry.mask.size == k + merged + pruned
+        assert (k + merged, pruned) == (live, tokens - live)
+        kept += k
+    assert kept == plan.total_kept()
+    assert (exempt == "1") == (1 in plan.uncompressed)
+
+
 def test_finetune_writes_checkpoint_and_metrics(workdir, cfg, base_ckpt,
                                                 plan_file, capsys):
     out = workdir / "tuned.pmvt"

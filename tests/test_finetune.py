@@ -572,6 +572,77 @@ class TestFinetune:
         assert all(np.isfinite(m["loss"]) for m in metrics)
 
 
+BAD_STATE = {
+    "fractional-epoch": ("state.epoch", np.array(1.5)),
+    "epoch-vector": ("state.epoch", np.array([1, 2])),
+    "negative-epoch": ("state.epoch", np.array(-1)),
+    "bool-step": ("state.step", np.array(True)),
+    "negative-step": ("state.step", np.array(-3)),
+    "float-seed": ("state.seed", np.array(7.0)),
+    "seed-vector": ("state.seed", np.array([7])),
+    "negative-count": ("state.loss_count", np.array(-2)),
+    "count-vector": ("state.loss_count", np.zeros((1, 1), dtype=np.int64)),
+    "integer-loss": ("state.loss_sum", np.array(3)),
+    "nan-loss": ("state.loss_sum", np.array(np.nan)),
+    "inf-loss": ("state.loss_sum", np.array(-np.inf)),
+    "loss-vector": ("state.loss_sum", np.array([0.5])),
+}
+
+
+class TestTrainState:
+    def saved(self):
+        return TrainState(epoch=2, step=6, seed=7, loss_sum=1.25,
+                          loss_count=3).to_arrays()
+
+    def test_round_trip(self):
+        state = TrainState.from_arrays(self.saved())
+        assert (state.epoch, state.step, state.seed, state.loss_sum,
+                state.loss_count) == (2, 6, 7, 1.25, 3)
+        assert type(state.epoch) is int and type(state.loss_sum) is float
+
+    def test_unsigned_counters_and_negative_seed_load(self):
+        arrays = self.saved()
+        arrays["state.epoch"] = np.array(2, dtype=np.uint8)
+        arrays["state.seed"] = np.array(-5)
+        state = TrainState.from_arrays(arrays)
+        assert (state.epoch, state.seed) == (2, -5)
+
+    @pytest.mark.parametrize("name,value", BAD_STATE.values(),
+                             ids=BAD_STATE.keys())
+    def test_bad_scalar_is_a_contract_error(self, name, value):
+        arrays = self.saved()
+        arrays[name] = value
+        with pytest.raises(ContractError, match=name.split(".")[1]):
+            TrainState.from_arrays(arrays)
+
+    def test_missing_counter_is_a_contract_error(self):
+        arrays = self.saved()
+        del arrays["state.loss_count"]
+        with pytest.raises(ContractError, match="loss_count"):
+            TrainState.from_arrays(arrays)
+
+    def test_resume_from_a_bad_dump_fails_before_training(
+            self, compressed_pair, tmp_path):
+        # a state dump written by an aborted run, then one counter edited:
+        # reading it back is refused as the CLI's one-line error type
+        from prunemerge.checkpoint import load_arrays, save_arrays
+        from prunemerge.cli import EXPECTED_ERRORS
+        base, plan = compressed_pair
+        comp = compress_model(base, plan, learnable_matrices=True)
+        comp.params.head_w.data[:] = np.inf
+        dump = tmp_path / "abort.pmvt"
+        cfg = DistillConfig(epochs=1, freeze_epoch=1, batch_size=8)
+        with pytest.raises(NumericError), np.errstate(invalid="ignore"):
+            finetune(comp, base.frozen_copy(), tiny_dataset(8), cfg,
+                     state_dump_path=dump)
+        arrays = load_arrays(dump)
+        arrays["state.epoch"] = np.array(1.5)
+        save_arrays(dump, arrays)
+        with pytest.raises(ContractError, match="epoch") as info:
+            TrainState.from_arrays(load_arrays(dump))
+        assert isinstance(info.value, EXPECTED_ERRORS)
+
+
 class TestEvaluateAccuracy:
     def test_range_and_determinism(self, compressed_pair):
         base, _ = compressed_pair

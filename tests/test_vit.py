@@ -71,6 +71,19 @@ class TestInit:
         np.testing.assert_array_equal(p.blocks[0].ln1_g.data, 1.0)
 
 
+    def test_params_from_named_adopts_the_arrays(self):
+        config = tiny_config()
+        arrays = {name: t.data.copy() for name, t in
+                  vit.init_params(config, seed=3).named_parameters()}
+        params = vit.params_from_named(config, arrays, requires_grad=False)
+        for name, t in params.named_parameters():
+            assert t.data is arrays[name], name
+            assert not t.requires_grad
+        arrays["head.b"] = arrays["head.b"].astype(np.int64)
+        with pytest.raises(ContractError, match="head.b"):
+            vit.params_from_named(config, arrays)
+
+
 class TestPatchify:
     def test_token_count_small(self):
         cfg = tiny_config(image_size=4, patch_size=2, embed_dim=4, heads=1)

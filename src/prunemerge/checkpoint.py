@@ -202,15 +202,27 @@ def _config_arrays(config: ModelConfig) -> dict[str, np.ndarray]:
             for name in _CONFIG_FIELDS}
 
 
+def int_scalar(value, what: str, error: type[Exception] = ContractError,
+               nonnegative: bool = False) -> int:
+    """``value`` as an int.  Anything but a 0-d array of a signed or
+    unsigned integer dtype (bool is none), or with ``nonnegative`` a
+    negative one, raises ``error`` naming ``what``; nothing is coerced."""
+    value = np.asarray(value)
+    if value.shape != () or value.dtype.kind not in "iu" \
+            or (nonnegative and value < 0):
+        shown = value.shape if value.ndim else value.item()
+        raise error(f"{what} must be a 0-d "
+                    f"{'nonnegative ' if nonnegative else ''}integer, got "
+                    f"{value.dtype} {shown!r}")
+    return int(value)
+
+
 def _int_scalar(arrays: dict[str, np.ndarray], name: str) -> int:
     try:
         value = arrays[name]
     except KeyError:
         raise CheckpointError(f"checkpoint missing {name!r}") from None
-    if value.shape != () or value.dtype.kind not in "iu":
-        raise CheckpointError(f"{name} must be an integer scalar, got "
-                              f"{value.dtype} {value.shape}")
-    return int(value)
+    return int_scalar(value, name, CheckpointError)
 
 
 def _config_from(arrays: dict[str, np.ndarray]) -> ModelConfig:

@@ -23,12 +23,11 @@ from functools import cached_property
 
 import numpy as np
 
-from . import tensor as T
 from .errors import ContractError, ShapeMismatchError, SingularMatrixError
 from .scoring import prune_count_for, rank_descending, round_half_up
 from .tensor import Tensor, from_op
 from .vit import (AttentionTrace, BlockParams, VisionTransformer,
-                  block_forward, clone_params, patchify)
+                  block_forward, clone_params, model_forward)
 
 RANK_TOL = 1e-10
 
@@ -680,7 +679,7 @@ class CompressedModel:
                     f"model tokens {base.config.num_tokens}")
         self.config = base.config
         self.plan = plan
-        self.params = clone_params(base.params, requires_grad=True)
+        self.params = clone_params(base.config, base.params)
         self.merge_t: dict[int, Tensor] = {}
         self.recon_t: dict[int, Tensor] = {}
         self._segments: dict[int, Segments] = {}
@@ -697,29 +696,19 @@ class CompressedModel:
 
     def forward(self, images: np.ndarray,
                 traces: list[AttentionTrace] | None = None) -> Tensor:
-        """Logits of the compressed model; as in ``vit.model_forward``,
-        the last layer computes only the class-token row unless traced."""
-        p = self.params
-        z = patchify(images, self.config, p.embed)
-        last = len(p.blocks) - 1
-        for layer, blk in enumerate(p.blocks):
-            trace = None
-            if traces is not None:
-                trace = AttentionTrace(layer)
-                traces.append(trace)
-            class_row = layer == last and trace is None
-            if layer in self.merge_t:
-                z = pm_forward_tensors(z, self.merge_t[layer],
-                                       self.recon_t[layer],
-                                       self._segments[layer],
-                                       self._masks[layer], blk,
-                                       self.config.heads, trace=trace,
-                                       class_row=class_row)
-            else:
-                z = block_forward(z, blk, self.config.heads, trace=trace,
+        """Logits of the compressed model: ``vit.model_forward`` with each
+        compressed layer run by ``pm_forward_tensors``."""
+        return model_forward(images, self.params, self.config, traces=traces,
+                             layers=dict.fromkeys(self.merge_t,
+                                                  self._compressed_layer))
+
+    def _compressed_layer(self, layer: int, z: Tensor, block: BlockParams,
+                          trace: AttentionTrace | None,
+                          class_row: bool) -> Tensor:
+        return pm_forward_tensors(z, self.merge_t[layer], self.recon_t[layer],
+                                  self._segments[layer], self._masks[layer],
+                                  block, self.config.heads, trace=trace,
                                   class_row=class_row)
-        z = T.layer_norm(z, p.ln_f_g, p.ln_f_b)
-        return T.matmul(z[:, 0, :], p.head_w) + p.head_b
 
     def named_parameters(self, include_matrices: bool = True):
         yield from self.params.named_parameters()

@@ -1,5 +1,12 @@
-"""Training loops: baseline supervised training and compressed-model
+"""Training: baseline supervised training and compressed-model
 fine-tuning with self-distillation against the frozen original model.
+
+Both trainers run one loop, ``run_epochs``.  It owns the cosine rate, the
+non-finite check, zero_grad/backward/step, the metrics rows, per-epoch
+validation and freeing each step's graph before the next forward; a
+trainer gives it a per-batch loss closure over batch indices.
+``finetune`` adds resume, ``stop_after``, the freeze epoch, the teacher
+logit cache and the state dump around it.
 
 The distillation objective is cross-entropy plus alpha times the KL term;
 gradients reach the student only.  Merge/reconstruct matrices train as
@@ -17,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import int_scalar, save_arrays
 from .data import Dataset, batch_indices, batches
 from .errors import (ConfigError, ContractError, NumericError,
                      ShapeMismatchError)
@@ -240,18 +248,14 @@ class AdamW:
             try:
                 m = arrays[f"opt.m.{name}"]
                 v = arrays[f"opt.v.{name}"]
-                t = np.asarray(arrays[f"opt.t.{name}"])
+                t = arrays[f"opt.t.{name}"]
             except KeyError as e:
                 raise ContractError(f"optimizer state missing {e}") from None
             if m.shape != p.data.shape or v.shape != p.data.shape:
                 raise ContractError(
                     f"optimizer state shape mismatch for {name!r}")
-            if t.shape != () or not np.issubdtype(t.dtype, np.integer) \
-                    or t < 0:
-                raise ContractError(
-                    f"optimizer step count of {name!r} must be a "
-                    f"nonnegative integer, got {t.dtype} {t.tolist()!r}")
-            loaded.append((name, m, v, int(t)))
+            loaded.append((name, m, v, int_scalar(
+                t, f"optimizer step count of {name!r}", nonnegative=True)))
         for name, m, v, t in loaded:
             self.m[name][...] = m
             self.v[name][...] = v
@@ -285,33 +289,27 @@ class TrainState:
         """Inverse of ``to_arrays``.  Each counter must be a 0-d integer
         array (nonnegative except the seed) and ``loss_sum`` a 0-d finite
         float; nothing is coerced."""
-        def scalar(name: str, kinds: str) -> np.ndarray:
+        def scalar(name: str) -> np.ndarray:
             try:
-                value = np.asarray(arrays[f"state.{name}"])
+                return np.asarray(arrays[f"state.{name}"])
             except KeyError as e:
                 raise ContractError(f"train state missing {e}") from None
-            if value.shape != () or value.dtype.kind not in kinds:
-                raise ContractError(
-                    f"train state {name} must be a "
-                    f"{'float' if kinds == 'f' else 'integer'} scalar, "
-                    f"got {value.dtype} {value.shape}")
-            return value
 
-        def count(name: str) -> int:
-            value = int(scalar(name, "iu"))
-            if value < 0:
-                raise ContractError(
-                    f"train state {name} must be nonnegative, got {value}")
-            return value
+        def integer(name: str, nonnegative: bool = True) -> int:
+            return int_scalar(scalar(name), f"train state {name}",
+                              nonnegative=nonnegative)
 
-        epoch, step = count("epoch"), count("step")
-        seed = int(scalar("seed", "iu"))
-        loss_sum = float(scalar("loss_sum", "f"))
-        if not math.isfinite(loss_sum):
+        epoch, step = integer("epoch"), integer("step")
+        seed = integer("seed", nonnegative=False)
+        loss_sum = scalar("loss_sum")
+        if loss_sum.shape != () or loss_sum.dtype.kind != "f" \
+                or not np.isfinite(loss_sum):
             raise ContractError(
-                f"train state loss_sum must be finite, got {loss_sum}")
-        state = cls(epoch=epoch, step=step, seed=seed, loss_sum=loss_sum,
-                    loss_count=count("loss_count"))
+                f"train state loss_sum must be a finite 0-d float, got "
+                f"{loss_sum.dtype} "
+                f"{loss_sum.shape if loss_sum.ndim else loss_sum.item()!r}")
+        state = cls(epoch=epoch, step=step, seed=seed,
+                    loss_sum=float(loss_sum), loss_count=integer("loss_count"))
         state.optimizer = {k: v for k, v in arrays.items()
                            if k.startswith("opt.")}
         return state
@@ -347,11 +345,6 @@ def evaluate_accuracy(model, dataset: Dataset, batch_size: int = 64) -> float:
     return hits / len(dataset.labels)
 
 
-def _dump_state(state: TrainState, path) -> None:
-    from .checkpoint import save_arrays
-    save_arrays(path, state.to_arrays())
-
-
 def teacher_logits_of(teacher, dataset: Dataset,
                       batch_size: int) -> np.ndarray:
     """The (n, num_classes) logits of ``teacher`` over ``dataset`` in
@@ -360,6 +353,52 @@ def teacher_logits_of(teacher, dataset: Dataset,
         return np.concatenate([
             teacher.forward(dataset.images[start:start + batch_size]).data
             for start in range(0, len(dataset.labels), batch_size)])
+
+
+def run_epochs(model, optimizer: AdamW, state: TrainState, loss_of,
+               n: int, batch_size: int, epochs: int, base_lr: float,
+               stop: int, val_data: Dataset | None = None,
+               begin_epoch=None, on_nonfinite=None) -> list[dict]:
+    """The training loop of both trainers; returns the metrics rows.
+
+    Runs epochs ``state.epoch`` up to ``stop`` of an ``epochs``-long
+    cosine schedule over ``batch_indices(n, batch_size, seed=state.seed,
+    epoch=e)``.  ``loss_of(idx)`` returns a batch's loss tensor and the
+    floats logged as ce and kl.  A step's graph is dropped before the
+    next forward runs.  ``begin_epoch(epoch)`` runs before each epoch,
+    validation on ``val_data`` after it, and ``on_nonfinite()`` before a
+    non-finite loss raises NumericError.
+    """
+    total_steps = epochs * max(1, math.ceil(n / batch_size))
+    metrics: list[dict] = []
+    for epoch in range(state.epoch, stop):
+        if begin_epoch is not None:
+            begin_epoch(epoch)
+        for idx in batch_indices(n, batch_size, seed=state.seed, epoch=epoch):
+            lr = cosine_lr(state.step, total_steps, base_lr)
+            loss, ce, kl = loss_of(idx)
+            loss_val = float(loss.data)
+            if not np.isfinite(loss_val):
+                if on_nonfinite is not None:
+                    on_nonfinite()
+                raise NumericError(
+                    f"non-finite loss {loss_val} at epoch {epoch} "
+                    f"step {state.step}")
+            optimizer.zero_grad()
+            T.backward(loss)
+            optimizer.step(lr)
+            state.step += 1
+            state.loss_sum += loss_val
+            state.loss_count += 1
+            metrics.append({"epoch": epoch, "step": state.step,
+                            "loss": loss_val, "ce": ce, "kl": kl, "lr": lr,
+                            "val_acc": None})
+            # Free this step's graph before the next step's forwards run.
+            del loss
+        if val_data is not None and metrics:
+            metrics[-1]["val_acc"] = evaluate_accuracy(model, val_data)
+        state.epoch = epoch + 1
+    return metrics
 
 
 def finetune(model, teacher: VisionTransformer, train_data: Dataset,
@@ -401,50 +440,29 @@ def finetune(model, teacher: VisionTransformer, train_data: Dataset,
                 f"resume seed {resume.seed} != config seed {config.seed}")
         optimizer.load_state_arrays(resume.optimizer)
 
-    n = len(train_data.labels)
-    steps_per_epoch = max(1, math.ceil(n / config.batch_size))
-    total_steps = config.epochs * steps_per_epoch
-    metrics: list[dict] = []
     last_epoch = config.epochs if stop_after is None \
         else min(stop_after, config.epochs)
     if state.epoch < last_epoch:
         cached = teacher_logits_of(teacher, train_data, config.batch_size)
 
-    for epoch in range(state.epoch, last_epoch):
-        model.set_matrices_trainable(epoch < config.freeze_epoch)
-        for idx in batch_indices(n, config.batch_size, seed=config.seed,
-                                 epoch=epoch):
-            images, labels = train_data.images[idx], train_data.labels[idx]
-            lr = cosine_lr(state.step, total_steps, config.base_lr)
-            teacher_logits = Tensor(cached[idx])
-            student_logits = model.forward(images)
-            loss, ce, kl = self_distill_loss(
-                student_logits, teacher_logits, labels,
-                alpha=config.alpha, temperature=config.temperature)
-            loss_val = float(loss.data)
-            if not np.isfinite(loss_val):
-                if state_dump_path is not None:
-                    state.optimizer = optimizer.state_arrays()
-                    _dump_state(state, state_dump_path)
-                raise NumericError(
-                    f"non-finite loss {loss_val} at epoch {epoch} "
-                    f"step {state.step}")
-            optimizer.zero_grad()
-            T.backward(loss)
-            optimizer.step(lr)
-            state.step += 1
-            state.loss_sum += loss_val
-            state.loss_count += 1
-            metrics.append({"epoch": epoch, "step": state.step,
-                            "loss": loss_val, "ce": float(ce.data),
-                            "kl": float(kl.data), "lr": lr,
-                            "val_acc": None})
-            # Free this step's graph before the next step's forwards run.
-            del teacher_logits, student_logits, loss, ce, kl
-        if val_data is not None and metrics:
-            metrics[-1]["val_acc"] = evaluate_accuracy(model, val_data)
-        state.epoch = epoch + 1
+    def loss_of(idx):
+        loss, ce, kl = self_distill_loss(
+            model.forward(train_data.images[idx]), Tensor(cached[idx]),
+            train_data.labels[idx], alpha=config.alpha,
+            temperature=config.temperature)
+        return loss, float(ce.data), float(kl.data)
 
+    def dump_state():
+        state.optimizer = optimizer.state_arrays()
+        save_arrays(state_dump_path, state.to_arrays())
+
+    metrics = run_epochs(
+        model, optimizer, state, loss_of, len(train_data.labels),
+        config.batch_size, config.epochs, config.base_lr, last_epoch,
+        val_data=val_data,
+        begin_epoch=lambda epoch: model.set_matrices_trainable(
+            epoch < config.freeze_epoch),
+        on_nonfinite=None if state_dump_path is None else dump_state)
     state.optimizer = optimizer.state_arrays()
     return model, metrics, state
 
@@ -459,26 +477,14 @@ def train_baseline(config: ModelConfig, train_data: Dataset, epochs: int,
     _check_rates(base_lr, weight_decay)
     model = VisionTransformer.build(config, seed=seed)
     optimizer = AdamW(model.named_parameters(), weight_decay=weight_decay)
-    steps_per_epoch = max(1, math.ceil(len(train_data.labels) / batch_size))
-    total_steps = epochs * steps_per_epoch
-    metrics: list[dict] = []
-    step = 0
-    for epoch in range(epochs):
-        for images, labels in batches(train_data, batch_size,
-                                      seed=seed, epoch=epoch):
-            lr = cosine_lr(step, total_steps, base_lr)
-            loss = T.cross_entropy(model.forward(images), labels)
-            loss_val = float(loss.data)
-            if not np.isfinite(loss_val):
-                raise NumericError(
-                    f"non-finite loss {loss_val} at epoch {epoch} step {step}")
-            optimizer.zero_grad()
-            T.backward(loss)
-            optimizer.step(lr)
-            step += 1
-            metrics.append({"epoch": epoch, "step": step, "loss": loss_val,
-                            "ce": loss_val, "kl": 0.0, "lr": lr,
-                            "val_acc": None})
-        if val_data is not None and metrics:
-            metrics[-1]["val_acc"] = evaluate_accuracy(model, val_data)
+
+    def loss_of(idx):
+        loss = T.cross_entropy(model.forward(train_data.images[idx]),
+                               train_data.labels[idx])
+        return loss, float(loss.data), 0.0
+
+    state = TrainState(epoch=0, step=0, seed=seed)
+    metrics = run_epochs(model, optimizer, state, loss_of,
+                         len(train_data.labels), batch_size, epochs, base_lr,
+                         epochs, val_data=val_data)
     return model, metrics

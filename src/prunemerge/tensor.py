@@ -109,9 +109,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    def item(self) -> float:
-        return float(self.data)
-
     # -- gradient bookkeeping -------------------------------------------
     def zero_grad(self) -> None:
         self.grad = None
@@ -133,12 +130,6 @@ class Tensor:
     def __radd__(self, other):
         return add(_as_tensor(other), self)
 
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
@@ -151,25 +142,11 @@ class Tensor:
                                 "multiply by a reciprocal constant instead")
         return mul(self, _as_tensor(1.0 / float(other)))
 
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
 
     def __getitem__(self, key):
         return take(self, key)
-
-    # -- shape ops as methods ---------------------------------------------
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tensor_sum(self, axis=axis, keepdims=keepdims)
@@ -331,16 +308,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return from_op(data, (a, b), grad_fn, "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-    a_shape, b_shape = a.shape, b.shape
-
-    def grad_fn(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
-
-    return from_op(data, (a, b), grad_fn, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -16,7 +16,8 @@ full maps and brings the full block back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -96,9 +97,8 @@ class BlockParams:
     ln2_b: Tensor
 
     def named(self):
-        for f in ("w_q", "w_k", "w_v", "w_o", "w_fc1", "w_fc2",
-                  "ln1_g", "ln1_b", "ln2_g", "ln2_b"):
-            yield f, getattr(self, f)
+        for f in fields(self):
+            yield f.name, getattr(self, f.name)
 
 
 @dataclass
@@ -111,10 +111,8 @@ class VitParams:
     head_b: Tensor
 
     def named_parameters(self):
-        yield "embed.w", self.embed.w
-        yield "embed.b", self.embed.b
-        yield "embed.cls", self.embed.cls
-        yield "embed.pos", self.embed.pos
+        for f in fields(self.embed):
+            yield f"embed.{f.name}", getattr(self.embed, f.name)
         for i, blk in enumerate(self.blocks):
             for name, t in blk.named():
                 yield f"block{i}.{name}", t
@@ -151,41 +149,14 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> VitParams:
+    """Fresh parameters drawn from one ``default_rng(seed)``: in
+    ``param_shapes`` order, a truncated normal for each matrix, ones for
+    each layer-norm gain and zeros for each offset or bias."""
     rng = np.random.default_rng(seed)
-    d = config.embed_dim
-
-    def w(shape):
-        return Tensor(_trunc_normal(rng, shape), requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(shape):
-        return Tensor(np.ones(shape), requires_grad=True)
-
-    embed = PatchEmbedParams(
-        w=w((config.patch_dim, d)),
-        b=zeros(d),
-        cls=w((1, d)),
-        pos=w((config.num_tokens, d)),
-    )
-    blocks = []
-    for _ in range(config.depth):
-        blocks.append(BlockParams(
-            w_q=w((d, d)), w_k=w((d, d)), w_v=w((d, d)), w_o=w((d, d)),
-            w_fc1=w((d, config.mlp_ratio * d)),
-            w_fc2=w((config.mlp_ratio * d, d)),
-            ln1_g=ones(d), ln1_b=zeros(d),
-            ln2_g=ones(d), ln2_b=zeros(d),
-        ))
-    return VitParams(
-        embed=embed,
-        blocks=blocks,
-        ln_f_g=ones(d),
-        ln_f_b=zeros(d),
-        head_w=w((d, config.num_classes)),
-        head_b=zeros(config.num_classes),
-    )
+    return params_from_named(config, {
+        name: _trunc_normal(rng, shape) if len(shape) == 2
+        else (np.ones if name.endswith(("_g", ".g")) else np.zeros)(shape)
+        for name, shape in param_shapes(config).items()})
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -280,11 +251,19 @@ def block_forward(z: Tensor, params: BlockParams, heads: int,
 
 def model_forward(images: np.ndarray, params: VitParams, config: ModelConfig,
                   traces: list[AttentionTrace] | None = None,
-                  attn_bumps: dict[int, np.ndarray] | None = None) -> Tensor:
+                  attn_bumps: dict[int, np.ndarray] | None = None,
+                  layers: dict[int, Callable[..., Tensor]] | None = None
+                  ) -> Tensor:
     """Full forward pass to (B, num_classes) logits.
 
-    The head reads only the class token, so the last block runs in
-    class-row mode unless a trace or a bump asks for its full maps.
+    This is the one layer loop, for the base and the compressed model
+    alike.  ``layers`` maps a layer index to the function that runs that
+    layer in place of ``block_forward``, called as ``fn(layer, z, block,
+    trace=trace, class_row=class_row)``; ``CompressedModel`` passes its
+    compressed layers there.  ``attn_bumps`` reaches only the layers
+    ``block_forward`` runs.  The head reads only the class token, so the
+    last layer runs in class-row mode unless a trace or a bump asks for
+    its full maps.
     """
     z = patchify(images, config, params.embed)
     last = len(params.blocks) - 1
@@ -295,8 +274,12 @@ def model_forward(images: np.ndarray, params: VitParams, config: ModelConfig,
             traces.append(trace)
         bump = attn_bumps.get(layer) if attn_bumps else None
         class_row = layer == last and trace is None and bump is None
-        z = block_forward(z, blk, config.heads, trace=trace, attn_bump=bump,
-                          class_row=class_row)
+        run = layers.get(layer) if layers else None
+        if run is None:
+            z = block_forward(z, blk, config.heads, trace=trace,
+                              attn_bump=bump, class_row=class_row)
+        else:
+            z = run(layer, z, blk, trace=trace, class_row=class_row)
     z = T.layer_norm(z, params.ln_f_g, params.ln_f_b)
     cls = z[:, 0, :]
     return T.matmul(cls, params.head_w) + params.head_b
@@ -328,22 +311,16 @@ class VisionTransformer:
 
     def frozen_copy(self) -> "VisionTransformer":
         """A gradient-free deep copy, e.g. for use as a distillation teacher."""
-        return VisionTransformer(self.config,
-                                 clone_params(self.params, requires_grad=False))
+        return VisionTransformer(self.config, clone_params(
+            self.config, self.params, requires_grad=False))
 
 
-def clone_params(params: VitParams, requires_grad: bool = True) -> VitParams:
-    def c(t: Tensor) -> Tensor:
-        return Tensor(t.data.copy(), requires_grad=requires_grad)
-
-    return VitParams(
-        embed=PatchEmbedParams(w=c(params.embed.w), b=c(params.embed.b),
-                               cls=c(params.embed.cls), pos=c(params.embed.pos)),
-        blocks=[BlockParams(**{name: c(t) for name, t in blk.named()})
-                for blk in params.blocks],
-        ln_f_g=c(params.ln_f_g), ln_f_b=c(params.ln_f_b),
-        head_w=c(params.head_w), head_b=c(params.head_b),
-    )
+def clone_params(config: ModelConfig, params: VitParams,
+                 requires_grad: bool = True) -> VitParams:
+    """A deep copy of ``params``, a parameter tree of ``config``."""
+    return params_from_named(
+        config, {name: t.data.copy() for name, t in params.named_parameters()},
+        requires_grad=requires_grad)
 
 
 def params_from_named(config: ModelConfig, arrays: dict[str, np.ndarray],
@@ -376,11 +353,9 @@ def params_from_named(config: ModelConfig, arrays: dict[str, np.ndarray],
     return VitParams(
         embed=PatchEmbedParams(w=take("embed.w"), b=take("embed.b"),
                                cls=take("embed.cls"), pos=take("embed.pos")),
-        blocks=[
-            BlockParams(**{name: take(f"block{i}.{name}")
-                           for name, _ in BlockParams.__dataclass_fields__.items()})
-            for i in range(config.depth)
-        ],
+        blocks=[BlockParams(**{f.name: take(f"block{i}.{f.name}")
+                               for f in fields(BlockParams)})
+                for i in range(config.depth)],
         ln_f_g=take("ln_f.g"), ln_f_b=take("ln_f.b"),
         head_w=take("head.w"), head_b=take("head.b"),
     )

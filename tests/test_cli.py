@@ -8,6 +8,7 @@ import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def test_train_baseline_is_deterministic(workdir, cfg, base_ckpt):
 
 
 def test_scores_csv_has_expected_shape(scores_csv):
-    lines = open(scores_csv).read().strip().splitlines()
+    lines = Path(scores_csv).read_text().strip().splitlines()
     assert lines[0] == "layer,token_index,score"
     assert len(lines) == 1 + 2 * 5      # depth 2, 4 patches + class token
 
@@ -146,7 +147,7 @@ def test_more_scoring_iterations_change_scores(workdir, cfg, base_ckpt,
     other = workdir / "scores_more.csv"
     assert main(["score", "--config", cfg, "--ckpt", base_ckpt,
                  "--out", str(other), "--iters", "4"]) == 0
-    assert other.read_text() != open(scores_csv).read()
+    assert other.read_text() != Path(scores_csv).read_text()
 
 
 def test_identity_compression_evaluates_identically(workdir, cfg, base_ckpt,
@@ -343,7 +344,7 @@ SCORE_ROW_DEFECTS = {
                          ids=SCORE_ROW_DEFECTS.keys())
 def test_malformed_scores_row_is_one_line_error(workdir, cfg, base_ckpt,
                                                scores_csv, capsys, row):
-    lines = open(scores_csv, "rb").read().splitlines()
+    lines = Path(scores_csv).read_bytes().splitlines()
     lines[2] = row                      # line 3: layer 0, token 1
     bad = workdir / "bad_scores.csv"
     bad.write_bytes(b"\n".join(lines) + b"\n")

@@ -641,6 +641,33 @@ class TestCompressedModel:
         np.testing.assert_allclose(comp.forward(images).data, ref.data,
                                    atol=1e-12)
 
+    def test_layers_are_looked_up_by_module_name(self, base_model,
+                                                 monkeypatch):
+        # A wrapper installed on the module names, as perfbench's tracer
+        # installs one, sees every layer of the compressed forward.
+        from prunemerge import compression, vit
+        rng = np.random.default_rng(74)
+        n = base_model.config.num_tokens
+        plan = global_plan([rng.uniform(0.1, 1.0, size=n) for _ in range(2)],
+                           rate=0.7, pm_threshold=0.1, exempt_layers=(0,))
+        comp = compress_model(base_model, plan)
+        calls = []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        block = spy("block", vit.block_forward)
+        for module in (vit, compression):
+            monkeypatch.setattr(module, "block_forward", block)
+        monkeypatch.setattr(compression, "pm_forward_tensors",
+                            spy("pm", compression.pm_forward_tensors))
+        comp.forward(rng.uniform(0, 1, size=(2, 1, 8, 8)))
+        # layer 0 is exempt; layer 1's merged tokens run a block too
+        assert calls == ["block", "pm", "block"]
+
     def test_learnable_matrices_receive_masked_gradients(self, base_model):
         rng = np.random.default_rng(72)
         images = rng.uniform(0, 1, size=(2, 1, 8, 8))

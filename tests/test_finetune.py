@@ -322,6 +322,35 @@ class TestTrainBaseline:
                                   m2.named_parameters()):
             np.testing.assert_array_equal(a.data, b.data)
 
+    def test_step_graph_freed_before_next_forward(self, monkeypatch):
+        # As in TestFinetune, with the cyclic collector off: neither an
+        # earlier step's logits nor its loss, the root of its graph, may
+        # be alive when the next step's forward starts.
+        forward, cross_entropy = VisionTransformer.forward, T.cross_entropy
+        refs, alive = [], []
+
+        def spy_forward(self, images, **kwargs):
+            alive.append([r() is not None for r in refs])
+            out = forward(self, images, **kwargs)
+            refs.append(weakref.ref(out))
+            return out
+
+        def spy_loss(logits, labels):
+            loss = cross_entropy(logits, labels)
+            refs.append(weakref.ref(loss))
+            return loss
+
+        monkeypatch.setattr(VisionTransformer, "forward", spy_forward)
+        monkeypatch.setattr(T, "cross_entropy", spy_loss)
+        gc.disable()
+        try:
+            train_baseline(tiny_config(), tiny_dataset(16), epochs=1,
+                           batch_size=4, seed=1)
+        finally:
+            gc.enable()
+        assert len(refs) == 8
+        assert alive == [[False] * k for k in range(0, 8, 2)]
+
 
 class TestFinetune:
     def test_zero_epochs_leaves_model_unchanged(self, compressed_pair):

@@ -57,6 +57,24 @@ class TestInit:
                 vit.init_params(config, seed=0).named_parameters()}
         assert list(vit.param_shapes(config).items()) == list(made.items())
 
+    @pytest.mark.parametrize("config", [
+        tiny_config(), tiny_config(depth=0),
+        tiny_config(image_size=12, channels=3, mlp_ratio=2, num_classes=5)])
+    def test_draw_order(self, config):
+        # One generator, drawn in param_shapes order: a truncated normal
+        # per matrix; gains are ones and offsets zeros, drawing nothing.
+        rng = np.random.default_rng(11)
+        gains = {"ln_f.g"} | {f"block{i}.ln{k}_g"
+                              for i in range(config.depth) for k in (1, 2)}
+        want = {name: vit._trunc_normal(rng, shape) if len(shape) == 2
+                else np.ones(shape) if name in gains else np.zeros(shape)
+                for name, shape in vit.param_shapes(config).items()}
+        got = dict(vit.init_params(config, seed=11).named_parameters())
+        assert list(got) == list(want)
+        for name, t in got.items():
+            np.testing.assert_array_equal(t.data, want[name], err_msg=name)
+            assert t.requires_grad
+
     @pytest.mark.parametrize("field", ["patch_size", "heads"])
     def test_zero_divisor_is_a_contract_error(self, field):
         with pytest.raises(ContractError, match=f"{field} must be positive"):

@@ -5,7 +5,10 @@ are folded into per-group weighted sums before the block and scattered
 back afterwards, while pruned tokens bypass the block entirely through
 the masked shortcut.  The groups partition the tokens and token j has one
 entry in each matrix, w[j] = M[gid[j], j] and r[j] = R[j, gid[j]]; plans
-store only the groups and those two vectors.  Both directions run in
+store only the groups and those two vectors.  A pruned token's r[j] is
+zero, so the two terms never overlap: token j of the output is
+r[j] * B(M.z)[gid[j]] when it is live and z[j] when it is pruned, one
+gather plus a row copy (``reconstruct_tokens``).  Both directions run in
 O(N*D): every grouped merge (the model's, its gradients' and
 ``grouped_merge``) is one segmented sum and every grouped reconstruct one
 gather.  Dense M and R are derived views.
@@ -67,14 +70,17 @@ class Segments:
     """Contiguous token groups partitioning [0, n), as the kernels read them.
 
     ``gid[j]`` is token j's group; ``live[j]`` is False for pruned tokens,
-    which the autodiff ops send no gradient.  ``merge_at``/``recon_at``
-    flat-index each token's own entry M[gid[j], j] and R[j, gid[j]].
-    The CSR layout of stacked batch copies is kept for the last batch
-    size asked for.
+    which the autodiff ops send no gradient.  ``pruned`` lists the pruned
+    tokens and ``bypass``, an (n, 1) column, is 1.0 on them and 0.0 on
+    live ones.  ``merge_at``/``recon_at`` flat-index each token's own
+    entry M[gid[j], j] and R[j, gid[j]].  The CSR layout of stacked batch
+    copies is kept for the last batch size asked for.
     """
 
     def __init__(self, groups, live: np.ndarray):
         self.live = np.asarray(live, dtype=bool)
+        self.pruned = np.flatnonzero(~self.live)
+        self.bypass = (~self.live).astype(np.float64)[:, None]
         self.n = n = self.live.size
         bounds = np.asarray(groups, dtype=np.int64).reshape(-1, 2)
         starts, stops = bounds[:, 0], bounds[:, 1]
@@ -484,48 +490,70 @@ def merge_tokens(z: Tensor, merge_t: Tensor, seg: Segments) -> Tensor:
     return from_op(data, (z, merge_t), grad_fn, "merge_tokens")
 
 
-def reconstruct_tokens(y: Tensor, recon_t: Tensor, seg: Segments) -> Tensor:
-    """Autodiff grouped reconstruct: out[j] = R[j, group(j)] * y[group(j)].
+def reconstruct_tokens(y: Tensor, recon_t: Tensor, seg: Segments,
+                       z: Tensor) -> Tensor:
+    """Autodiff grouped reconstruct with the shortcut for pruned tokens.
 
-    Gradients to the matrix touch only each live token's entry in its own
-    group's column; pruned rows stay exactly zero.  As in ``merge_tokens``,
-    a frozen matrix gets no gradient and its backward keeps no ``y``.
+    ``y`` is the block's output on the merged tokens and ``z`` the
+    layer's input.  A live token j gets R[j, gid[j]] * y[gid[j]] and a
+    pruned token its input z[j], bit for bit.  Gradients to the matrix
+    touch only each live token's entry in its own group's column; pruned
+    rows stay exactly zero.  ``z`` gets the output gradient times the
+    (n, 1) ``seg.bypass`` column: the gradient on pruned rows, zeros
+    elsewhere, and nothing at all when no token is pruned.  As in
+    ``merge_tokens``, a frozen matrix gets no gradient and its backward
+    keeps no ``y``.
     """
     w = recon_t.data.take(seg.recon_at)
     yd = y.data if recon_t.requires_grad else None
     data = _gather(y.data, seg)
+    if z.shape != data.shape:
+        raise ShapeMismatchError(
+            f"layer input {z.shape} does not match the reconstruct "
+            f"{data.shape}")
     data *= w[:, None]
+    bypass = None
+    if seg.pruned.size:
+        data[..., seg.pruned, :] = z.data[..., seg.pruned, :]
+        bypass = seg.bypass
 
     def grad_fn(g):
         dr = None if yd is None else \
             seg.recon_matrix(_token_grad(g, _gather(yd, seg), seg))
-        return _segment_sum(g, w, seg), dr
+        return (_segment_sum(g, w, seg), dr,
+                None if bypass is None else g * bypass)
 
-    return from_op(data, (y, recon_t), grad_fn, "reconstruct_tokens")
+    return from_op(data, (y, recon_t, z), grad_fn, "reconstruct_tokens")
 
 
-def reconstruct_class_row(y: Tensor, recon_t: Tensor,
-                          seg: Segments) -> Tensor:
+def reconstruct_class_row(y: Tensor, recon_t: Tensor, seg: Segments,
+                          z: Tensor) -> Tensor:
     """Token 0 of ``reconstruct_tokens`` from a class-row block output:
-    out = R[0, 0] * y, with ``y`` the (B, 1, D) row of group 0.  Every
-    plan's groups start at token 0, so gid[0] = 0 holds with or without a
-    class token.  As in ``reconstruct_tokens``, a frozen matrix gets no
-    gradient, and a pruned token 0 none either.
+    R[0, 0] * y, with ``y`` the (B, 1, D) row of group 0, or the input's
+    row z[:, :1] when token 0 is pruned.  Every plan's groups start at
+    token 0, so gid[0] = 0 holds with or without a class token.  As in
+    ``reconstruct_tokens``, a frozen matrix gets no gradient, a pruned
+    token 0 none either, and ``z`` gets one only when token 0 is pruned.
     """
     r0 = recon_t.data[0, 0]
+    live = bool(seg.live[0])
     yd = y.data if recon_t.requires_grad else None
-    data = y.data * r0
+    data = y.data * r0 if live else z.data[..., :1, :].copy()
+    z_shape = z.shape
 
     def grad_fn(g):
-        dr = None
+        dr = dz = None
         if yd is not None:
             per_token = np.zeros(seg.n)
-            if seg.live[0]:
+            if live:
                 per_token[0] = (g * yd).sum(axis=-1).sum()
             dr = seg.recon_matrix(per_token)
-        return g * r0, dr
+        if not live:
+            dz = np.zeros(z_shape)
+            dz[..., :1, :] = g
+        return g * r0, dr, dz
 
-    return from_op(data, (y, recon_t), grad_fn, "reconstruct_class_row")
+    return from_op(data, (y, recon_t, z), grad_fn, "reconstruct_class_row")
 
 
 def pm_forward(z: Tensor, entry: PlanEntry, block: BlockParams, heads: int,
@@ -544,20 +572,19 @@ def pm_forward_tensors(z: Tensor, merge_t: Tensor, recon_t: Tensor,
                        class_row: bool = False) -> Tensor:
     """Compressed layer forward with explicit (possibly learnable) matrices.
 
-    With ``class_row`` every token is still merged, because keys and values
-    need every group, but the block and the reconstruct produce token 0
-    only, as (B, 1, D).
+    ``mask`` is the plan's mask (0 = pruned); it must prune exactly the
+    tokens ``segments`` marks as pruned, which the reconstruct's shortcut
+    reads.  With ``class_row`` every token is still merged, because keys
+    and values need every group, but the block and the reconstruct produce
+    token 0 only, as (B, 1, D).
     """
-    z_c = merge_tokens(z, merge_t, segments)
-    y = block_forward(z_c, block, heads, trace=trace, class_row=class_row)
-    mask = np.asarray(mask, dtype=np.float64)
+    if not np.array_equal(np.asarray(mask) != 0, segments.live):
+        raise ContractError("mask disagrees with the segments' pruned tokens")
+    y = block_forward(merge_tokens(z, merge_t, segments), block, heads,
+                      trace=trace, class_row=class_row)
     if class_row:
-        out = reconstruct_class_row(y, recon_t, segments)
-        z, mask = z[:, :1], mask[:1]
-    else:
-        out = reconstruct_tokens(y, recon_t, segments)
-    z_r = z * Tensor((1.0 - mask)[:, None])
-    return out + z_r
+        return reconstruct_class_row(y, recon_t, segments, z)
+    return reconstruct_tokens(y, recon_t, segments, z)
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,8 @@ def overhead_flops(n_tokens: int, dim: int) -> dict[str, int]:
     """Prune-and-merge per-layer overhead, total 6*N*D.
 
     The 2ND merge and 2ND reconstruct costs are explicit; the remaining
-    2ND books the masked-shortcut multiply and add.
+    2ND books the masked-shortcut multiply and add, as the paper counts
+    them (``reconstruct_tokens`` copies the pruned rows instead).
     """
     n, d = int(n_tokens), int(dim)
     return {"merge": 2 * n * d, "reconstruct": 2 * n * d, "mask": 2 * n * d}

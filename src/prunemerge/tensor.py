@@ -23,8 +23,15 @@ Fused ops trade a little backward arithmetic for graph memory: where an
 intermediate is a cheap function of arrays the graph keeps anyway, one
 node saves only those arrays and backward recomputes the intermediate
 with the forward's own kernel, so the result is bit-identical.
-``attention`` recomputes the softmax maps from q, k and v, and
-``gelu_matmul`` recomputes gelu's output from its input.
+``attention`` recomputes the softmax maps from q, k and v, and from the
+maps the context its output projection's gradient reads;
+``gelu_matmul`` recomputes gelu's output from its input.  A layer-norm
+output is never saved: its node keeps a recipe (``_Affine``), the
+``xhat`` it saves anyway plus the gain and offset, and a ``matmul`` that
+would save the output, or a row slice of it, saves the recipe and
+rebuilds the array in backward.  A rebuilt array reads the current
+parameter data, as matmul's saved weight already does, so change no
+parameter between a forward and its backward.
 
 Inference mode: inside ``with no_grad():`` operations record no node and
 their outputs never require grad, so a forward pass keeps no graph and no
@@ -70,15 +77,55 @@ class _OpNode:
     """One recorded operation.  ``inputs`` holds one edge per input: the
     input's node, the input itself when it is a grad-requiring leaf, or
     None for a constant.  ``output`` is a weak reference, so the node does
-    not keep its own output (and with it the graph) alive."""
+    not keep its own output (and with it the graph) alive.  ``rebuild``,
+    when set, remakes the output's array from arrays the node saved; a
+    consumer saves it in place of the array (see ``_saved``)."""
 
-    __slots__ = ("inputs", "output", "grad_fn", "name")
+    __slots__ = ("inputs", "output", "grad_fn", "name", "rebuild")
 
     def __init__(self, inputs, output, grad_fn, name):
         self.inputs = inputs
         self.output = weakref.ref(output)
         self.grad_fn = grad_fn
         self.name = name
+        self.rebuild: _Affine | None = None
+
+
+class _Affine:
+    """``xhat * gamma + beta``, a layer-norm output, kept as its parts:
+    ``xhat``, which the layer-norm node saves anyway, and the gain and
+    offset, which are parameter data."""
+
+    __slots__ = ("xhat", "gamma", "beta")
+
+    def __init__(self, xhat: Array, gamma: Array, beta: Array):
+        self.xhat, self.gamma, self.beta = xhat, gamma, beta
+
+    def array(self, out: Array | None = None) -> Array:
+        """The forward's kernel, so a rebuilt array is bit for bit the
+        forward's."""
+        out = np.multiply(self.xhat, self.gamma, out=out)
+        out += self.beta
+        return out
+
+    def rows(self, key) -> "_Affine":
+        """The recipe of ``array()[key]``, from views of the parts: a
+        slice rebuilds only its own elements and pins no new array."""
+        shape = self.xhat.shape
+        return _Affine(self.xhat[key], np.broadcast_to(self.gamma, shape)[key],
+                       np.broadcast_to(self.beta, shape)[key])
+
+
+def _saved(t: Tensor) -> Array | _Affine:
+    """What a node saves to read ``t.data`` in backward: the recipe that
+    ``t``'s node rebuilds it from, if it has one, else the array."""
+    node = t._node
+    return t.data if node is None or node.rebuild is None else node.rebuild
+
+
+def _restored(saved: Array | _Affine) -> Array:
+    """The array ``_saved`` stood for."""
+    return saved.array() if isinstance(saved, _Affine) else saved
 
 
 class Tensor:
@@ -348,17 +395,34 @@ def _matmul_grad_b(ad: Array, g: Array, a_shape, b_shape) -> Array:
     return _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), b_shape)
 
 
+def _matmul_data(a: Array, b: Array) -> Array:
+    """``np.matmul(a, b)``, the forward of every weight product.
+
+    A batch of multi-row operands times one matrix runs as one GEMM over
+    all rows, written into an array the result owns.  Single-row operands
+    stay batched: folding those turns B GEMVs into one GEMM, which changes
+    bits.
+    """
+    if b.ndim == 2 and a.ndim > 2 and a.shape[-2] > 1:
+        out = np.empty(a.shape[:-1] + b.shape[-1:])
+        np.matmul(a.reshape(-1, a.shape[-1]), b,
+                  out=out.reshape(-1, b.shape[-1]))
+        return out
+    return np.matmul(a, b)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_matmul(a, b)
-    data = np.matmul(a.data, b.data)
+    data = _matmul_data(a.data, b.data)
     a_shape, b_shape = a.shape, b.shape
     # As in ``mul``: save an operand only for the other operand's gradient.
-    ad = a.data if b.requires_grad else None
+    ad = _saved(a) if b.requires_grad else None
     bd = b.data if a.requires_grad else None
 
     def grad_fn(g):
         return (None if bd is None else _matmul_grad_a(g, bd, a_shape),
-                None if ad is None else _matmul_grad_b(ad, g, a_shape, b_shape))
+                None if ad is None else _matmul_grad_b(_restored(ad), g,
+                                                       a_shape, b_shape))
 
     return from_op(data, (a, b), grad_fn, "matmul")
 
@@ -401,7 +465,11 @@ def take(x: Tensor, key) -> Tensor:
         full[key] = g
         return (full,)
 
-    return from_op(data, (x,), grad_fn, "take")
+    out = from_op(data, (x,), grad_fn, "take")
+    if out._node is not None and x._node is not None \
+            and x._node.rebuild is not None:
+        out._node.rebuild = x._node.rebuild.rows(key)
+    return out
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -489,8 +557,10 @@ def _check_scale(scale: float) -> None:
         raise ContractError(f"softmax scale must be positive, got {scale}")
 
 
-def _softmax(x: Array, scale: float) -> Array:
-    """The kernel of ``softmax_rows``: a new array, one softmax per row.
+def _softmax(x: Array, scale: float, out: Array | None = None) -> Array:
+    """The kernel of ``softmax_rows``: one softmax per row, written into
+    ``out`` when given (``out=x`` normalises ``x`` in place) and else into
+    a new array.
 
     The row max propagates NaN and +inf and one ``min`` catches -inf, so
     non-finite input is found without an x-sized boolean temporary.
@@ -499,7 +569,7 @@ def _softmax(x: Array, scale: float) -> Array:
     if not np.isfinite(top).all() \
             or np.minimum.reduce(x, axis=None, initial=math.inf) == -math.inf:
         raise NumericError("softmax input contains non-finite values")
-    y = x - top
+    y = np.subtract(x, top, out=out)
     y *= scale
     np.exp(y, out=y)
     y /= np.add.reduce(y, axis=-1, keepdims=True)
@@ -528,20 +598,23 @@ def _merge_heads(x: Array) -> Array:
     return x.reshape(x.shape[:-2] + (-1,))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
-              sink=None, bump: Array | None = None) -> Tensor:
-    """Multi-head ``softmax_rows(q @ kᵀ, scale) @ v`` as one node.
+def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
+              scale: float, sink=None, bump: Array | None = None) -> Tensor:
+    """Multi-head ``softmax_rows(q @ kᵀ, scale) @ v`` and the output
+    projection ``@ w_o``, as one node.
 
     ``q`` is token-major (..., rows, D) and ``k`` and ``v`` are
-    (..., N, D) (v may have its own width); the op splits the last axis
-    into ``heads`` heads as views, attends per head, and merges the heads
-    back into one (..., rows, D) result.  Its gradients arrive and leave
-    token-major too, so a block records no reshape or transpose around it.
+    (..., N, D) (v may have its own width, which is ``w_o``'s row count);
+    the op splits the last axis into ``heads`` heads as views, attends per
+    head, merges the heads back into the (..., rows, D_v) context and
+    projects it.  Its gradients arrive and leave token-major too, so a
+    block records no reshape or transpose around it.
 
-    The node saves ``q``, ``k`` and ``v`` but not the (..., heads, rows, N)
-    attention maps A: backward recomputes them with the forward's kernel,
-    bit for bit.  An operand that needs no gradient gets None and costs
-    nothing.
+    The node saves ``q``, ``k``, ``v`` and ``w_o`` but neither the
+    (..., heads, rows, N) attention maps A nor the context: backward
+    recomputes A with the forward's kernel and, for ``w_o``'s gradient,
+    the context from A, bit for bit.  An operand that needs no gradient
+    gets None and costs nothing.
 
     ``sink`` is any object with ``maps`` and ``grads`` attributes.  The
     forward stores A in ``sink.maps`` and clears ``sink.grads``; each
@@ -555,10 +628,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
         raise ShapeMismatchError(
             f"attention operands must be at least 2-D, got {q.shape}, "
             f"{k.shape} and {v.shape}")
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2] \
+            or w_o.shape[:1] != v.shape[-1:] or w_o.ndim != 2:
         raise ShapeMismatchError(
             f"attention shapes do not fit: q {q.shape}, k {k.shape}, "
-            f"v {v.shape}")
+            f"v {v.shape}, w_o {w_o.shape}")
     if not (isinstance(heads, (int, np.integer)) and heads >= 1
             and q.shape[-1] % heads == 0 and v.shape[-1] % heads == 0):
         raise ShapeMismatchError(
@@ -567,14 +641,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
     qd = _split_heads(q.data, heads)
     kt = _split_heads(k.data, heads).swapaxes(-1, -2)
     vd = _split_heads(v.data, heads)
+    wd = w_o.data
     q_shape, kt_shape, v_shape = qd.shape, kt.shape, vd.shape
     grad_q, grad_k, grad_v = q.requires_grad, k.requires_grad, v.requires_grad
+    grad_w = w_o.requires_grad
 
     def maps():
-        return _softmax(np.matmul(qd, kt), scale)
+        s = np.matmul(qd, kt)
+        return _softmax(s, scale, out=s)
 
     def bumped(y):
         return y if bump is None else y + bump
+
+    def context(a):
+        return _merge_heads(np.matmul(a, vd))
 
     y = maps()
     if bump is not None:
@@ -584,14 +664,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
                 f"bump of shape {bump.shape} does not fit maps {y.shape}")
     if sink is not None:
         sink.maps, sink.grads = y, None
-    data = _merge_heads(np.matmul(bumped(y), vd))
+    ctx = context(bumped(y))
+    ctx_shape = ctx.shape
+    data = _matmul_data(ctx, wd)
 
     def grad_fn(g):
-        g = _split_heads(g, heads)
         y = maps()
-        gq = gk = gv = None
+        a = bumped(y) if grad_v or grad_w else None
+        gq = gk = gv = gw = None
+        if grad_w:
+            gw = _matmul_grad_b(context(a), g, ctx_shape, wd.shape)
+        if not (grad_q or grad_k or grad_v):
+            return gq, gk, gv, gw
+        g = _split_heads(_matmul_grad_a(g, wd, ctx_shape), heads)
         if grad_v:
-            gv = _merge_heads(_matmul_grad_b(bumped(y), g, y.shape, v_shape))
+            gv = _merge_heads(_matmul_grad_b(a, g, y.shape, v_shape))
         if grad_q or grad_k:
             gs = _matmul_grad_a(g, vd, y.shape)
             if sink is not None:
@@ -603,9 +690,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
             if grad_k:
                 gk = _merge_heads(_matmul_grad_b(
                     qd, gs, q_shape, kt_shape).swapaxes(-1, -2))
-        return gq, gk, gv
+        return gq, gk, gv, gw
 
-    return from_op(data, (q, k, v), grad_fn, "attention")
+    return from_op(data, (q, k, v, w_o), grad_fn, "attention")
 
 
 def _mean_last(x: Array) -> Array:
@@ -624,6 +711,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     rather than changing the result.  The forward makes two x-sized
     arrays, ``xhat`` (saved) and the output, which first holds the squares
     for the variance; the backward makes two, one of which becomes dx.
+    The node's ``rebuild`` remakes the output from ``xhat``, so a consumer
+    need not save it.
     """
     gd = gamma.data
     if gd.shape != x.shape[-1:] or beta.shape != gd.shape:
@@ -634,8 +723,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     data = np.multiply(xhat, xhat)
     inv = 1.0 / np.sqrt(_mean_last(data) + eps)
     xhat *= inv
-    np.multiply(xhat, gd, out=data)
-    data += beta.data
+    affine = _Affine(xhat, gd, beta.data)
+    affine.array(out=data)
     lead = tuple(range(x.ndim - 1))
 
     def grad_fn(g):
@@ -654,7 +743,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         dx *= inv
         return dx, dgamma, dbeta
 
-    return from_op(data, (x, gamma, beta), grad_fn, "layer_norm")
+    out = from_op(data, (x, gamma, beta), grad_fn, "layer_norm")
+    if out._node is not None:
+        out._node.rebuild = affine
+    return out
 
 
 # Elements per pass of a chunked elementwise chain: 256 KB of float64, so
@@ -751,7 +843,7 @@ def gelu_matmul(x: Tensor, w: Tensor) -> Tensor:
     xd = np.asarray(x.data, order="C")
     h = np.empty(xd.shape)
     _gelu_passes(xd, y=h)
-    data = np.matmul(h, w.data)
+    data = _matmul_data(h, w.data)
     x_shape, w_shape = x.shape, w.shape
     wd = w.data if x.requires_grad else None
     grad_w = w.requires_grad

@@ -2,7 +2,8 @@
 
 Blocks follow the DeiT convention: z' = z + SA(LN(z)); out = z' + MLP(LN(z')).
 Attention projections are bias-free; the patch embedding and the head carry
-biases.  Every block runs one fused attention op, ``tensor.attention``.
+biases.  Every block runs one fused attention op, ``tensor.attention``,
+which also applies the output projection.
 Given an AttentionTrace as its sink, that op records the block's
 post-softmax attention maps and, in each backward pass, their gradients;
 given a bump, it adds a constant to the maps.
@@ -240,10 +241,11 @@ def block_forward(z: Tensor, params: BlockParams, heads: int,
         z, h = z[:, :1], h[:, :1]
     q = T.matmul(h, params.w_q)
     # (B, H, rows, N) maps, rows are queries, scaled by 1/sqrt(head width)
-    # inside the softmax; the op splits and merges the heads itself.
-    ctx = T.attention(q, k, v, heads, 1.0 / math.sqrt(z.shape[-1] // heads),
-                      sink=trace, bump=attn_bump)
-    z = z + T.matmul(ctx, params.w_o)
+    # inside the softmax; the op splits and merges the heads itself and
+    # applies the output projection.
+    z = z + T.attention(q, k, v, params.w_o, heads,
+                        1.0 / math.sqrt(z.shape[-1] // heads),
+                        sink=trace, bump=attn_bump)
 
     h2 = T.layer_norm(z, params.ln2_g, params.ln2_b)
     return z + T.gelu_matmul(T.matmul(h2, params.w_fc1), params.w_fc2)

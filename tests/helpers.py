@@ -80,15 +80,15 @@ def _merge_heads(x):
     return T.reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
 
 
-def composed_attention(q, k, v, heads: int, scale: float, sink=None,
+def composed_attention(q, k, v, w_o, heads: int, scale: float, sink=None,
                        bump=None):
-    """The attention ``tensor.attention`` fuses, from its primitive ops:
-    the reference for its output, its gradients and what it writes to
-    ``sink``."""
+    """The attention and output projection ``tensor.attention`` fuses,
+    from its primitive ops: the reference for its output, its gradients
+    and what it writes to ``sink``."""
     q, k, v = (_split_heads(t, heads) for t in (q, k, v))
     attn = T.softmax_rows(T.matmul(q, swap_last2(k)), scale)
     if sink is not None:
         attn = _record(attn, sink)
     if bump is not None:
         attn = attn + T.Tensor(bump)
-    return _merge_heads(T.matmul(attn, v))
+    return T.matmul(_merge_heads(T.matmul(attn, v)), w_o)

@@ -12,8 +12,10 @@ from prunemerge.compression import (CompressionPlan, MergeMatrix,
                                     global_plan, grouped_merge,
                                     identity_plan, merge_tokens,
                                     pm_forward, pm_forward_tensors,
-                                    pseudoinverse, reconstruct_tokens)
-from prunemerge.errors import ContractError, SingularMatrixError
+                                    pseudoinverse, reconstruct_class_row,
+                                    reconstruct_tokens)
+from prunemerge.errors import (ContractError, ShapeMismatchError,
+                               SingularMatrixError)
 from prunemerge.scoring import round_half_up
 from prunemerge.tensor import Tensor
 from prunemerge.vit import (ModelConfig, VisionTransformer, block_forward,
@@ -243,14 +245,16 @@ class TestGroupedOps:
         for _ in range(100):
             n = int(rng.integers(2, 20))
             kept = int(rng.integers(1, n))
-            _, _, merge = random_merge(n, kept, rng)
+            _, mask, merge = random_merge(n, kept, rng)
             plus = dense_pinv(merge)
             for y in (rng.standard_normal((kept, 4)),
                       rng.standard_normal((2, kept, 4)),
                       rng.standard_normal((2, 4, kept)).swapaxes(1, 2)):
+                z = rng.standard_normal(y.shape[:-2] + (n, 4))
                 out = reconstruct_tokens(Tensor(y), Tensor(plus),
-                                         merge.segments).data
-                np.testing.assert_allclose(out, plus @ y, atol=1e-12)
+                                         merge.segments, Tensor(z)).data
+                np.testing.assert_allclose(
+                    out, plus @ y + z * (1.0 - mask)[:, None], atol=1e-12)
 
     def test_merge_tokens_gradients(self):
         rng = np.random.default_rng(36)
@@ -284,16 +288,23 @@ class TestGroupedOps:
         plus = dense_pinv(merge)
         y = Tensor(rng.standard_normal((2, 2, 3)), requires_grad=True)
         r_t = Tensor(plus.copy(), requires_grad=True)
+        z = Tensor(rng.standard_normal((2, 6, 3)), requires_grad=True)
         coef = rng.standard_normal((2, 6, 3))
 
         def loss_fn():
-            out = reconstruct_tokens(y, r_t, merge.segments)
+            out = reconstruct_tokens(y, r_t, merge.segments, z)
             return T.tensor_sum(out * Tensor(coef))
 
         loss = loss_fn()
         T.backward(loss)
         assert_grads_close(y.grad,
                            numeric_grad(lambda: float(loss_fn().data), y.data))
+        # the shortcut: z's gradient is the output's on pruned rows only
+        assert_grads_close(z.grad,
+                           numeric_grad(lambda: float(loss_fn().data), z.data))
+        np.testing.assert_array_equal(z.grad[:, mask == 0],
+                                      coef[:, mask == 0])
+        assert not z.grad[:, mask != 0].any()
         num_r = numeric_grad(lambda: float(loss_fn().data), r_t.data)
         gid = np.zeros(6, dtype=int)
         for row, (a, b) in enumerate(merge.groups):
@@ -303,6 +314,120 @@ class TestGroupedOps:
         support[mask == 0] = False  # pruned rows never receive gradient
         assert np.all(r_t.grad[~support] == 0.0)
         assert_grads_close(r_t.grad[support], num_r[support])
+
+
+class TestFusedReconstruct:
+    """``reconstruct_tokens`` and ``reconstruct_class_row`` run the
+    paper's shortcut for pruned tokens themselves."""
+
+    def _setup(self, seed, class_token=False):
+        rng = np.random.default_rng(seed)
+        mask, merge = generate_merge_matrix(rng.uniform(0.05, 1.0, size=7),
+                                            None, 3, prune_count=3,
+                                            class_token=class_token)
+        r = pseudoinverse(merge) * rng.uniform(0.5, 1.5, size=7)
+        y = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        r_t = Tensor(merge.segments.recon_matrix(r), requires_grad=True)
+        z = Tensor(rng.standard_normal((2, 7, 4)), requires_grad=True)
+        return rng, mask, merge, r, y, r_t, z
+
+    def test_pruned_rows_are_the_input_and_live_rows_the_gather(self):
+        _, mask, merge, r, y, r_t, z = self._setup(81)
+        seg = merge.segments
+        out = reconstruct_tokens(y, r_t, seg, z).data
+        pruned, live = mask == 0, mask != 0
+        assert pruned.any() and live.any()
+        assert out[:, pruned].tobytes() == z.data[:, pruned].tobytes()
+        want = y.data[:, seg.gid[live]] * r[live][:, None]
+        assert out[:, live].tobytes() == want.tobytes()
+
+    def test_gradients_match_finite_differences(self):
+        rng, mask, merge, _, y, r_t, z = self._setup(82)
+        coef = rng.standard_normal((2, 7, 4))
+
+        def loss_fn():
+            out = reconstruct_tokens(y, r_t, merge.segments, z)
+            return T.tensor_sum(out * Tensor(coef))
+
+        T.backward(loss_fn())
+        support = np.zeros(r_t.shape, dtype=bool)
+        support.flat[merge.segments.recon_at[mask != 0]] = True
+        for t in (y, r_t, z):
+            num = numeric_grad(lambda: float(loss_fn().data), t.data)
+            keep = support if t is r_t else slice(None)
+            assert_grads_close(t.grad[keep], num[keep])
+        assert not r_t.grad[~support].any()
+        assert not z.grad[:, mask != 0].any()
+
+    @pytest.mark.parametrize("token0_pruned", [False, True])
+    def test_class_row_gradients_match_finite_differences(self,
+                                                          token0_pruned):
+        rng, mask, merge, r, y, r_t, z = self._setup(
+            83, class_token=not token0_pruned)
+        if token0_pruned:
+            scores = rng.uniform(0.05, 1.0, size=7)
+            scores[0] = 0.0
+            mask, merge = generate_merge_matrix(scores, None, 3,
+                                                prune_count=3)
+            r_t = Tensor(dense_pinv(merge), requires_grad=True)
+        assert (mask[0] == 0) == token0_pruned
+        y0 = Tensor(y.data[:, :1].copy(), requires_grad=True)
+        coef = rng.standard_normal((2, 1, 4))
+
+        def loss_fn():
+            out = reconstruct_class_row(y0, r_t, merge.segments, z)
+            return T.tensor_sum(out * Tensor(coef))
+
+        out = reconstruct_class_row(y0, r_t, merge.segments, z)
+        want = z.data[:, :1] if token0_pruned else y0.data * r_t.data[0, 0]
+        assert out.data.tobytes() == want.tobytes()
+        T.backward(loss_fn())
+        for t in (y0, r_t, z):
+            num = numeric_grad(lambda: float(loss_fn().data), t.data)
+            if t.grad is None:   # z, while token 0 is live
+                assert t is z and not token0_pruned and not num.any()
+            else:
+                assert_grads_close(t.grad, num)
+
+    @pytest.mark.parametrize("class_row", [False, True])
+    def test_layer_records_the_block_merge_and_reconstruct_only(
+            self, class_row):
+        # The shortcut records no node of its own: a compressed layer is
+        # its block's nodes plus a merge and a reconstruct, two fewer than
+        # a reconstruct followed by a masked multiply and an add.
+        rng, block, z_np = small_block_setup(seed=84, n=7, dim=4, heads=2)
+        mask, merge = generate_merge_matrix(rng.uniform(0.05, 1.0, size=7),
+                                            None, 3, prune_count=2,
+                                            class_token=True)
+        z = Tensor(z_np, requires_grad=True)
+        m_t = Tensor(merge.data, requires_grad=True)
+        r_t = Tensor(dense_pinv(merge), requires_grad=True)
+        out = pm_forward_tensors(z, m_t, r_t, merge.segments, mask, block,
+                                 heads=2, class_row=class_row)
+        names = [node.name for node in T.Tape.trace(out).nodes]
+        merged = Tensor(grouped_merge(z_np, merge), requires_grad=True)
+        block_names = [node.name for node in T.Tape.trace(
+            block_forward(merged, block, 2, class_row=class_row)).nodes]
+        recon = "reconstruct_class_row" if class_row else "reconstruct_tokens"
+        assert sorted(names) == sorted(block_names
+                                       + ["merge_tokens", recon])
+
+    def test_mask_must_match_the_segments(self):
+        rng, block, z_np = small_block_setup(seed=85, n=5, dim=4, heads=2)
+        mask, merge = generate_merge_matrix(rng.uniform(0.05, 1.0, size=5),
+                                            None, 2, prune_count=1)
+        wrong = mask.copy()
+        wrong[np.flatnonzero(mask)[0]] = 0
+        with pytest.raises(ContractError, match="mask"):
+            pm_forward_tensors(Tensor(z_np), Tensor(merge.data),
+                               Tensor(dense_pinv(merge)), merge.segments,
+                               wrong, block, heads=2)
+
+    def test_layer_input_shape_checked(self):
+        _, _, merge, _, y, r_t, _ = self._setup(86)
+        with pytest.raises(ShapeMismatchError, match="layer input"):
+            reconstruct_tokens(y, r_t, merge.segments,
+                               Tensor(np.zeros((2, 6, 4))))
 
 
 def small_block_setup(seed=0, n=5, dim=4, heads=2):

@@ -10,6 +10,7 @@ import pytest
 
 from prunemerge import tensor as T
 from prunemerge import vit
+from prunemerge.compression import compress_model, global_plan
 from prunemerge.errors import ContractError, NumericError, ShapeMismatchError
 from prunemerge.scoring import ScorerVariant, scores_from_trace
 from prunemerge.vit import ModelConfig, VisionTransformer, block_forward
@@ -18,6 +19,17 @@ from helpers import assert_grads_close, composed_attention, numeric_grad
 
 
 class TestMatmul:
+    def test_batch_against_one_matrix_is_one_owned_product(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(size=(3, 5, 4)), rng.normal(size=(4, 6))
+        out = T.matmul(T.Tensor(a), T.Tensor(b)).data
+        # an array of its own, not a view that a weakref would outlive
+        assert out.base is None and out.shape == (3, 5, 6)
+        np.testing.assert_allclose(out, np.matmul(a, b), rtol=1e-12)
+        # single rows stay batched: one GEMV each, as np.matmul runs them
+        rows = T.matmul(T.Tensor(a[:, :1]), T.Tensor(b)).data
+        assert rows.tobytes() == np.matmul(a[:, :1], b).tobytes()
+
     def test_identity(self):
         a = T.Tensor(np.eye(2))
         b = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -89,6 +101,14 @@ class TestMatmul:
 
 
 class TestSoftmax:
+    def test_kernel_in_place_matches_a_new_array(self):
+        x = np.random.default_rng(8).normal(size=(2, 3, 7))
+        want = T._softmax(x, 0.7)
+        buf = x.copy()
+        got = T._softmax(buf, 0.7, out=buf)
+        assert got is buf
+        assert got.tobytes() == want.tobytes()
+
     def test_symmetry(self):
         y = T.softmax_rows(T.Tensor([0.0, 0.0]))
         np.testing.assert_allclose(y.data, [0.5, 0.5], atol=1e-15)
@@ -182,6 +202,39 @@ class TestSoftmax:
 
 
 class TestLayerNorm:
+    def test_rebuilt_output_and_rows_are_the_forward_bits(self):
+        rng = np.random.default_rng(10)
+        x = T.Tensor(rng.normal(size=(3, 5, 6)), requires_grad=True)
+        gamma = T.Tensor(rng.normal(size=6), requires_grad=True)
+        beta = T.Tensor(rng.normal(size=6), requires_grad=True)
+        out = T.layer_norm(x, gamma, beta)
+        assert out._node.rebuild.array().tobytes() == out.data.tobytes()
+        for key in ((slice(None), slice(None, 1)), (slice(None), 0),
+                    (slice(None), 0, slice(None)), (Ellipsis, slice(1, 4)),
+                    (0, slice(None), 2), (slice(None), None, slice(2, 3))):
+            rows = out[key]._node.rebuild.array()
+            assert rows.shape == out.data[key].shape
+            assert rows.tobytes() == out.data[key].tobytes()
+
+    @pytest.mark.parametrize("key", [None, (slice(None), slice(None, 1))])
+    def test_product_saves_the_recipe_not_the_output(self, key):
+        rng = np.random.default_rng(11)
+        x = T.Tensor(rng.normal(size=(3, 5, 6)), requires_grad=True)
+        gamma = T.Tensor(rng.normal(size=6), requires_grad=True)
+        beta = T.Tensor(rng.normal(size=6), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        out = T.layer_norm(x, gamma, beta)
+        h = out if key is None else out[key]
+        saved = T.Tensor(h.data.copy())
+        g = rng.normal(size=h.shape[:-1] + (4,))
+        product = T.matmul(h, w)
+        ref = weakref.ref(out.data)
+        del out, h
+        assert ref() is None
+        got = product._node.grad_fn(g)[1]
+        want = T.matmul(saved, w)._node.grad_fn(g)[1]
+        assert got.tobytes() == want.tobytes()
+
     def _params(self, d):
         return T.Tensor(np.ones(d), requires_grad=True), \
             T.Tensor(np.zeros(d), requires_grad=True)
@@ -405,6 +458,7 @@ class TestAttention:
         scale = 1.0 / math.sqrt(d // heads)
         bases = [T.Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
                  for _ in range(3)]
+        bases.append(T.Tensor(rng.normal(size=(d, d)), requires_grad=True))
         w = rng.normal(size=(b, rows or n, d))
         bump = rng.normal(scale=0.1, size=(b, heads, rows or n, n)) \
             if recorded else None
@@ -414,10 +468,11 @@ class TestAttention:
             sink = vit.AttentionTrace(0) if recorded else None
             sinks.append(sink)
 
-            def run(qb, kb, vb):
+            def run(qb, kb, vb, wb):
                 if rows is not None:
                     qb = qb[:, :rows]
-                return attend(qb, kb, vb, heads, scale, sink=sink, bump=bump)
+                return attend(qb, kb, vb, wb, heads, scale, sink=sink,
+                              bump=bump)
             return run
 
         _assert_same_run(_run(op(T.attention), bases, w),
@@ -431,12 +486,12 @@ class TestAttention:
     def test_constant_operands_get_no_gradient(self):
         rng = np.random.default_rng(22)
         arrays = [rng.normal(size=(2, 4, 6)), rng.normal(size=(2, 6, 6)),
-                  rng.normal(size=(2, 6, 10))]
+                  rng.normal(size=(2, 6, 10)), rng.normal(size=(10, 10))]
         w = rng.normal(size=(2, 4, 10))
         learnable = [T.Tensor(a, requires_grad=True) for a in arrays]
-        both = _run(lambda q, k, v: T.attention(q, k, v, 2, 0.5), learnable,
-                    w)
-        for frozen in range(3):
+        both = _run(lambda q, k, v, w_o: T.attention(q, k, v, w_o, 2, 0.5),
+                    learnable, w)
+        for frozen in range(4):
             inputs = [T.Tensor(a, requires_grad=i != frozen)
                       for i, a in enumerate(arrays)]
             out = T.attention(*inputs, 2, 0.5)
@@ -447,10 +502,11 @@ class TestAttention:
                 if i != frozen:
                     np.testing.assert_array_equal(g, both[1][i])
         only_v = [T.Tensor(arrays[0]), T.Tensor(arrays[1]),
-                  T.Tensor(arrays[2], requires_grad=True)]
+                  T.Tensor(arrays[2], requires_grad=True),
+                  T.Tensor(arrays[3])]
         sink = vit.AttentionTrace(0)
         grads = T.attention(*only_v, 2, 0.5, sink=sink)._node.grad_fn(w)
-        assert grads[0] is None and grads[1] is None
+        assert grads[0] is None and grads[1] is None and grads[3] is None
         np.testing.assert_array_equal(grads[2], both[1][2])
         # No gradient reaches the maps, so the sink gets none, and a
         # gradient scorer refuses the trace.
@@ -463,9 +519,9 @@ class TestAttention:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(23)
-        q, k, v = (T.Tensor(rng.normal(size=s), requires_grad=True)
-                   for s in [(2, 3, 4), (2, 5, 4), (2, 5, 6)])
-        w = rng.normal(size=(2, 3, 6))
+        q, k, v, w_o = (T.Tensor(rng.normal(size=s), requires_grad=True)
+                        for s in [(2, 3, 4), (2, 5, 4), (2, 5, 6), (6, 5)])
+        w = rng.normal(size=(2, 3, 5))
         scale = 0.6
 
         def heads(x):
@@ -474,10 +530,10 @@ class TestAttention:
         # The second round adds a bump and reads dL/dA from a sink.
         for bump in (None, rng.normal(scale=0.1, size=(2, 2, 3, 5))):
             sink = vit.AttentionTrace(0)
-            for t in (q, k, v):
+            for t in (q, k, v, w_o):
                 t.grad = None
-            loss_t = (T.attention(q, k, v, 2, scale, sink=sink, bump=bump)
-                      * T.Tensor(w)).sum()
+            loss_t = (T.attention(q, k, v, w_o, 2, scale, sink=sink,
+                                  bump=bump) * T.Tensor(w)).sum()
             T.backward(loss_t)
 
             def loss():
@@ -488,9 +544,10 @@ class TestAttention:
                 if bump is not None:
                     a = a + bump
                 out = (a @ heads(v.data)).transpose(0, 2, 1, 3)
-                return float((out.reshape(w.shape) * w).sum())
+                out = out.reshape(w.shape[:-1] + (-1,)) @ w_o.data
+                return float((out * w).sum())
 
-            for t in (q, k, v):
+            for t in (q, k, v, w_o):
                 assert_grads_close(t.grad, numeric_grad(loss, t.data))
             if bump is not None:
                 assert_grads_close(sink.grads, numeric_grad(loss, bump))
@@ -507,23 +564,26 @@ class TestAttention:
         v = T.Tensor(rng.normal(size=(1, 4, 2)), requires_grad=True)
         with pytest.raises(NumericError,
                            match="softmax input contains non-finite"):
-            T.attention(T.Tensor(q), T.Tensor(k), v, 1, 1.0)
+            T.attention(T.Tensor(q), T.Tensor(k), v, T.Tensor(np.eye(2)), 1,
+                        1.0)
 
     def test_bad_shapes_and_scale_rejected(self):
         q, k = T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 3)))
+        v, w_o = T.Tensor(np.zeros((4, 2))), T.Tensor(np.eye(2))
         with pytest.raises(ShapeMismatchError):
-            T.attention(q, k, T.Tensor(np.zeros((5, 2))), 1, 1.0)
+            T.attention(q, k, T.Tensor(np.zeros((5, 2))), w_o, 1, 1.0)
         with pytest.raises(ShapeMismatchError):
-            T.attention(q, T.Tensor(np.zeros((4, 2))),
-                        T.Tensor(np.zeros((4, 2))), 1, 1.0)
+            T.attention(q, T.Tensor(np.zeros((4, 2))), v, w_o, 1, 1.0)
+        for bad in (np.eye(3), np.ones(2), np.ones((1, 2, 2))):
+            with pytest.raises(ShapeMismatchError, match="w_o"):
+                T.attention(q, k, v, T.Tensor(bad), 1, 1.0)
         with pytest.raises(ContractError):
-            T.attention(q, k, T.Tensor(np.zeros((4, 2))), 1, 0.0)
+            T.attention(q, k, v, w_o, 1, 0.0)
         with pytest.raises(ShapeMismatchError, match="bump"):
-            T.attention(q, k, T.Tensor(np.zeros((4, 2))), 1, 1.0,
-                        bump=np.zeros((3, 2, 4)))
+            T.attention(q, k, v, w_o, 1, 1.0, bump=np.zeros((3, 2, 4)))
         for heads in (0, 2, 1.0):
             with pytest.raises(ShapeMismatchError, match="heads"):
-                T.attention(q, k, T.Tensor(np.zeros((4, 2))), heads, 1.0)
+                T.attention(q, k, v, w_o, heads, 1.0)
 
 
 class TestGeluMatmul:
@@ -882,6 +942,17 @@ def _gc_off():
             gc.enable()
 
 
+def _tiny_compressed_model():
+    """``_tiny_model`` behind a plan that prunes and merges, with learnable
+    matrices."""
+    model, images = _tiny_model()
+    rng = np.random.default_rng(3)
+    n = model.config.num_tokens
+    plan = global_plan([rng.uniform(0.1, 1.0, size=n) for _ in range(2)],
+                       rate=0.6, pm_threshold=0.2)
+    return compress_model(model, plan, learnable_matrices=True), images
+
+
 class TestGraphLifetime:
     def test_dropping_logits_frees_the_graph(self, monkeypatch):
         model, images = _tiny_model()
@@ -935,6 +1006,52 @@ class TestGraphLifetime:
         T.backward(loss)
         params = dict(model.named_parameters())
         first = {k: p.grad.copy() for k, p in params.items()}
+        T.backward(loss)
+        for k, p in params.items():
+            np.testing.assert_array_equal(p.grad, 2.0 * first[k])
+
+    @pytest.mark.parametrize("compressed", [False, True],
+                             ids=["base", "compressed"])
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    def test_no_layer_norm_output_or_context_outlives_the_forward(
+            self, monkeypatch, compressed, traced):
+        # Backward rebuilds both from arrays the graph saves anyway, so
+        # nothing keeps them, not even the class-row slices of the last
+        # block's query and of the head's class token.
+        model, images = (_tiny_compressed_model() if compressed
+                         else _tiny_model())
+        made = []
+        layer_norm, merge_heads = T.layer_norm, T._merge_heads
+
+        def norm_spy(*args, **kwargs):
+            out = layer_norm(*args, **kwargs)
+            made.append(("layer_norm", weakref.ref(out.data)))
+            return out
+
+        def context_spy(x):
+            out = merge_heads(x)
+            made.append(("context", weakref.ref(out)))
+            return out
+
+        monkeypatch.setattr(T, "layer_norm", norm_spy)
+        monkeypatch.setattr(T, "_merge_heads", context_spy)
+        with _gc_off():
+            logits = model.forward(images, traces=[] if traced else None)
+            depth = model.config.depth
+            assert sorted(name for name, _ in made) == \
+                ["context"] * depth + ["layer_norm"] * (2 * depth + 1)
+            assert [name for name, ref in made if ref() is not None] == []
+            T.backward(T.cross_entropy(logits, np.array([1, 0])))
+        assert all(p.grad is not None for _, p in model.named_parameters())
+
+    def test_backward_twice_on_compressed_loss_accumulates(self):
+        model, images = _tiny_compressed_model()
+        loss = T.cross_entropy(model.forward(images), np.array([2, 0]))
+        T.backward(loss)
+        params = dict(model.named_parameters())
+        first = {k: p.grad.copy() for k, p in params.items()}
+        assert any(first[k].any() for k, _ in model.matrix_parameters())
         T.backward(loss)
         for k, p in params.items():
             np.testing.assert_array_equal(p.grad, 2.0 * first[k])

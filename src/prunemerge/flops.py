@@ -251,6 +251,9 @@ def micro_benchmark(n_tokens: int = 128, dim: int = 128,
     Absolute numbers are machine-specific and only the relative ordering
     is meaningful.
     """
+    if n_tokens < 1 or dim < 1:
+        raise ContractError(
+            f"need positive sizes, got tokens={n_tokens} dim={dim}")
     if repetitions < 10:
         raise ContractError(
             f"need at least 10 repetitions, got {repetitions}")

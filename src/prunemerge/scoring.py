@@ -155,64 +155,6 @@ def scores_from_trace(trace: AttentionTrace, variant: ScorerVariant,
     return score_grad_weighted_attention(maps, grads)
 
 
-def accumulate(scores_sum: np.ndarray, batch_scores: np.ndarray) -> np.ndarray:
-    """Elementwise running sum of per-iteration scores."""
-    scores_sum = np.asarray(scores_sum, dtype=np.float64)
-    batch_scores = np.asarray(batch_scores, dtype=np.float64)
-    if scores_sum.shape != batch_scores.shape:
-        raise ShapeMismatchError(
-            f"score shapes differ: {scores_sum.shape} vs {batch_scores.shape}")
-    return scores_sum + batch_scores
-
-
-def finalize(scores_sum: np.ndarray, iterations: int) -> np.ndarray:
-    """Average an accumulated score sum over its iteration count."""
-    if iterations < 1:
-        raise ContractError(f"iteration count must be >= 1, got {iterations}")
-    return np.asarray(scores_sum, dtype=np.float64) / iterations
-
-
-class ScoreAccumulator:
-    """Running per-layer score sums plus the iteration counter."""
-
-    def __init__(self, layer_sizes: list[int]):
-        self.sums = [np.zeros(n) for n in layer_sizes]
-        self.iterations = 0
-
-    def add(self, per_layer: list[np.ndarray]) -> None:
-        if len(per_layer) != len(self.sums):
-            raise ShapeMismatchError(
-                f"expected {len(self.sums)} layers, got {len(per_layer)}")
-        self.sums = [accumulate(s, b) for s, b in zip(self.sums, per_layer)]
-        self.iterations += 1
-
-    def finalize(self) -> list[np.ndarray]:
-        return [finalize(s, self.iterations) for s in self.sums]
-
-
-def make_token_mask(scores: np.ndarray, prune_count: int,
-                    class_token: bool = True) -> np.ndarray:
-    """Binary keep mask: the prune_count lowest-scoring tokens get 0.
-
-    With ``class_token`` the token at index 0 is exempt from pruning.
-    Ties are broken by pruning the higher index first.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    n = scores.size
-    start = 1 if class_token else 0
-    if not 0 <= prune_count < n:
-        raise ContractError(
-            f"prune_count must lie in [0, {n}), got {prune_count}")
-    if prune_count > n - start:
-        raise ContractError(
-            f"prune_count {prune_count} exceeds the {n - start} prunable tokens")
-    mask = np.ones(n, dtype=np.uint8)
-    if prune_count:
-        order = rank_descending(scores[start:]) + start
-        mask[order[len(order) - prune_count:]] = 0
-    return mask
-
-
 def prune_count_for(pm_threshold: float, n_tokens: int,
                     class_token: bool = True) -> int:
     """Number of tokens pruned outright in one layer: round(tau * (N-1))."""
@@ -236,12 +178,13 @@ def collect_scores(model: VisionTransformer, dataset: data_mod.Dataset, *,
     The model is read-only here: each iteration runs a forward pass with
     trace capture and a cross-entropy backward pass purely to obtain
     gradient maps; no parameters are updated.  Batches cycle through
-    epochs deterministically.
+    epochs deterministically.  Each layer keeps a running float64 sum,
+    divided by the iteration count once at the end.
     """
     if iterations < 1:
         raise ContractError("iterations must be >= 1")
     n = model.config.num_tokens
-    acc = ScoreAccumulator([n] * model.config.depth)
+    sums = [np.zeros(n) for _ in range(model.config.depth)]
     rng = np.random.default_rng(seed)
     params = [t for _, t in model.named_parameters()]
     done = 0
@@ -260,12 +203,13 @@ def collect_scores(model: VisionTransformer, dataset: data_mod.Dataset, *,
                 per_layer = [scores_from_trace(tr, variant, rng)
                              for tr in traces]
                 T.zero_grads(params)
-            acc.add(per_layer)
+            for total, scores in zip(sums, per_layer):
+                total += scores
             done += 1
             if done >= iterations:
                 break
         epoch += 1
-    return acc.finalize()
+    return [total / iterations for total in sums]
 
 
 def export_scores_csv(path: str | Path, per_layer: list[np.ndarray]) -> None:

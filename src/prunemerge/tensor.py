@@ -1,5 +1,10 @@
 """Float64 tensors with reverse-mode automatic differentiation.
 
+The module holds only the ops the model, the compression kernels and the
+losses run.  ``softmax_rows`` and ``gelu``, the unfused forms of two
+fused ops, stay because ``perfbench/spans.py`` wraps them by name.
+``from_op`` builds any other node.
+
 Every differentiable operation records a node holding one edge per input
 and a closure that maps the output gradient to input gradients.
 ``backward`` topologically sorts the nodes reaching the loss and replays
@@ -160,10 +165,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        """A view of the same data with no graph linkage."""
-        return Tensor(self.data, requires_grad=False)
-
     def accumulate_grad(self, g: Array) -> None:
         if self.grad is None:
             self.grad = g.copy()
@@ -174,32 +175,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ContractError("tensor/tensor division is not supported; "
-                                "multiply by a reciprocal constant instead")
-        return mul(self, _as_tensor(1.0 / float(other)))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
     def __getitem__(self, key):
         return take(self, key)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
 
 
 def _as_tensor(value) -> Tensor:
@@ -259,7 +239,6 @@ class Tape:
 
     def __init__(self, nodes: list[_OpNode]):
         self.nodes = nodes
-        self.visit_counts: dict[int, int] = {}
 
     @classmethod
     def trace(cls, root: Tensor) -> "Tape":
@@ -295,12 +274,10 @@ class Tape:
         leaves.  An intermediate output receives ``grad`` only while the
         caller still holds it; a dropped one could never be read.
         """
-        self.visit_counts = {}
         if root._node is None:
             return
         flow: dict[object, Array] = {root._node: seed}
         for node in reversed(self.nodes):
-            self.visit_counts[id(node)] = self.visit_counts.get(id(node), 0) + 1
             out_grad = flow.pop(node, None)
             if out_grad is None:
                 continue
@@ -326,7 +303,7 @@ def backward(loss: Tensor) -> Tape:
     """Populate ``grad`` on every requires_grad tensor reaching ``loss``.
 
     Repeated calls accumulate; callers zero grads between steps.  Returns
-    the tape so tests can inspect visit counts.
+    the tape, whose ``nodes`` are the nodes the replay walked, each once.
     """
     if loss.data.size != 1:
         raise ContractError(
@@ -427,26 +404,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return from_op(data, (a, b), grad_fn, "matmul")
 
 
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    data = x.data.reshape(shape)
-    x_shape = x.shape
-
-    def grad_fn(g):
-        return (g.reshape(x_shape),)
-
-    return from_op(data, (x,), grad_fn, "reshape")
-
-
-def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    data = x.data.transpose(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def grad_fn(g):
-        return (g.transpose(inverse),)
-
-    return from_op(data, (x,), grad_fn, "transpose")
-
-
 def _is_basic_key(key) -> bool:
     if isinstance(key, tuple):
         return all(_is_basic_key(k) for k in key)
@@ -495,44 +452,6 @@ def broadcast_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         return (_unbroadcast(g, x_shape),)
 
     return from_op(data, (x,), grad_fn, "broadcast_to")
-
-
-def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = x.data.sum(axis=axis, keepdims=keepdims)
-    axes = _normalize_axes(axis, x.ndim)
-    x_shape = x.shape
-
-    def grad_fn(g):
-        if not keepdims and axes is not None:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, x_shape).copy(),)
-
-    return from_op(data, (x,), grad_fn, "sum")
-
-
-def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _normalize_axes(axis, x.ndim)
-    if axes is None:
-        count = x.size
-    else:
-        count = int(np.prod([x.shape[a] for a in axes]))
-    data = x.data.mean(axis=axis, keepdims=keepdims)
-    x_shape = x.shape
-
-    def grad_fn(g):
-        if not keepdims and axes is not None:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g / count, x_shape).copy(),)
-
-    return from_op(data, (x,), grad_fn, "mean")
-
-
-def _normalize_axes(axis, ndim) -> tuple[int, ...] | None:
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
 
 
 def softmax_rows(x: Tensor, scale: float = 1.0) -> Tensor:

@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference gradient checking, the dense
-pseudoinverse the oracles compare against, and composed attention."""
+pseudoinverse the oracles compare against, the shape ops and loss
+reducer no program path runs, and composed attention."""
 
 import numpy as np
 
@@ -48,9 +49,40 @@ def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray,
         f"{(err / np.maximum(denom, 1e-300)).max():.3e}")
 
 
+def reshape(x, shape: tuple[int, ...]):
+    """``x.data.reshape(shape)`` as a graph node."""
+    x_shape = x.shape
+
+    def grad_fn(g):
+        return (g.reshape(x_shape),)
+
+    return T.from_op(x.data.reshape(shape), (x,), grad_fn, "reshape")
+
+
+def transpose(x, axes: tuple[int, ...]):
+    """``x.data.transpose(axes)`` as a graph node."""
+    inverse = tuple(np.argsort(axes))
+
+    def grad_fn(g):
+        return (g.transpose(inverse),)
+
+    return T.from_op(x.data.transpose(axes), (x,), grad_fn, "transpose")
+
+
+def tensor_sum(x):
+    """The sum of every element of ``x`` as a graph node: the tests' loss
+    reducer."""
+    x_shape = x.shape
+
+    def grad_fn(g):
+        return (np.broadcast_to(g, x_shape).copy(),)
+
+    return T.from_op(np.asarray(x.data.sum()), (x,), grad_fn, "sum")
+
+
 def swap_last2(x):
     axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
-    return T.transpose(x, axes)
+    return transpose(x, axes)
 
 
 def _record(attn, sink):
@@ -70,14 +102,14 @@ def _split_heads(x, heads: int):
     nodes."""
     shape = x.shape[:-1] + (heads, x.shape[-1] // heads)
     axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2, x.ndim)
-    return T.transpose(T.reshape(x, shape), axes)
+    return transpose(reshape(x, shape), axes)
 
 
 def _merge_heads(x):
     """Inverse of ``_split_heads``."""
     axes = tuple(range(x.ndim - 3)) + (x.ndim - 2, x.ndim - 3, x.ndim - 1)
-    x = T.transpose(x, axes)
-    return T.reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+    x = transpose(x, axes)
+    return reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
 
 
 def composed_attention(q, k, v, w_o, heads: int, scale: float, sink=None,

@@ -127,6 +127,15 @@ def test_bench_rejects_malformed_sizes(capsys):
     assert err.startswith("error: ConfigError:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("sizes", ["-5x3", "4x-2", "4x0"])
+def test_bench_rejects_non_positive_sizes(capsys, sizes):
+    assert main(["bench", f"--sizes={sizes}", "--reps", "10"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ContractError: need positive sizes") \
+        and err.count("\n") == 1
+
+
 # --- pipeline --------------------------------------------------------------
 
 def test_train_baseline_is_deterministic(workdir, cfg, base_ckpt):

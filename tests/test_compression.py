@@ -21,7 +21,7 @@ from prunemerge.tensor import Tensor
 from prunemerge.vit import (ModelConfig, VisionTransformer, block_forward,
                             init_params, patchify)
 
-from helpers import assert_grads_close, dense_pinv, numeric_grad
+from helpers import assert_grads_close, dense_pinv, numeric_grad, tensor_sum
 
 WORKED_SCORES = np.array([0.2, 0.8, 0.0, 0.3, 0.9])
 
@@ -266,7 +266,7 @@ class TestGroupedOps:
 
         def loss_fn():
             out = merge_tokens(z, m_t, merge.segments)
-            return T.tensor_sum(out * Tensor(coef))
+            return tensor_sum(out * Tensor(coef))
 
         loss = loss_fn()
         T.backward(loss)
@@ -293,7 +293,7 @@ class TestGroupedOps:
 
         def loss_fn():
             out = reconstruct_tokens(y, r_t, merge.segments, z)
-            return T.tensor_sum(out * Tensor(coef))
+            return tensor_sum(out * Tensor(coef))
 
         loss = loss_fn()
         T.backward(loss)
@@ -347,7 +347,7 @@ class TestFusedReconstruct:
 
         def loss_fn():
             out = reconstruct_tokens(y, r_t, merge.segments, z)
-            return T.tensor_sum(out * Tensor(coef))
+            return tensor_sum(out * Tensor(coef))
 
         T.backward(loss_fn())
         support = np.zeros(r_t.shape, dtype=bool)
@@ -376,7 +376,7 @@ class TestFusedReconstruct:
 
         def loss_fn():
             out = reconstruct_class_row(y0, r_t, merge.segments, z)
-            return T.tensor_sum(out * Tensor(coef))
+            return tensor_sum(out * Tensor(coef))
 
         out = reconstruct_class_row(y0, r_t, merge.segments, z)
         want = z.data[:, :1] if token0_pruned else y0.data * r_t.data[0, 0]
@@ -489,7 +489,7 @@ class TestPmForward:
         def loss_fn():
             out = pm_forward_tensors(z, m_t, r_t, merge.segments, mask,
                                      block, heads=1)
-            return T.tensor_sum(out * Tensor(coef))
+            return tensor_sum(out * Tensor(coef))
 
         loss = loss_fn()
         T.backward(loss)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from prunemerge import scoring
 from prunemerge import tensor as T
 from prunemerge import vit
+from prunemerge.compression import generate_merge_matrix
 from prunemerge.data import synthetic_shapes
 from prunemerge.errors import ContractError, ShapeMismatchError
 from prunemerge.scoring import ScorerVariant
@@ -107,49 +108,71 @@ class TestOtherVariants:
 
 
 class TestAccumulate:
-    def test_single_iteration_identity(self):
-        x = np.array([1.0, 2.0, 3.0])
-        s = scoring.accumulate(np.zeros(3), x)
-        np.testing.assert_array_equal(scoring.finalize(s, 1), x)
+    """``collect_scores`` keeps one running float64 sum per layer and
+    divides it by the iteration count once at the end."""
 
-    def test_two_identical_iterations(self):
-        x = np.array([0.5, 1.5])
-        s = scoring.accumulate(scoring.accumulate(np.zeros(2), x), x)
-        np.testing.assert_array_equal(scoring.finalize(s, 2), x)
+    def test_single_iteration_identity(self, model_and_data):
+        model, ds = model_and_data
+        got = scoring.collect_scores(model, ds, iterations=1, batch_size=8,
+                                     seed=4, variant=ScorerVariant.RANDOM)
+        want = np.random.default_rng(4).uniform(size=(2, 5))
+        np.testing.assert_array_equal(np.stack(got), want)
 
-    def test_zero_iterations_rejected(self):
-        with pytest.raises(ContractError):
-            scoring.finalize(np.zeros(2), 0)
+    def test_two_identical_iterations(self, model_and_data):
+        # A one-image dataset feeds every iteration the same batch.
+        model, ds = model_and_data
+        one = ds.subset(0, 1)
+        once = scoring.collect_scores(model, one, iterations=1, batch_size=1)
+        twice = scoring.collect_scores(model, one, iterations=2,
+                                       batch_size=1)
+        np.testing.assert_array_equal(np.stack(twice), np.stack(once))
 
-    def test_accumulator_counts(self):
-        acc = scoring.ScoreAccumulator([2, 2])
-        acc.add([np.ones(2), np.zeros(2)])
-        acc.add([np.ones(2), np.ones(2)])
-        out = acc.finalize()
-        assert acc.iterations == 2
-        np.testing.assert_array_equal(out[0], [1.0, 1.0])
-        np.testing.assert_array_equal(out[1], [0.5, 0.5])
-        assert all((s >= 0).all() for s in out)
+    def test_zero_iterations_rejected(self, model_and_data):
+        model, ds = model_and_data
+        with pytest.raises(ContractError, match="iterations must be >= 1"):
+            scoring.collect_scores(model, ds, iterations=0, batch_size=8)
+
+    def test_accumulator_counts(self, model_and_data):
+        # The random scorer draws one vector per layer per iteration.
+        model, ds = model_and_data
+        got = scoring.collect_scores(model, ds, iterations=3, batch_size=8,
+                                     seed=4, variant=ScorerVariant.RANDOM)
+        draws = np.random.default_rng(4).uniform(size=(3, 2, 5))
+        total = np.zeros((2, 5))
+        for step in draws:
+            total = total + step
+        np.testing.assert_array_equal(np.stack(got), total / 3)
+
+
+def _prune_mask(scores, prune_count: int, class_token: bool = True):
+    """The keep mask of a plan entry that prunes ``prune_count`` tokens and
+    keeps every other token."""
+    scores = np.asarray(scores)
+    mask, _ = generate_merge_matrix(scores, None, scores.size - prune_count,
+                                    prune_count=prune_count,
+                                    class_token=class_token)
+    return mask
 
 
 class TestTokenMask:
+    """The pruning rule ``generate_merge_matrix`` applies: the
+    ``prune_count`` lowest-scoring tokens go, the class token never."""
+
     def test_no_pruning(self):
         np.testing.assert_array_equal(
-            scoring.make_token_mask(np.array([0.1, 0.2, 0.3]), 0),
-            [1, 1, 1])
+            _prune_mask(np.array([0.1, 0.2, 0.3]), 0), [1, 1, 1])
 
     def test_min_selection(self):
-        mask = scoring.make_token_mask(np.array([0.9, 0.1, 0.5, 0.2]), 1)
+        mask = _prune_mask(np.array([0.9, 0.1, 0.5, 0.2]), 1)
         np.testing.assert_array_equal(mask, [1, 0, 1, 1])
 
     def test_all_but_class(self):
-        mask = scoring.make_token_mask(np.array([0.0, 0.9, 0.9, 0.9]), 3,
-                                       class_token=True)
+        mask = _prune_mask(np.array([0.0, 0.9, 0.9, 0.9]), 3)
         np.testing.assert_array_equal(mask, [1, 0, 0, 0])
 
     def test_ties_prune_higher_index_first(self):
-        mask = scoring.make_token_mask(np.array([0.5, 0.2, 0.2, 0.2]), 2,
-                                       class_token=False)
+        mask = _prune_mask(np.array([0.5, 0.2, 0.2, 0.2]), 2,
+                           class_token=False)
         np.testing.assert_array_equal(mask, [1, 1, 0, 0])
 
     def test_zero_count_exact(self):
@@ -157,15 +180,15 @@ class TestTokenMask:
         for _ in range(50):
             n = int(rng.integers(2, 30))
             p = int(rng.integers(0, n - 1))
-            mask = scoring.make_token_mask(rng.uniform(size=n), p)
+            mask = _prune_mask(rng.uniform(size=n), p)
             assert int((mask == 0).sum()) == p
             assert mask[0] == 1  # class exempt
 
     def test_out_of_range(self):
         with pytest.raises(ContractError):
-            scoring.make_token_mask(np.ones(4), 4)
+            _prune_mask(np.ones(4), 4)
         with pytest.raises(ContractError):
-            scoring.make_token_mask(np.ones(4), -1)
+            _prune_mask(np.ones(4), -1)
 
 
 class TestPruneCount:

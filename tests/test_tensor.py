@@ -2,7 +2,9 @@
 
 import contextlib
 import gc
+import inspect
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -11,11 +13,15 @@ import pytest
 from prunemerge import tensor as T
 from prunemerge import vit
 from prunemerge.compression import compress_model, global_plan
+from prunemerge.data import Dataset
 from prunemerge.errors import ContractError, NumericError, ShapeMismatchError
-from prunemerge.scoring import ScorerVariant, scores_from_trace
+from prunemerge.finetune import evaluate_accuracy, self_distill_loss
+from prunemerge.scoring import (ScorerVariant, collect_scores,
+                                scores_from_trace)
 from prunemerge.vit import ModelConfig, VisionTransformer, block_forward
 
-from helpers import assert_grads_close, composed_attention, numeric_grad
+from helpers import (assert_grads_close, composed_attention, numeric_grad,
+                     reshape, tensor_sum, transpose)
 
 
 class TestMatmul:
@@ -33,23 +39,23 @@ class TestMatmul:
     def test_identity(self):
         a = T.Tensor(np.eye(2))
         b = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal((a @ b).data, b.data)
+        np.testing.assert_array_equal(T.matmul(a, b).data, b.data)
 
     def test_hand_values(self):
         a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = T.Tensor([[5.0], [6.0]])
-        np.testing.assert_array_equal((a @ b).data, [[17.0], [39.0]])
+        np.testing.assert_array_equal(T.matmul(a, b).data, [[17.0], [39.0]])
 
     def test_zeros(self):
         a = T.Tensor(np.zeros((2, 3)))
         b = T.Tensor(np.arange(12.0).reshape(3, 4))
-        np.testing.assert_array_equal((a @ b).data, np.zeros((2, 4)))
+        np.testing.assert_array_equal(T.matmul(a, b).data, np.zeros((2, 4)))
 
     def test_shape_mismatch_names_both_shapes(self):
         a = T.Tensor(np.zeros((2, 3)))
         b = T.Tensor(np.zeros((4, 2)))
         with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(4, 2\)"):
-            a @ b
+            T.matmul(a, b)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -57,11 +63,12 @@ class TestMatmul:
         b = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
 
         def loss():
-            return float(((T.Tensor(a.data, requires_grad=True)
-                           @ T.Tensor(b.data)) * T.Tensor(w)).sum().data)
+            return float(tensor_sum(T.matmul(
+                T.Tensor(a.data, requires_grad=True), T.Tensor(b.data))
+                * T.Tensor(w)).data)
 
         w = rng.normal(size=(3, 2))
-        out = ((a @ b) * T.Tensor(w)).sum()
+        out = tensor_sum(T.matmul(a, b) * T.Tensor(w))
         T.backward(out)
         assert_grads_close(a.grad, numeric_grad(loss, a.data))
         assert_grads_close(b.grad, numeric_grad(loss, b.data))
@@ -71,7 +78,7 @@ class TestMatmul:
         rng = np.random.default_rng(7)
         a = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = T.Tensor(rng.normal(size=(5, 4, 2)), requires_grad=True)
-        out = (a @ b).sum()
+        out = tensor_sum(T.matmul(a, b))
         T.backward(out)
 
         def loss():
@@ -88,7 +95,7 @@ class TestMatmul:
         a = T.Tensor(rng.normal(size=a_shape), requires_grad=True)
         b = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         w = rng.normal(size=a_shape[:-1] + (2,))
-        T.backward(((a @ b) * T.Tensor(w)).sum())
+        T.backward(tensor_sum(T.matmul(a, b) * T.Tensor(w)))
 
         def loss():
             return float((np.matmul(a.data, b.data) * w).sum())
@@ -128,7 +135,7 @@ class TestSoftmax:
     def test_grad_of_row_sums_is_zero(self):
         x = T.Tensor(np.random.default_rng(0).normal(size=(3, 5)),
                      requires_grad=True)
-        T.backward(T.softmax_rows(x).sum())
+        T.backward(tensor_sum(T.softmax_rows(x)))
         np.testing.assert_allclose(x.grad, 0.0, atol=1e-12)
 
     def test_nan_input_rejected(self):
@@ -164,7 +171,7 @@ class TestSoftmax:
         rng = np.random.default_rng(3)
         x = T.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
         w = rng.normal(size=(2, 4))
-        T.backward((T.softmax_rows(x) * T.Tensor(w)).sum())
+        T.backward(tensor_sum(T.softmax_rows(x) * T.Tensor(w)))
 
         def loss():
             e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
@@ -186,7 +193,7 @@ class TestSoftmax:
         x = T.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         w = rng.normal(size=(2, 3, 4))
         scale = 0.37
-        T.backward((T.softmax_rows(x, scale) * T.Tensor(w)).sum())
+        T.backward(tensor_sum(T.softmax_rows(x, scale) * T.Tensor(w)))
 
         def loss():
             z = scale * x.data
@@ -267,7 +274,7 @@ class TestLayerNorm:
         gamma = T.Tensor(rng.normal(size=6), requires_grad=True)
         beta = T.Tensor(rng.normal(size=6), requires_grad=True)
         w = rng.normal(size=(3, 6))
-        T.backward((T.layer_norm(x, gamma, beta) * T.Tensor(w)).sum())
+        T.backward(tensor_sum(T.layer_norm(x, gamma, beta) * T.Tensor(w)))
 
         def loss():
             mu = x.data.mean(axis=-1, keepdims=True)
@@ -348,7 +355,7 @@ class TestGelu:
     def test_gradient_matches_finite_differences(self):
         x = T.Tensor(np.array([-3.0, -1.0, -0.2, 0.0, 0.4, 1.7, 3.0]),
                      requires_grad=True)
-        T.backward(T.gelu(x).sum())
+        T.backward(tensor_sum(T.gelu(x)))
 
         def loss():
             c = math.sqrt(2.0 / math.pi)
@@ -361,7 +368,7 @@ class TestGelu:
         rng = np.random.default_rng(4)
         x = T.Tensor(rng.normal(scale=2.0, size=(2, 3, 5)), requires_grad=True)
         w = rng.normal(size=(2, 3, 5))
-        T.backward((T.gelu(x) * T.Tensor(w)).sum())
+        T.backward(tensor_sum(T.gelu(x) * T.Tensor(w)))
 
         def loss():
             c = math.sqrt(2.0 / math.pi)
@@ -411,7 +418,7 @@ class TestGelu:
             g = rng.normal(size=shape)
             x = T.Tensor(xd.copy(), requires_grad=True)
             y = T.gelu(x)
-            T.backward((y * T.Tensor(g)).sum())
+            T.backward(tensor_sum(y * T.Tensor(g)))
             want_y, want_grad = reference(xd, g)
             np.testing.assert_array_equal(y.data, want_y)
             np.testing.assert_array_equal(x.grad, want_grad)
@@ -419,7 +426,7 @@ class TestGelu:
     def test_input_never_written(self):
         x = T.Tensor(np.linspace(-4.0, 4.0, 9), requires_grad=True)
         before = x.data.copy()
-        T.backward(T.gelu(x).sum())
+        T.backward(tensor_sum(T.gelu(x)))
         np.testing.assert_array_equal(x.data, before)
 
 
@@ -428,7 +435,7 @@ def _run(op, inputs, w):
     for t in inputs:
         t.grad = None
     out = op(*inputs)
-    T.backward((out * T.Tensor(w)).sum())
+    T.backward(tensor_sum(out * T.Tensor(w)))
     return out.data, [None if t.grad is None else t.grad.copy()
                       for t in inputs]
 
@@ -532,8 +539,9 @@ class TestAttention:
             sink = vit.AttentionTrace(0)
             for t in (q, k, v, w_o):
                 t.grad = None
-            loss_t = (T.attention(q, k, v, w_o, 2, scale, sink=sink,
-                                  bump=bump) * T.Tensor(w)).sum()
+            loss_t = tensor_sum(T.attention(q, k, v, w_o, 2, scale,
+                                            sink=sink, bump=bump)
+                                * T.Tensor(w))
             T.backward(loss_t)
 
             def loss():
@@ -628,7 +636,7 @@ class TestGeluMatmul:
         x = T.Tensor(rng.normal(scale=2.0, size=(2, 3, 5)), requires_grad=True)
         w = T.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         g = rng.normal(size=(2, 3, 4))
-        T.backward((T.gelu_matmul(x, w) * T.Tensor(g)).sum())
+        T.backward(tensor_sum(T.gelu_matmul(x, w) * T.Tensor(g)))
 
         def loss():
             c = math.sqrt(2.0 / math.pi)
@@ -643,7 +651,7 @@ class TestGeluMatmul:
         x = T.Tensor(np.linspace(-4.0, 4.0, 12).reshape(3, 4),
                      requires_grad=True)
         before = x.data.copy()
-        T.backward(T.gelu_matmul(x, T.Tensor(np.ones((4, 2)))).sum())
+        T.backward(tensor_sum(T.gelu_matmul(x, T.Tensor(np.ones((4, 2))))))
         np.testing.assert_array_equal(x.data, before)
         with pytest.raises(ShapeMismatchError):
             T.gelu_matmul(x, T.Tensor(np.ones((3, 2))))
@@ -741,12 +749,12 @@ class TestKLDivergence:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        T.backward(x.sum())
+        T.backward(tensor_sum(x))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_elementwise_square(self):
         x = T.Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-        T.backward((x * x).sum())
+        T.backward(tensor_sum(x * x))
         np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
 
     def test_non_scalar_loss_rejected(self):
@@ -756,13 +764,13 @@ class TestBackward:
 
     def test_accumulation_until_zeroed(self):
         x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        T.backward((x * x).sum())
+        T.backward(tensor_sum(x * x))
         first = x.grad.copy()
-        T.backward((x * x).sum())
+        T.backward(tensor_sum(x * x))
         np.testing.assert_array_equal(x.grad, 2.0 * first)
         x.zero_grad()
         assert x.grad is None
-        T.backward((x * x).sum())
+        T.backward(tensor_sum(x * x))
         np.testing.assert_array_equal(x.grad, first)
 
     def test_deterministic_bit_identical(self):
@@ -770,8 +778,8 @@ class TestBackward:
             rng = np.random.default_rng(99)
             x = T.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
             y = T.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-            out = T.gelu(x @ y)
-            T.backward(T.softmax_rows(out).sum(axis=None))
+            out = T.gelu(T.matmul(x, y))
+            T.backward(tensor_sum(T.softmax_rows(out)))
             return x.grad.copy(), y.grad.copy()
 
         gx1, gy1 = run()
@@ -782,9 +790,10 @@ class TestBackward:
         x = T.Tensor(np.ones(3), requires_grad=True)
         y = x * x
         z = y + y  # diamond: y consumed twice
-        tape = T.backward(z.sum())
-        assert tape.visit_counts
-        assert all(c == 1 for c in tape.visit_counts.values())
+        tape = T.backward(tensor_sum(z))
+        # replay walks ``tape.nodes`` once, so each node appears once
+        assert [n.name for n in tape.nodes] == ["mul", "add", "sum"]
+        assert len({id(n) for n in tape.nodes}) == len(tape.nodes)
         np.testing.assert_array_equal(x.grad, [4.0, 4.0, 4.0])
 
     def test_residual_topology_orders_tape_correctly(self):
@@ -792,7 +801,7 @@ class TestBackward:
         # have all consumer gradients folded in before it propagates.
         x = T.Tensor(np.array([0.3, -0.7, 1.1]), requires_grad=True)
         a = x * x
-        out = (a + T.gelu(T.gelu(a))).sum()
+        out = tensor_sum(a + T.gelu(T.gelu(a)))
         T.backward(out)
 
         def loss():
@@ -809,28 +818,28 @@ class TestBackward:
     def test_intermediate_grads_populated(self):
         x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
         mid = x * x
-        T.backward((mid * T.Tensor([3.0, 4.0])).sum())
+        T.backward(tensor_sum(mid * T.Tensor([3.0, 4.0])))
         np.testing.assert_array_equal(mid.grad, [3.0, 4.0])
 
     def test_grad_shape_matches_data(self):
         rng = np.random.default_rng(21)
         x = T.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        T.backward((x * x).mean())
+        T.backward(tensor_sum(x * x))
         assert x.grad.shape == x.data.shape
 
 
 class TestShapeOps:
     def test_reshape_transpose_take_concat_grads(self):
         rng = np.random.default_rng(17)
-        x = T.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        x = T.Tensor(rng.normal(size=(2, 12)), requires_grad=True)
         w = rng.normal(size=(3, 2, 2))
-        a = T.transpose(x, (1, 0, 2))
-        out = (T.concat([a[:, :, :2] * a[:, :, :2], a[:, :, 2:]],
-                        axis=2)[:, :, :2] * T.Tensor(w)).sum()
+        a = transpose(reshape(x, (2, 3, 4)), (1, 0, 2))
+        out = tensor_sum(T.concat([a[:, :, :2] * a[:, :, :2], a[:, :, 2:]],
+                                  axis=2)[:, :, :2] * T.Tensor(w))
         T.backward(out)
 
         def loss():
-            at = x.data.transpose(1, 0, 2)
+            at = x.data.reshape(2, 3, 4).transpose(1, 0, 2)
             cat = np.concatenate([at[:, :, :2] ** 2, at[:, :, 2:]], axis=2)
             return float((cat[:, :, :2] * w).sum())
 
@@ -838,31 +847,14 @@ class TestShapeOps:
 
     def test_broadcast_to_grads(self):
         x = T.Tensor(np.array([[1.0], [2.0]]), requires_grad=True)
-        T.backward(T.broadcast_to(x, (2, 3)).sum())
+        T.backward(tensor_sum(T.broadcast_to(x, (2, 3))))
         np.testing.assert_array_equal(x.grad, [[3.0], [3.0]])
-
-    def test_mean_grads(self):
-        x = T.Tensor(np.arange(8.0).reshape(2, 4), requires_grad=True)
-        T.backward(x.mean(axis=1).sum())
-        np.testing.assert_allclose(x.grad, 0.25)
 
     def test_fancy_indexing_rejected(self):
         x = T.Tensor(np.ones(5), requires_grad=True)
         with pytest.raises(ContractError):
             x[np.array([0, 0, 1])]
 
-    def test_tensor_division_rejected(self):
-        x = T.Tensor(np.ones(3))
-        with pytest.raises(ContractError):
-            x / T.Tensor(np.ones(3))
-        np.testing.assert_allclose((x / 2.0).data, 0.5)
-
-    def test_detach_cuts_graph(self):
-        x = T.Tensor(np.array([2.0]), requires_grad=True)
-        y = (x * x).detach()
-        assert y.requires_grad is False
-        z = y * T.Tensor([3.0])
-        assert z.requires_grad is False
 
 
 class TestConstantOperands:
@@ -996,7 +988,7 @@ class TestGraphLifetime:
     def test_held_intermediate_gets_grad(self):
         x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
         y = x * x
-        T.backward((y * T.Tensor([3.0, 5.0])).sum())
+        T.backward(tensor_sum(y * T.Tensor([3.0, 5.0])))
         np.testing.assert_array_equal(y.grad, [3.0, 5.0])
         np.testing.assert_array_equal(x.grad, [6.0, 20.0])
 
@@ -1055,3 +1047,57 @@ class TestGraphLifetime:
         T.backward(loss)
         for k, p in params.items():
             np.testing.assert_array_equal(p.grad, 2.0 * first[k])
+
+
+# Functions of ``prunemerge.tensor`` that no program path calls, and why
+# each stays; every other function and method it defines must run below.
+UNCALLED_BY_DESIGN = {
+    "softmax_rows": "perfbench/spans.py wraps it by name",
+    "gelu": "perfbench/spans.py wraps it by name",
+    "Tensor.__repr__": "introspection",
+    "Tensor.size": "introspection",
+}
+
+
+def _engine_code() -> dict:
+    """Qualified name -> code of every function, method and property
+    getter that ``prunemerge.tensor`` defines."""
+    members = list(vars(T).items())
+    for cname, cls in vars(T).items():
+        if inspect.isclass(cls) and cls.__module__ == T.__name__:
+            members += [(f"{cname}.{attr}", getattr(m, "fget", m))
+                        for attr, m in vars(cls).items()]
+    members = [(name, inspect.unwrap(getattr(fn, "__func__", fn)))
+               for name, fn in members]
+    return {name: fn.__code__ for name, fn in members
+            if inspect.isfunction(fn) and fn.__module__ == T.__name__}
+
+
+def test_program_paths_call_every_function_of_the_engine():
+    # What the commands run, in-process at a tiny size: recorded forward
+    # and backward of the base and of a learnable compressed model, with
+    # a class-row last layer and with traces under the distillation loss;
+    # a traced scoring batch; a no_grad evaluation.
+    model, images = _tiny_model()
+    compressed, _ = _tiny_compressed_model()
+    labels = np.array([1, 0])
+    dataset = Dataset(images, labels, num_classes=3)
+    called = set()
+    sys.setprofile(lambda frame, event, arg: called.add(frame.f_code))
+    try:
+        T.backward(T.cross_entropy(model.forward(images), labels))
+        T.backward(T.cross_entropy(compressed.forward(images), labels))
+        T.backward(self_distill_loss(compressed.forward(images, traces=[]),
+                                     model.forward(images), labels,
+                                     alpha=0.4)[0])
+        collect_scores(model, dataset, iterations=1, batch_size=2)
+        evaluate_accuracy(compressed, dataset, batch_size=2)
+    finally:
+        sys.setprofile(None)
+    code = _engine_code()
+    allowed = set(UNCALLED_BY_DESIGN)
+    assert allowed <= set(code)
+    uncalled = {name for name, c in code.items() if c not in called}
+    assert uncalled == allowed, (
+        f"never called: {sorted(uncalled - allowed)}; "
+        f"called though allowed: {sorted(allowed - uncalled)}")

@@ -10,7 +10,8 @@ from prunemerge import vit
 from prunemerge.errors import ContractError
 from prunemerge.tensor import Tensor
 
-from helpers import assert_grads_close, composed_attention, numeric_grad
+from helpers import (assert_grads_close, composed_attention, numeric_grad,
+                     tensor_sum)
 
 
 def tiny_config(**kw):
@@ -201,7 +202,7 @@ def _block_run(p, z, w, **kwargs):
         t.grad = None
     zt = Tensor(z, requires_grad=True)
     out = vit.block_forward(zt, p, heads=2, **kwargs)
-    T.backward((out * Tensor(w)).sum())
+    T.backward(tensor_sum(out * Tensor(w)))
     return out.data, zt.grad, {n: t.grad for n, t in p.named()}
 
 

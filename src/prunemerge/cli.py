@@ -257,7 +257,7 @@ def cmd_visualize(args) -> int:
     if not 0 <= args.image < len(data):
         raise ContractError(
             f"image index {args.image} outside [0, {len(data)})")
-    image = data.images[args.image]
+    image = data.batch(args.image)
     if args.layers == "all":
         layers = [l for l in range(plan.depth) if l not in plan.uncompressed]
         if not layers:

@@ -1,5 +1,11 @@
 """Dataset handling: IDX file pairs, a synthetic shape corpus, batching.
 
+A ``Dataset`` stores its pixels in one of two dtypes: float64 in [0, 1]
+(the synthetic corpus) or the uint8 bytes an IDX file holds, where a
+value v reads as v / 255.  ``Dataset.batch`` is the one read path: it
+returns float64 pixels either way, so byte images are scaled per batch
+and never inflated to float64 as a whole.
+
 Batch order is a pure function of (seed, epoch), so training runs can be
 resumed or replayed bit-identically without serializing generator state.
 """
@@ -25,13 +31,26 @@ IDX_DTYPES = {
 }
 
 
+PIXEL_DTYPES = (np.dtype(np.float64), np.dtype(np.uint8))
+
+
 @dataclass
 class Dataset:
-    images: np.ndarray  # (B, Ch, H, W) float64 in [0, 1]
+    """Labelled images.
+
+    ``images`` holds the stored pixels, (B, Ch, H, W): float64 in [0, 1],
+    or uint8 where a value v reads as v / 255.  Read pixels through
+    ``batch``, which returns float64 in [0, 1] for either dtype.
+    """
+
+    images: np.ndarray  # (B, Ch, H, W) float64 in [0, 1], or uint8
     labels: np.ndarray  # (B,) int64
     num_classes: int
 
     def __post_init__(self):
+        if self.images.dtype not in PIXEL_DTYPES:
+            raise ContractError(
+                f"images must be float64 or uint8, got {self.images.dtype}")
         if self.images.ndim != 4:
             raise ContractError(f"images must be 4-D, got {self.images.shape}")
         if self.images.shape[0] == 0:
@@ -47,6 +66,15 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.images.shape[0]
+
+    def batch(self, key) -> np.ndarray:
+        """The float64 pixels of ``images[key]``, for an index array, a
+        slice or an int.  Bytes are divided by 255 here, the operation a
+        whole-array conversion would run, so every element gets the same
+        bits."""
+        if self.images.dtype == np.uint8:
+            return np.divide(self.images[key], 255.0, dtype=np.float64)
+        return self.images[key]
 
     def subset(self, start: int, stop: int) -> "Dataset":
         return Dataset(self.images[start:stop], self.labels[start:stop],
@@ -68,12 +96,13 @@ def read_idx(path: str | Path) -> np.ndarray:
         raise ContractError(f"{path}: truncated IDX dimension block")
     dims = struct.unpack(f">{ndim}I", raw[4:header_end])
     dtype = IDX_DTYPES[dtype_code]
-    expected = math.prod(dims) * dtype.itemsize
-    payload = raw[header_end:]
-    if len(payload) != expected:
+    count = math.prod(dims)
+    expected = count * dtype.itemsize
+    if len(raw) - header_end != expected:
         raise ContractError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}")
-    return np.frombuffer(payload, dtype=dtype).reshape(dims)
+            f"{path}: payload is {len(raw) - header_end} bytes, header "
+            f"implies {expected}")
+    return np.frombuffer(raw, dtype, count, offset=header_end).reshape(dims)
 
 
 def write_idx(path: str | Path, array: np.ndarray) -> None:
@@ -85,20 +114,23 @@ def write_idx(path: str | Path, array: np.ndarray) -> None:
             break
     if code is None:
         raise ContractError(f"dtype {array.dtype} has no IDX code")
+    # Copies only an array that is not already contiguous big-endian.
+    payload = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder(">"))
     with open(path, "wb") as fh:
         fh.write(struct.pack(">BBBB", 0, 0, code, array.ndim))
         fh.write(struct.pack(f">{array.ndim}I", *array.shape))
-        fh.write(array.astype(array.dtype.newbyteorder(">")).tobytes())
+        fh.write(payload)
 
 
 def load_idx_pair(image_path: str | Path, label_path: str | Path,
                   num_classes: int | None = None) -> Dataset:
-    """Load an images/labels IDX file pair into a float dataset.
+    """Load an images/labels IDX file pair into a byte-pixel dataset.
 
-    Images must be a 3-D unsigned-byte tensor (count, H, W); they are
-    scaled to [0, 1] and given a single channel axis.  Labels must be a
-    1-D integer vector: a float label would otherwise be truncated to a
-    class without notice.
+    Images must be a 3-D unsigned-byte tensor (count, H, W); the dataset
+    keeps a read-only view of the file's bytes with a single channel
+    axis added, and ``Dataset.batch`` scales each batch to [0, 1].
+    Labels must be a 1-D integer vector: a float label would otherwise be
+    truncated to a class without notice.
     """
     images = read_idx(image_path)
     labels = read_idx(label_path)
@@ -116,11 +148,10 @@ def load_idx_pair(image_path: str | Path, label_path: str | Path,
     if not np.issubdtype(labels.dtype, np.integer):
         raise ContractError(
             f"{label_path}: label vector must be integers, got {labels.dtype}")
-    imgs = images.astype(np.float64)[:, None, :, :] / 255.0
     labs = labels.astype(np.int64)
     if num_classes is None:
         num_classes = int(labs.max(initial=-1)) + 1
-    return Dataset(imgs, labs, num_classes)
+    return Dataset(images[:, None], labs, num_classes)
 
 
 # ----------------------------------------------------------------------
@@ -205,4 +236,4 @@ def batches(dataset: Dataset, batch_size: int, *, seed: int, epoch: int,
     picks."""
     for idx in batch_indices(len(dataset), batch_size, seed=seed,
                              epoch=epoch, shuffle=shuffle):
-        yield dataset.images[idx], dataset.labels[idx]
+        yield dataset.batch(idx), dataset.labels[idx]

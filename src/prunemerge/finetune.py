@@ -351,7 +351,8 @@ def teacher_logits_of(teacher, dataset: Dataset,
     stored order, from ``no_grad`` forwards of ``batch_size`` examples."""
     with T.no_grad():
         return np.concatenate([
-            teacher.forward(dataset.images[start:start + batch_size]).data
+            teacher.forward(
+                dataset.batch(slice(start, start + batch_size))).data
             for start in range(0, len(dataset.labels), batch_size)])
 
 
@@ -447,7 +448,7 @@ def finetune(model, teacher: VisionTransformer, train_data: Dataset,
 
     def loss_of(idx):
         loss, ce, kl = self_distill_loss(
-            model.forward(train_data.images[idx]), Tensor(cached[idx]),
+            model.forward(train_data.batch(idx)), Tensor(cached[idx]),
             train_data.labels[idx], alpha=config.alpha,
             temperature=config.temperature)
         return loss, float(ce.data), float(kl.data)
@@ -479,7 +480,7 @@ def train_baseline(config: ModelConfig, train_data: Dataset, epochs: int,
     optimizer = AdamW(model.named_parameters(), weight_decay=weight_decay)
 
     def loss_of(idx):
-        loss = T.cross_entropy(model.forward(train_data.images[idx]),
+        loss = T.cross_entropy(model.forward(train_data.batch(idx)),
                                train_data.labels[idx])
         return loss, float(loss.data), 0.0
 

@@ -1,12 +1,18 @@
 """Datasets: IDX container, synthetic shape corpus, batch ordering."""
 
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import prunemerge
 from prunemerge.cli import main
 from prunemerge.data import (IDX_DTYPES, Dataset, batch_indices, batches,
                              load_idx_pair, read_idx, synthetic_shapes,
@@ -100,10 +106,115 @@ def test_load_idx_pair_scales_and_shapes(tmp_path):
     write_idx(tmp_path / "lab.idx", labels)
     ds = load_idx_pair(tmp_path / "img.idx", tmp_path / "lab.idx")
     assert ds.images.shape == (8, 1, 6, 6)
-    assert ds.images.dtype == np.float64
-    assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
-    np.testing.assert_allclose(ds.images[0, 0], images[0] / 255.0)
+    pixels = ds.batch(slice(None))
+    assert pixels.dtype == np.float64
+    assert pixels.min() >= 0.0 and pixels.max() <= 1.0
+    np.testing.assert_allclose(pixels[0, 0], images[0] / 255.0)
     assert ds.num_classes == int(labels.max()) + 1
+
+
+def test_load_idx_pair_keeps_the_file_bytes(tmp_path):
+    # The pair is held as the bytes read, not as float64 pixels: the
+    # traced peak of a load stays within the image file plus small change.
+    rng = np.random.default_rng(2)
+    write_idx(tmp_path / "img.idx",
+              rng.integers(0, 256, size=(2000, 28, 28)).astype(np.uint8))
+    write_idx(tmp_path / "lab.idx",
+              rng.integers(0, 10, size=2000).astype(np.uint8))
+    file_bytes = (tmp_path / "img.idx").stat().st_size
+    tracemalloc.start()
+    try:
+        ds = load_idx_pair(tmp_path / "img.idx", tmp_path / "lab.idx")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= file_bytes + 64 * 1024
+    assert ds.images.dtype == np.uint8 and not ds.images.flags.writeable
+
+
+def test_batch_scales_byte_pixels_like_a_whole_array_conversion():
+    pixels = np.random.default_rng(3).integers(
+        0, 256, size=(9, 1, 5, 5)).astype(np.uint8)
+    ds = Dataset(pixels, np.zeros(9, dtype=np.int64), 1)
+    for key in (np.array([7, 0, 3, 3]), slice(2, 8), 4):
+        got = ds.batch(key)
+        want = pixels.astype(np.float64)[key] / 255.0
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int16, np.bool_])
+def test_dataset_rejects_other_pixel_dtypes(dtype):
+    with pytest.raises(ContractError, match="float64 or uint8"):
+        Dataset(np.zeros((2, 1, 4, 4), dtype=dtype),
+                np.zeros(2, dtype=np.int64), 2)
+
+
+@pytest.mark.parametrize("array", [
+    np.arange(60, dtype=np.uint8).reshape(3, 4, 5),
+    np.arange(-5, 5, dtype=np.int8),
+    np.arange(-600, 600, 7, dtype=np.int16).reshape(4, -1),
+    np.arange(12, dtype=">i2"),
+    np.arange(-10**6, 10**6, 99991, dtype=np.int32),
+    np.linspace(-3, 3, 10, dtype=np.float32).reshape(2, 5),
+    np.linspace(-3, 3, 10, dtype=np.float64),
+    np.arange(24, dtype=np.int32).reshape(4, 6)[:, ::2],
+    np.zeros((0, 3), dtype=np.float64),
+    np.array(2.5),
+], ids=["u1", "i1", "i2", "i2-big", "i4", "f4", "f8", "strided", "empty",
+        "0-d"])
+def test_write_idx_bytes_match_a_big_endian_copy(tmp_path, array):
+    code = {dt: c for c, dt in IDX_DTYPES.items()}[
+        array.dtype.newbyteorder(">")]
+    header = struct.pack(">BBBB", 0, 0, code, array.ndim) + struct.pack(
+        f">{array.ndim}I", *array.shape)
+    want = header + array.astype(array.dtype.newbyteorder(">")).tobytes()
+    assert _idx_bytes(array, tmp_path) == want
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmRSS and VmHWM from /proc")
+def test_train_baseline_peak_stays_below_float_pixels(tmp_path):
+    # A fresh interpreter trains one epoch on 8,192 28x28 IDX images at
+    # the acceptance shape.  Its resident peak may rise above the
+    # post-import level by less than the images would take as float64.
+    count, size = 8192, 28
+    rng = np.random.default_rng(4)
+    write_idx(tmp_path / "img.idx",
+              rng.integers(0, 256, size=(count, size, size)).astype(np.uint8))
+    write_idx(tmp_path / "lab.idx",
+              rng.integers(0, 10, size=count).astype(np.uint8))
+    child = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import prunemerge.cli\n"
+        "def kb(key):\n"
+        "    for line in Path('/proc/self/status').read_text().splitlines():\n"
+        "        if line.startswith(key + ':'):\n"
+        "            return int(line.split()[1])\n"
+        "rss = kb('VmRSS')\n"
+        "code = prunemerge.cli.main(sys.argv[1:])\n"
+        "print(code, rss, kb('VmHWM'))\n")
+    overrides = {"dataset": "idx", "idx_images": tmp_path / "img.idx",
+                 "idx_labels": tmp_path / "lab.idx", "image_size": size,
+                 "patch_size": 14, "embed_dim": 48, "depth": 2, "heads": 4,
+                 "mlp_ratio": 2, "num_classes": 10, "epochs": 1,
+                 "batch_size": 32}
+    args = ["train-baseline", "--out", str(tmp_path / "base.pmvt")]
+    for key, value in overrides.items():
+        args += ["--set", f"{key}={value}"]
+    package_root = os.path.dirname(os.path.dirname(
+        os.path.abspath(prunemerge.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", child, *args], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    code, rss_kb, hwm_kb = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0
+    float_pixels = count * size * size * 8
+    assert (hwm_kb - rss_kb) * 1024 < float_pixels
 
 
 def test_load_idx_pair_rejects_count_mismatch(tmp_path):

@@ -9,7 +9,9 @@ import pytest
 from prunemerge import tensor as T
 from prunemerge.compression import (CompressionPlan, compress_model,
                                     global_plan, pm_forward_tensors)
-from prunemerge.data import batch_indices, synthetic_shapes
+from prunemerge.checkpoint import save_model
+from prunemerge.data import (Dataset, batch_indices, load_idx_pair,
+                             synthetic_shapes, write_idx)
 from prunemerge.errors import ConfigError, ContractError, NumericError
 from prunemerge.finetune import (METRICS_HEADER, AdamW, DistillConfig,
                                  TrainState, cosine_lr, evaluate_accuracy,
@@ -321,6 +323,29 @@ class TestTrainBaseline:
         for (_, a), (_, b) in zip(m1.named_parameters(),
                                   m2.named_parameters()):
             np.testing.assert_array_equal(a.data, b.data)
+
+    def test_byte_pixels_train_like_float_pixels(self, tmp_path):
+        # An IDX-loaded dataset keeps bytes and scales each batch; the
+        # float64 dataset of the same bytes must train to the same file.
+        rng = np.random.default_rng(7)
+        pixels = rng.integers(0, 256, size=(20, 8, 8)).astype(np.uint8)
+        labels = rng.integers(0, 4, size=20).astype(np.uint8)
+        write_idx(tmp_path / "img.idx", pixels)
+        write_idx(tmp_path / "lab.idx", labels)
+        as_bytes = load_idx_pair(tmp_path / "img.idx", tmp_path / "lab.idx",
+                                 num_classes=4)
+        as_floats = Dataset(pixels.astype(np.float64)[:, None] / 255.0,
+                            labels.astype(np.int64), 4)
+        outputs = []
+        for name, data in (("bytes", as_bytes), ("floats", as_floats)):
+            model, metrics = train_baseline(
+                tiny_config(), data.subset(0, 16), epochs=1, batch_size=6,
+                seed=1, val_data=data.subset(16, 20))
+            save_model(tmp_path / f"{name}.pmvt", model)
+            outputs.append(((tmp_path / f"{name}.pmvt").read_bytes(),
+                            metrics_to_csv(metrics)))
+        assert as_bytes.images.dtype == np.uint8
+        assert outputs[0] == outputs[1]
 
     def test_step_graph_freed_before_next_forward(self, monkeypatch):
         # As in TestFinetune, with the cyclic collector off: neither an

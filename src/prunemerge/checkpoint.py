@@ -37,6 +37,7 @@ import math
 import os
 import struct
 import zlib
+from dataclasses import fields
 
 import numpy as np
 
@@ -191,8 +192,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
 # model codec
 # ----------------------------------------------------------------------
 
-_CONFIG_FIELDS = ("image_size", "patch_size", "channels", "embed_dim",
-                  "depth", "heads", "mlp_ratio", "num_classes")
+_CONFIG_FIELDS = tuple(f.name for f in fields(ModelConfig))
 KIND_BASE = 0
 KIND_COMPRESSED = 1
 

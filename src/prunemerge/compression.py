@@ -8,7 +8,8 @@ entry in each matrix, w[j] = M[gid[j], j] and r[j] = R[j, gid[j]]; plans
 store only the groups and those two vectors.  A pruned token's r[j] is
 zero, so the two terms never overlap: token j of the output is
 r[j] * B(M.z)[gid[j]] when it is live and z[j] when it is pruned, one
-gather plus a row copy (``reconstruct_tokens``).  Both directions run in
+gather plus a row copy (``reconstruct_tokens``, the one reconstruct op; a
+class-row last layer runs it on token 0 alone).  Both directions run in
 O(N*D): every grouped merge (the model's, its gradients' and
 ``grouped_merge``) is one segmented sum and every grouped reconstruct one
 gather.  Dense M and R are derived views.
@@ -95,6 +96,12 @@ class Segments:
         self.recon_at = tokens * self.kept + self.gid
         self._starts, self._batch = starts, 1
         self._layout = (np.append(starts, n), tokens)
+
+    @cached_property
+    def head(self) -> "Segments":
+        """Token 0 alone, as the class-row reconstruct reads it: every
+        plan's groups start at token 0, so gid[0] = 0."""
+        return Segments([(0, 1)], self.live[:1])
 
     def layout(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
         """CSR row pointers and column indices of ``batch`` stacked copies."""
@@ -502,7 +509,8 @@ def reconstruct_tokens(y: Tensor, recon_t: Tensor, seg: Segments,
     (n, 1) ``seg.bypass`` column: the gradient on pruned rows, zeros
     elsewhere, and nothing at all when no token is pruned.  As in
     ``merge_tokens``, a frozen matrix gets no gradient and its backward
-    keeps no ``y``.
+    keeps no ``y``.  A class-row layer passes token 0's slices: ``y`` of
+    shape (B, 1, D), R[:1, :1], ``seg.head`` and z[:, :1].
     """
     w = recon_t.data.take(seg.recon_at)
     yd = y.data if recon_t.requires_grad else None
@@ -526,36 +534,6 @@ def reconstruct_tokens(y: Tensor, recon_t: Tensor, seg: Segments,
     return from_op(data, (y, recon_t, z), grad_fn, "reconstruct_tokens")
 
 
-def reconstruct_class_row(y: Tensor, recon_t: Tensor, seg: Segments,
-                          z: Tensor) -> Tensor:
-    """Token 0 of ``reconstruct_tokens`` from a class-row block output:
-    R[0, 0] * y, with ``y`` the (B, 1, D) row of group 0, or the input's
-    row z[:, :1] when token 0 is pruned.  Every plan's groups start at
-    token 0, so gid[0] = 0 holds with or without a class token.  As in
-    ``reconstruct_tokens``, a frozen matrix gets no gradient, a pruned
-    token 0 none either, and ``z`` gets one only when token 0 is pruned.
-    """
-    r0 = recon_t.data[0, 0]
-    live = bool(seg.live[0])
-    yd = y.data if recon_t.requires_grad else None
-    data = y.data * r0 if live else z.data[..., :1, :].copy()
-    z_shape = z.shape
-
-    def grad_fn(g):
-        dr = dz = None
-        if yd is not None:
-            per_token = np.zeros(seg.n)
-            if live:
-                per_token[0] = (g * yd).sum(axis=-1).sum()
-            dr = seg.recon_matrix(per_token)
-        if not live:
-            dz = np.zeros(z_shape)
-            dz[..., :1, :] = g
-        return g * r0, dr, dz
-
-    return from_op(data, (y, recon_t, z), grad_fn, "reconstruct_class_row")
-
-
 def pm_forward(z: Tensor, entry: PlanEntry, block: BlockParams, heads: int,
                trace: AttentionTrace | None = None) -> Tensor:
     """Compressed layer forward with a frozen plan entry."""
@@ -576,14 +554,15 @@ def pm_forward_tensors(z: Tensor, merge_t: Tensor, recon_t: Tensor,
     tokens ``segments`` marks as pruned, which the reconstruct's shortcut
     reads.  With ``class_row`` every token is still merged, because keys
     and values need every group, but the block and the reconstruct produce
-    token 0 only, as (B, 1, D).
+    token 0 only, as (B, 1, D): ``reconstruct_tokens`` runs on token 0's
+    one-token segment ``segments.head`` with R[:1, :1] and z[:, :1].
     """
     if not np.array_equal(np.asarray(mask) != 0, segments.live):
         raise ContractError("mask disagrees with the segments' pruned tokens")
     y = block_forward(merge_tokens(z, merge_t, segments), block, heads,
                       trace=trace, class_row=class_row)
     if class_row:
-        return reconstruct_class_row(y, recon_t, segments, z)
+        return reconstruct_tokens(y, recon_t[:1, :1], segments.head, z[:, :1])
     return reconstruct_tokens(y, recon_t, segments, z)
 
 
@@ -597,10 +576,13 @@ def global_plan(all_scores: list[np.ndarray], rate: float,
     """Budgeted cross-layer plan from concatenated importance scores.
 
     Exactly round(rate * total) tokens are reserved across the non-exempt
-    layers (class tokens are always among them) and the round(pm_threshold
-    * total) lowest-scoring tokens are pruned, capped by the removal
-    budget: a threshold larger than 1 - rate degrades gracefully to
-    pruning every removed token rather than failing.
+    layers (class tokens are always among them) and at least the
+    round(pm_threshold * total) lowest-scoring tokens are pruned, capped
+    by the removal budget: a threshold larger than 1 - rate degrades
+    gracefully to pruning every removed token rather than failing.  A
+    class-token layer that reserves no other token has no group for its
+    remaining tokens to join, so they are pruned too and ride the
+    shortcut; that layer keeps its class token alone.
     """
     depth = len(all_scores)
     if depth == 0:
@@ -653,6 +635,8 @@ def global_plan(all_scores: list[np.ndarray], rate: float,
         pruned = np.sort(flat_token[sel_p])
         if reserved.size + start == 0:
             raise ContractError(f"layer {layer} keeps no tokens")
+        if reserved.size == 0:
+            pruned = np.arange(start, sizes[layer])
         scores_l = np.asarray(all_scores[layer], dtype=np.float64)
         mask, merge = _assemble(scores_l, reserved, pruned, class_token)
         merge.validate(mask=mask, class_token=class_token)
@@ -709,8 +693,6 @@ class CompressedModel:
         self.params = clone_params(base.config, base.params)
         self.merge_t: dict[int, Tensor] = {}
         self.recon_t: dict[int, Tensor] = {}
-        self._segments: dict[int, Segments] = {}
-        self._masks: dict[int, np.ndarray] = {}
         for layer, entry in enumerate(plan.entries):
             if entry is None:
                 continue
@@ -718,8 +700,6 @@ class CompressedModel:
                                          requires_grad=learnable_matrices)
             self.recon_t[layer] = Tensor(entry.reconstruct,
                                          requires_grad=learnable_matrices)
-            self._segments[layer] = entry.merge.segments
-            self._masks[layer] = entry.mask.copy()
 
     def forward(self, images: np.ndarray,
                 traces: list[AttentionTrace] | None = None) -> Tensor:
@@ -732,15 +712,15 @@ class CompressedModel:
     def _compressed_layer(self, layer: int, z: Tensor, block: BlockParams,
                           trace: AttentionTrace | None,
                           class_row: bool) -> Tensor:
+        entry = self.plan.entries[layer]
         return pm_forward_tensors(z, self.merge_t[layer], self.recon_t[layer],
-                                  self._segments[layer], self._masks[layer],
-                                  block, self.config.heads, trace=trace,
+                                  entry.merge.segments, entry.mask, block,
+                                  self.config.heads, trace=trace,
                                   class_row=class_row)
 
-    def named_parameters(self, include_matrices: bool = True):
+    def named_parameters(self):
         yield from self.params.named_parameters()
-        if include_matrices:
-            yield from self.matrix_parameters()
+        yield from self.matrix_parameters()
 
     def matrix_parameters(self):
         for layer in sorted(self.merge_t):
@@ -759,10 +739,11 @@ class CompressedModel:
             if layer not in self.merge_t:
                 entries.append(None)
                 continue
-            seg = self._segments[layer]
-            merge = MergeMatrix(list(self.plan.entries[layer].merge.groups),
+            entry = self.plan.entries[layer]
+            seg = entry.merge.segments
+            merge = MergeMatrix(list(entry.merge.groups),
                                 self.merge_t[layer].data.take(seg.merge_at))
-            entries.append(PlanEntry(self._masks[layer].copy(), merge,
+            entries.append(PlanEntry(entry.mask.copy(), merge,
                                      self.recon_t[layer].data.take(
                                          seg.recon_at), merge.kept))
         return CompressionPlan(self.plan.depth, entries,

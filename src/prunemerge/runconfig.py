@@ -8,6 +8,7 @@ overrides pass through the same validation.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError, ContractError
@@ -64,15 +65,8 @@ def _exempt(raw: str) -> str:
 # key -> (caster, default).  Defaults are documented values for absent
 # keys; they are never applied to unknown or misspelled keys.
 SCHEMA: dict[str, tuple] = {
-    # model dimensions
-    "image_size": (_int, 28),
-    "patch_size": (_int, 7),
-    "channels": (_int, 1),
-    "embed_dim": (_int, 32),
-    "depth": (_int, 2),
-    "heads": (_int, 2),
-    "mlp_ratio": (_int, 4),
-    "num_classes": (_int, 10),
+    # model dimensions: ModelConfig's fields and defaults
+    **{f.name: (_int, f.default) for f in fields(ModelConfig)},
     # data source
     "dataset": (_dataset_kind, "synthetic"),
     "data_count": (_int, 512),
@@ -148,11 +142,7 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> dict:
 
 
 def model_config_from(cfg: dict) -> ModelConfig:
-    return ModelConfig(
-        image_size=cfg["image_size"], patch_size=cfg["patch_size"],
-        channels=cfg["channels"], embed_dim=cfg["embed_dim"],
-        depth=cfg["depth"], heads=cfg["heads"],
-        mlp_ratio=cfg["mlp_ratio"], num_classes=cfg["num_classes"])
+    return ModelConfig(**{f.name: cfg[f.name] for f in fields(ModelConfig)})
 
 
 def resolve_exempt(value: str, depth: int) -> tuple[int, ...]:

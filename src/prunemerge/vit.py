@@ -41,10 +41,9 @@ class ModelConfig:
     num_classes: int = 10
 
     def __post_init__(self):
-        for name in ("image_size", "patch_size", "channels", "embed_dim",
-                     "heads", "mlp_ratio", "num_classes"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be positive")
+        for f in fields(self):
+            if f.name != "depth" and getattr(self, f.name) < 1:
+                raise ContractError(f"{f.name} must be positive")
         if self.depth < 0:
             raise ContractError("depth must be nonnegative")
         if self.image_size % self.patch_size != 0:

@@ -1,6 +1,10 @@
 """Shared test utilities: finite-difference gradient checking, the dense
 pseudoinverse the oracles compare against, the shape ops and loss
-reducer no program path runs, and composed attention."""
+reducer no program path runs, composed attention, and the list of a
+module's functions that a run never calls."""
+
+import inspect
+import sys
 
 import numpy as np
 
@@ -124,3 +128,29 @@ def composed_attention(q, k, v, w_o, heads: int, scale: float, sink=None,
     if bump is not None:
         attn = attn + T.Tensor(bump)
     return T.matmul(_merge_heads(T.matmul(attn, v)), w_o)
+
+
+def uncalled(module, run) -> set[str]:
+    """Qualified names of the functions, methods, property getters and
+    cached properties that ``module``'s own source defines and that never
+    ran while ``run()`` did, as ``sys.setprofile`` sees calls."""
+    members = list(vars(module).items())
+    for cname, cls in vars(module).items():
+        if inspect.isclass(cls) and cls.__module__ == module.__name__:
+            members += [(f"{cname}.{attr}", m)
+                        for attr, m in vars(cls).items()]
+    code = {}
+    for name, m in members:
+        for attr in ("fget", "func", "__func__"):
+            m = getattr(m, attr, m)
+        fn = inspect.unwrap(m)
+        if inspect.isfunction(fn) \
+                and fn.__code__.co_filename == module.__file__:
+            code[name] = fn.__code__
+    called = set()
+    sys.setprofile(lambda frame, event, arg: called.add(frame.f_code))
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return {name for name, c in code.items() if c not in called}

@@ -12,8 +12,7 @@ from prunemerge.compression import (CompressionPlan, MergeMatrix,
                                     global_plan, grouped_merge,
                                     identity_plan, merge_tokens,
                                     pm_forward, pm_forward_tensors,
-                                    pseudoinverse, reconstruct_class_row,
-                                    reconstruct_tokens)
+                                    pseudoinverse, reconstruct_tokens)
 from prunemerge.errors import (ContractError, ShapeMismatchError,
                                SingularMatrixError)
 from prunemerge.scoring import round_half_up
@@ -21,7 +20,8 @@ from prunemerge.tensor import Tensor
 from prunemerge.vit import (ModelConfig, VisionTransformer, block_forward,
                             init_params, patchify)
 
-from helpers import assert_grads_close, dense_pinv, numeric_grad, tensor_sum
+from helpers import (assert_grads_close, dense_pinv, numeric_grad, tensor_sum,
+                     uncalled)
 
 WORKED_SCORES = np.array([0.2, 0.8, 0.0, 0.3, 0.9])
 
@@ -317,8 +317,9 @@ class TestGroupedOps:
 
 
 class TestFusedReconstruct:
-    """``reconstruct_tokens`` and ``reconstruct_class_row`` run the
-    paper's shortcut for pruned tokens themselves."""
+    """``reconstruct_tokens`` runs the paper's shortcut for pruned tokens
+    itself, over every token or, in a class-row layer, over token 0's
+    one-token segment."""
 
     def _setup(self, seed, class_token=False):
         rng = np.random.default_rng(seed)
@@ -374,11 +375,14 @@ class TestFusedReconstruct:
         y0 = Tensor(y.data[:, :1].copy(), requires_grad=True)
         coef = rng.standard_normal((2, 1, 4))
 
-        def loss_fn():
-            out = reconstruct_class_row(y0, r_t, merge.segments, z)
-            return tensor_sum(out * Tensor(coef))
+        def class_row():
+            return reconstruct_tokens(y0, r_t[:1, :1], merge.segments.head,
+                                      z[:, :1])
 
-        out = reconstruct_class_row(y0, r_t, merge.segments, z)
+        def loss_fn():
+            return tensor_sum(class_row() * Tensor(coef))
+
+        out = class_row()
         want = z.data[:, :1] if token0_pruned else y0.data * r_t.data[0, 0]
         assert out.data.tobytes() == want.tobytes()
         T.backward(loss_fn())
@@ -394,7 +398,9 @@ class TestFusedReconstruct:
             self, class_row):
         # The shortcut records no node of its own: a compressed layer is
         # its block's nodes plus a merge and a reconstruct, two fewer than
-        # a reconstruct followed by a masked multiply and an add.
+        # a reconstruct followed by a masked multiply and an add.  A
+        # class-row layer adds the two slices of token 0 that its
+        # reconstruct reads, R[:1, :1] and z[:, :1].
         rng, block, z_np = small_block_setup(seed=84, n=7, dim=4, heads=2)
         mask, merge = generate_merge_matrix(rng.uniform(0.05, 1.0, size=7),
                                             None, 3, prune_count=2,
@@ -408,9 +414,9 @@ class TestFusedReconstruct:
         merged = Tensor(grouped_merge(z_np, merge), requires_grad=True)
         block_names = [node.name for node in T.Tape.trace(
             block_forward(merged, block, 2, class_row=class_row)).nodes]
-        recon = "reconstruct_class_row" if class_row else "reconstruct_tokens"
-        assert sorted(names) == sorted(block_names
-                                       + ["merge_tokens", recon])
+        token0 = ["take", "take"] if class_row else []
+        assert sorted(names) == sorted(block_names + token0
+                                       + ["merge_tokens", "reconstruct_tokens"])
 
     def test_mask_must_match_the_segments(self):
         rng, block, z_np = small_block_setup(seed=85, n=5, dim=4, heads=2)
@@ -590,6 +596,34 @@ class TestGlobalPlan:
         with pytest.raises(ContractError):
             global_plan(scores, rate=0.5, pm_threshold=0.0,
                         class_token=False)
+
+    def test_layer_with_only_its_class_token_reserved_prunes_the_rest(self):
+        # 15 tokens, keep round(10.5) = 11: the three class tokens and the
+        # eight best patch tokens, none of which is in layer 1, while the
+        # threshold prunes only two of layer 1's four.
+        scores = [np.array([0.0, 0.9, 0.8, 0.7, 0.6]),
+                  np.array([0.0, 0.1, 0.2, 0.3, 0.4]),
+                  np.array([0.0, 0.95, 0.85, 0.75, 0.65])]
+        plan = global_plan(scores, rate=0.7, pm_threshold=0.1,
+                           exempt_layers=())
+        assert plan.total_kept() == round_half_up(0.7 * 15)
+        assert plan.kept_per_layer() == {0: 5, 1: 1, 2: 5}
+        entry = plan.entries[1]
+        np.testing.assert_array_equal(entry.mask, [1, 0, 0, 0, 0])
+        assert entry.merge.groups == [(0, 5)]
+        np.testing.assert_array_equal(entry.r, [1.0, 0, 0, 0, 0])
+        pruned = sum(int((e.mask == 0).sum()) for e in plan.entries)
+        assert pruned == 4 > round_half_up(0.1 * 15)
+
+    def test_random_depth_four_plans_keep_the_budget(self):
+        rng = np.random.default_rng(62)
+        for _ in range(1000):
+            scores = [rng.uniform(0, 1, size=5) for _ in range(4)]
+            plan = global_plan(scores, rate=0.7, pm_threshold=0.1,
+                               exempt_layers=())
+            assert plan.total_kept() == round_half_up(0.7 * 20)
+            pruned = sum(int((e.mask == 0).sum()) for e in plan.entries)
+            assert pruned >= round_half_up(0.1 * 20)
 
     def test_full_rate_yields_identity(self):
         rng = np.random.default_rng(61)
@@ -963,6 +997,30 @@ class TestClassRowPath:
         assert out.shape == (2, 1, comp.config.embed_dim)
         np.testing.assert_array_equal(out.data, z.data[:, :1])
 
+    def test_every_layer_reconstructs_through_the_module_name(
+            self, base_model, monkeypatch):
+        # A wrapper on compression.reconstruct_tokens, as perfbench's
+        # tracer installs one, sees each compressed layer's reconstruct,
+        # the class-row last layer's (B, 1, D) one included.
+        from prunemerge import compression
+        rng = np.random.default_rng(80)
+        n = base_model.config.num_tokens
+        plan = global_plan([rng.uniform(0.1, 1.0, size=n) for _ in range(2)],
+                           rate=0.6, pm_threshold=0.2)
+        comp = compress_model(base_model, plan, learnable_matrices=True)
+        original = compression.reconstruct_tokens
+        shapes = []
+
+        def spy(*args, **kwargs):
+            out = original(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(compression, "reconstruct_tokens", spy)
+        comp.forward(rng.uniform(0, 1, size=(2, 1, 8, 8)))
+        d = comp.config.embed_dim
+        assert shapes == [(2, n, d), (2, 1, d)]
+
     def test_finite_differences_through_class_row_layer(self, base_model):
         rng = np.random.default_rng(78)
         images = rng.uniform(0, 1, size=(2, 1, 8, 8))
@@ -1060,3 +1118,52 @@ class TestSparsetoolsLoader:
             "module = sys.modules['scipy.sparse._sparsetools']\n"
             "print(module.csr_matvecs is csr_matvecs)")
         assert out.split() == ["True"]
+
+
+# Functions of ``prunemerge.compression`` that no program path below
+# calls, and why each stays; every other function and method it defines
+# must run there.
+UNCALLED_BY_DESIGN = {
+    "_load_sparsetools": "runs once, when the module is imported",
+    "pm_forward": "criterion 3 composes a compressed forward from it",
+    "identity_plan": "criteria 3 and 8 and perfbench's deit-infer gate "
+                     "build the no-op plan",
+}
+
+
+def test_program_paths_call_every_function_of_compression(base_model,
+                                                          tmp_path):
+    # What the commands run, in-process at a tiny size: compress (plan,
+    # save, load, flops), finetune (one learnable distill step with a
+    # class-row last layer, then the student saved), eval (a frozen
+    # no_grad forward) and bench.
+    from prunemerge import compression
+    from prunemerge.checkpoint import load_plan, save_model, save_plan
+    from prunemerge.data import Dataset
+    from prunemerge.finetune import (DistillConfig, evaluate_accuracy,
+                                     finetune)
+    from prunemerge.flops import micro_benchmark, model_flops
+    rng = np.random.default_rng(90)
+    config = base_model.config
+    images = rng.uniform(0, 1, size=(2, 1, 8, 8))
+    dataset = Dataset(images, np.array([0, 3]), num_classes=4)
+    scores = [rng.uniform(0.1, 1.0, size=config.num_tokens)
+              for _ in range(config.depth)]
+
+    def paths():
+        save_plan(tmp_path / "plan.pmvt",
+                  global_plan(scores, rate=0.6, pm_threshold=0.2))
+        plan = load_plan(tmp_path / "plan.pmvt")
+        model_flops(config, plan)
+        student = compress_model(base_model, plan, learnable_matrices=True)
+        finetune(student, base_model.frozen_copy(), dataset,
+                 DistillConfig(epochs=1, freeze_epoch=1, batch_size=2))
+        save_model(tmp_path / "student.pmvt", student)
+        evaluate_accuracy(compress_model(base_model, plan), dataset)
+        micro_benchmark(n_tokens=8, dim=4, repetitions=10)
+
+    never = uncalled(compression, paths)
+    allowed = set(UNCALLED_BY_DESIGN)
+    assert never == allowed, (
+        f"never called: {sorted(never - allowed)}; "
+        f"called though allowed or not defined: {sorted(allowed - never)}")

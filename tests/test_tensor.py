@@ -2,9 +2,7 @@
 
 import contextlib
 import gc
-import inspect
 import math
-import sys
 import weakref
 
 import numpy as np
@@ -21,7 +19,7 @@ from prunemerge.scoring import (ScorerVariant, collect_scores,
 from prunemerge.vit import ModelConfig, VisionTransformer, block_forward
 
 from helpers import (assert_grads_close, composed_attention, numeric_grad,
-                     reshape, tensor_sum, transpose)
+                     reshape, tensor_sum, transpose, uncalled)
 
 
 class TestMatmul:
@@ -1059,20 +1057,6 @@ UNCALLED_BY_DESIGN = {
 }
 
 
-def _engine_code() -> dict:
-    """Qualified name -> code of every function, method and property
-    getter that ``prunemerge.tensor`` defines."""
-    members = list(vars(T).items())
-    for cname, cls in vars(T).items():
-        if inspect.isclass(cls) and cls.__module__ == T.__name__:
-            members += [(f"{cname}.{attr}", getattr(m, "fget", m))
-                        for attr, m in vars(cls).items()]
-    members = [(name, inspect.unwrap(getattr(fn, "__func__", fn)))
-               for name, fn in members]
-    return {name: fn.__code__ for name, fn in members
-            if inspect.isfunction(fn) and fn.__module__ == T.__name__}
-
-
 def test_program_paths_call_every_function_of_the_engine():
     # What the commands run, in-process at a tiny size: recorded forward
     # and backward of the base and of a learnable compressed model, with
@@ -1082,9 +1066,8 @@ def test_program_paths_call_every_function_of_the_engine():
     compressed, _ = _tiny_compressed_model()
     labels = np.array([1, 0])
     dataset = Dataset(images, labels, num_classes=3)
-    called = set()
-    sys.setprofile(lambda frame, event, arg: called.add(frame.f_code))
-    try:
+
+    def paths():
         T.backward(T.cross_entropy(model.forward(images), labels))
         T.backward(T.cross_entropy(compressed.forward(images), labels))
         T.backward(self_distill_loss(compressed.forward(images, traces=[]),
@@ -1092,12 +1075,9 @@ def test_program_paths_call_every_function_of_the_engine():
                                      alpha=0.4)[0])
         collect_scores(model, dataset, iterations=1, batch_size=2)
         evaluate_accuracy(compressed, dataset, batch_size=2)
-    finally:
-        sys.setprofile(None)
-    code = _engine_code()
+
+    never = uncalled(T, paths)
     allowed = set(UNCALLED_BY_DESIGN)
-    assert allowed <= set(code)
-    uncalled = {name for name, c in code.items() if c not in called}
-    assert uncalled == allowed, (
-        f"never called: {sorted(uncalled - allowed)}; "
-        f"called though allowed: {sorted(allowed - uncalled)}")
+    assert never == allowed, (
+        f"never called: {sorted(never - allowed)}; "
+        f"called though allowed or not defined: {sorted(allowed - never)}")

@@ -49,7 +49,11 @@ def _load_datasets(cfg: dict):
         full = load_idx_pair(cfg["idx_images"], cfg["idx_labels"],
                              num_classes=cfg["num_classes"])
         held_out = cfg["val_count"]
-        if 0 < held_out < len(full):
+        if held_out >= len(full):
+            raise ConfigError(
+                f"val_count {held_out} leaves no training images of the "
+                f"{len(full)} in {cfg['idx_images']}")
+        if held_out:
             return (full.subset(0, len(full) - held_out),
                     full.subset(len(full) - held_out, len(full)))
         return full, None
@@ -61,6 +65,16 @@ def _load_datasets(cfg: dict):
                                image_size=cfg["image_size"],
                                seed=cfg["data_seed"] + 1)
     return train, val
+
+
+def _split(cfg: dict, name: str):
+    """The 'train' or 'val' dataset; no validation split is an error."""
+    train, val = _load_datasets(cfg)
+    if name == "train":
+        return train
+    if val is None:
+        raise ContractError("no validation split configured")
+    return val
 
 
 def _load_base_model(path) -> VisionTransformer:
@@ -117,22 +131,17 @@ def cmd_compress(args) -> int:
     cfg = _config_from_args(args)
     model = _load_base_model(args.ckpt)
     scores = load_scores_csv(args.scores)
-    depth = model.config.depth
-    if len(scores) != depth:
-        raise ContractError(
-            f"{args.scores} covers {len(scores)} layers but the "
-            f"checkpoint has depth {depth}")
     rate = args.rate if args.rate is not None else cfg["rate"]
     threshold = (args.pm_threshold if args.pm_threshold is not None
                  else cfg["pm_threshold"])
-    exempt = resolve_exempt(args.exempt or cfg["exempt_layers"], depth)
+    exempt = resolve_exempt(args.exempt or cfg["exempt_layers"], len(scores))
     plan = global_plan(scores, rate, threshold, exempt_layers=exempt)
+    plan.check_fits(model.config)
     checkpoint.save_plan(args.out, plan)
-    active_total = sum(len(s) for l, s in enumerate(scores)
-                       if l not in plan.uncompressed)
+    active_total = sum(e.mask.size for e in plan.entries if e is not None)
     print(f"plan written to {args.out}")
     print(f"kept {plan.total_kept()}/{active_total} tokens across "
-          f"{depth - len(plan.uncompressed)} compressed layers "
+          f"{plan.depth - len(plan.uncompressed)} compressed layers "
           f"(exempt: {sorted(plan.uncompressed) or 'none'})")
     print(_plan_table(plan, scores))
     return 0
@@ -193,14 +202,8 @@ def cmd_eval(args) -> int:
             raise ContractError(
                 "cannot apply a plan to an already-compressed checkpoint")
         model = compress_model(model, checkpoint.load_plan(args.plan))
-    train, val = _load_datasets(cfg)
-    if args.split == "train":
-        data = train
-    else:
-        if val is None:
-            raise ContractError("no validation split configured")
-        data = val
-    acc = evaluate_accuracy(model, data, batch_size=cfg["batch_size"])
+    acc = evaluate_accuracy(model, _split(cfg, args.split),
+                            batch_size=cfg["batch_size"])
     print(f"top1_accuracy={acc!r}")
     return 0
 
@@ -252,14 +255,13 @@ def cmd_visualize(args) -> int:
     cfg = _config_from_args(args)
     plan = checkpoint.load_plan(args.plan)
     config = model_config_from(cfg)
-    train, val = _load_datasets(cfg)
-    data = val if args.split == "val" and val is not None else train
+    data = _split(cfg, args.split)
     if not 0 <= args.image < len(data):
         raise ContractError(
             f"image index {args.image} outside [0, {len(data)})")
     image = data.batch(args.image)
     if args.layers == "all":
-        layers = [l for l in range(plan.depth) if l not in plan.uncompressed]
+        layers = list(plan.kept_per_layer())
         if not layers:
             raise ContractError("plan compresses no layers; nothing to draw")
     else:
@@ -346,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
         "flops", help="analytic operation counts, with or without a plan")
     _add_config_flags(sub)
     sub.add_argument("--plan", default=None)
-    sub.add_argument("--json", action="store_true")
-    sub.add_argument("--csv", action="store_true")
+    output = sub.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true")
+    output.add_argument("--csv", action="store_true")
     sub.set_defaults(func=cmd_flops)
 
     sub = commands.add_parser(

@@ -22,7 +22,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ContractError, ShapeMismatchError, SingularMatrixError
 from .scoring import prune_count_for, rank_descending, round_half_up
 from .tensor import Tensor, from_op
-from .vit import (AttentionTrace, BlockParams, VisionTransformer,
+from .vit import (AttentionTrace, BlockParams, ModelConfig, VisionTransformer,
                   block_forward, clone_params, model_forward)
 
 RANK_TOL = 1e-10
@@ -198,24 +198,30 @@ class PlanEntry:
 
 @dataclass
 class CompressionPlan:
-    depth: int
-    entries: list[PlanEntry | None]      # None for uncompressed layers
-    uncompressed: frozenset[int] = field(default_factory=frozenset)
+    """One entry per layer, None for an uncompressed (exempt) layer; the
+    plan's depth and exempt layers are read from the entries."""
+
+    entries: list[PlanEntry | None]
     class_token: bool = True
 
-    def __post_init__(self):
-        if len(self.entries) != self.depth:
+    @property
+    def depth(self) -> int:
+        return len(self.entries)
+
+    @property
+    def uncompressed(self) -> frozenset[int]:
+        return frozenset(l for l, e in enumerate(self.entries) if e is None)
+
+    def check_fits(self, config: ModelConfig) -> None:
+        """Refuse a model of another depth or token count than the plan's."""
+        if self.depth != config.depth:
             raise ContractError(
-                f"{len(self.entries)} entries for depth {self.depth}")
-        if not self.uncompressed <= set(range(self.depth)):
-            raise ContractError(
-                f"uncompressed layers {sorted(self.uncompressed)} outside "
-                f"[0, {self.depth})")
+                f"plan depth {self.depth} != model depth {config.depth}")
         for layer, entry in enumerate(self.entries):
-            if (entry is None) != (layer in self.uncompressed):
+            if entry is not None and entry.merge.n_tokens != config.num_tokens:
                 raise ContractError(
-                    f"layer {layer}: entry presence disagrees with the "
-                    f"uncompressed set")
+                    f"layer {layer}: plan width {entry.merge.n_tokens} != "
+                    f"model tokens {config.num_tokens}")
 
     def kept_per_layer(self) -> dict[int, int]:
         return {l: e.kept for l, e in enumerate(self.entries) if e is not None}
@@ -250,6 +256,12 @@ class CompressionPlan:
             raise ContractError(f"plan arrays missing {e}") from None
         except (TypeError, ValueError) as e:
             raise ContractError(f"plan header unreadable: {e}") from None
+        if depth < 0:
+            raise ContractError(f"plan depth {depth} is negative")
+        if not all(0 <= l < depth for l in uncompressed):
+            raise ContractError(
+                f"uncompressed layers {sorted(uncompressed)} outside "
+                f"[0, {depth})")
         entries: list[PlanEntry | None] = []
         read = {"plan.depth", "plan.class_token", "plan.uncompressed"}
         for layer in range(depth):
@@ -271,7 +283,7 @@ class CompressionPlan:
         if stray:
             raise ContractError(
                 f"plan array {stray[0]} belongs to no compressed layer")
-        return cls(depth, entries, uncompressed, class_token)
+        return cls(entries, class_token)
 
 
 def _checked_entry(mask: np.ndarray, merge: np.ndarray, recon: np.ndarray,
@@ -643,7 +655,7 @@ def global_plan(all_scores: list[np.ndarray], rate: float,
         entries.append(PlanEntry(mask, merge, pseudoinverse(merge),
                                  merge.kept))
 
-    plan = CompressionPlan(depth, entries, exempt, class_token)
+    plan = CompressionPlan(entries, class_token)
     if plan.total_kept() != keep:
         raise ContractError(
             f"internal budget mismatch: kept {plan.total_kept()}, "
@@ -660,7 +672,7 @@ def identity_plan(depth: int, n_tokens: int,
                             np.ones(n_tokens))
         entries.append(PlanEntry(np.ones(n_tokens, dtype=np.uint8), merge,
                                  pseudoinverse(merge), n_tokens))
-    return CompressionPlan(depth, entries, frozenset(), class_token)
+    return CompressionPlan(entries, class_token)
 
 
 # ----------------------------------------------------------------------
@@ -680,14 +692,7 @@ class CompressedModel:
 
     def __init__(self, base: VisionTransformer, plan: CompressionPlan,
                  learnable_matrices: bool = False):
-        if plan.depth != base.config.depth:
-            raise ContractError(
-                f"plan depth {plan.depth} != model depth {base.config.depth}")
-        for layer, entry in enumerate(plan.entries):
-            if entry is not None and entry.merge.n_tokens != base.config.num_tokens:
-                raise ContractError(
-                    f"layer {layer}: plan width {entry.merge.n_tokens} != "
-                    f"model tokens {base.config.num_tokens}")
+        plan.check_fits(base.config)
         self.config = base.config
         self.plan = plan
         self.params = clone_params(base.config, base.params)
@@ -735,19 +740,17 @@ class CompressedModel:
     def export_plan(self) -> CompressionPlan:
         """Snapshot the current (possibly trained) matrices as a plan."""
         entries: list[PlanEntry | None] = []
-        for layer in range(self.plan.depth):
-            if layer not in self.merge_t:
+        for layer, entry in enumerate(self.plan.entries):
+            if entry is None:
                 entries.append(None)
                 continue
-            entry = self.plan.entries[layer]
             seg = entry.merge.segments
             merge = MergeMatrix(list(entry.merge.groups),
                                 self.merge_t[layer].data.take(seg.merge_at))
             entries.append(PlanEntry(entry.mask.copy(), merge,
                                      self.recon_t[layer].data.take(
                                          seg.recon_at), merge.kept))
-        return CompressionPlan(self.plan.depth, entries,
-                               self.plan.uncompressed, self.plan.class_token)
+        return CompressionPlan(entries, self.plan.class_token)
 
 
 def compress_model(model: VisionTransformer, plan: CompressionPlan,

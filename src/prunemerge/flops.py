@@ -131,23 +131,6 @@ class FlopsReport:
         return "\n".join(rows) + "\n"
 
 
-def _kept_counts(depth: int, plan) -> dict[int, int]:
-    if plan is None:
-        return {}
-    if isinstance(plan, CompressionPlan):
-        if plan.depth != depth:
-            raise ContractError(
-                f"plan depth {plan.depth} != model depth {depth}")
-        return plan.kept_per_layer()
-    kept = {int(k): int(v) for k, v in dict(plan).items()}
-    for layer, m in kept.items():
-        if not 0 <= layer < depth:
-            raise ContractError(f"layer {layer} outside [0, {depth})")
-        if m < 1:
-            raise ContractError(f"layer {layer} keeps {m} tokens")
-    return kept
-
-
 def model_flops(config, plan=None) -> FlopsReport:
     """Whole-model accounting; ``plan`` is a CompressionPlan or a
     {layer: kept_tokens} mapping (absent layers run uncompressed).
@@ -159,7 +142,15 @@ def model_flops(config, plan=None) -> FlopsReport:
     a saving this count does not model.
     """
     n, d = config.num_tokens, config.embed_dim
-    kept = _kept_counts(config.depth, plan)
+    if isinstance(plan, CompressionPlan):
+        plan.check_fits(config)
+        plan = plan.kept_per_layer()
+    kept = {int(k): int(v) for k, v in dict(plan or {}).items()}
+    for layer, m in kept.items():
+        if not 0 <= layer < config.depth:
+            raise ContractError(f"layer {layer} outside [0, {config.depth})")
+        if m < 1:
+            raise ContractError(f"layer {layer} keeps {m} tokens")
     layers: list[dict[str, int]] = []
     info_tokens: list[int] = []
     for layer in range(config.depth):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError, ContractError
@@ -16,11 +17,14 @@ from .scoring import ScorerVariant
 from .vit import ModelConfig
 
 
-def _int(raw: str) -> int:
+def _int(raw: str, low: int | None = None) -> int:
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ConfigError(f"expected an integer, got {raw!r}") from None
+    if low is not None and value < low:
+        raise ConfigError(f"expected an integer >= {low}, got {raw!r}")
+    return value
 
 
 def int_list(raw: str) -> list[int]:
@@ -70,7 +74,7 @@ SCHEMA: dict[str, tuple] = {
     # data source
     "dataset": (_dataset_kind, "synthetic"),
     "data_count": (_int, 512),
-    "val_count": (_int, 128),
+    "val_count": (partial(_int, low=0), 128),     # 0: no validation
     "data_seed": (_int, 0),
     "idx_images": (_str, ""),
     "idx_labels": (_str, ""),
@@ -83,13 +87,14 @@ SCHEMA: dict[str, tuple] = {
     "iterations": (_int, 8),
     # training
     "epochs": (_int, 5),
-    "freeze_epoch": (_int, -1),     # -1: two thirds of epochs, rounded up
+    # -1: two thirds of epochs, rounded up
+    "freeze_epoch": (partial(_int, low=-1), -1),
     "alpha": (_float, 0.4),
     "temperature": (_float, 1.0),
     "base_lr": (_float, 1e-4),
     "baseline_lr": (_float, 1e-3),
     "weight_decay": (_float, 1e-3),
-    "batch_size": (_int, 32),
+    "batch_size": (partial(_int, low=1), 32),
     "seed": (_int, 0),
 }
 

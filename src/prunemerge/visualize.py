@@ -1,13 +1,13 @@
 """Merge-map rendering: what the compression plan does to an image.
 
 Two binary-P6 pixmaps per requested layer, built directly in patch space
-(the plan's groups act on raster-ordered patches):
+(the plan's groups act on raster-ordered patches) by the model's kernels:
 
   *_merge.ppm           pruned patches white, every surviving patch
                         replaced by its group's weighted-average patch
-  *_reconstruction.ppm  the round trip through the reconstruct matrix
-                        applied to raw patch pixels — pruned rows are
-                        zero, so those patches render black
+  *_reconstruction.ppm  the merge and reconstruct round trip on raw
+                        patch pixels — pruned tokens have r[j] = 0, so
+                        those patches render black
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .compression import CompressionPlan, PlanEntry
+from .compression import (CompressionPlan, PlanEntry, _gather, _segment_sum,
+                          grouped_merge)
 from .errors import ContractError
 from .vit import ModelConfig, extract_patches
 
@@ -31,19 +32,6 @@ def write_ppm(path, pixels: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
-
-
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    parts = blob.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P6" or parts[2] != b"255":
-        raise ContractError(f"{path}: not a binary P6 pixmap")
-    w, h = (int(v) for v in parts[1].split())
-    pixels = np.frombuffer(parts[3][:h * w * 3], dtype=np.uint8)
-    if pixels.size != h * w * 3:
-        raise ContractError(f"{path}: truncated pixel payload")
-    return pixels.reshape(h, w, 3)
 
 
 def _to_uint8(values: np.ndarray) -> np.ndarray:
@@ -63,36 +51,30 @@ def render_merge_map(image: np.ndarray, entry: PlanEntry,
                      config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Return (merge_pixels, reconstruction_pixels) for one layer entry.
 
-    ``image`` is (channels, H, W) float in [0, 1].
+    ``image`` is (channels, H, W) float in [0, 1].  Token j is patch j-1;
+    the class token carries zero pixels and no merge weight.  A live patch
+    whose group's patch weights sum to zero or less keeps its own pixels.
     """
-    patches = extract_patches(image[None], config)[0]   # (Np, patch_dim)
     n = config.num_tokens
     if entry.merge.n_tokens != n:
         raise ContractError(
             f"plan width {entry.merge.n_tokens} != model tokens {n}")
+    seg = entry.merge.segments
+    z = np.vstack([np.zeros((1, config.patch_dim)),
+                   extract_patches(image[None], config)[0]])
 
-    # weighted-average patch per group, in patch space; token j in the
-    # grid is patch j-1 (token 0 is the class token and has no pixels)
-    merged = np.empty_like(patches)
-    gid = entry.merge.segments.gid
-    m = entry.merge.data   # a derived view: read once
-    for j in range(1, n):
-        if entry.mask[j] == 0:
-            merged[j - 1] = 1.0  # pruned: white
-            continue
-        row = m[gid[j]]
-        weights = row[1:]  # drop the class column; patch tokens only
-        total = weights.sum()
-        if total <= 0:
-            merged[j - 1] = patches[j - 1]
-            continue
-        merged[j - 1] = (weights / total) @ patches
+    w = entry.merge.w.copy()
+    w[0] = 0.0                      # patch tokens only
+    totals = np.bincount(seg.gid, weights=w, minlength=seg.kept)[seg.gid]
+    positive = totals > 0
+    share = np.divide(w, totals, out=np.zeros(n), where=positive)
+    merged = np.where(positive[:, None],
+                      _gather(_segment_sum(z, share, seg), seg), z)
+    merged[entry.mask == 0] = 1.0   # pruned: white
 
-    # reconstruction round trip on raw patch pixels; class token carries
-    # zero pixels so it contributes nothing
-    z = np.vstack([np.zeros((1, patches.shape[1])), patches])
-    round_trip = entry.reconstruct @ (m @ z)
-    return (_patches_to_grid(merged, config),
+    round_trip = _gather(grouped_merge(z, entry.merge), seg)
+    round_trip *= entry.r[:, None]
+    return (_patches_to_grid(merged[1:], config),
             _patches_to_grid(round_trip[1:], config))
 
 

@@ -1,7 +1,8 @@
 """Shared test utilities: finite-difference gradient checking, the dense
-pseudoinverse the oracles compare against, the shape ops and loss
-reducer no program path runs, composed attention, and the list of a
-module's functions that a run never calls."""
+pseudoinverse and merge-map render the oracles compare against, the
+shape ops and loss reducer no program path runs, composed attention, the
+list of a module's functions that a run never calls, and a reader for
+the pixmaps ``visualize`` writes."""
 
 import inspect
 import sys
@@ -10,12 +11,54 @@ import numpy as np
 
 from prunemerge import tensor as T
 from prunemerge.compression import pseudoinverse
+from prunemerge.errors import ContractError
+from prunemerge.visualize import _patches_to_grid
+from prunemerge.vit import extract_patches
 
 
 def dense_pinv(merge) -> np.ndarray:
     """The dense (n, kept) pseudoinverse of a merge matrix, derived from
     the vector ``pseudoinverse`` returns."""
     return merge.segments.recon_matrix(pseudoinverse(merge))
+
+
+def read_ppm(path) -> np.ndarray:
+    """The (H, W, 3) uint8 pixels of a binary P6 file as
+    ``visualize.write_ppm`` writes it."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    parts = blob.split(b"\n", 3)
+    if len(parts) < 4 or parts[0] != b"P6" or parts[2] != b"255":
+        raise ContractError(f"{path}: not a binary P6 pixmap")
+    w, h = (int(v) for v in parts[1].split())
+    pixels = np.frombuffer(parts[3][:h * w * 3], dtype=np.uint8)
+    if pixels.size != h * w * 3:
+        raise ContractError(f"{path}: truncated pixel payload")
+    return pixels.reshape(h, w, 3)
+
+
+def dense_render_merge_map(image, entry, config):
+    """``visualize.render_merge_map`` from the dense M and R, one patch at
+    a time: the reference its grouped kernels must match byte for byte."""
+    patches = extract_patches(image[None], config)[0]
+    n = config.num_tokens
+    merged = np.empty_like(patches)
+    gid = entry.merge.segments.gid
+    m = entry.merge.data
+    for j in range(1, n):
+        if entry.mask[j] == 0:
+            merged[j - 1] = 1.0
+            continue
+        weights = m[gid[j]][1:]
+        total = weights.sum()
+        if total <= 0:
+            merged[j - 1] = patches[j - 1]
+            continue
+        merged[j - 1] = (weights / total) @ patches
+    z = np.vstack([np.zeros((1, patches.shape[1])), patches])
+    round_trip = entry.reconstruct @ (m @ z)
+    return (_patches_to_grid(merged, config),
+            _patches_to_grid(round_trip[1:], config))
 
 
 def numeric_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -17,7 +17,8 @@ from prunemerge import checkpoint
 from prunemerge.cli import main
 from prunemerge.compression import (CompressedModel, CompressionPlan,
                                     compress_model)
-from prunemerge.visualize import read_ppm
+
+from helpers import read_ppm
 
 CONFIG_TEXT = """\
 image_size=8
@@ -110,6 +111,25 @@ def test_flops_with_plan_reports_reduction(workdir, cfg, plan_file, capsys):
     assert pct > 0.0
 
 
+def test_flops_json_and_csv_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["flops", "--json", "--csv"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --csv: not allowed with argument --json" in err
+
+
+def test_flops_refuses_plan_of_another_width(cfg, plan_file, capsys):
+    # image_size 16 at patch 4: 17 tokens against the plan's 5
+    assert main(["flops", "--config", cfg, "--plan", plan_file,
+                 "--set", "image_size=16"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: ContractError: layer 0: plan width 5 != model "
+                   "tokens 17\n")
+
+
 def test_bench_json_schema(capsys):
     assert main(["bench", "--sizes", "24x8", "--reps", "10",
                  "--json"]) == 0
@@ -171,6 +191,36 @@ def test_identity_compression_evaluates_identically(workdir, cfg, base_ckpt,
                                      "--ckpt", base_ckpt,
                                      "--plan", str(plan)])
     assert baseline == compressed
+
+
+def test_compress_refuses_scores_of_another_width(workdir, cfg, base_ckpt,
+                                                  capsys):
+    from prunemerge.scoring import export_scores_csv
+    narrow = workdir / "narrow_scores.csv"
+    rng = np.random.default_rng(5)
+    export_scores_csv(narrow, [rng.uniform(0.1, 1.0, size=4)
+                               for _ in range(2)])
+    out = workdir / "never_narrow.pmvt"
+    assert main(["compress", "--config", cfg, "--ckpt", base_ckpt,
+                 "--scores", str(narrow), "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == ("error: ContractError: layer 0: plan width 4 != model "
+                   "tokens 5\n")
+    assert not out.exists()
+
+
+def test_compress_refuses_scores_of_another_depth(workdir, cfg, base_ckpt,
+                                                  capsys):
+    from prunemerge.scoring import export_scores_csv
+    shallow = workdir / "shallow_scores.csv"
+    export_scores_csv(shallow, [np.linspace(0.1, 1.0, 5)])
+    out = workdir / "never_shallow.pmvt"
+    assert main(["compress", "--config", cfg, "--ckpt", base_ckpt,
+                 "--scores", str(shallow), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: ContractError: plan depth 1 != model depth 2\n")
+    assert not out.exists()
 
 
 def test_compress_reports_budget(workdir, cfg, base_ckpt, scores_csv,
@@ -267,6 +317,43 @@ def test_visualize_writes_valid_pixmaps(workdir, cfg, plan_file, capsys):
         for kind in ("merge", "reconstruction"):
             pixels = read_ppm(out_dir / f"layer{layer}_{kind}.ppm")
             assert pixels.shape == (8, 8, 3)
+
+
+def test_visualize_draws_the_named_split(workdir, cfg, plan_file, capsys):
+    from prunemerge.cli import _load_datasets
+    from prunemerge.runconfig import load_config, model_config_from
+    from prunemerge.visualize import render_merge_map
+    config = load_config(cfg)
+    _, val = _load_datasets(config)
+    out_dir = workdir / "viz_val"
+    assert main(["visualize", "--config", cfg, "--plan", plan_file,
+                 "--out-dir", str(out_dir), "--image", "3",
+                 "--split", "val", "--layers", "0"]) == 0
+    capsys.readouterr()
+    want, _ = render_merge_map(val.batch(3),
+                               checkpoint.load_plan(plan_file).entries[0],
+                               model_config_from(config))
+    np.testing.assert_array_equal(read_ppm(out_dir / "layer0_merge.ppm"),
+                                  want)
+
+
+@pytest.mark.parametrize("command", ["eval", "visualize"])
+def test_val_split_without_validation_is_one_line_error(workdir, cfg,
+                                                        base_ckpt, plan_file,
+                                                        capsys, command):
+    out_dir = workdir / "never_val_viz"
+    argv = [command, "--config", cfg, "--set", "val_count=0",
+            "--split", "val"]
+    if command == "eval":
+        argv += ["--ckpt", base_ckpt]
+    else:
+        argv += ["--plan", plan_file, "--out-dir", str(out_dir),
+                 "--image", "3"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: ContractError: no validation split configured\n"
+    assert not out_dir.exists()
 
 
 def test_visualize_rejects_bad_image_index(workdir, cfg, plan_file, capsys):
@@ -437,6 +524,52 @@ def test_bad_hyperparameter_is_one_line_error(workdir, cfg, base_ckpt,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: ConfigError: {detail}\n"
+    assert not out.exists()
+
+
+CONFIG_RANGE_DEFECTS = {
+    "val-count-negative": ("train-baseline", "val_count=-1",
+                           "expected an integer >= 0, got '-1'"),
+    "freeze-epoch-below-auto": ("finetune", "freeze_epoch=-5",
+                                "expected an integer >= -1, got '-5'"),
+    "batch-size-zero": ("train-baseline", "batch_size=0",
+                        "expected an integer >= 1, got '0'"),
+}
+
+
+@pytest.mark.parametrize("command, setting, detail",
+                         CONFIG_RANGE_DEFECTS.values(),
+                         ids=CONFIG_RANGE_DEFECTS.keys())
+def test_config_value_out_of_range_is_one_line_error(workdir, cfg, base_ckpt,
+                                                     plan_file, capsys,
+                                                     command, setting,
+                                                     detail):
+    out = workdir / "never_ranged.pmvt"
+    argv = [command, "--config", cfg, "--out", str(out), "--set", setting]
+    if command == "finetune":
+        argv += ["--ckpt", base_ckpt, "--plan", plan_file]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: {detail}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("held_out", [6, 7])
+def test_idx_val_count_leaving_no_training_images_is_refused(tmp_path,
+                                                             capsys,
+                                                             held_out):
+    from prunemerge.data import write_idx
+    write_idx(tmp_path / "img.idx", np.zeros((6, 8, 8), dtype=np.uint8))
+    write_idx(tmp_path / "lab.idx", np.arange(6, dtype=np.uint8))
+    out = tmp_path / "never.pmvt"
+    argv = ["train-baseline", "--out", str(out)]
+    for setting in (f"idx_images={tmp_path / 'img.idx'}",
+                    f"idx_labels={tmp_path / 'lab.idx'}", "dataset=idx",
+                    "image_size=8", "patch_size=4", f"val_count={held_out}"):
+        argv += ["--set", setting]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: ConfigError: val_count {held_out} leaves no training "
+        f"images of the 6 in {tmp_path / 'img.idx'}\n")
     assert not out.exists()
 
 

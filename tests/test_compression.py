@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -766,12 +767,78 @@ class TestPlanLoading:
         arrays["plan.layer0.reconstruct"] *= 0.9
         CompressionPlan.from_arrays(arrays)
 
+    def test_negative_depth_rejected(self):
+        arrays = self.arrays()
+        arrays["plan.depth"] = np.array(-1, dtype=np.int64)
+        arrays["plan.uncompressed"] = np.array([], dtype=np.int64)
+        with pytest.raises(ContractError, match="plan depth -1 is negative"):
+            CompressionPlan.from_arrays(arrays)
+
 
 @pytest.fixture(scope="module")
 def base_model():
     config = ModelConfig(image_size=8, patch_size=4, channels=1,
                          embed_dim=8, depth=2, heads=2, num_classes=4)
     return VisionTransformer.build(config, seed=11)
+
+
+class TestPlanShape:
+    """A plan stores its entries and class-token flag alone: its depth and
+    exempt layers are read from the entries, and ``check_fits`` holds the
+    one rule for which model it applies to."""
+
+    def test_only_entries_and_class_token_are_stored(self):
+        assert [f.name for f in dataclasses.fields(CompressionPlan)] \
+            == ["entries", "class_token"]
+        assert not hasattr(CompressionPlan, "__post_init__")
+
+    @staticmethod
+    def plans(base_model):
+        rng = np.random.default_rng(64)
+        n = base_model.config.num_tokens
+        four = global_plan([rng.uniform(0.1, 1.0, size=n) for _ in range(4)],
+                           rate=0.6, pm_threshold=0.2, exempt_layers=(1, 3))
+        two = global_plan([rng.uniform(0.1, 1.0, size=n) for _ in range(2)],
+                          rate=0.6, pm_threshold=0.2, exempt_layers=(1,))
+        exported = compress_model(base_model, two,
+                                  learnable_matrices=True).export_plan()
+        return {"global_plan": (four, 4, {1, 3}),
+                "identity_plan": (identity_plan(3, n), 3, set()),
+                "export_plan": (exported, 2, {1}),
+                "from_arrays": (CompressionPlan.from_arrays(
+                    four.to_arrays()), 4, {1, 3})}
+
+    @pytest.mark.parametrize("source", ["global_plan", "identity_plan",
+                                        "export_plan", "from_arrays"])
+    def test_depth_and_exempt_layers_come_from_the_entries(self, base_model,
+                                                           source):
+        plan, depth, exempt = self.plans(base_model)[source]
+        assert plan.depth == depth
+        assert plan.uncompressed == frozenset(exempt)
+        arrays = plan.to_arrays()
+        assert arrays["plan.depth"] == depth
+        assert arrays["plan.uncompressed"].tolist() == sorted(exempt)
+
+    def test_fit_rule_names_depth_then_width(self, base_model):
+        config = base_model.config
+        n = config.num_tokens
+        with pytest.raises(ContractError,
+                           match=r"^plan depth 3 != model depth 2$"):
+            identity_plan(3, n + 1).check_fits(config)
+        with pytest.raises(ContractError, match=rf"^layer 0: plan width "
+                                                rf"{n + 1} != model tokens "
+                                                rf"{n}$"):
+            identity_plan(2, n + 1).check_fits(config)
+        identity_plan(2, n).check_fits(config)
+
+    def test_exempt_layers_have_no_width(self, base_model):
+        rng = np.random.default_rng(65)
+        n = base_model.config.num_tokens
+        plan = global_plan([rng.uniform(0.1, 1.0, size=n + 2),
+                            rng.uniform(0.1, 1.0, size=n)],
+                           rate=0.6, pm_threshold=0.2, exempt_layers=(0,))
+        plan.check_fits(base_model.config)
+        compress_model(base_model, plan)
 
 
 class TestCompressedModel:

@@ -100,6 +100,19 @@ class TestModelFlops:
         with pytest.raises(ContractError):
             model_flops(DEIT_TINY, {12: 100})
 
+    def test_plan_width_mismatch(self):
+        config = ModelConfig(image_size=8, patch_size=4, channels=1,
+                             embed_dim=8, depth=2, heads=2)
+        wider = ModelConfig(image_size=16, patch_size=4, channels=1,
+                            embed_dim=8, depth=2, heads=2)
+        rng = np.random.default_rng(11)
+        plan = global_plan([rng.uniform(0.1, 1, size=config.num_tokens)
+                            for _ in range(2)], rate=0.6, pm_threshold=0.2)
+        with pytest.raises(ContractError,
+                           match=r"^layer 0: plan width 5 != model tokens "
+                                 r"17$"):
+            model_flops(wider, plan)
+
     def test_stem_and_head_line_items(self):
         report = model_flops(DEIT_TINY)
         assert report.patch_embed == 196 * (16 * 16 * 3) * 192

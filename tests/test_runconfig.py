@@ -121,6 +121,25 @@ def test_freeze_epoch_two_thirds_default():
     assert resolve_freeze_epoch({"freeze_epoch": -1, "epochs": 0}) == 1
 
 
+@pytest.mark.parametrize("key, raw, low", [("val_count", "-1", 0),
+                                           ("freeze_epoch", "-2", -1),
+                                           ("freeze_epoch", "-5", -1),
+                                           ("batch_size", "0", 1)])
+def test_values_below_the_documented_range_are_refused(key, raw, low):
+    detail = f"expected an integer >= {low}, got '{raw}'"
+    with pytest.raises(ConfigError, match=f"^{detail}$"):
+        load_config(overrides={key: raw})
+    with pytest.raises(ConfigError, match=f"^run.cfg:1: {key}: {detail}$"):
+        parse_config_text(f"{key}={raw}\n", source="run.cfg")
+
+
+def test_range_edges_keep_their_meaning():
+    cfg = load_config(overrides={"val_count": "0", "freeze_epoch": "-1"})
+    assert cfg["val_count"] == 0
+    assert resolve_freeze_epoch({**cfg, "epochs": 6}) == 4
+    assert load_config(overrides={"freeze_epoch": "0"})["freeze_epoch"] == 0
+
+
 def test_freeze_epoch_explicit_passthrough():
     assert resolve_freeze_epoch({"freeze_epoch": 3, "epochs": 60}) == 3
 

@@ -6,14 +6,16 @@ import zlib
 import numpy as np
 import pytest
 
-from prunemerge.compression import (CompressionPlan, PlanEntry,
+from prunemerge.compression import (MergeMatrix, PlanEntry, Segments,
                                     generate_merge_matrix, global_plan,
                                     pseudoinverse)
 from prunemerge.errors import ContractError
 from prunemerge.visualize import (_patches_to_grid, _to_uint8,
-                                  read_ppm, render_merge_map,
-                                  visualize_merge_map, write_ppm)
+                                  render_merge_map, visualize_merge_map,
+                                  write_ppm)
 from prunemerge.vit import ModelConfig, extract_patches
+
+from helpers import dense_render_merge_map, read_ppm
 
 CFG = ModelConfig(image_size=8, patch_size=2, channels=1, embed_dim=8,
                   depth=2, heads=2, mlp_ratio=2, num_classes=4)
@@ -153,6 +155,60 @@ def test_reconstruction_black_exactly_at_pruned_patches():
         patch = patch_view[(token - 1) // 4, (token - 1) % 4]
         if entry.mask[token] == 0:
             assert np.all(patch == 0), f"token {token} should be black"
+
+
+def random_entry(rng):
+    """An image, a plan entry and a config drawn at random: 1 or 3
+    channels, class-token or class-free plans, merge and reconstruct
+    weights drifted as training moves them, and groups of zero weight."""
+    channels, grid, patch = (int(rng.choice([1, 3])),
+                             int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+    config = ModelConfig(image_size=grid * patch, patch_size=patch,
+                         channels=channels, embed_dim=8, depth=2, heads=2)
+    n = config.num_tokens
+    class_token = bool(rng.integers(2))
+    while True:
+        try:
+            plan = global_plan([rng.uniform(0, 1, n) for _ in range(2)],
+                               float(rng.uniform(0.2, 1.0)),
+                               float(rng.uniform(0.0, 0.5)),
+                               class_token=class_token)
+            break
+        except ContractError:   # a class-free layer left with no tokens
+            continue
+    entry = plan.entries[int(rng.integers(2))]
+    w, r = entry.merge.w.copy(), entry.r.copy()
+    live = w != 0
+    if rng.integers(2):
+        w[live] += rng.normal(0.0, 0.3, live.sum())
+        r[live] += rng.normal(0.0, 0.3, live.sum())
+    if rng.integers(3) == 0:
+        w[entry.merge.segments.gid == rng.integers(entry.kept)] = 0.0
+    entry = PlanEntry(entry.mask, MergeMatrix(list(entry.merge.groups), w),
+                      r, entry.kept)
+    image = rng.uniform(0.0, 1.0, size=(channels,) + (grid * patch,) * 2)
+    return image, entry, config
+
+
+def test_grouped_kernels_render_like_the_dense_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        image, entry, config = random_entry(rng)
+        got = render_merge_map(image, entry, config)
+        want = dense_render_merge_map(image, entry, config)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.uint8
+            np.testing.assert_array_equal(a, b)
+
+
+def test_render_reads_no_dense_matrix(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("render built a dense matrix")
+
+    monkeypatch.setattr(Segments, "merge_matrix", refuse)
+    monkeypatch.setattr(Segments, "recon_matrix", refuse)
+    plan = make_plan(rate=0.6, threshold=0.2, seed=3)
+    render_merge_map(make_image(3), plan.entries[0], CFG)
 
 
 def test_render_rejects_width_mismatch():

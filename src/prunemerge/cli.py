@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Every subcommand reads its settings from an optional ``--config`` file
-(one key=value per line) plus repeatable ``--set key=value`` overrides;
-a handful of frequently-swept values also have dedicated flags that win
-over both.  Expected failures print a single ``error: <Type>: <detail>``
+(one key=value per line) plus repeatable ``--set key=value`` overrides.
+A handful of frequently-swept keys also have dedicated flags
+(``FLAG_KEYS``): another spelling of ``--set`` that wins over it, read
+by the key's own caster.  Commands read only the resulting config.
+Expected failures print a single ``error: <Type>: <detail>``
 line to stderr and exit 1 so shell pipelines can parse them.
 """
 
@@ -17,18 +19,27 @@ from . import checkpoint
 from .compression import compress_model, global_plan
 from .data import load_idx_pair, synthetic_shapes
 from .errors import CheckpointError, ConfigError, ContractError, NumericError
-from .finetune import (DistillConfig, evaluate_accuracy, finetune,
-                       metrics_to_csv, train_baseline)
+from .finetune import (evaluate_accuracy, finetune, metrics_to_csv,
+                       train_baseline)
 from .flops import benchmark_json, micro_benchmark, model_flops
-from .runconfig import (int_list, load_config, model_config_from,
-                        resolve_exempt, resolve_freeze_epoch)
+from .runconfig import (distill_config_from, int_list, load_config,
+                        model_config_from, resolve_exempt)
 from .scoring import ScorerVariant, collect_scores, export_scores_csv, \
     load_scores_csv
 from .visualize import visualize_merge_map
 from .vit import VisionTransformer
 
 
+# Dedicated flag (argparse dest) -> the config key it spells.
+FLAG_KEYS = {"iters": "iterations", "scorer": "scorer", "rate": "rate",
+             "pm_threshold": "pm_threshold", "exempt": "exempt_layers",
+             "epochs": "epochs", "freeze_at": "freeze_epoch",
+             "alpha": "alpha"}
+
+
 def _config_from_args(args) -> dict:
+    """The run configuration: the ``--config`` file, then ``--set``
+    overrides, then the dedicated flags, each cast by its key's caster."""
     overrides = {}
     for item in args.set or []:
         key, sep, value = item.partition("=")
@@ -37,6 +48,9 @@ def _config_from_args(args) -> dict:
         if key in overrides:
             raise ConfigError(f"--set repeats key {key!r}")
         overrides[key] = value
+    for dest, key in FLAG_KEYS.items():
+        if getattr(args, dest, None) is not None:
+            overrides[key] = getattr(args, dest)
     return load_config(getattr(args, "config", None), overrides)
 
 
@@ -117,9 +131,8 @@ def cmd_score(args) -> int:
     cfg = _config_from_args(args)
     model = _load_base_model(args.ckpt)
     train, _ = _load_datasets(cfg)
-    iterations = args.iters if args.iters is not None else cfg["iterations"]
-    variant = ScorerVariant.from_name(args.scorer or cfg["scorer"])
-    scores = collect_scores(model, train, iterations=iterations,
+    variant = ScorerVariant.from_name(cfg["scorer"])
+    scores = collect_scores(model, train, iterations=cfg["iterations"],
                             batch_size=cfg["batch_size"], variant=variant,
                             seed=cfg["seed"])
     export_scores_csv(args.out, scores)
@@ -131,11 +144,9 @@ def cmd_compress(args) -> int:
     cfg = _config_from_args(args)
     model = _load_base_model(args.ckpt)
     scores = load_scores_csv(args.scores)
-    rate = args.rate if args.rate is not None else cfg["rate"]
-    threshold = (args.pm_threshold if args.pm_threshold is not None
-                 else cfg["pm_threshold"])
-    exempt = resolve_exempt(args.exempt or cfg["exempt_layers"], len(scores))
-    plan = global_plan(scores, rate, threshold, exempt_layers=exempt)
+    exempt = resolve_exempt(cfg["exempt_layers"], len(scores))
+    plan = global_plan(scores, cfg["rate"], cfg["pm_threshold"],
+                       exempt_layers=exempt)
     plan.check_fits(model.config)
     checkpoint.save_plan(args.out, plan)
     active_total = sum(e.mask.size for e in plan.entries if e is not None)
@@ -171,21 +182,9 @@ def cmd_finetune(args) -> int:
                else base).frozen_copy()
     plan = checkpoint.load_plan(args.plan)
     model = compress_model(base, plan, learnable_matrices=True)
-    epochs = args.epochs if args.epochs is not None else cfg["epochs"]
-    if args.freeze_at is not None:
-        freeze_epoch = args.freeze_at
-    else:
-        freeze_epoch = resolve_freeze_epoch(
-            {"freeze_epoch": cfg["freeze_epoch"], "epochs": epochs})
-    distill = DistillConfig(
-        epochs=epochs, freeze_epoch=freeze_epoch,
-        alpha=args.alpha if args.alpha is not None else cfg["alpha"],
-        temperature=cfg["temperature"], base_lr=cfg["base_lr"],
-        weight_decay=cfg["weight_decay"], batch_size=cfg["batch_size"],
-        seed=cfg["seed"])
     train, val = _load_datasets(cfg)
-    model, metrics, _ = finetune(model, teacher, train, distill,
-                                 val_data=val)
+    model, metrics, _ = finetune(model, teacher, train,
+                                 distill_config_from(cfg), val_data=val)
     checkpoint.save_model(args.out, model)
     _write_metrics(args.metrics, metrics)
     acc = _final_accuracy(model, metrics, train, val)
@@ -299,11 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(sub)
     sub.add_argument("--ckpt", required=True, help="base checkpoint")
     sub.add_argument("--out", required=True, help="scores CSV to write")
-    sub.add_argument("--iters", type=int, default=None,
-                     help="scoring batches to accumulate")
-    sub.add_argument("--scorer", default=None,
-                     choices=[v.value for v in ScorerVariant],
-                     help="importance-score variant")
+    sub.add_argument("--iters", help="scoring batches to accumulate")
+    sub.add_argument("--scorer", help="importance-score variant: " +
+                     ", ".join(v.value for v in ScorerVariant))
     sub.set_defaults(func=cmd_score)
 
     sub = commands.add_parser(
@@ -312,11 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--ckpt", required=True, help="base checkpoint")
     sub.add_argument("--scores", required=True, help="scores CSV")
     sub.add_argument("--out", required=True, help="plan file to write")
-    sub.add_argument("--rate", type=float, default=None,
-                     help="fraction of tokens to keep")
-    sub.add_argument("--pm-threshold", type=float, default=None,
+    sub.add_argument("--rate", help="fraction of tokens to keep")
+    sub.add_argument("--pm-threshold",
                      help="fraction of tokens to prune outright")
-    sub.add_argument("--exempt", default=None,
+    sub.add_argument("--exempt",
                      help="comma-separated exempt layers, 'auto' or 'none'")
     sub.set_defaults(func=cmd_compress)
 
@@ -329,11 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="teacher checkpoint (defaults to --ckpt)")
     sub.add_argument("--out", required=True, help="checkpoint to write")
     sub.add_argument("--metrics", default=None, help="metrics CSV to write")
-    sub.add_argument("--epochs", type=int, default=None)
-    sub.add_argument("--freeze-at", type=int, default=None,
-                     help="epoch after which merge matrices freeze")
-    sub.add_argument("--alpha", type=float, default=None,
-                     help="distillation loss weight")
+    sub.add_argument("--epochs")
+    sub.add_argument("--freeze-at",
+                     help="epoch after which merge matrices freeze "
+                          "(-1: two thirds of the epochs)")
+    sub.add_argument("--alpha", help="distillation loss weight")
     sub.set_defaults(func=cmd_finetune)
 
     sub = commands.add_parser("eval", help="top-1 accuracy of a checkpoint")

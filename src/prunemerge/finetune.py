@@ -57,14 +57,13 @@ class DistillConfig:
             raise ConfigError(
                 f"temperature must be positive and finite, got "
                 f"{self.temperature}")
-        _check_rates(self.base_lr, self.weight_decay)
-        if self.batch_size < 1:
-            raise ConfigError(
-                f"batch_size must be positive, got {self.batch_size}")
+        _check_steps(self.base_lr, self.weight_decay, self.batch_size)
 
 
-def _check_rates(base_lr: float, weight_decay: float) -> None:
-    """NaN fails every comparison, so these refuse it too."""
+def _check_steps(base_lr: float, weight_decay: float,
+                 batch_size: int) -> None:
+    """The settings both trainers share.  NaN fails every comparison, so
+    these refuse it too."""
     if not 0 < base_lr < math.inf:
         raise ConfigError(
             f"base_lr must be positive and finite, got {base_lr}")
@@ -72,6 +71,8 @@ def _check_rates(base_lr: float, weight_decay: float) -> None:
         raise ConfigError(
             f"weight_decay must be nonnegative and finite, got "
             f"{weight_decay}")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be positive, got {batch_size}")
 
 
 def self_distill_loss(student_logits: Tensor, teacher_logits: Tensor,
@@ -333,6 +334,7 @@ def evaluate_accuracy(model, dataset: Dataset, batch_size: int = 64) -> float:
     """Top-1 accuracy of any object with .forward(images) -> logits.
 
     Runs under ``no_grad``: no graph is recorded and no gradient changes.
+    A label the logits have no class for raises ContractError.
     """
     if len(dataset.labels) == 0:
         raise ContractError("cannot evaluate on an empty dataset")
@@ -341,6 +343,7 @@ def evaluate_accuracy(model, dataset: Dataset, batch_size: int = 64) -> float:
                                   shuffle=False):
         with T.no_grad():
             logits = model.forward(images)
+        T.check_labels(labels, logits.shape[-1])
         hits += int((np.argmax(logits.data, axis=1) == labels).sum())
     return hits / len(dataset.labels)
 
@@ -475,7 +478,7 @@ def train_baseline(config: ModelConfig, train_data: Dataset, epochs: int,
     """Plain cross-entropy training of the uncompressed model."""
     if epochs < 0:
         raise ConfigError(f"epochs must be nonnegative, got {epochs}")
-    _check_rates(base_lr, weight_decay)
+    _check_steps(base_lr, weight_decay, batch_size)
     model = VisionTransformer.build(config, seed=seed)
     optimizer = AdamW(model.named_parameters(), weight_decay=weight_decay)
 

@@ -1,8 +1,9 @@
 """Plain-text run configuration: one `key=value` per line.
 
 Blank lines and `#` comments are ignored.  Every key must exist in the
-schema — a misspelled key is an error, never a silent default.  CLI flag
-overrides pass through the same validation.
+schema — a misspelled key is an error, never a silent default.  The
+CLI's ``--set key=value`` overrides and its dedicated flags (``--rate``
+for ``rate`` and so on) pass their raw strings through the same casters.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError, ContractError
+from .finetune import DistillConfig
 from .scoring import ScorerVariant
 from .vit import ModelConfig
 
@@ -140,7 +142,7 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> dict:
         if key not in SCHEMA:
             raise ConfigError(f"unknown key {key!r}")
         caster, _ = SCHEMA[key]
-        values[key] = caster(raw) if isinstance(raw, str) else raw
+        values[key] = caster(raw)
     for key, (_, default) in SCHEMA.items():
         values.setdefault(key, default)
     return values
@@ -148,6 +150,13 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> dict:
 
 def model_config_from(cfg: dict) -> ModelConfig:
     return ModelConfig(**{f.name: cfg[f.name] for f in fields(ModelConfig)})
+
+
+def distill_config_from(cfg: dict) -> DistillConfig:
+    """The keys named like DistillConfig's fields, freeze epoch resolved."""
+    values = {f.name: cfg[f.name] for f in fields(DistillConfig)}
+    values["freeze_epoch"] = resolve_freeze_epoch(cfg)
+    return DistillConfig(**values)
 
 
 def resolve_exempt(value: str, depth: int) -> tuple[int, ...]:

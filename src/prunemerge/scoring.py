@@ -2,9 +2,11 @@
 
 Scores are accumulated over many training batches on a frozen model (the
 scoring pass computes gradients but never updates weights), then averaged
-by the iteration count.  All variants fold the batch dimension inside the
-final absolute value, mirroring how a mean-reduced loss distributes 1/B
-into the gradient maps.
+by the iteration count.  The five attention-based variants differ only in
+three choices, kept in ``ATTENTION_SCORES``: the operand (A * dL/dA,
+dL/dA or A), the query rows read (all of them summed, or the class row)
+and the batch reduction (sum or mean).  ``score_attention`` applies them.
+Every variant reduces the batch inside the final absolute value.
 """
 
 from __future__ import annotations
@@ -50,17 +52,6 @@ def rank_descending(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(scores), kind="stable")
 
 
-def _fold_batch(arr: np.ndarray, core_ndim: int) -> np.ndarray:
-    """Sum away any leading batch axes beyond the core shape."""
-    extra = arr.ndim - core_ndim
-    if extra < 0:
-        raise ShapeMismatchError(
-            f"expected at least {core_ndim} axes, got shape {arr.shape}")
-    if extra:
-        arr = arr.sum(axis=tuple(range(extra)))
-    return arr
-
-
 def score_taylor_token(tokens: np.ndarray, grad_tokens: np.ndarray) -> np.ndarray:
     """Per-token first-order saliency: |(1/D) sum_d grad * activation|."""
     tokens = np.asarray(tokens)
@@ -70,65 +61,49 @@ def score_taylor_token(tokens: np.ndarray, grad_tokens: np.ndarray) -> np.ndarra
             f"token/gradient shapes differ: {tokens.shape} vs {grad_tokens.shape}")
     d = tokens.shape[-1]
     per_token = (grad_tokens * tokens).sum(axis=-1) / d
-    return np.abs(_fold_batch(per_token, 1))
+    return np.abs(per_token.sum(axis=tuple(range(per_token.ndim - 1))))
 
 
-def score_grad_weighted_attention(maps: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """Gradient-weighted attention received by each key token.
+# variant -> (operand, query rows, batch reduction).  Gradient operands
+# are summed over the batch, since a mean-reduced loss already puts 1/B
+# into dL/dA; attention alone is averaged.
+ATTENTION_SCORES = {
+    ScorerVariant.GRAD_WEIGHTED_AVG: ("grad*attn", "all", np.sum),
+    ScorerVariant.GRAD_ONLY: ("grad", "all", np.sum),
+    ScorerVariant.GRAD_CLASS_ATTN: ("grad*attn", "class", np.sum),
+    ScorerVariant.ATTN_ONLY_AVG: ("attn", "all", np.mean),
+    ScorerVariant.ATTN_ONLY_CLASS: ("attn", "class", np.mean),
+}
 
-    Maps are query-major: entry [..., q, k] is how much query q attends to
-    key k.  The score of key i is the head-averaged, query-summed product
-    of the attention map with its gradient, absolute value applied after
-    all summation.
+
+def score_attention(variant: ScorerVariant, maps: np.ndarray,
+                    grads: np.ndarray | None = None) -> np.ndarray:
+    """Score of each key token under ``ATTENTION_SCORES[variant]``.
+
+    Maps are query-major: entry [..., h, q, k] is how much query q
+    attends to key k in head h.  Each key's operand column is summed
+    over all queries or read at the class row (query 0), averaged over
+    the heads, reduced over any leading batch axes, and taken absolute.
     """
+    operand, rows, reduce_batch = ATTENTION_SCORES[variant]
     maps = np.asarray(maps)
-    grads = np.asarray(grads)
-    if maps.shape != grads.shape:
-        raise ShapeMismatchError(
-            f"map/gradient shapes differ: {maps.shape} vs {grads.shape}")
-    weighted = (grads * maps).sum(axis=-2)   # sum over queries -> (..., H, N)
-    per_key = weighted.mean(axis=-2)         # average heads -> (..., N)
-    return np.abs(_fold_batch(per_key, 1))
-
-
-def score_gradient_only(grads: np.ndarray) -> np.ndarray:
-    """Like the gradient-weighted score but ignoring the attention values."""
-    grads = np.asarray(grads)
-    per_key = grads.sum(axis=-2).mean(axis=-2)
-    return np.abs(_fold_batch(per_key, 1))
-
-
-def score_attention_only(maps: np.ndarray, class_only: bool = False) -> np.ndarray:
-    """Mean attention received by each key (no gradient weighting).
-
-    Averages over batch and heads.  With ``class_only`` the sum over
-    queries is replaced by the class-token query row.
-    """
-    maps = np.asarray(maps)
-    if class_only:
-        per_key = maps[..., 0, :].mean(axis=-2)
-    else:
-        per_key = maps.sum(axis=-2).mean(axis=-2)
-    extra = per_key.ndim - 1
-    if extra:
-        per_key = per_key.mean(axis=tuple(range(extra)))
-    return np.abs(per_key)
-
-
-def score_grad_class_attention(maps: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """Gradient-weighted attention restricted to the class-token query row."""
-    maps = np.asarray(maps)
-    grads = np.asarray(grads)
-    if maps.shape != grads.shape:
-        raise ShapeMismatchError(
-            f"map/gradient shapes differ: {maps.shape} vs {grads.shape}")
-    per_key = (grads[..., 0, :] * maps[..., 0, :]).mean(axis=-2)
-    return np.abs(_fold_batch(per_key, 1))
+    if operand != "attn":
+        if grads is None:
+            raise ContractError(
+                "attention gradients are present only after a backward pass")
+        grads = np.asarray(grads)
+        if maps.shape != grads.shape:
+            raise ShapeMismatchError(
+                f"map/gradient shapes differ: {maps.shape} vs {grads.shape}")
+        maps = grads if operand == "grad" else grads * maps
+    per_key = maps[..., 0, :] if rows == "class" else maps.sum(axis=-2)
+    per_key = per_key.mean(axis=-2)
+    return np.abs(reduce_batch(per_key, axis=tuple(range(per_key.ndim - 1))))
 
 
 def scores_from_trace(trace: AttentionTrace, variant: ScorerVariant,
                       rng: np.random.Generator | None = None) -> np.ndarray:
-    """Dispatch one layer's trace to the selected scoring rule."""
+    """Score one layer's trace with the selected rule."""
     if variant is ScorerVariant.TAYLOR_TOKEN:
         if trace.tokens is None or trace.tokens.grad is None:
             raise ContractError("taylor_token scoring needs traced token "
@@ -136,23 +111,11 @@ def scores_from_trace(trace: AttentionTrace, variant: ScorerVariant,
         return score_taylor_token(trace.tokens.data, trace.tokens.grad)
     if variant is ScorerVariant.RANDOM and rng is None:
         raise ContractError("random scorer needs a generator")
-    maps, grads = trace.maps, trace.grads
-    if maps is None:
+    if trace.maps is None:
         raise ContractError("trace has no attention recorded yet")
     if variant is ScorerVariant.RANDOM:
-        return rng.uniform(size=maps.shape[-1])
-    if variant is ScorerVariant.ATTN_ONLY_AVG:
-        return score_attention_only(maps)
-    if variant is ScorerVariant.ATTN_ONLY_CLASS:
-        return score_attention_only(maps, class_only=True)
-    if grads is None:
-        raise ContractError(
-            "attention gradients are present only after a backward pass")
-    if variant is ScorerVariant.GRAD_ONLY:
-        return score_gradient_only(grads)
-    if variant is ScorerVariant.GRAD_CLASS_ATTN:
-        return score_grad_class_attention(maps, grads)
-    return score_grad_weighted_attention(maps, grads)
+        return rng.uniform(size=trace.maps.shape[-1])
+    return score_attention(variant, trace.maps, trace.grads)
 
 
 def prune_count_for(pm_threshold: float, n_tokens: int,

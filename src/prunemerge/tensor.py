@@ -784,6 +784,14 @@ def _log_softmax(z: Array) -> Array:
                                           keepdims=True))
 
 
+def check_labels(labels: Array, n_classes: int) -> None:
+    """Refuse class labels outside [0, n_classes)."""
+    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= n_classes:
+        raise ContractError(
+            f"labels must lie in [0, {n_classes}), got range "
+            f"[{labels.min()}, {labels.max()}]")
+
+
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log-probability of the true class.
 
@@ -798,11 +806,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
             f"labels shape {labels.shape} does not match batch {logits.shape[0]}")
     if not np.issubdtype(labels.dtype, np.integer):
         raise ContractError("labels must be integers")
-    n_classes = logits.shape[-1]
-    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= n_classes:
-        raise ContractError(
-            f"labels must lie in [0, {n_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]")
+    check_labels(labels, logits.shape[-1])
     batch = logits.shape[0]
     logp = _log_softmax(logits.data)
     picked = logp[np.arange(batch), labels]

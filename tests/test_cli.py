@@ -301,6 +301,36 @@ def test_finetune_reads_its_checkpoint_once(workdir, cfg, base_ckpt,
     assert outputs[False] == outputs[True]
 
 
+def test_finetune_freeze_at_minus_one_is_auto(workdir, cfg, base_ckpt,
+                                              plan_file, capsys):
+    # -1 resolves to two thirds of 3 epochs, rounded up: epoch 2.
+    outputs = []
+    for freeze in (["--freeze-at", "-1"], ["--freeze-at", "2"],
+                   ["--set", "freeze_epoch=-1"]):
+        out, metrics = workdir / "auto.pmvt", workdir / "auto.csv"
+        assert main(["finetune", "--config", cfg, "--ckpt", base_ckpt,
+                     "--plan", plan_file, "--out", str(out),
+                     "--metrics", str(metrics), "--epochs", "3"]
+                    + freeze) == 0
+        outputs.append((out.read_bytes(), metrics.read_bytes()))
+    capsys.readouterr()
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_eval_refuses_labels_the_model_cannot_output(workdir, cfg, capsys):
+    from prunemerge.runconfig import load_config, model_config_from
+    from prunemerge.vit import VisionTransformer
+    four = model_config_from(load_config(cfg, {"num_classes": "4"}))
+    ckpt = workdir / "four_classes.pmvt"
+    checkpoint.save_model(ckpt, VisionTransformer.build(four, seed=0))
+    # One batch holds all 32 validation images, labels 0 to 9.
+    assert main(["eval", "--config", cfg, "--ckpt", str(ckpt),
+                 "--set", "batch_size=32"]) == 1
+    assert capsys.readouterr().err == (
+        "error: ContractError: labels must lie in [0, 4), got range "
+        "[0, 9]\n")
+
+
 def test_eval_train_split(workdir, cfg, base_ckpt, capsys):
     line = _eval_line(capsys, ["eval", "--config", cfg, "--ckpt", base_ckpt,
                                "--split", "train"])
@@ -471,6 +501,7 @@ def test_zero_patch_size_is_one_line_error(capsys):
 INTEGER_LIST_DEFECTS = {
     "exempt-word": ("compress", "x", "'x'"),
     "exempt-empty-item": ("compress", "0,,1", "''"),
+    "exempt-empty": ("compress", "", "''"),
     "layers-word": ("visualize", "x", "'x'"),
 }
 
@@ -498,7 +529,7 @@ HYPERPARAMETER_DEFECTS = {
     "alpha-nan": ("finetune", ["--set", "alpha=nan"],
                   "expected a finite number, got 'nan'"),
     "alpha-flag-inf": ("finetune", ["--alpha", "inf"],
-                       "alpha must be nonnegative and finite, got inf"),
+                       "expected a finite number, got 'inf'"),
     "decay-negative": ("finetune", ["--set", "weight_decay=-5"],
                        "weight_decay must be nonnegative and finite, got "
                        "-5.0"),
@@ -525,6 +556,48 @@ def test_bad_hyperparameter_is_one_line_error(workdir, cfg, base_ckpt,
     err = capsys.readouterr().err
     assert err == f"error: ConfigError: {detail}\n"
     assert not out.exists()
+
+
+FLAG_COMMANDS = {"iters": "score", "scorer": "score", "rate": "compress",
+                 "pm_threshold": "compress", "exempt": "compress",
+                 "epochs": "finetune", "freeze_at": "finetune",
+                 "alpha": "finetune"}
+
+
+@pytest.mark.parametrize("dest", sorted(FLAG_COMMANDS))
+def test_dedicated_flag_is_its_config_key(workdir, cfg, base_ckpt,
+                                          scores_csv, plan_file, capsys,
+                                          dest):
+    from prunemerge.cli import FLAG_KEYS
+    assert set(FLAG_KEYS) == set(FLAG_COMMANDS)
+    command, key = FLAG_COMMANDS[dest], FLAG_KEYS[dest]
+    out = workdir / "never_flagged.pmvt"
+    argv = [command, "--config", cfg, "--out", str(out),
+            "--ckpt", base_ckpt]
+    if command == "compress":
+        argv += ["--scores", scores_csv]
+    if command == "finetune":
+        argv += ["--plan", plan_file]
+    errors = []
+    for spelling in (["--" + dest.replace("_", "-"), "x"],
+                     ["--set", f"{key}=x"]):
+        assert main(argv + spelling) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: ConfigError: ")
+    assert "'x'" in errors[0]
+    assert not out.exists()
+
+
+def test_dedicated_flag_wins_over_set(workdir, cfg, base_ckpt, scores_csv,
+                                      plan_file, capsys):
+    out = workdir / "flag_wins.pmvt"
+    assert main(["compress", "--config", cfg, "--ckpt", base_ckpt,
+                 "--scores", scores_csv, "--out", str(out),
+                 "--set", "rate=x", "--set", "pm_threshold=0.9",
+                 "--rate", "0.7", "--pm-threshold", "0.2"]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == Path(plan_file).read_bytes()
 
 
 CONFIG_RANGE_DEFECTS = {

@@ -75,6 +75,15 @@ class TestDistillConfig:
                 train_baseline(tiny_config(), tiny_dataset(8), epochs=1,
                                **{key: value})
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_nonpositive_batch_size_rejected(self, batch_size):
+        message = f"batch_size must be positive, got {batch_size}"
+        with pytest.raises(ConfigError, match=message):
+            DistillConfig(epochs=2, freeze_epoch=1, batch_size=batch_size)
+        with pytest.raises(ConfigError, match=message):
+            train_baseline(tiny_config(), tiny_dataset(8), epochs=1,
+                           batch_size=batch_size)
+
 
 class TestSelfDistillLoss:
     def test_alpha_zero_is_plain_cross_entropy(self):

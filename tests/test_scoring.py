@@ -35,46 +35,46 @@ class TestTaylorToken:
             scoring.score_taylor_token(np.zeros((3, 2)), np.zeros((2, 2)))
 
 
+def weighted(maps, grads):
+    return scoring.score_attention(ScorerVariant.GRAD_WEIGHTED_AVG, maps,
+                                   grads)
+
+
 class TestGradWeightedAttention:
     def test_hand_column_sums(self):
         a = np.array([[[0.9, 0.1], [0.6, 0.4]]])  # one head, query-major
         g = np.ones_like(a)
-        np.testing.assert_allclose(
-            scoring.score_grad_weighted_attention(a, g), [1.5, 0.5])
+        np.testing.assert_allclose(weighted(a, g), [1.5, 0.5])
 
     def test_zero_gradient(self):
         a = np.full((2, 3, 3), 1 / 3)
-        np.testing.assert_array_equal(
-            scoring.score_grad_weighted_attention(a, np.zeros_like(a)),
-            np.zeros(3))
+        np.testing.assert_array_equal(weighted(a, np.zeros_like(a)),
+                                      np.zeros(3))
 
     def test_duplicate_heads_match_single_head(self):
         rng = np.random.default_rng(42)
         a1 = rng.uniform(size=(1, 4, 4))
         a1 /= a1.sum(-1, keepdims=True)
         g1 = rng.normal(size=(1, 4, 4))
-        single = scoring.score_grad_weighted_attention(a1, g1)
+        single = weighted(a1, g1)
         a2 = np.concatenate([a1, a1], axis=0)
         g2 = np.concatenate([g1, g1], axis=0)
-        np.testing.assert_allclose(
-            scoring.score_grad_weighted_attention(a2, g2), single, atol=1e-12)
+        np.testing.assert_allclose(weighted(a2, g2), single, atol=1e-12)
 
     def test_head_permutation_symmetry(self):
         rng = np.random.default_rng(7)
         a = rng.uniform(size=(3, 5, 5))
         g = rng.normal(size=(3, 5, 5))
-        base = scoring.score_grad_weighted_attention(a, g)
+        base = weighted(a, g)
         perm = [2, 0, 1]
-        np.testing.assert_allclose(
-            scoring.score_grad_weighted_attention(a[perm], g[perm]), base,
-            atol=1e-12)
+        np.testing.assert_allclose(weighted(a[perm], g[perm]), base,
+                                   atol=1e-12)
 
     def test_batch_folds_inside_absolute_value(self):
         # Two samples with opposite-sign gradients must cancel, not add.
         a = np.full((2, 1, 2, 2), 0.5)
         g = np.stack([np.ones((1, 2, 2)), -np.ones((1, 2, 2))])
-        np.testing.assert_allclose(
-            scoring.score_grad_weighted_attention(a, g), [0.0, 0.0])
+        np.testing.assert_allclose(weighted(a, g), [0.0, 0.0])
 
 
 class TestOtherVariants:
@@ -83,7 +83,7 @@ class TestOtherVariants:
         for n in (3, 7, 17):
             a = rng.uniform(size=(4, 2, n, n))
             a /= a.sum(-1, keepdims=True)
-            s = scoring.score_attention_only(a)
+            s = scoring.score_attention(ScorerVariant.ATTN_ONLY_AVG, a)
             np.testing.assert_allclose(s.sum(), n, atol=1e-8)
 
     def test_attn_class_row(self):
@@ -91,11 +91,14 @@ class TestOtherVariants:
         a[0, 0] = [0.3, 0.7]
         a[0, 1] = [0.9, 0.1]
         np.testing.assert_allclose(
-            scoring.score_attention_only(a, class_only=True), [0.3, 0.7])
+            scoring.score_attention(ScorerVariant.ATTN_ONLY_CLASS, a),
+            [0.3, 0.7])
 
     def test_grad_only_ignores_attention(self):
         g = np.array([[[1.0, -2.0], [3.0, 1.0]]])
-        np.testing.assert_allclose(scoring.score_gradient_only(g), [4.0, 1.0])
+        np.testing.assert_allclose(
+            scoring.score_attention(ScorerVariant.GRAD_ONLY,
+                                    np.full_like(g, 0.25), g), [4.0, 1.0])
 
     def test_random_variant_needs_rng(self):
         trace = vit.AttentionTrace(layer=0)
@@ -105,6 +108,75 @@ class TestOtherVariants:
     def test_unknown_variant_name(self):
         with pytest.raises(ContractError, match="unknown scorer"):
             ScorerVariant.from_name("best_guess")
+
+
+def _fold(arr: np.ndarray) -> np.ndarray:
+    """Sum away any leading batch axes beyond one key axis."""
+    return arr.sum(axis=tuple(range(arr.ndim - 1))) if arr.ndim > 1 else arr
+
+
+def _mean_batch(arr: np.ndarray) -> np.ndarray:
+    """Average away any leading batch axes beyond one key axis."""
+    return arr.mean(axis=tuple(range(arr.ndim - 1))) if arr.ndim > 1 else arr
+
+
+# The five attention scores as separate expressions, one per variant.
+REFERENCE_SCORES = {
+    ScorerVariant.GRAD_WEIGHTED_AVG:
+        lambda a, g: np.abs(_fold((g * a).sum(axis=-2).mean(axis=-2))),
+    ScorerVariant.GRAD_ONLY:
+        lambda a, g: np.abs(_fold(g.sum(axis=-2).mean(axis=-2))),
+    ScorerVariant.GRAD_CLASS_ATTN:
+        lambda a, g: np.abs(_fold((g[..., 0, :] * a[..., 0, :])
+                                  .mean(axis=-2))),
+    ScorerVariant.ATTN_ONLY_AVG:
+        lambda a, g: np.abs(_mean_batch(a.sum(axis=-2).mean(axis=-2))),
+    ScorerVariant.ATTN_ONLY_CLASS:
+        lambda a, g: np.abs(_mean_batch(a[..., 0, :].mean(axis=-2))),
+}
+
+
+class TestOneReduction:
+    """``score_attention`` serves all five attention variants from one
+    table of (operand, query rows, batch reduction)."""
+
+    def test_table_covers_every_attention_variant(self):
+        others = {ScorerVariant.TAYLOR_TOKEN, ScorerVariant.RANDOM}
+        assert set(scoring.ATTENTION_SCORES) == set(ScorerVariant) - others
+
+    def test_bytes_equal_the_per_variant_expressions(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(100):
+            batch = tuple(int(b) for b in
+                          rng.integers(1, 4, size=rng.integers(0, 4)))
+            n = int(rng.integers(1, 21))
+            shape = batch + (int(rng.integers(1, 5)), n, n)
+            maps = rng.uniform(size=shape)
+            maps /= maps.sum(axis=-1, keepdims=True)
+            grads = rng.normal(size=shape) * rng.choice([1e-6, 1.0, 1e3])
+            for variant, reference in REFERENCE_SCORES.items():
+                got = scoring.score_attention(variant, maps, grads)
+                want = reference(maps, grads)
+                assert got.shape == want.shape == (n,)
+                assert got.tobytes() == want.tobytes(), (variant, shape)
+
+    @pytest.mark.parametrize("variant", list(scoring.ATTENTION_SCORES),
+                             ids=lambda v: v.value)
+    def test_trace_without_gradients(self, variant):
+        trace = vit.AttentionTrace(layer=0)
+        trace.maps = np.full((2, 1, 3, 3), 1 / 3)
+        if scoring.ATTENTION_SCORES[variant][0] == "attn":
+            np.testing.assert_allclose(
+                scoring.scores_from_trace(trace, variant),
+                np.full(3, 1.0 if variant is ScorerVariant.ATTN_ONLY_AVG
+                        else 1 / 3))
+        else:
+            with pytest.raises(ContractError, match="backward pass"):
+                scoring.scores_from_trace(trace, variant)
+
+    def test_gradient_shape_must_match_maps(self):
+        with pytest.raises(ShapeMismatchError, match="shapes differ"):
+            weighted(np.ones((1, 2, 2)), np.ones((1, 3, 3)))
 
 
 class TestAccumulate:

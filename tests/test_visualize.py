@@ -35,10 +35,10 @@ def make_plan(rate, threshold, seed=1, depth=2, exempt=()):
 
 # --- PPM container ---------------------------------------------------------
 
-def test_ppm_round_trip():
+def test_ppm_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     pixels = rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
-    path = "/tmp/test_rt.ppm"
+    path = tmp_path / "rt.ppm"
     write_ppm(path, pixels)
     again = read_ppm(path)
     assert again.dtype == np.uint8

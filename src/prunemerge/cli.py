@@ -131,10 +131,9 @@ def cmd_score(args) -> int:
     cfg = _config_from_args(args)
     model = _load_base_model(args.ckpt)
     train, _ = _load_datasets(cfg)
-    variant = ScorerVariant.from_name(cfg["scorer"])
     scores = collect_scores(model, train, iterations=cfg["iterations"],
-                            batch_size=cfg["batch_size"], variant=variant,
-                            seed=cfg["seed"])
+                            batch_size=cfg["batch_size"],
+                            variant=cfg["scorer"], seed=cfg["seed"])
     export_scores_csv(args.out, scores)
     print(f"token scores for {len(scores)} layers written to {args.out}")
     return 0
@@ -254,6 +253,7 @@ def cmd_visualize(args) -> int:
     cfg = _config_from_args(args)
     plan = checkpoint.load_plan(args.plan)
     config = model_config_from(cfg)
+    plan.check_fits(config)
     data = _split(cfg, args.split)
     if not 0 <= args.image < len(data):
         raise ContractError(

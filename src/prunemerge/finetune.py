@@ -89,17 +89,21 @@ def self_distill_loss(student_logits: Tensor, teacher_logits: Tensor,
     return ce + kl * alpha, ce, kl
 
 
-def cosine_lr(step: int, total_steps: int, base_lr: float,
-              min_lr: float = 0.0) -> float:
-    """Cosine decay from base_lr to min_lr over total_steps."""
+def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
+    """Cosine decay from base_lr to zero over total_steps."""
     if total_steps <= 0:
         return base_lr
     t = min(max(step, 0), total_steps) / total_steps
-    return min_lr + 0.5 * (base_lr - min_lr) * (1.0 + math.cos(math.pi * t))
+    return 0.5 * base_lr * (1.0 + math.cos(math.pi * t))
+
+
+# AdamW's moment decay rates and denominator guard.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class AdamW:
-    """Adaptive moments with decoupled weight decay.
+    """Adaptive moments with decoupled weight decay, at the fixed rates
+    ``BETA1`` and ``BETA2`` and guard ``EPS``.
 
     Decay applies to matrices only (ndim >= 2); biases and norm
     gains/offsets are exempt.  Parameters whose grad is None this step
@@ -125,14 +129,12 @@ class AdamW:
     parameter-sized is allocated.
     """
 
-    def __init__(self, named_params, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, named_params, weight_decay: float = 0.0):
         self.params: list[tuple[str, Tensor]] = list(named_params)
         names = [n for n, _ in self.params]
         if len(set(names)) != len(names):
             raise ContractError("duplicate parameter names")
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         total = sum(t.data.size for _, t in self.params)
         self._flat = np.empty(total)
         self._m, self._v = np.empty(total), np.empty(total)
@@ -205,7 +207,7 @@ class AdamW:
 
     def _update_chunk(self, t: int, offset: int, g: np.ndarray,
                       lr: float) -> None:
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         end = offset + g.size
         p, m, v = self._flat[offset:end], self._m[offset:end], \
             self._v[offset:end]
@@ -225,7 +227,7 @@ class AdamW:
         a *= lr
         np.divide(v, 1 - b2 ** t, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += EPS
         a /= b
         p -= a
 
@@ -270,8 +272,6 @@ class TrainState:
     epoch: int                       # next epoch to run
     step: int                        # global steps completed
     seed: int
-    loss_sum: float = 0.0
-    loss_count: int = 0
     optimizer: dict[str, np.ndarray] = field(default_factory=dict)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
@@ -279,8 +279,6 @@ class TrainState:
             "state.epoch": np.array(self.epoch, dtype=np.int64),
             "state.step": np.array(self.step, dtype=np.int64),
             "state.seed": np.array(self.seed, dtype=np.int64),
-            "state.loss_sum": np.array(self.loss_sum, dtype=np.float64),
-            "state.loss_count": np.array(self.loss_count, dtype=np.int64),
         }
         out.update(self.optimizer)
         return out
@@ -288,29 +286,17 @@ class TrainState:
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "TrainState":
         """Inverse of ``to_arrays``.  Each counter must be a 0-d integer
-        array (nonnegative except the seed) and ``loss_sum`` a 0-d finite
-        float; nothing is coerced."""
-        def scalar(name: str) -> np.ndarray:
+        array, nonnegative except the seed; nothing is coerced."""
+        def integer(name: str, nonnegative: bool = True) -> int:
             try:
-                return np.asarray(arrays[f"state.{name}"])
+                value = np.asarray(arrays[f"state.{name}"])
             except KeyError as e:
                 raise ContractError(f"train state missing {e}") from None
-
-        def integer(name: str, nonnegative: bool = True) -> int:
-            return int_scalar(scalar(name), f"train state {name}",
+            return int_scalar(value, f"train state {name}",
                               nonnegative=nonnegative)
 
-        epoch, step = integer("epoch"), integer("step")
-        seed = integer("seed", nonnegative=False)
-        loss_sum = scalar("loss_sum")
-        if loss_sum.shape != () or loss_sum.dtype.kind != "f" \
-                or not np.isfinite(loss_sum):
-            raise ContractError(
-                f"train state loss_sum must be a finite 0-d float, got "
-                f"{loss_sum.dtype} "
-                f"{loss_sum.shape if loss_sum.ndim else loss_sum.item()!r}")
-        state = cls(epoch=epoch, step=step, seed=seed,
-                    loss_sum=float(loss_sum), loss_count=integer("loss_count"))
+        state = cls(epoch=integer("epoch"), step=integer("step"),
+                    seed=integer("seed", nonnegative=False))
         state.optimizer = {k: v for k, v in arrays.items()
                            if k.startswith("opt.")}
         return state
@@ -392,8 +378,6 @@ def run_epochs(model, optimizer: AdamW, state: TrainState, loss_of,
             T.backward(loss)
             optimizer.step(lr)
             state.step += 1
-            state.loss_sum += loss_val
-            state.loss_count += 1
             metrics.append({"epoch": epoch, "step": state.step,
                             "loss": loss_val, "ce": ce, "kl": kl, "lr": lr,
                             "val_acc": None})

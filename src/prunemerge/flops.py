@@ -131,9 +131,10 @@ class FlopsReport:
         return "\n".join(rows) + "\n"
 
 
-def model_flops(config, plan=None) -> FlopsReport:
-    """Whole-model accounting; ``plan`` is a CompressionPlan or a
-    {layer: kept_tokens} mapping (absent layers run uncompressed).
+def model_flops(config, plan: CompressionPlan | None = None) -> FlopsReport:
+    """Whole-model accounting; ``plan`` is a CompressionPlan that fits
+    ``config`` (its exempt layers run uncompressed), or None for the
+    uncompressed model.
 
     The count is the paper's: every layer's full block at its token
     width.  The forward pass computes only the class-token row of the
@@ -142,15 +143,10 @@ def model_flops(config, plan=None) -> FlopsReport:
     a saving this count does not model.
     """
     n, d = config.num_tokens, config.embed_dim
-    if isinstance(plan, CompressionPlan):
+    kept = {}
+    if plan is not None:
         plan.check_fits(config)
-        plan = plan.kept_per_layer()
-    kept = {int(k): int(v) for k, v in dict(plan or {}).items()}
-    for layer, m in kept.items():
-        if not 0 <= layer < config.depth:
-            raise ContractError(f"layer {layer} outside [0, {config.depth})")
-        if m < 1:
-            raise ContractError(f"layer {layer} keeps {m} tokens")
+        kept = plan.kept_per_layer()
     layers: list[dict[str, int]] = []
     info_tokens: list[int] = []
     for layer in range(config.depth):

@@ -54,12 +54,11 @@ def _dataset_kind(raw: str) -> str:
     return raw
 
 
-def _scorer(raw: str) -> str:
+def _scorer(raw: str) -> ScorerVariant:
     try:
-        ScorerVariant.from_name(raw)
+        return ScorerVariant.from_name(raw)
     except ContractError as e:
         raise ConfigError(str(e)) from None
-    return raw
 
 
 def _exempt(raw: str) -> str:
@@ -85,7 +84,7 @@ SCHEMA: dict[str, tuple] = {
     "pm_threshold": (_float, 0.1),
     "exempt_layers": (_exempt, "auto"),
     # scoring
-    "scorer": (_scorer, "grad_weighted_avg"),
+    "scorer": (_scorer, ScorerVariant.GRAD_WEIGHTED_AVG),
     "iterations": (_int, 8),
     # training
     "epochs": (_int, 5),

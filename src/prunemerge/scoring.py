@@ -101,20 +101,19 @@ def score_attention(variant: ScorerVariant, maps: np.ndarray,
     return np.abs(reduce_batch(per_key, axis=tuple(range(per_key.ndim - 1))))
 
 
-def scores_from_trace(trace: AttentionTrace, variant: ScorerVariant,
-                      rng: np.random.Generator | None = None) -> np.ndarray:
-    """Score one layer's trace with the selected rule."""
+def scores_from_trace(trace: AttentionTrace,
+                      variant: ScorerVariant) -> np.ndarray:
+    """Score one layer's trace with the selected rule.  Random scores
+    read no trace: ``collect_scores`` draws them without a forward."""
     if variant is ScorerVariant.TAYLOR_TOKEN:
         if trace.tokens is None or trace.tokens.grad is None:
             raise ContractError("taylor_token scoring needs traced token "
                                 "activations with gradients")
         return score_taylor_token(trace.tokens.data, trace.tokens.grad)
-    if variant is ScorerVariant.RANDOM and rng is None:
-        raise ContractError("random scorer needs a generator")
+    if variant not in ATTENTION_SCORES:
+        raise ContractError(f"{variant.value} scores have no trace rule")
     if trace.maps is None:
         raise ContractError("trace has no attention recorded yet")
-    if variant is ScorerVariant.RANDOM:
-        return rng.uniform(size=trace.maps.shape[-1])
     return score_attention(variant, trace.maps, trace.grads)
 
 
@@ -163,8 +162,7 @@ def collect_scores(model: VisionTransformer, dataset: data_mod.Dataset, *,
                 logits = model.forward(images, traces=traces)
                 loss = T.cross_entropy(logits, labels)
                 T.backward(loss)
-                per_layer = [scores_from_trace(tr, variant, rng)
-                             for tr in traces]
+                per_layer = [scores_from_trace(tr, variant) for tr in traces]
                 T.zero_grads(params)
             for total, scores in zip(sums, per_layer):
                 total += scores

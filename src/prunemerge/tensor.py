@@ -60,6 +60,8 @@ Array = np.ndarray
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+# Added to each row's variance before ``layer_norm`` divides by its root.
+_LN_EPS = 1e-6
 
 # Whether ``from_op`` records graph nodes; see ``no_grad``.
 _RECORDING = contextvars.ContextVar("prunemerge_recording", default=True)
@@ -622,12 +624,12 @@ def _mean_last(x: Array) -> Array:
     return s
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalise the last axis to zero mean, unit variance; scale and shift.
 
     ``gamma`` and ``beta`` are vectors as long as that axis.  A constant
-    row (zero variance) maps to zeros, so eps keeps the division finite
-    rather than changing the result.  The forward makes two x-sized
+    row (zero variance) maps to zeros, so ``_LN_EPS`` keeps the division
+    finite rather than changing the result.  The forward makes two x-sized
     arrays, ``xhat`` (saved) and the output, which first holds the squares
     for the variance; the backward makes two, one of which becomes dx.
     The node's ``rebuild`` remakes the output from ``xhat``, so a consumer
@@ -640,7 +642,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
             f"input {x.shape}")
     xhat = x.data - _mean_last(x.data)
     data = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(_mean_last(data) + eps)
+    inv = 1.0 / np.sqrt(_mean_last(data) + _LN_EPS)
     xhat *= inv
     affine = _Affine(xhat, gd, beta.data)
     affine.array(out=data)

@@ -67,10 +67,6 @@ class ModelConfig:
         return self.num_patches + 1  # class token at index 0
 
     @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.heads
-
-    @property
     def patch_dim(self) -> int:
         return self.channels * self.patch_size ** 2
 

@@ -1,8 +1,8 @@
 """Shared test utilities: finite-difference gradient checking, the dense
 pseudoinverse and merge-map render the oracles compare against, the
 shape ops and loss reducer no program path runs, composed attention, the
-list of a module's functions that a run never calls, and a reader for
-the pixmaps ``visualize`` writes."""
+list of the functions of one or more modules that a run never calls, and a
+reader for the pixmaps ``visualize`` writes."""
 
 import inspect
 import sys
@@ -173,23 +173,28 @@ def composed_attention(q, k, v, w_o, heads: int, scale: float, sink=None,
     return T.matmul(_merge_heads(T.matmul(attn, v)), w_o)
 
 
-def uncalled(module, run) -> set[str]:
+def uncalled(modules, run) -> set[str]:
     """Qualified names of the functions, methods, property getters and
-    cached properties that ``module``'s own source defines and that never
-    ran while ``run()`` did, as ``sys.setprofile`` sees calls."""
-    members = list(vars(module).items())
-    for cname, cls in vars(module).items():
-        if inspect.isclass(cls) and cls.__module__ == module.__name__:
-            members += [(f"{cname}.{attr}", m)
-                        for attr, m in vars(cls).items()]
+    cached properties that the source of ``modules`` (one module or a
+    list of them) defines and that never ran while ``run()`` did, as
+    ``sys.setprofile`` sees calls.  A name from a list of modules starts
+    with its module's last dotted part, as in ``finetune.AdamW.step``."""
+    several = isinstance(modules, (list, tuple))
     code = {}
-    for name, m in members:
-        for attr in ("fget", "func", "__func__"):
-            m = getattr(m, attr, m)
-        fn = inspect.unwrap(m)
-        if inspect.isfunction(fn) \
-                and fn.__code__.co_filename == module.__file__:
-            code[name] = fn.__code__
+    for module in modules if several else [modules]:
+        prefix = module.__name__.rpartition(".")[2] + "." if several else ""
+        members = list(vars(module).items())
+        for cname, cls in vars(module).items():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                members += [(f"{cname}.{attr}", m)
+                            for attr, m in vars(cls).items()]
+        for name, m in members:
+            for attr in ("fget", "func", "__func__"):
+                m = getattr(m, attr, m)
+            fn = inspect.unwrap(m)
+            if inspect.isfunction(fn) \
+                    and fn.__code__.co_filename == module.__file__:
+                code[prefix + name] = fn.__code__
     called = set()
     sys.setprofile(lambda frame, event, arg: called.add(frame.f_code))
     try:

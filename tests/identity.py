@@ -15,7 +15,7 @@ the engine's chunks.  Per config it holds:
   plan, with every parameter gradient of the recorded and traced runs
 * every trace's maps, dL/dA and token gradients; the base model's also
   with a bump added to every layer's maps
-* every scorer's scores
+* the scores of every scorer that reads a trace (all but ``random``)
 * the parameters, AdamW state, exported plan and losses after three
   distill steps (two with learnable matrices, one frozen) under each
   compressing plan
@@ -120,11 +120,12 @@ def _model_arrays(out: dict, tag: str, config: ModelConfig, batch: int,
     labels = rng.integers(0, config.num_classes, batch)
     base = VisionTransformer.build(config, seed=3)
     traces = _run(out, f"{tag}/base", base, images, labels)
-    scorer_rng = np.random.default_rng(5)
     for variant in ScorerVariant:
+        if variant is ScorerVariant.RANDOM:
+            continue
         for trace in traces:
             out[f"{tag}/scores.{variant.value}.layer{trace.layer}"] = \
-                scores_from_trace(trace, variant, scorer_rng)
+                scores_from_trace(trace, variant)
     if not reduced:
         bumps = {t.layer: rng.normal(0.0, 0.01, t.maps.shape)
                  for t in traces}
@@ -228,7 +229,8 @@ def _cli_chain(out: dict, work: Path) -> None:
 
 def collect(reduced: bool = False) -> dict[str, np.ndarray]:
     """Every array of a dump; ``reduced`` keeps the acceptance shape's
-    base model, scorers and class-token plan and 20 random plans."""
+    base model, trace scorers and class-token plan and 20 random
+    plans."""
     out: dict[str, np.ndarray] = {}
     shapes = {"acc": SHAPES["acc"]} if reduced else SHAPES
     for tag, (config, batch) in shapes.items():

@@ -16,9 +16,9 @@ import pytest
 from prunemerge import checkpoint
 from prunemerge.cli import main
 from prunemerge.compression import (CompressedModel, CompressionPlan,
-                                    compress_model)
+                                    compress_model, identity_plan)
 
-from helpers import read_ppm
+from helpers import read_ppm, uncalled
 
 CONFIG_TEXT = """\
 image_size=8
@@ -386,6 +386,23 @@ def test_val_split_without_validation_is_one_line_error(workdir, cfg,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["flops", "visualize"])
+def test_plan_of_another_depth_is_one_line_error(tmp_path, cfg, capsys,
+                                                 command):
+    # The config's model has depth 2 and 5 tokens; the plan has 3 layers.
+    plan = tmp_path / "deep.pmvt"
+    checkpoint.save_plan(plan, identity_plan(3, 5))
+    out_dir = tmp_path / "never_viz"
+    argv = [command, "--config", cfg, "--plan", str(plan)]
+    if command == "visualize":
+        argv += ["--out-dir", str(out_dir)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: ContractError: plan depth 3 != model depth 2\n"
+    assert not out_dir.exists()
+
+
 def test_visualize_rejects_bad_image_index(workdir, cfg, plan_file, capsys):
     assert main(["visualize", "--config", cfg, "--plan", plan_file,
                  "--out-dir", str(workdir / "viz2"),
@@ -468,19 +485,19 @@ SCORE_ROW_DEFECTS = {
 
 @pytest.mark.parametrize("row", SCORE_ROW_DEFECTS.values(),
                          ids=SCORE_ROW_DEFECTS.keys())
-def test_malformed_scores_row_is_one_line_error(workdir, cfg, base_ckpt,
+def test_malformed_scores_row_is_one_line_error(tmp_path, cfg, base_ckpt,
                                                scores_csv, capsys, row):
     lines = Path(scores_csv).read_bytes().splitlines()
     lines[2] = row                      # line 3: layer 0, token 1
-    bad = workdir / "bad_scores.csv"
+    bad = tmp_path / "bad_scores.csv"
     bad.write_bytes(b"\n".join(lines) + b"\n")
+    out = tmp_path / "never.pmvt"
     assert main(["compress", "--config", cfg, "--ckpt", base_ckpt,
-                 "--scores", str(bad), "--out",
-                 str(workdir / "never.pmvt")]) == 1
+                 "--scores", str(bad), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: ContractError: {bad}:3: ")
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert not (workdir / "never.pmvt").exists()
+    assert not out.exists()
 
 
 def test_config_with_invalid_utf8_is_one_line_error(workdir, capsys):
@@ -509,20 +526,21 @@ INTEGER_LIST_DEFECTS = {
 @pytest.mark.parametrize("command, value, shown",
                          INTEGER_LIST_DEFECTS.values(),
                          ids=INTEGER_LIST_DEFECTS.keys())
-def test_bad_integer_list_is_one_line_error(workdir, cfg, base_ckpt,
+def test_bad_integer_list_is_one_line_error(tmp_path, cfg, base_ckpt,
                                             scores_csv, plan_file, capsys,
                                             command, value, shown):
     if command == "compress":
+        out = tmp_path / "never.pmvt"
         argv = ["compress", "--config", cfg, "--ckpt", base_ckpt,
-                "--scores", scores_csv, "--out", str(workdir / "never.pmvt"),
-                "--exempt", value]
+                "--scores", scores_csv, "--out", str(out), "--exempt", value]
     else:
+        out = tmp_path / "never_viz"
         argv = ["visualize", "--config", cfg, "--plan", plan_file,
-                "--out-dir", str(workdir / "never_viz"), "--layers", value]
+                "--out-dir", str(out), "--layers", value]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: ConfigError: expected an integer, got {shown}\n"
-    assert not (workdir / "never.pmvt").exists()
+    assert not out.exists()
 
 
 HYPERPARAMETER_DEFECTS = {
@@ -686,3 +704,69 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "1224589824" in proc.stdout
+
+
+# Functions of the modules below that no command calls, and why each
+# stays; every other function and method they define must run in the
+# chain of the test that follows.
+RESUME = "library resume, promised by the README's Determinism paragraph"
+UNCALLED_BY_DESIGN = {
+    "finetune.TrainState.to_arrays": RESUME,
+    "finetune.TrainState.from_arrays": RESUME,
+    "finetune.AdamW.load_state_arrays": RESUME,
+    "data.write_idx": "perfbench and the tests write IDX inputs",
+    "scoring.prune_count_for": "the pm_threshold path of "
+                               "generate_merge_matrix",
+}
+
+
+def test_program_paths_call_every_function_of_the_commands(tmp_path):
+    # Every command in-process at the default model shape: each scorer,
+    # eval with and without a plan and on an IDX pair, flops in all three
+    # formats, bench as text and JSON, and visualize of named layers,
+    # all under a config file that sets a float key.
+    from prunemerge.data import write_idx
+    from prunemerge.scoring import ScorerVariant
+    modules = [importlib.import_module(f"prunemerge.{name}") for name in (
+        "vit", "scoring", "finetune", "flops", "data", "checkpoint",
+        "runconfig", "cli", "visualize")]
+    write_idx(tmp_path / "img.idx", np.zeros((24, 28, 28), dtype=np.uint8))
+    write_idx(tmp_path / "lab.idx", np.arange(24, dtype=np.uint8) % 10)
+    (tmp_path / "run.cfg").write_text(
+        "data_count=32\nval_count=16\nepochs=2\nbatch_size=16\n"
+        "iterations=1\nrate=0.7\nexempt_layers=none\n")
+    cfg = ["--config", str(tmp_path / "run.cfg")]
+    idx = ["--set", "dataset=idx", "--set", "val_count=8",
+           "--set", f"idx_images={tmp_path / 'img.idx'}",
+           "--set", f"idx_labels={tmp_path / 'lab.idx'}"]
+    base, scores, plan, student = (str(tmp_path / name) for name in (
+        "base.pmvt", "scores.csv", "plan.pmvt", "student.pmvt"))
+    bench = ["bench", "--sizes", "8x4", "--reps", "10"]
+    chain = [["train-baseline", *cfg, "--out", base,
+              "--metrics", base + ".csv"]]
+    chain += [["score", *cfg, "--ckpt", base, "--out", scores,
+               "--scorer", variant.value] for variant in ScorerVariant]
+    chain += [
+        ["compress", *cfg, "--ckpt", base, "--scores", scores, "--out", plan],
+        ["finetune", *cfg, "--ckpt", base, "--plan", plan, "--out", student,
+         "--metrics", student + ".csv"],
+        ["eval", *cfg, "--ckpt", student],
+        ["eval", *cfg, "--ckpt", base, "--plan", plan],
+        ["eval", *cfg, *idx, "--ckpt", base],
+        ["flops", *cfg, "--plan", plan],
+        ["flops", *cfg, "--json"],
+        ["flops", *cfg, "--csv"],
+        bench, bench + ["--json"],
+        ["visualize", *cfg, "--plan", plan,
+         "--out-dir", str(tmp_path / "maps"), "--layers", "0,1"],
+    ]
+
+    def paths():
+        for argv in chain:
+            assert main(argv) == 0, argv
+
+    never = uncalled(modules, paths)
+    allowed = set(UNCALLED_BY_DESIGN)
+    assert never == allowed, (
+        f"never called: {sorted(never - allowed)}; "
+        f"called though allowed or not defined: {sorted(allowed - never)}")

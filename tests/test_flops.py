@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from prunemerge import flops
-from prunemerge.compression import global_plan
+from prunemerge.compression import (CompressionPlan, PlanEntry,
+                                    generate_merge_matrix, global_plan,
+                                    identity_plan, pseudoinverse)
 from prunemerge.errors import ContractError
 from prunemerge.flops import (FlopsReport, block_flops, micro_benchmark,
                               model_flops, overhead_flops)
@@ -10,6 +12,19 @@ from prunemerge.vit import ModelConfig
 
 DEIT_TINY = ModelConfig(image_size=224, patch_size=16, channels=3,
                         embed_dim=192, depth=12, heads=3, num_classes=1000)
+
+
+def plan_keeping(kept: dict[int, int]) -> CompressionPlan:
+    """A DeiT-tiny plan whose layer l keeps ``kept[l]`` tokens, each entry
+    built with ``generate_merge_matrix``; the other layers are exempt."""
+    rng = np.random.default_rng(0)
+    entries: list[PlanEntry | None] = [None] * DEIT_TINY.depth
+    for layer, m in kept.items():
+        scores = rng.uniform(0.1, 1, DEIT_TINY.num_tokens)
+        mask, merge = generate_merge_matrix(scores, None, m, prune_count=0)
+        entries[layer] = PlanEntry(mask, merge, pseudoinverse(merge),
+                                   merge.kept)
+    return CompressionPlan(entries, class_token=False)
 
 
 class TestBlockFlops:
@@ -57,7 +72,7 @@ class TestModelFlops:
 
     def test_uniform_keep_rate_reduction(self):
         m = round(0.7 * 197)
-        plan = {layer: m for layer in range(12)}
+        plan = plan_keeping(dict.fromkeys(range(12), m))
         report = model_flops(DEIT_TINY, plan)
         per_block = sum(block_flops(m, 192).values()) + 6 * 197 * 192
         assert report.encoder_total == 12 * per_block
@@ -66,8 +81,7 @@ class TestModelFlops:
         assert 0.30 < report.reduction < 0.35
 
     def test_identity_plan_costs_exactly_the_overhead(self):
-        plan = {layer: 197 for layer in range(12)}
-        report = model_flops(DEIT_TINY, plan)
+        report = model_flops(DEIT_TINY, identity_plan(12, 197))
         baseline = model_flops(DEIT_TINY)
         assert report.encoder_total - baseline.encoder_total \
             == 12 * 6 * 197 * 192
@@ -77,11 +91,12 @@ class TestModelFlops:
         rng = np.random.default_rng(9)
         for _ in range(20):
             kept = {layer: int(rng.integers(2, 198)) for layer in range(12)}
-            total = model_flops(DEIT_TINY, kept).encoder_total
+            total = model_flops(DEIT_TINY, plan_keeping(kept)).encoder_total
             layer = int(rng.integers(0, 12))
             kept2 = dict(kept)
             kept2[layer] = max(1, kept[layer] - int(rng.integers(1, 50)))
-            assert model_flops(DEIT_TINY, kept2).encoder_total <= total
+            assert model_flops(DEIT_TINY,
+                               plan_keeping(kept2)).encoder_total <= total
 
     def test_accepts_compression_plan(self):
         config = ModelConfig(image_size=8, patch_size=4, channels=1,
@@ -97,8 +112,9 @@ class TestModelFlops:
         assert report.encoder_total == manual
 
     def test_plan_depth_mismatch(self):
-        with pytest.raises(ContractError):
-            model_flops(DEIT_TINY, {12: 100})
+        with pytest.raises(ContractError,
+                           match=r"^plan depth 13 != model depth 12$"):
+            model_flops(DEIT_TINY, identity_plan(13, 197))
 
     def test_plan_width_mismatch(self):
         config = ModelConfig(image_size=8, patch_size=4, channels=1,

@@ -8,6 +8,7 @@ from prunemerge.errors import ConfigError
 from prunemerge.runconfig import (SCHEMA, load_config, model_config_from,
                                   parse_config_text, resolve_exempt,
                                   resolve_freeze_epoch)
+from prunemerge.scoring import ScorerVariant
 
 
 def test_defaults_cover_every_key():
@@ -57,7 +58,8 @@ def test_dataset_kind_restricted():
 
 def test_scorer_validated_against_variants():
     assert parse_config_text("scorer=attn_only_avg\n") == {
-        "scorer": "attn_only_avg"}
+        "scorer": ScorerVariant.ATTN_ONLY_AVG}
+    assert load_config()["scorer"] is ScorerVariant.GRAD_WEIGHTED_AVG
     with pytest.raises(ConfigError, match=r"<config>:1: scorer"):
         parse_config_text("scorer=made_up\n")
 

@@ -102,7 +102,10 @@ class TestOtherVariants:
 
     def test_random_variant_needs_rng(self):
         trace = vit.AttentionTrace(layer=0)
-        with pytest.raises(ContractError):
+        trace.maps = np.full((1, 3, 3), 1 / 3)
+        # Only collect_scores holds the generator random scores need.
+        with pytest.raises(ContractError, match="random scores have no "
+                                                "trace rule"):
             scoring.scores_from_trace(trace, ScorerVariant.RANDOM)
 
     def test_unknown_variant_name(self):

@@ -37,9 +37,6 @@ class TestModelConfig:
         with pytest.raises(ContractError):
             vit.ModelConfig(embed_dim=30, heads=4)
 
-    def test_head_dim(self):
-        assert tiny_config(embed_dim=32, heads=4).head_dim == 8
-
 
 class TestInit:
     def test_deterministic(self):

@@ -141,29 +141,34 @@ def collect_scores(model: VisionTransformer, dataset: data_mod.Dataset, *,
     trace capture and a cross-entropy backward pass purely to obtain
     gradient maps; no parameters are updated.  Batches cycle through
     epochs deterministically.  Each layer keeps a running float64 sum,
-    divided by the iteration count once at the end.
+    divided by the iteration count once at the end.  The random scorer
+    reads no batch: each iteration draws one uniform vector per layer
+    from ``default_rng(seed)``, in layer order.
     """
     if iterations < 1:
         raise ContractError("iterations must be >= 1")
+    if batch_size < 1:
+        raise ContractError("batch_size must be positive")
     n = model.config.num_tokens
     sums = [np.zeros(n) for _ in range(model.config.depth)]
-    rng = np.random.default_rng(seed)
+    if variant is ScorerVariant.RANDOM:
+        rng = np.random.default_rng(seed)
+        for _ in range(iterations):
+            for total in sums:
+                total += rng.uniform(size=n)
+        return [total / iterations for total in sums]
     params = [t for _, t in model.named_parameters()]
     done = 0
     epoch = 0
     while done < iterations:
         for images, labels in data_mod.batches(dataset, batch_size,
                                                seed=seed, epoch=epoch):
-            if variant is ScorerVariant.RANDOM:
-                per_layer = [rng.uniform(size=n)
-                             for _ in range(model.config.depth)]
-            else:
-                traces: list[AttentionTrace] = []
-                logits = model.forward(images, traces=traces)
-                loss = T.cross_entropy(logits, labels)
-                T.backward(loss)
-                per_layer = [scores_from_trace(tr, variant) for tr in traces]
-                T.zero_grads(params)
+            traces: list[AttentionTrace] = []
+            logits = model.forward(images, traces=traces)
+            loss = T.cross_entropy(logits, labels)
+            T.backward(loss)
+            per_layer = [scores_from_trace(tr, variant) for tr in traces]
+            T.zero_grads(params)
             for total, scores in zip(sums, per_layer):
                 total += scores
             done += 1

@@ -29,14 +29,14 @@ intermediate is a cheap function of arrays the graph keeps anyway, one
 node saves only those arrays and backward recomputes the intermediate
 with the forward's own kernel, so the result is bit-identical.
 ``attention`` recomputes the softmax maps from q, k and v, and from the
-maps the context its output projection's gradient reads;
-``gelu_matmul`` recomputes gelu's output from its input.  A layer-norm
-output is never saved: its node keeps a recipe (``_Affine``), the
-``xhat`` it saves anyway plus the gain and offset, and a ``matmul`` that
-would save the output, or a row slice of it, saves the recipe and
-rebuilds the array in backward.  A rebuilt array reads the current
-parameter data, as matmul's saved weight already does, so change no
-parameter between a forward and its backward.
+maps the context its output projection's gradient reads; ``mlp``
+recomputes its hidden layer ``h @ w1`` from ``h`` and gelu's output from
+the hidden layer.  A layer-norm output is never saved: its node keeps a
+recipe (``_Affine``), the ``xhat`` it saves anyway plus the gain and
+offset, and a ``matmul`` or ``mlp`` that would save the output, or a row
+slice of it, saves the recipe and rebuilds the array in backward.  A
+rebuilt array reads the current parameter data, as matmul's saved weight
+already does, so change no parameter between a forward and its backward.
 
 Inference mode: inside ``with no_grad():`` operations record no node and
 their outputs never require grad, so a forward pass keeps no graph and no
@@ -351,13 +351,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return from_op(data, (a, b), grad_fn, "mul")
 
 
-def _check_matmul(a: Tensor, b: Tensor) -> None:
-    if a.ndim < 2 or b.ndim < 2:
+def _check_matmul(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> None:
+    if len(a_shape) < 2 or len(b_shape) < 2:
         raise ShapeMismatchError(
-            f"matmul operands must be at least 2-D, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+            f"matmul operands must be at least 2-D, got {a_shape} and {b_shape}")
+    if a_shape[-1] != b_shape[-2]:
         raise ShapeMismatchError(
-            f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
+            f"matmul inner dimensions differ: {a_shape} @ {b_shape}")
 
 
 def _matmul_grad_a(g: Array, bd: Array, a_shape) -> Array:
@@ -391,7 +391,7 @@ def _matmul_data(a: Array, b: Array) -> Array:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_matmul(a, b)
+    _check_matmul(a.shape, b.shape)
     data = _matmul_data(a.data, b.data)
     a_shape, b_shape = a.shape, b.shape
     # As in ``mul``: save an operand only for the other operand's gradient.
@@ -751,33 +751,46 @@ def gelu(x: Tensor) -> Tensor:
     return from_op(data, (x,), grad_fn, "gelu")
 
 
-def gelu_matmul(x: Tensor, w: Tensor) -> Tensor:
-    """``matmul(gelu(x), w)`` as one node that saves ``x`` but not
-    ``gelu(x)``.
+def mlp(h: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
+    """``matmul(gelu(matmul(h, w1)), w2)`` as one node that saves ``h``
+    (its layer-norm recipe, if it has one) and the two weights, but
+    neither ``h @ w1`` nor its gelu.
 
-    Backward recomputes ``gelu(x)`` for the weight gradient in the same
-    chunked pass that computes ``gelu'(x)``; both are bit-identical to the
-    composed ops.  As in ``matmul``, an operand that needs no gradient
-    gets None and costs nothing.
+    Backward rebuilds ``h``, recomputes ``h @ w1`` with the forward's
+    kernel and runs gelu's output and slope in one chunked pass, so every
+    gradient is bit for bit the composed ops'.  The price is one more
+    ``h @ w1`` GEMM per backward.  As in ``matmul``, an operand that needs
+    no gradient gets None and costs nothing.
     """
-    _check_matmul(x, w)
-    xd = np.asarray(x.data, order="C")
-    h = np.empty(xd.shape)
-    _gelu_passes(xd, y=h)
-    data = _matmul_data(h, w.data)
-    x_shape, w_shape = x.shape, w.shape
-    wd = w.data if x.requires_grad else None
-    grad_w = w.requires_grad
+    _check_matmul(h.shape, w1.shape)
+    _check_matmul(h.shape[:-1] + w1.shape[-1:], w2.shape)
+    w1d, w2d = w1.data, w2.data
+    a = _matmul_data(h.data, w1d)
+    a_shape = a.shape
+    y = np.empty(a_shape)
+    _gelu_passes(a, y=y)
+    del a
+    data = _matmul_data(y, w2d)
+    h_shape, w1_shape, w2_shape = h.shape, w1.shape, w2.shape
+    grad_h, grad_w1, grad_w2 = h.requires_grad, w1.requires_grad, \
+        w2.requires_grad
+    hs = _saved(h)
 
     def grad_fn(g):
-        gh = None if wd is None else np.ascontiguousarray(
-            _matmul_grad_a(g, wd, x_shape))
-        h = np.empty(xd.shape) if grad_w else None
-        _gelu_passes(xd, y=h, g=gh, dx=gh)
-        return (gh, None if h is None else _matmul_grad_b(h, g, x_shape,
-                                                          w_shape))
+        hd = _restored(hs)
+        a = _matmul_data(hd, w1d)
+        ga = np.ascontiguousarray(_matmul_grad_a(g, w2d, a_shape)) \
+            if grad_h or grad_w1 else None
+        y = np.empty(a_shape) if grad_w2 else None
+        _gelu_passes(a, y=y, g=ga, dx=ga)
+        del a
+        gw2 = None if y is None else _matmul_grad_b(y, g, a_shape, w2_shape)
+        del y
+        gh = _matmul_grad_a(ga, w1d, h_shape) if grad_h else None
+        gw1 = _matmul_grad_b(hd, ga, h_shape, w1_shape) if grad_w1 else None
+        return gh, gw1, gw2
 
-    return from_op(data, (x, w), grad_fn, "gelu_matmul")
+    return from_op(data, (h, w1, w2), grad_fn, "mlp")
 
 
 def _log_softmax(z: Array) -> Array:

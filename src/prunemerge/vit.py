@@ -6,7 +6,9 @@ biases.  Every block runs one fused attention op, ``tensor.attention``,
 which also applies the output projection.
 Given an AttentionTrace as its sink, that op records the block's
 post-softmax attention maps and, in each backward pass, their gradients;
-given a bump, it adds a constant to the maps.
+given a bump, it adds a constant to the maps.  The MLP is one fused op
+too, ``tensor.mlp``, which saves neither its hidden layer nor that
+layer's GELU.
 
 The head reads only the class token (token 0), so the forward pass runs
 its last block in class-row mode: keys and values for every token, the rest
@@ -243,7 +245,7 @@ def block_forward(z: Tensor, params: BlockParams, heads: int,
                         sink=trace, bump=attn_bump)
 
     h2 = T.layer_norm(z, params.ln2_g, params.ln2_b)
-    return z + T.gelu_matmul(T.matmul(h2, params.w_fc1), params.w_fc2)
+    return z + T.mlp(h2, params.w_fc1, params.w_fc2)
 
 
 def model_forward(images: np.ndarray, params: VitParams, config: ModelConfig,

@@ -173,6 +173,12 @@ def composed_attention(q, k, v, w_o, heads: int, scale: float, sink=None,
     return T.matmul(_merge_heads(T.matmul(attn, v)), w_o)
 
 
+def composed_mlp(h, w1, w2):
+    """The MLP ``tensor.mlp`` fuses, from its primitive ops: the reference
+    for its output and its gradients."""
+    return T.matmul(T.gelu(T.matmul(h, w1)), w2)
+
+
 def uncalled(modules, run) -> set[str]:
     """Qualified names of the functions, methods, property getters and
     cached properties that the source of ``modules`` (one module or a

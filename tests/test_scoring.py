@@ -9,7 +9,7 @@ from prunemerge import scoring
 from prunemerge import tensor as T
 from prunemerge import vit
 from prunemerge.compression import generate_merge_matrix
-from prunemerge.data import synthetic_shapes
+from prunemerge.data import Dataset, synthetic_shapes
 from prunemerge.errors import ContractError, ShapeMismatchError
 from prunemerge.scoring import ScorerVariant
 
@@ -217,6 +217,35 @@ class TestAccumulate:
         for step in draws:
             total = total + step
         np.testing.assert_array_equal(np.stack(got), total / 3)
+
+    def test_random_scores_build_no_batch(self, model_and_data,
+                                          monkeypatch):
+        # Random scores read only the generator: no batch is built, and
+        # the bytes are those of ``iterations`` rounds of one draw per
+        # layer, summed in order, as when a batch loop ran around them.
+        model, ds = model_and_data
+        calls = []
+        build = Dataset.batch
+        monkeypatch.setattr(Dataset, "batch", lambda self, key: calls.append(
+            key) or build(self, key))
+        got = scoring.collect_scores(model, ds, iterations=7, batch_size=8,
+                                     seed=9, variant=ScorerVariant.RANDOM)
+        assert calls == []
+        rng = np.random.default_rng(9)
+        sums = [np.zeros(5) for _ in range(2)]
+        for _ in range(7):
+            per_layer = [rng.uniform(size=5) for _ in range(2)]
+            for total, scores in zip(sums, per_layer):
+                total += scores
+        assert [s.tobytes() for s in got] == \
+            [(total / 7).tobytes() for total in sums]
+        # The spy sees the batches every other scorer builds.
+        scoring.collect_scores(model, ds, iterations=2, batch_size=8)
+        assert len(calls) == 2
+        # A non-positive batch size is refused by every scorer.
+        with pytest.raises(ContractError, match="batch_size must be positive"):
+            scoring.collect_scores(model, ds, iterations=1, batch_size=0,
+                                   variant=ScorerVariant.RANDOM)
 
 
 def _prune_mask(scores, prune_count: int, class_token: bool = True):

@@ -18,8 +18,8 @@ from prunemerge.scoring import (ScorerVariant, collect_scores,
                                 scores_from_trace)
 from prunemerge.vit import ModelConfig, VisionTransformer, block_forward
 
-from helpers import (assert_grads_close, composed_attention, numeric_grad,
-                     reshape, tensor_sum, transpose, uncalled)
+from helpers import (assert_grads_close, composed_attention, composed_mlp,
+                     numeric_grad, reshape, tensor_sum, transpose, uncalled)
 
 
 class TestMatmul:
@@ -592,8 +592,23 @@ class TestAttention:
                 T.attention(q, k, v, w_o, heads, 1.0)
 
 
+def _mlp_input(kind, x, gamma, beta):
+    """The op's ``h``: ``x`` itself, its layer-norm output (saved as a
+    recipe) or that output's class row, (B, 1, D)."""
+    if kind == "plain":
+        return x
+    h = T.layer_norm(x, gamma, beta)
+    return h if kind == "norm" else h[:, :1]
+
+
+# Which of (x, w1, w2) need a gradient: every combination but none.
+_MLP_GRADS = [(x, w1, w2) for x in (True, False) for w1 in (True, False)
+              for w2 in (True, False) if x or w1 or w2]
+
+
 class TestGeluMatmul:
-    """The fused op is bit for bit ``matmul(gelu(x), w)``."""
+    """``mlp(x, I, w)`` is bit for bit ``matmul(gelu(x), w)``: with an
+    identity first layer the hidden layer is exactly ``x``."""
 
     @pytest.mark.parametrize("x_shape,w_shape", [
         ((2, 3, 5), (5, 4)),
@@ -606,53 +621,141 @@ class TestGeluMatmul:
         xd = rng.normal(scale=2.0, size=x_shape)
         wd = rng.normal(size=w_shape)
         g = rng.normal(size=np.matmul(xd, wd).shape)
+        eye = T.Tensor(np.eye(x_shape[-1]))
         for x_grad, w_grad in [(True, True), (True, False), (False, True)]:
             def inputs():
                 return [T.Tensor(xd, requires_grad=x_grad),
                         T.Tensor(wd, requires_grad=w_grad)]
             _assert_same_run(
-                _run(T.gelu_matmul, inputs(), g),
+                _run(lambda x, w: T.mlp(x, eye, w), inputs(), g),
                 _run(lambda x, w: T.matmul(T.gelu(x), w), inputs(), g))
 
     def test_constant_operands_get_no_gradient(self):
         rng = np.random.default_rng(32)
         xd, wd = rng.normal(size=(2, 3, 5)), rng.normal(size=(5, 4))
         g = rng.normal(size=(2, 3, 4))
-        both = T.gelu_matmul(T.Tensor(xd, requires_grad=True),
-                             T.Tensor(wd, requires_grad=True))._node.grad_fn(g)
-        for frozen in range(2):
-            out = T.gelu_matmul(T.Tensor(xd, requires_grad=frozen != 0),
-                                T.Tensor(wd, requires_grad=frozen != 1))
-            assert out._node.inputs[frozen] is None
-            grads = out._node.grad_fn(g)
-            assert grads[frozen] is None
-            np.testing.assert_array_equal(grads[1 - frozen],
-                                          both[1 - frozen])
+        operands = (xd, np.eye(5), wd)
+        both = T.mlp(*(T.Tensor(a, requires_grad=True)
+                       for a in operands))._node.grad_fn(g)
+        for grads in _MLP_GRADS:
+            out = T.mlp(*(T.Tensor(a, requires_grad=r)
+                          for a, r in zip(operands, grads)))
+            got = out._node.grad_fn(g)
+            for slot, r in enumerate(grads):
+                if r:
+                    np.testing.assert_array_equal(got[slot], both[slot])
+                else:
+                    assert out._node.inputs[slot] is None
+                    assert got[slot] is None
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(33)
         x = T.Tensor(rng.normal(scale=2.0, size=(2, 3, 5)), requires_grad=True)
         w = T.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         g = rng.normal(size=(2, 3, 4))
-        T.backward(tensor_sum(T.gelu_matmul(x, w) * T.Tensor(g)))
+        w1 = T.Tensor(np.eye(5), requires_grad=True)
+        T.backward(tensor_sum(T.mlp(x, w1, w) * T.Tensor(g)))
 
         def loss():
             c = math.sqrt(2.0 / math.pi)
-            u = c * (x.data + 0.044715 * x.data ** 3)
-            h = 0.5 * x.data * (1.0 + np.tanh(u))
+            a = x.data @ w1.data
+            u = c * (a + 0.044715 * a ** 3)
+            h = 0.5 * a * (1.0 + np.tanh(u))
             return float(((h @ w.data) * g).sum())
 
-        assert_grads_close(x.grad, numeric_grad(loss, x.data), rel=1e-6)
-        assert_grads_close(w.grad, numeric_grad(loss, w.data), rel=1e-6)
+        for t in (x, w1, w):
+            assert_grads_close(t.grad, numeric_grad(loss, t.data), rel=1e-6)
 
     def test_input_never_written_and_shapes_checked(self):
         x = T.Tensor(np.linspace(-4.0, 4.0, 12).reshape(3, 4),
                      requires_grad=True)
+        eye = T.Tensor(np.eye(4))
         before = x.data.copy()
-        T.backward(tensor_sum(T.gelu_matmul(x, T.Tensor(np.ones((4, 2))))))
+        T.backward(tensor_sum(T.mlp(x, eye, T.Tensor(np.ones((4, 2))))))
         np.testing.assert_array_equal(x.data, before)
         with pytest.raises(ShapeMismatchError):
-            T.gelu_matmul(x, T.Tensor(np.ones((3, 2))))
+            T.mlp(x, eye, T.Tensor(np.ones((3, 2))))
+        with pytest.raises(ShapeMismatchError):
+            T.mlp(x, T.Tensor(np.ones((3, 4))), T.Tensor(np.ones((4, 2))))
+        with pytest.raises(ShapeMismatchError):
+            T.mlp(x, eye, T.Tensor(np.ones(4)))
+
+
+class TestMlp:
+    """The fused op is bit for bit ``matmul(gelu(matmul(h, w1)), w2)`` for
+    a plain ``h``, a layer-norm output and its class row, whichever
+    operands need a gradient."""
+
+    @pytest.mark.parametrize("grads", _MLP_GRADS)
+    @pytest.mark.parametrize("kind", ["plain", "norm", "row"])
+    def test_matches_composed_ops_on_every_input(self, kind, grads):
+        rng = np.random.default_rng(34)
+        b, n, d, hidden = 3, 7, 6, 24
+        xd = rng.normal(size=(b, n, d))
+        gamma, beta = (T.Tensor(rng.normal(size=d)) for _ in range(2))
+        w1d = rng.normal(size=(d, hidden))
+        w2d = rng.normal(size=(hidden, d))
+        g = rng.normal(size=(b, 1 if kind == "row" else n, d))
+
+        def run(op):
+            inputs = [T.Tensor(a, requires_grad=r)
+                      for a, r in zip((xd, w1d, w2d), grads)]
+            return _run(lambda x, w1, w2: op(_mlp_input(kind, x, gamma, beta),
+                                             w1, w2), inputs, g)
+
+        _assert_same_run(run(T.mlp), run(composed_mlp))
+
+    @pytest.mark.parametrize("key", [None, (slice(None), slice(None, 1))])
+    def test_saves_the_recipe_not_the_norm_output(self, key):
+        rng = np.random.default_rng(35)
+        x = T.Tensor(rng.normal(size=(3, 5, 6)), requires_grad=True)
+        gamma = T.Tensor(rng.normal(size=6), requires_grad=True)
+        beta = T.Tensor(rng.normal(size=6), requires_grad=True)
+        w1 = T.Tensor(rng.normal(size=(6, 12)), requires_grad=True)
+        w2 = T.Tensor(rng.normal(size=(12, 6)), requires_grad=True)
+        out = T.layer_norm(x, gamma, beta)
+        h = out if key is None else out[key]
+        saved = T.Tensor(h.data.copy(), requires_grad=True)
+        g = rng.normal(size=h.shape)
+        fused = T.mlp(h, w1, w2)
+        ref = weakref.ref(out.data)
+        del out, h
+        assert ref() is None
+        got = fused._node.grad_fn(g)
+        want = T.mlp(saved, w1, w2)._node.grad_fn(g)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["plain", "norm", "row"])
+    def test_gradients_of_every_input_match_finite_differences(self, kind):
+        rng = np.random.default_rng(36)
+        x = T.Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
+        gamma, beta = (T.Tensor(rng.normal(size=5), requires_grad=True)
+                       for _ in range(2))
+        w1 = T.Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+        w2 = T.Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        out = T.mlp(_mlp_input(kind, x, gamma, beta), w1, w2)
+        g = rng.normal(size=out.shape)
+        T.backward(tensor_sum(out * T.Tensor(g)))
+
+        def loss():
+            h = x.data
+            if kind != "plain":
+                h = h - h.mean(-1, keepdims=True)
+                h = h / np.sqrt((h * h).mean(-1, keepdims=True) + 1e-6)
+                h = h * gamma.data + beta.data
+                if kind == "row":
+                    h = h[:, :1]
+            a = h @ w1.data
+            c = math.sqrt(2.0 / math.pi)
+            y = 0.5 * a * (1.0 + np.tanh(c * (a + 0.044715 * a ** 3)))
+            return float(((y @ w2.data) * g).sum())
+
+        inputs = [x, w1, w2] + ([] if kind == "plain" else [gamma, beta])
+        for t in inputs:
+            assert_grads_close(t.grad, numeric_grad(loss, t.data))
+        if kind == "plain":
+            assert gamma.grad is None and beta.grad is None
 
 
 class TestCrossEntropy:

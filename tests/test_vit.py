@@ -10,8 +10,8 @@ from prunemerge import vit
 from prunemerge.errors import ContractError
 from prunemerge.tensor import Tensor
 
-from helpers import (assert_grads_close, composed_attention, numeric_grad,
-                     tensor_sum)
+from helpers import (assert_grads_close, composed_attention, composed_mlp,
+                     numeric_grad, tensor_sum)
 
 
 def tiny_config(**kw):
@@ -204,8 +204,8 @@ def _block_run(p, z, w, **kwargs):
 
 
 class TestFusedBlock:
-    """Every block runs the fused attention and GELU-fc2 ops, which match
-    the composed ops bit for bit."""
+    """Every block runs the fused attention and MLP ops, which match the
+    composed ops bit for bit."""
 
     def _setup(self, seed):
         p = vit.init_params(tiny_config(embed_dim=12), seed=seed).blocks[0]
@@ -229,8 +229,7 @@ class TestFusedBlock:
         w = np.random.default_rng(42).normal(size=(3, 1, 12))
         fused = _block_run(p, z, w, class_row=True)
         monkeypatch.setattr(T, "attention", composed_attention)
-        monkeypatch.setattr(T, "gelu_matmul",
-                            lambda x, w: T.matmul(T.gelu(x), w))
+        monkeypatch.setattr(T, "mlp", composed_mlp)
         composed = _block_run(p, z, w, class_row=True)
         np.testing.assert_array_equal(fused[0], composed[0])
         np.testing.assert_array_equal(fused[1], composed[1])
@@ -252,17 +251,18 @@ class TestFusedBlock:
                        {"attn_bump": np.zeros((3, 2, 6, 6))}):
             names = op_names(**kwargs)
             assert names.count("attention") == 1
-            assert "gelu_matmul" in names
-            assert not set(names) & {"softmax_rows", "gelu", "reshape",
-                                     "transpose"}
+            assert names.count("mlp") == 1
+            assert not set(names) & {"softmax_rows", "gelu", "gelu_matmul",
+                                     "reshape", "transpose"}
         assert trace.maps.shape == (3, 2, 6, 6)
 
     def test_recorded_block_keeps_neither_maps_nor_gelu_output(self):
         # numpy reports its buffers to tracemalloc, so the traced memory
         # still held after the call is what one recorded block keeps,
-        # output included: about ratio + 6.3 (B, N, D) arrays.  Keeping
-        # the (B, H, N, N) maps, the (B, N, mlp_ratio * D) GELU output, a
-        # layer-norm output or the attention context would break the bound.
+        # output included: about 6.3 (B, N, D) arrays.  Keeping the
+        # (B, H, N, N) maps, the (B, N, mlp_ratio * D) hidden layer or its
+        # GELU, a layer-norm output or the attention context would break
+        # the bound.
         b, n, d, heads, ratio = 4, 33, 32, 2, 4
         p = vit.init_params(tiny_config(embed_dim=d, heads=heads,
                                         mlp_ratio=ratio), seed=0).blocks[0]
@@ -277,7 +277,7 @@ class TestFusedBlock:
         finally:
             tracemalloc.stop()
         assert out._node is not None
-        assert kept <= (ratio + 7) * b * n * d * 8
+        assert kept <= 7 * b * n * d * 8
 
 
 class TestModelForward:

@@ -202,27 +202,19 @@ def _config_arrays(config: ModelConfig) -> dict[str, np.ndarray]:
             for name in _CONFIG_FIELDS}
 
 
-def int_scalar(value, what: str, error: type[Exception] = ContractError,
-               nonnegative: bool = False) -> int:
-    """``value`` as an int.  Anything but a 0-d array of a signed or
-    unsigned integer dtype (bool is none), or with ``nonnegative`` a
-    negative one, raises ``error`` naming ``what``; nothing is coerced."""
-    value = np.asarray(value)
-    if value.shape != () or value.dtype.kind not in "iu" \
-            or (nonnegative and value < 0):
-        shown = value.shape if value.ndim else value.item()
-        raise error(f"{what} must be a 0-d "
-                    f"{'nonnegative ' if nonnegative else ''}integer, got "
-                    f"{value.dtype} {shown!r}")
-    return int(value)
-
-
 def _int_scalar(arrays: dict[str, np.ndarray], name: str) -> int:
+    """``arrays[name]`` as an int.  Anything but a 0-d array of a signed
+    or unsigned integer dtype (bool is none) raises CheckpointError;
+    nothing is coerced."""
     try:
-        value = arrays[name]
+        value = np.asarray(arrays[name])
     except KeyError:
         raise CheckpointError(f"checkpoint missing {name!r}") from None
-    return int_scalar(value, name, CheckpointError)
+    if value.shape != () or value.dtype.kind not in "iu":
+        shown = value.shape if value.ndim else value.item()
+        raise CheckpointError(f"{name} must be a 0-d integer, got "
+                              f"{value.dtype} {shown!r}")
+    return int(value)
 
 
 def _config_from(arrays: dict[str, np.ndarray]) -> ModelConfig:

@@ -6,8 +6,8 @@ value v reads as v / 255.  ``Dataset.batch`` is the one read path: it
 returns float64 pixels either way, so byte images are scaled per batch
 and never inflated to float64 as a whole.
 
-Batch order is a pure function of (seed, epoch), so training runs can be
-resumed or replayed bit-identically without serializing generator state.
+Batch order is a pure function of (seed, epoch), so training runs are
+replayed bit-identically without serializing generator state.
 """
 
 from __future__ import annotations

@@ -5,26 +5,23 @@ Both trainers run one loop, ``run_epochs``.  It owns the cosine rate, the
 non-finite check, zero_grad/backward/step, the metrics rows, per-epoch
 validation and freeing each step's graph before the next forward; a
 trainer gives it a per-batch loss closure over batch indices.
-``finetune`` adds resume, ``stop_after``, the freeze epoch, the teacher
-logit cache and the state dump around it.
+``finetune`` adds the freeze epoch and the teacher logit cache around it.
 
 The distillation objective is cross-entropy plus alpha times the KL term;
 gradients reach the student only.  Merge/reconstruct matrices train as
 independent parameters until ``freeze_epoch`` and are then frozen while
 the block weights keep training.  Batch order depends only on (seed,
-epoch), so a run interrupted at an epoch boundary resumes bit-identically
-from a saved TrainState.
+epoch), so a run replays bit-identically from the same inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import int_scalar, save_arrays
 from .data import Dataset, batch_indices, batches
 from .errors import (ConfigError, ContractError, NumericError,
                      ShapeMismatchError)
@@ -235,72 +232,6 @@ class AdamW:
         for _, p in self.params:
             p.grad = None
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for name, _ in self.params:
-            out[f"opt.m.{name}"] = self.m[name].copy()
-            out[f"opt.v.{name}"] = self.v[name].copy()
-            out[f"opt.t.{name}"] = np.array(self.t[name], dtype=np.int64)
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Load what ``state_arrays`` saved; all of it is checked before
-        any of it is written."""
-        loaded = []
-        for name, p in self.params:
-            try:
-                m = arrays[f"opt.m.{name}"]
-                v = arrays[f"opt.v.{name}"]
-                t = arrays[f"opt.t.{name}"]
-            except KeyError as e:
-                raise ContractError(f"optimizer state missing {e}") from None
-            if m.shape != p.data.shape or v.shape != p.data.shape:
-                raise ContractError(
-                    f"optimizer state shape mismatch for {name!r}")
-            loaded.append((name, m, v, int_scalar(
-                t, f"optimizer step count of {name!r}", nonnegative=True)))
-        for name, m, v, t in loaded:
-            self.m[name][...] = m
-            self.v[name][...] = v
-            self.t[name] = t
-
-
-@dataclass
-class TrainState:
-    """Epoch-boundary snapshot sufficient for bit-identical resumption."""
-
-    epoch: int                       # next epoch to run
-    step: int                        # global steps completed
-    seed: int
-    optimizer: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        out = {
-            "state.epoch": np.array(self.epoch, dtype=np.int64),
-            "state.step": np.array(self.step, dtype=np.int64),
-            "state.seed": np.array(self.seed, dtype=np.int64),
-        }
-        out.update(self.optimizer)
-        return out
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "TrainState":
-        """Inverse of ``to_arrays``.  Each counter must be a 0-d integer
-        array, nonnegative except the seed; nothing is coerced."""
-        def integer(name: str, nonnegative: bool = True) -> int:
-            try:
-                value = np.asarray(arrays[f"state.{name}"])
-            except KeyError as e:
-                raise ContractError(f"train state missing {e}") from None
-            return int_scalar(value, f"train state {name}",
-                              nonnegative=nonnegative)
-
-        state = cls(epoch=integer("epoch"), step=integer("step"),
-                    seed=integer("seed", nonnegative=False))
-        state.optimizer = {k: v for k, v in arrays.items()
-                           if k.startswith("opt.")}
-        return state
-
 
 METRICS_HEADER = "epoch,step,loss,ce,kl,lr,val_acc"
 
@@ -345,75 +276,66 @@ def teacher_logits_of(teacher, dataset: Dataset,
             for start in range(0, len(dataset.labels), batch_size)])
 
 
-def run_epochs(model, optimizer: AdamW, state: TrainState, loss_of,
-               n: int, batch_size: int, epochs: int, base_lr: float,
-               stop: int, val_data: Dataset | None = None,
-               begin_epoch=None, on_nonfinite=None) -> list[dict]:
+def run_epochs(model, optimizer: AdamW, loss_of, n: int, batch_size: int,
+               epochs: int, base_lr: float, seed: int,
+               val_data: Dataset | None = None,
+               begin_epoch=None) -> list[dict]:
     """The training loop of both trainers; returns the metrics rows.
 
-    Runs epochs ``state.epoch`` up to ``stop`` of an ``epochs``-long
-    cosine schedule over ``batch_indices(n, batch_size, seed=state.seed,
-    epoch=e)``.  ``loss_of(idx)`` returns a batch's loss tensor and the
-    floats logged as ce and kl.  A step's graph is dropped before the
-    next forward runs.  ``begin_epoch(epoch)`` runs before each epoch,
-    validation on ``val_data`` after it, and ``on_nonfinite()`` before a
-    non-finite loss raises NumericError.
+    Runs ``epochs`` epochs of a cosine schedule over ``batch_indices(n,
+    batch_size, seed=seed, epoch=e)``.  ``loss_of(idx)`` returns a batch's
+    loss tensor and the floats logged as ce and kl.  A non-finite loss
+    raises NumericError before any step is taken on it.  A step's graph is
+    dropped before the next forward runs.  ``begin_epoch(epoch)`` runs
+    before each epoch, validation on ``val_data`` after it.
     """
     total_steps = epochs * max(1, math.ceil(n / batch_size))
     metrics: list[dict] = []
-    for epoch in range(state.epoch, stop):
+    step = 0
+    for epoch in range(epochs):
         if begin_epoch is not None:
             begin_epoch(epoch)
-        for idx in batch_indices(n, batch_size, seed=state.seed, epoch=epoch):
-            lr = cosine_lr(state.step, total_steps, base_lr)
+        for idx in batch_indices(n, batch_size, seed=seed, epoch=epoch):
+            lr = cosine_lr(step, total_steps, base_lr)
             loss, ce, kl = loss_of(idx)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
-                if on_nonfinite is not None:
-                    on_nonfinite()
                 raise NumericError(
                     f"non-finite loss {loss_val} at epoch {epoch} "
-                    f"step {state.step}")
+                    f"step {step}")
             optimizer.zero_grad()
             T.backward(loss)
             optimizer.step(lr)
-            state.step += 1
-            metrics.append({"epoch": epoch, "step": state.step,
+            step += 1
+            metrics.append({"epoch": epoch, "step": step,
                             "loss": loss_val, "ce": ce, "kl": kl, "lr": lr,
                             "val_acc": None})
             # Free this step's graph before the next step's forwards run.
             del loss
         if val_data is not None and metrics:
             metrics[-1]["val_acc"] = evaluate_accuracy(model, val_data)
-        state.epoch = epoch + 1
     return metrics
 
 
 def finetune(model, teacher: VisionTransformer, train_data: Dataset,
-             config: DistillConfig, val_data: Dataset | None = None,
-             resume: TrainState | None = None,
-             state_dump_path=None, stop_after: int | None = None):
+             config: DistillConfig, val_data: Dataset | None = None):
     """Distillation fine-tuning of a compressed model.
 
-    Returns (model, metrics_rows, final_state).  ``model`` is any object
-    exposing forward / named_parameters / set_matrices_trainable (in
-    practice a CompressedModel).  A non-finite loss aborts with
-    NumericError after dumping TrainState to ``state_dump_path``.
-
-    ``stop_after`` interrupts the run after that many total epochs while
-    the LR schedule keeps the full config.epochs horizon; continuing via
-    ``resume`` with the same config reproduces the uninterrupted run
-    bit-for-bit.
+    Returns (model, metrics_rows, optimizer); the AdamW optimizer holds
+    the moments and step counts the run ended with.  ``model`` is any
+    object exposing forward / named_parameters / set_matrices_trainable
+    (in practice a CompressedModel).  A non-finite loss raises
+    NumericError.
 
     The teacher is frozen and batches are not augmented, so its logits
     are the same in every epoch: each call that trains computes them once,
     ``teacher_logits_of`` over ``train_data`` in ``config.batch_size``
     chunks, and each step reads its batch's rows.  The cache holds
-    n x num_classes float64.  A resumed run rebuilds the same cache.  Rows
-    equal per-batch teacher forwards bit for bit where BLAS gives a row
-    the same bits in any full batch; where n is no multiple of the batch
-    size, rows forwarded in the short chunk or the short shuffled batch
-    may differ by a few ulps (3 at most at the acceptance shape).
+    n x num_classes float64.  Rows equal per-batch teacher forwards bit for
+    bit where BLAS gives a row the same bits in any full batch; where n is
+    no multiple of the batch size, rows forwarded in the short chunk or the
+    short shuffled batch may differ by a few ulps (3 at most at the
+    acceptance shape).
     """
     for _, p in teacher.named_parameters():
         if p.requires_grad:
@@ -421,16 +343,7 @@ def finetune(model, teacher: VisionTransformer, train_data: Dataset,
 
     optimizer = AdamW(model.named_parameters(),
                       weight_decay=config.weight_decay)
-    state = resume or TrainState(epoch=0, step=0, seed=config.seed)
-    if resume is not None:
-        if resume.seed != config.seed:
-            raise ContractError(
-                f"resume seed {resume.seed} != config seed {config.seed}")
-        optimizer.load_state_arrays(resume.optimizer)
-
-    last_epoch = config.epochs if stop_after is None \
-        else min(stop_after, config.epochs)
-    if state.epoch < last_epoch:
+    if config.epochs > 0:
         cached = teacher_logits_of(teacher, train_data, config.batch_size)
 
     def loss_of(idx):
@@ -440,19 +353,13 @@ def finetune(model, teacher: VisionTransformer, train_data: Dataset,
             temperature=config.temperature)
         return loss, float(ce.data), float(kl.data)
 
-    def dump_state():
-        state.optimizer = optimizer.state_arrays()
-        save_arrays(state_dump_path, state.to_arrays())
-
     metrics = run_epochs(
-        model, optimizer, state, loss_of, len(train_data.labels),
-        config.batch_size, config.epochs, config.base_lr, last_epoch,
+        model, optimizer, loss_of, len(train_data.labels),
+        config.batch_size, config.epochs, config.base_lr, config.seed,
         val_data=val_data,
         begin_epoch=lambda epoch: model.set_matrices_trainable(
-            epoch < config.freeze_epoch),
-        on_nonfinite=None if state_dump_path is None else dump_state)
-    state.optimizer = optimizer.state_arrays()
-    return model, metrics, state
+            epoch < config.freeze_epoch))
+    return model, metrics, optimizer
 
 
 def train_baseline(config: ModelConfig, train_data: Dataset, epochs: int,
@@ -471,8 +378,6 @@ def train_baseline(config: ModelConfig, train_data: Dataset, epochs: int,
                                train_data.labels[idx])
         return loss, float(loss.data), 0.0
 
-    state = TrainState(epoch=0, step=0, seed=seed)
-    metrics = run_epochs(model, optimizer, state, loss_of,
-                         len(train_data.labels), batch_size, epochs, base_lr,
-                         epochs, val_data=val_data)
+    metrics = run_epochs(model, optimizer, loss_of, len(train_data.labels),
+                         batch_size, epochs, base_lr, seed, val_data=val_data)
     return model, metrics

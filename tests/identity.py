@@ -143,7 +143,7 @@ def _model_arrays(out: dict, tag: str, config: ModelConfig, batch: int,
         if name == "identity":
             continue
         model = compress_model(base, plan, learnable_matrices=True)
-        _, metrics, state = finetune(
+        _, metrics, optimizer = finetune(
             model, base.frozen_copy(), data,
             DistillConfig(epochs=3, freeze_epoch=2, batch_size=batch,
                           seed=7))
@@ -152,8 +152,11 @@ def _model_arrays(out: dict, tag: str, config: ModelConfig, batch: int,
             [[row[k] for k in ("loss", "ce", "kl", "lr")] for row in metrics])
         for pname, p in model.named_parameters():
             out[f"{key}.param.{pname}"] = p.data
-        for aname, value in state.optimizer.items():
-            out[f"{key}.{aname}"] = value
+        for pname in optimizer.m:
+            out[f"{key}.opt.m.{pname}"] = optimizer.m[pname]
+            out[f"{key}.opt.v.{pname}"] = optimizer.v[pname]
+            out[f"{key}.opt.t.{pname}"] = np.array(optimizer.t[pname],
+                                                   dtype=np.int64)
         for aname, value in model.export_plan().to_arrays().items():
             out[f"{key}.{aname}"] = value
 

@@ -317,6 +317,25 @@ def test_finetune_freeze_at_minus_one_is_auto(workdir, cfg, base_ckpt,
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_non_finite_loss_is_one_line_error(workdir, cfg, base_ckpt,
+                                           plan_file, capsys):
+    # The student starts from a base whose head is infinite; the teacher
+    # is the clean base, so only the student's loss goes non-finite.
+    arrays = checkpoint.load_arrays(base_ckpt)
+    arrays["param.head.w"] = np.full_like(arrays["param.head.w"], np.inf)
+    poisoned = workdir / "poisoned.pmvt"
+    checkpoint.save_arrays(poisoned, arrays)
+    out = workdir / "never_tuned.pmvt"
+    with np.errstate(invalid="ignore"):
+        code = main(["finetune", "--config", cfg, "--ckpt", str(poisoned),
+                     "--teacher", base_ckpt, "--plan", plan_file,
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: NumericError: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_eval_refuses_labels_the_model_cannot_output(workdir, cfg, capsys):
     from prunemerge.runconfig import load_config, model_config_from
     from prunemerge.vit import VisionTransformer
@@ -576,6 +595,21 @@ def test_bad_hyperparameter_is_one_line_error(workdir, cfg, base_ckpt,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scorer", ["random", "grad_weighted_avg"])
+def test_score_refuses_idx_dataset_without_paths(workdir, cfg, base_ckpt,
+                                                 capsys, scorer):
+    # Every scorer loads the datasets, so all refuse the same configs,
+    # although the random scorer reads no image.
+    out = workdir / "never_scored.csv"
+    assert main(["score", "--config", cfg, "--ckpt", base_ckpt,
+                 "--out", str(out), "--scorer", scorer,
+                 "--set", "dataset=idx"]) == 1
+    assert capsys.readouterr().err == (
+        "error: ConfigError: dataset=idx requires idx_images and "
+        "idx_labels paths\n")
+    assert not out.exists()
+
+
 FLAG_COMMANDS = {"iters": "score", "scorer": "score", "rate": "compress",
                  "pm_threshold": "compress", "exempt": "compress",
                  "epochs": "finetune", "freeze_at": "finetune",
@@ -709,11 +743,7 @@ def test_module_entry_point_runs():
 # Functions of the modules below that no command calls, and why each
 # stays; every other function and method they define must run in the
 # chain of the test that follows.
-RESUME = "library resume, promised by the README's Determinism paragraph"
 UNCALLED_BY_DESIGN = {
-    "finetune.TrainState.to_arrays": RESUME,
-    "finetune.TrainState.from_arrays": RESUME,
-    "finetune.AdamW.load_state_arrays": RESUME,
     "data.write_idx": "perfbench and the tests write IDX inputs",
     "scoring.prune_count_for": "the pm_threshold path of "
                                "generate_merge_matrix",

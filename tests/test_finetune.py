@@ -14,8 +14,8 @@ from prunemerge.data import (Dataset, batch_indices, load_idx_pair,
                              synthetic_shapes, write_idx)
 from prunemerge.errors import ConfigError, ContractError, NumericError
 from prunemerge.finetune import (METRICS_HEADER, AdamW, DistillConfig,
-                                 TrainState, cosine_lr, evaluate_accuracy,
-                                 finetune, metrics_to_csv, self_distill_loss,
+                                 cosine_lr, evaluate_accuracy, finetune,
+                                 metrics_to_csv, self_distill_loss,
                                  teacher_logits_of, train_baseline)
 from prunemerge.tensor import Tensor
 from prunemerge.vit import ModelConfig, VisionTransformer, params_from_named
@@ -267,48 +267,6 @@ class TestAdamW:
         # allocates less than one chunk of float64.
         assert peak < T._CHUNK * 8
 
-    @pytest.mark.parametrize("t", [np.array([1, 2]), np.array(1.5),
-                                   np.array(-1), np.array(True)],
-                             ids=["vector", "fraction", "negative", "bool"])
-    def test_load_refuses_bad_step_count(self, t):
-        w = Tensor(np.ones((2, 2)), requires_grad=True)
-        opt = AdamW([("w", w)])
-        w.grad = np.ones((2, 2))
-        opt.step(lr=0.1)
-        saved = opt.state_arrays()
-        before = {k: v.copy() for k, v in saved.items()}
-        saved["opt.m.w"] = np.full((2, 2), 7.0)
-        saved["opt.t.w"] = t
-        with pytest.raises(ContractError, match="step count"):
-            opt.load_state_arrays(saved)
-        # nothing was loaded: the valid moment stayed out too
-        np.testing.assert_array_equal(opt.m["w"], before["opt.m.w"])
-        assert opt.t["w"] == 1
-
-    def test_state_arrays_are_snapshots(self):
-        w = Tensor(np.ones((2, 2)), requires_grad=True)
-        opt = AdamW([("w", w)])
-        w.grad = np.ones((2, 2))
-        opt.step(lr=0.1)
-        saved = opt.state_arrays()
-        before = saved["opt.m.w"].copy()
-        opt.step(lr=0.1)
-        np.testing.assert_array_equal(saved["opt.m.w"], before)
-
-    def test_state_round_trip(self):
-        rng = np.random.default_rng(14)
-        w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-        opt = AdamW([("w", w)], weight_decay=0.01)
-        for _ in range(3):
-            w.grad = rng.standard_normal((3, 3))
-            opt.step(lr=1e-3)
-        saved = {k: v.copy() for k, v in opt.state_arrays().items()}
-        opt2 = AdamW([("w", w)], weight_decay=0.01)
-        opt2.load_state_arrays(saved)
-        np.testing.assert_array_equal(opt2.m["w"], opt.m["w"])
-        np.testing.assert_array_equal(opt2.v["w"], opt.v["w"])
-        assert opt2.t["w"] == opt.t["w"] == 3
-
 
 class TestTrainBaseline:
     def test_loss_decreases_on_tiny_run(self):
@@ -383,16 +341,33 @@ class TestTrainBaseline:
         assert alive == [[False] * k for k in range(0, 8, 2)]
 
 
+def freeze_snapshots(comp) -> list[dict]:
+    """Spy on ``comp.set_matrices_trainable``: the returned list gets
+    the bytes of every layer's (merge, reconstruct) matrices the first
+    time the call freezes them, taken before it runs."""
+    set_trainable, snapshots = comp.set_matrices_trainable, []
+
+    def spy(flag):
+        if not flag and not snapshots:
+            snapshots.append({l: (comp.merge_t[l].data.tobytes(),
+                                  comp.recon_t[l].data.tobytes())
+                              for l in comp.merge_t})
+        set_trainable(flag)
+
+    comp.set_matrices_trainable = spy
+    return snapshots
+
+
 class TestFinetune:
     def test_zero_epochs_leaves_model_unchanged(self, compressed_pair):
         base, plan = compressed_pair
         comp = compress_model(base, plan, learnable_matrices=True)
         before = {name: t.data.copy() for name, t in comp.named_parameters()}
-        _, metrics, state = finetune(comp, base.frozen_copy(),
-                                     tiny_dataset(8),
-                                     DistillConfig(epochs=0, freeze_epoch=0))
+        _, metrics, optimizer = finetune(
+            comp, base.frozen_copy(), tiny_dataset(8),
+            DistillConfig(epochs=0, freeze_epoch=0))
         assert metrics == []
-        assert state.step == 0
+        assert set(optimizer.t.values()) == {0}
         for name, t in comp.named_parameters():
             np.testing.assert_array_equal(t.data, before[name])
 
@@ -416,15 +391,12 @@ class TestFinetune:
         data = tiny_dataset(16)
         comp = compress_model(base, plan, learnable_matrices=True)
         cfg = DistillConfig(epochs=4, freeze_epoch=2, batch_size=8, seed=7)
-        _, _, _ = finetune(comp, base.frozen_copy(), data, cfg,
-                           stop_after=2)
-        frozen_at_2 = {l: t.data.copy() for l, t in comp.merge_t.items()}
-        changed = any(
-            not np.array_equal(frozen_at_2[l], plan.entries[l].merge.data)
-            for l in comp.merge_t)
+        frozen = freeze_snapshots(comp)
+        finetune(comp, base.frozen_copy(), data, cfg)
+        assert len(frozen) == 1                # at the start of epoch 2
+        changed = any(m_bytes != plan.entries[l].merge.data.tobytes()
+                      for l, (m_bytes, _) in frozen[0].items())
         assert changed  # learnable phase actually moved the matrices
-        state = TrainState(epoch=2, step=0, seed=7)
-        # continue without resume bookkeeping: fresh run over epochs 2..4
         comp2 = compress_model(base, plan, learnable_matrices=True)
         cfg_never = DistillConfig(epochs=4, freeze_epoch=4, batch_size=8,
                                   seed=7)
@@ -467,13 +439,10 @@ class TestFinetune:
         data = tiny_dataset(16)
         comp = compress_model(base, plan, learnable_matrices=True)
         cfg = DistillConfig(epochs=3, freeze_epoch=1, batch_size=8, seed=8)
-        _, _, state = finetune(comp, base.frozen_copy(), data, cfg,
-                               stop_after=1)
-        snapshot = {l: (comp.merge_t[l].data.tobytes(),
-                        comp.recon_t[l].data.tobytes())
-                    for l in comp.merge_t}
-        finetune(comp, base.frozen_copy(), data, cfg, resume=state)
-        for l, (m_bytes, r_bytes) in snapshot.items():
+        frozen = freeze_snapshots(comp)
+        finetune(comp, base.frozen_copy(), data, cfg)
+        assert len(frozen) == 1                # at the start of epoch 1
+        for l, (m_bytes, r_bytes) in frozen[0].items():
             assert comp.merge_t[l].data.tobytes() == m_bytes
             assert comp.recon_t[l].data.tobytes() == r_bytes
 
@@ -501,27 +470,6 @@ class TestFinetune:
         assert len(refs) == 4
         assert alive == [[False] * k for k in range(4)]
 
-    def test_resume_is_bit_identical(self, compressed_pair):
-        base, plan = compressed_pair
-        data = tiny_dataset(16)
-        cfg = DistillConfig(epochs=4, freeze_epoch=2, batch_size=8, seed=9)
-
-        ref = compress_model(base, plan, learnable_matrices=True)
-        _, ref_metrics, _ = finetune(ref, base.frozen_copy(), data, cfg)
-
-        split = compress_model(base, plan, learnable_matrices=True)
-        _, m1, st = finetune(split, base.frozen_copy(), data, cfg,
-                             stop_after=2)
-        st2 = TrainState.from_arrays(st.to_arrays())
-        _, m2, _ = finetune(split, base.frozen_copy(), data, cfg, resume=st2)
-
-        for (name, a), (_, b) in zip(ref.named_parameters(),
-                                     split.named_parameters()):
-            assert np.array_equal(a.data, b.data), name
-        ref_losses = [m["loss"] for m in ref_metrics]
-        split_losses = [m["loss"] for m in m1 + m2]
-        assert ref_losses == split_losses
-
     def test_teacher_runs_once_per_batch_of_stored_order(self,
                                                          compressed_pair):
         base, plan = compressed_pair
@@ -534,16 +482,10 @@ class TestFinetune:
 
         teacher.forward = spy
         data = tiny_dataset(20)
-        for stop_after in (None, 1):
-            comp = compress_model(base, plan, learnable_matrices=True)
-            cfg = DistillConfig(epochs=3, freeze_epoch=2, batch_size=8)
-            calls.clear()
-            _, _, state = finetune(comp, teacher, data, cfg,
-                                   stop_after=stop_after)
-            # ceil(20 / 8) = 3 forwards per call, none of them recorded
-            assert calls == [(8, False), (8, False), (4, False)]
-        calls.clear()
-        finetune(comp, teacher, data, cfg, resume=state)
+        comp = compress_model(base, plan, learnable_matrices=True)
+        finetune(comp, teacher, data,
+                 DistillConfig(epochs=3, freeze_epoch=2, batch_size=8))
+        # ceil(20 / 8) = 3 forwards in all, none of them recorded
         assert calls == [(8, False), (8, False), (4, False)]
         calls.clear()
         finetune(comp, teacher, data, DistillConfig(epochs=0, freeze_epoch=0))
@@ -562,47 +504,25 @@ class TestFinetune:
                 np.testing.assert_array_equal(
                     cached[idx], teacher.forward(data.images[idx]).data)
 
-    def test_resume_with_a_short_last_batch_is_bit_identical(
-            self, compressed_pair):
-        base, plan = compressed_pair
-        data = tiny_dataset(20)
-        cfg = DistillConfig(epochs=3, freeze_epoch=2, batch_size=8, seed=12)
-        ref = compress_model(base, plan, learnable_matrices=True)
-        _, ref_metrics, ref_state = finetune(ref, base.frozen_copy(), data,
-                                             cfg)
-        split = compress_model(base, plan, learnable_matrices=True)
-        _, m1, st = finetune(split, base.frozen_copy(), data, cfg,
-                             stop_after=1)
-        _, m2, state = finetune(split, base.frozen_copy(), data, cfg,
-                                resume=TrainState.from_arrays(st.to_arrays()))
-        assert m1 + m2 == ref_metrics
-        for (name, a), (_, b) in zip(ref.named_parameters(),
-                                     split.named_parameters()):
-            assert a.data.tobytes() == b.data.tobytes(), name
-        for key, value in ref_state.to_arrays().items():
-            assert value.tobytes() == state.to_arrays()[key].tobytes(), key
-
-    def test_resume_seed_mismatch_rejected(self, compressed_pair):
-        base, plan = compressed_pair
-        comp = compress_model(base, plan)
-        state = TrainState(epoch=1, step=2, seed=999)
-        with pytest.raises(ContractError):
-            finetune(comp, base.frozen_copy(), tiny_dataset(8),
-                     DistillConfig(epochs=2, freeze_epoch=1, seed=0),
-                     resume=state)
-
-    def test_nan_loss_aborts_with_state_dump(self, compressed_pair, tmp_path):
+    def test_nan_loss_raises_numeric_error(self, compressed_pair):
+        # The student's third forward, the first of epoch 1 at two
+        # batches an epoch, reads an infinite head.
         base, plan = compressed_pair
         comp = compress_model(base, plan, learnable_matrices=True)
-        comp.params.head_w.data[:] = np.inf
-        dump = tmp_path / "abort.pmvt"
-        with pytest.raises(NumericError), np.errstate(invalid="ignore"):
-            finetune(comp, base.frozen_copy(), tiny_dataset(8),
-                     DistillConfig(epochs=1, freeze_epoch=1, batch_size=8),
-                     state_dump_path=dump)
-        from prunemerge.checkpoint import load_arrays
-        saved = load_arrays(dump)
-        assert int(saved["state.epoch"]) == 0
+        forward, calls = comp.forward, []
+
+        def spy(images):
+            calls.append(len(images))
+            if len(calls) == 3:
+                comp.params.head_w.data[:] = np.inf
+            return forward(images)
+
+        comp.forward = spy
+        with pytest.raises(NumericError, match=r"^non-finite loss nan at "
+                           r"epoch 1 step 2$"), np.errstate(invalid="ignore"):
+            finetune(comp, base.frozen_copy(), tiny_dataset(16),
+                     DistillConfig(epochs=2, freeze_epoch=1, batch_size=8))
+        assert calls == [8, 8, 8]
 
     def test_metrics_rows_and_csv_schema(self, compressed_pair):
         base, plan = compressed_pair
@@ -630,79 +550,6 @@ class TestFinetune:
         cfg = DistillConfig(epochs=3, freeze_epoch=2, batch_size=8, seed=11)
         _, metrics, _ = finetune(comp, base.frozen_copy(), data, cfg)
         assert all(np.isfinite(m["loss"]) for m in metrics)
-
-
-BAD_STATE = {
-    "fractional-epoch": ("state.epoch", np.array(1.5)),
-    "epoch-vector": ("state.epoch", np.array([1, 2])),
-    "negative-epoch": ("state.epoch", np.array(-1)),
-    "bool-step": ("state.step", np.array(True)),
-    "negative-step": ("state.step", np.array(-3)),
-    "float-seed": ("state.seed", np.array(7.0)),
-    "seed-vector": ("state.seed", np.array([7])),
-}
-
-
-class TestTrainState:
-    def saved(self):
-        return TrainState(epoch=2, step=6, seed=7).to_arrays()
-
-    def test_round_trip(self):
-        state = TrainState.from_arrays(self.saved())
-        assert (state.epoch, state.step, state.seed) == (2, 6, 7)
-        assert type(state.epoch) is int and type(state.seed) is int
-
-    def test_dump_with_loss_totals_still_loads(self):
-        # Dumps written before the state dropped its loss totals hold
-        # them; any state key but the three counters is ignored.
-        arrays = self.saved()
-        arrays["state.loss_sum"] = np.array(1.25)
-        arrays["state.loss_count"] = np.array(3)
-        state = TrainState.from_arrays(arrays)
-        assert (state.epoch, state.step, state.seed) == (2, 6, 7)
-        assert not hasattr(state, "loss_sum")
-
-    def test_unsigned_counters_and_negative_seed_load(self):
-        arrays = self.saved()
-        arrays["state.epoch"] = np.array(2, dtype=np.uint8)
-        arrays["state.seed"] = np.array(-5)
-        state = TrainState.from_arrays(arrays)
-        assert (state.epoch, state.seed) == (2, -5)
-
-    @pytest.mark.parametrize("name,value", BAD_STATE.values(),
-                             ids=BAD_STATE.keys())
-    def test_bad_scalar_is_a_contract_error(self, name, value):
-        arrays = self.saved()
-        arrays[name] = value
-        with pytest.raises(ContractError, match=name.split(".")[1]):
-            TrainState.from_arrays(arrays)
-
-    def test_missing_counter_is_a_contract_error(self):
-        arrays = self.saved()
-        del arrays["state.step"]
-        with pytest.raises(ContractError, match="missing 'state.step'"):
-            TrainState.from_arrays(arrays)
-
-    def test_resume_from_a_bad_dump_fails_before_training(
-            self, compressed_pair, tmp_path):
-        # a state dump written by an aborted run, then one counter edited:
-        # reading it back is refused as the CLI's one-line error type
-        from prunemerge.checkpoint import load_arrays, save_arrays
-        from prunemerge.cli import EXPECTED_ERRORS
-        base, plan = compressed_pair
-        comp = compress_model(base, plan, learnable_matrices=True)
-        comp.params.head_w.data[:] = np.inf
-        dump = tmp_path / "abort.pmvt"
-        cfg = DistillConfig(epochs=1, freeze_epoch=1, batch_size=8)
-        with pytest.raises(NumericError), np.errstate(invalid="ignore"):
-            finetune(comp, base.frozen_copy(), tiny_dataset(8), cfg,
-                     state_dump_path=dump)
-        arrays = load_arrays(dump)
-        arrays["state.epoch"] = np.array(1.5)
-        save_arrays(dump, arrays)
-        with pytest.raises(ContractError, match="epoch") as info:
-            TrainState.from_arrays(load_arrays(dump))
-        assert isinstance(info.value, EXPECTED_ERRORS)
 
 
 class TestEvaluateAccuracy:

@@ -264,6 +264,9 @@ def load_model(path):
         base = VisionTransformer(config, params_from_named(config, params))
     except ContractError as e:
         raise CheckpointError(f"checkpoint parameters: {e}") from None
+    for name, t in base.named_parameters():
+        if not np.isfinite([t.data.min(), t.data.max()]).all():
+            raise CheckpointError(f"parameter {name!r} is not finite")
     extra = {name: value for name, value in arrays.items()
              if not name.startswith(("param.", "config.", "plan."))}
 

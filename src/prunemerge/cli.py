@@ -148,7 +148,8 @@ def cmd_compress(args) -> int:
                        exempt_layers=exempt)
     plan.check_fits(model.config)
     checkpoint.save_plan(args.out, plan)
-    active_total = sum(e.mask.size for e in plan.entries if e is not None)
+    active_total = sum(e.merge.n_tokens for e in plan.entries
+                       if e is not None)
     print(f"plan written to {args.out}")
     print(f"kept {plan.total_kept()}/{active_total} tokens across "
           f"{plan.depth - len(plan.uncompressed)} compressed layers "
@@ -168,7 +169,7 @@ def _plan_table(plan, scores) -> str:
         if entry is None:
             rows.append(f"{layer:>6} {len(scores[layer]):>7} {'exempt':>7}")
             continue
-        tokens, live = entry.mask.size, int(entry.mask.sum())
+        tokens, live = entry.merge.n_tokens, int(entry.mask.sum())
         rows.append(f"{layer:>6} {tokens:>7} {entry.kept:>7} "
                     f"{live - entry.kept:>7} {tokens - live:>7}")
     return "\n".join(rows)

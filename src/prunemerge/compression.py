@@ -182,13 +182,21 @@ class MergeMatrix:
 
 @dataclass
 class PlanEntry:
-    """One compressed layer: the mask (0 = pruned), the merge matrix and
-    the reconstruct weights, ``r[j]`` = R[j, gid[j]]."""
+    """One compressed layer: the merge matrix and the reconstruct weights,
+    ``r[j]`` = R[j, gid[j]].  The mask and the kept count are read from
+    the merge."""
 
-    mask: np.ndarray           # (n,) uint8
     merge: MergeMatrix
     r: np.ndarray              # (n,)
-    kept: int
+
+    @property
+    def mask(self) -> np.ndarray:
+        """0 for a pruned token: a fresh (n,) uint8 array on every read."""
+        return self.merge.segments.live.astype(np.uint8)
+
+    @property
+    def kept(self) -> int:
+        return self.merge.kept
 
     @property
     def reconstruct(self) -> np.ndarray:
@@ -240,7 +248,7 @@ class CompressionPlan:
             if entry is None:
                 continue
             p = f"plan.layer{layer}."
-            out[p + "mask"] = entry.mask.astype(np.uint8)
+            out[p + "mask"] = entry.mask
             out[p + "merge"] = entry.merge.w
             out[p + "reconstruct"] = entry.r
             out[p + "groups"] = np.array(entry.merge.groups, dtype=np.int64)
@@ -295,9 +303,8 @@ def _checked_entry(mask: np.ndarray, merge: np.ndarray, recon: np.ndarray,
     and R and, with ``class_token``, token 0 live and the only live token
     of group 0.  Training moves row sums and the class-token weights, so
     those pass."""
-    n, kept = mask.size, len(groups) if groups.ndim else 0
     if mask.ndim != 1 or groups.ndim != 2 or groups.shape[1] != 2 \
-            or merge.shape != (n,) or recon.shape != (n,) \
+            or merge.shape != mask.shape or recon.shape != mask.shape \
             or (mask.dtype, groups.dtype, merge.dtype, recon.dtype) \
             != (np.uint8, np.int64, np.float64, np.float64):
         raise ContractError(
@@ -317,7 +324,7 @@ def _checked_entry(mask: np.ndarray, merge: np.ndarray, recon: np.ndarray,
         raise ContractError(
             "class_token is set but token 0 is not alone and unpruned in "
             "group 0")
-    return PlanEntry(mask, matrix, recon, kept)
+    return PlanEntry(matrix, recon)
 
 
 # ----------------------------------------------------------------------
@@ -549,9 +556,8 @@ def reconstruct_tokens(y: Tensor, recon_t: Tensor, seg: Segments,
 def pm_forward(z: Tensor, entry: PlanEntry, block: BlockParams, heads: int,
                trace: AttentionTrace | None = None) -> Tensor:
     """Compressed layer forward with a frozen plan entry."""
-    merge_t = Tensor(entry.merge.data)
-    recon_t = Tensor(entry.reconstruct)
-    return pm_forward_tensors(z, merge_t, recon_t, entry.merge.segments,
+    return pm_forward_tensors(z, Tensor(entry.merge.data),
+                              Tensor(entry.reconstruct), entry.merge.segments,
                               entry.mask, block, heads, trace=trace)
 
 
@@ -652,8 +658,7 @@ def global_plan(all_scores: list[np.ndarray], rate: float,
         scores_l = np.asarray(all_scores[layer], dtype=np.float64)
         mask, merge = _assemble(scores_l, reserved, pruned, class_token)
         merge.validate(mask=mask, class_token=class_token)
-        entries.append(PlanEntry(mask, merge, pseudoinverse(merge),
-                                 merge.kept))
+        entries.append(PlanEntry(merge, pseudoinverse(merge)))
 
     plan = CompressionPlan(entries, class_token)
     if plan.total_kept() != keep:
@@ -670,8 +675,7 @@ def identity_plan(depth: int, n_tokens: int,
     for _ in range(depth):
         merge = MergeMatrix([(j, j + 1) for j in range(n_tokens)],
                             np.ones(n_tokens))
-        entries.append(PlanEntry(np.ones(n_tokens, dtype=np.uint8), merge,
-                                 pseudoinverse(merge), n_tokens))
+        entries.append(PlanEntry(merge, pseudoinverse(merge)))
     return CompressionPlan(entries, class_token)
 
 
@@ -747,9 +751,8 @@ class CompressedModel:
             seg = entry.merge.segments
             merge = MergeMatrix(list(entry.merge.groups),
                                 self.merge_t[layer].data.take(seg.merge_at))
-            entries.append(PlanEntry(entry.mask.copy(), merge,
-                                     self.recon_t[layer].data.take(
-                                         seg.recon_at), merge.kept))
+            entries.append(PlanEntry(
+                merge, self.recon_t[layer].data.take(seg.recon_at)))
         return CompressionPlan(entries, self.plan.class_token)
 
 

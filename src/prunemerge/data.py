@@ -107,11 +107,8 @@ def read_idx(path: str | Path) -> np.ndarray:
 
 def write_idx(path: str | Path, array: np.ndarray) -> None:
     """Write an array as an IDX file (inverse of read_idx)."""
-    code = None
-    for c, dt in IDX_DTYPES.items():
-        if dt == array.dtype.newbyteorder(">"):
-            code = c
-            break
+    code = next((c for c, dt in IDX_DTYPES.items()
+                 if dt == array.dtype.newbyteorder(">")), None)
     if code is None:
         raise ContractError(f"dtype {array.dtype} has no IDX code")
     # Copies only an array that is not already contiguous big-endian.

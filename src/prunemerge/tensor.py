@@ -155,10 +155,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -185,9 +181,7 @@ class Tensor:
 
 
 def _as_tensor(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=np.float64))
+    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def _edge(t: Tensor):
@@ -431,29 +425,34 @@ def take(x: Tensor, key) -> Tensor:
     return out
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+def embed(patches: Array, w: Tensor, b: Tensor, cls: Tensor,
+          pos: Tensor) -> Tensor:
+    """``concat(cls, patches @ w + b) + pos``, the (..., P + 1, D) tokens
+    of (..., P, patch_dim) pixel patches, as one node that runs the
+    composed ops' kernels in their order and reduces the same slices of
+    the output gradient: bit for bit their results.  It saves the patches
+    only for ``w``'s gradient."""
+    _check_matmul(patches.shape, w.shape)
+    n, d = patches.shape[-2] + 1, w.shape[-1]
+    if (w.ndim, b.shape, cls.shape, pos.shape) != (2, (d,), (1, d), (n, d)):
+        raise ShapeMismatchError(
+            f"embed operands do not fit: w {w.shape}, b {b.shape}, "
+            f"cls {cls.shape}, pos {pos.shape}")
+    tok = _matmul_data(patches, w.data)
+    tok += b.data
+    data = np.empty(tok.shape[:-2] + (n, d))
+    data[..., :1, :] = cls.data
+    data[..., 1:, :] = tok
+    data += pos.data
+    pd, w_shape = (patches if w.requires_grad else None), w.shape
 
     def grad_fn(g):
-        slicer = [slice(None)] * g.ndim
-        outs = []
-        for i in range(len(offsets) - 1):
-            slicer[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            outs.append(g[tuple(slicer)])
-        return tuple(outs)
+        gt = g[..., 1:, :]
+        gw = None if pd is None else _matmul_grad_b(pd, gt, pd.shape, w_shape)
+        return (gw, _unbroadcast(gt, (d,)),
+                _unbroadcast(g[..., :1, :], (1, d)), _unbroadcast(g, (n, d)))
 
-    return from_op(data, tuple(tensors), grad_fn, "concat")
-
-
-def broadcast_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    data = np.broadcast_to(x.data, shape).copy()
-    x_shape = x.shape
-
-    def grad_fn(g):
-        return (_unbroadcast(g, x_shape),)
-
-    return from_op(data, (x,), grad_fn, "broadcast_to")
+    return from_op(data, (w, b, cls, pos), grad_fn, "embed")
 
 
 def softmax_rows(x: Tensor, scale: float = 1.0) -> Tensor:

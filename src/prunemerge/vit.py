@@ -199,14 +199,10 @@ def patchify(images: np.ndarray, config: ModelConfig,
 
     Projects flattened patches, prepends the class token at index 0, and
     adds the learned positional embedding (one row per token, class
-    position included).
+    position included), as the one engine node ``tensor.embed``.
     """
-    patches = extract_patches(images, config)
-    b = patches.shape[0]
-    tok = T.matmul(Tensor(patches), embed.w) + embed.b
-    cls = T.broadcast_to(embed.cls, (b, 1, config.embed_dim))
-    z = T.concat([cls, tok], axis=1)
-    return z + embed.pos
+    return T.embed(extract_patches(images, config), embed.w, embed.b,
+                   embed.cls, embed.pos)
 
 
 def block_forward(z: Tensor, params: BlockParams, heads: int,

@@ -1,8 +1,8 @@
 """Shared test utilities: finite-difference gradient checking, the dense
 pseudoinverse and merge-map render the oracles compare against, the
-shape ops and loss reducer no program path runs, composed attention, the
-list of the functions of one or more modules that a run never calls, and a
-reader for the pixmaps ``visualize`` writes."""
+shape ops and loss reducer no program path runs, composed attention, MLP
+and embedding, the list of the functions of one or more modules that a
+run never calls, and a reader for the pixmaps ``visualize`` writes."""
 
 import inspect
 import sys
@@ -116,6 +116,34 @@ def transpose(x, axes: tuple[int, ...]):
     return T.from_op(x.data.transpose(axes), (x,), grad_fn, "transpose")
 
 
+def concat(tensors, axis: int):
+    """``np.concatenate`` of the tensors' data along ``axis`` as a graph
+    node."""
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+
+    def grad_fn(g):
+        slicer = [slice(None)] * g.ndim
+        outs = []
+        for i in range(len(offsets) - 1):
+            slicer[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
+            outs.append(g[tuple(slicer)])
+        return tuple(outs)
+
+    return T.from_op(data, tuple(tensors), grad_fn, "concat")
+
+
+def broadcast_to(x, shape: tuple[int, ...]):
+    """``np.broadcast_to(x.data, shape)``, copied, as a graph node."""
+    x_shape = x.shape
+
+    def grad_fn(g):
+        return (T._unbroadcast(g, x_shape),)
+
+    return T.from_op(np.broadcast_to(x.data, shape).copy(), (x,), grad_fn,
+                     "broadcast_to")
+
+
 def tensor_sum(x):
     """The sum of every element of ``x`` as a graph node: the tests' loss
     reducer."""
@@ -177,6 +205,14 @@ def composed_mlp(h, w1, w2):
     """The MLP ``tensor.mlp`` fuses, from its primitive ops: the reference
     for its output and its gradients."""
     return T.matmul(T.gelu(T.matmul(h, w1)), w2)
+
+
+def composed_embed(patches, w, b, cls, pos):
+    """The token embedding ``tensor.embed`` fuses, from its primitive ops:
+    the reference for its output and its gradients."""
+    tok = T.matmul(T.Tensor(patches), w) + b
+    cls = broadcast_to(cls, patches.shape[:-2] + cls.shape)
+    return concat([cls, tok], axis=-2) + pos
 
 
 def uncalled(modules, run) -> set[str]:

@@ -129,7 +129,7 @@ def test_criterion_3_compressed_forward():
     scores = rng.uniform(0.05, 1.0, size=n)
     mask, merge = generate_merge_matrix(scores, None, 4, prune_count=3,
                                         class_token=True)
-    entry = PlanEntry(mask, merge, pseudoinverse(merge), merge.kept)
+    entry = PlanEntry(merge, pseudoinverse(merge))
     z = Tensor(rng.standard_normal((2, n, cfg.embed_dim)))
     out = pm_forward(z, entry, blk, cfg.heads)
     pruned = np.flatnonzero(mask == 0)

@@ -319,21 +319,30 @@ def test_finetune_freeze_at_minus_one_is_auto(workdir, cfg, base_ckpt,
 
 def test_non_finite_loss_is_one_line_error(workdir, cfg, base_ckpt,
                                            plan_file, capsys):
-    # The student starts from a base whose head is infinite; the teacher
-    # is the clean base, so only the student's loss goes non-finite.
-    arrays = checkpoint.load_arrays(base_ckpt)
-    arrays["param.head.w"] = np.full_like(arrays["param.head.w"], np.inf)
-    poisoned = workdir / "poisoned.pmvt"
-    checkpoint.save_arrays(poisoned, arrays)
+    # A learning rate of 1e300 throws the student's weights far out after
+    # its first step, so a later loss goes non-finite.
     out = workdir / "never_tuned.pmvt"
     with np.errstate(invalid="ignore"):
-        code = main(["finetune", "--config", cfg, "--ckpt", str(poisoned),
-                     "--teacher", base_ckpt, "--plan", plan_file,
-                     "--out", str(out)])
+        code = main(["finetune", "--config", cfg, "--ckpt", base_ckpt,
+                     "--plan", plan_file, "--out", str(out),
+                     "--set", "base_lr=1e300"])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: NumericError: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_eval_refuses_a_checkpoint_with_a_non_finite_parameter(
+        workdir, cfg, base_ckpt, capsys):
+    arrays = checkpoint.load_arrays(base_ckpt)
+    arrays["param.head.w"][3, 1] = np.inf
+    poisoned = workdir / "poisoned.pmvt"
+    checkpoint.save_arrays(poisoned, arrays)
+    assert main(["eval", "--config", cfg, "--ckpt", str(poisoned)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: CheckpointError: parameter 'head.w' "
+                            "is not finite\n")
 
 
 def test_eval_refuses_labels_the_model_cannot_output(workdir, cfg, capsys):

@@ -461,7 +461,7 @@ class TestPmForward:
         mask, merge = generate_merge_matrix(scores, None, 2, prune_count=2)
         entry_recon = pseudoinverse(merge)
         from prunemerge.compression import PlanEntry
-        entry = PlanEntry(mask, merge, entry_recon, merge.kept)
+        entry = PlanEntry(merge, entry_recon)
         out = pm_forward(Tensor(z), entry, block, heads=2)
         pruned = np.flatnonzero(mask == 0)
         assert np.array_equal(out.data[:, pruned, :], z[:, pruned, :])
@@ -471,7 +471,7 @@ class TestPmForward:
         scores = rng.uniform(0.1, 1.0, size=5)
         mask, merge = generate_merge_matrix(scores, None, 3, prune_count=1)
         from prunemerge.compression import PlanEntry
-        entry = PlanEntry(mask, merge, pseudoinverse(merge), merge.kept)
+        entry = PlanEntry(merge, pseudoinverse(merge))
         plus = entry.reconstruct
         out = pm_forward(Tensor(z), entry, block, heads=2)
 

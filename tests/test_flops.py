@@ -21,9 +21,8 @@ def plan_keeping(kept: dict[int, int]) -> CompressionPlan:
     entries: list[PlanEntry | None] = [None] * DEIT_TINY.depth
     for layer, m in kept.items():
         scores = rng.uniform(0.1, 1, DEIT_TINY.num_tokens)
-        mask, merge = generate_merge_matrix(scores, None, m, prune_count=0)
-        entries[layer] = PlanEntry(mask, merge, pseudoinverse(merge),
-                                   merge.kept)
+        _, merge = generate_merge_matrix(scores, None, m, prune_count=0)
+        entries[layer] = PlanEntry(merge, pseudoinverse(merge))
     return CompressionPlan(entries, class_token=False)
 
 

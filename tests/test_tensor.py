@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import itertools
 import math
 import weakref
 
@@ -18,8 +19,9 @@ from prunemerge.scoring import (ScorerVariant, collect_scores,
                                 scores_from_trace)
 from prunemerge.vit import ModelConfig, VisionTransformer, block_forward
 
-from helpers import (assert_grads_close, composed_attention, composed_mlp,
-                     numeric_grad, reshape, tensor_sum, transpose, uncalled)
+from helpers import (assert_grads_close, broadcast_to, composed_attention,
+                     composed_embed, composed_mlp, concat, numeric_grad,
+                     reshape, tensor_sum, transpose, uncalled)
 
 
 class TestMatmul:
@@ -758,6 +760,86 @@ class TestMlp:
             assert gamma.grad is None and beta.grad is None
 
 
+# Which of (w, b, cls, pos) need a gradient: every combination but none.
+_EMBED_GRADS = [g for g in itertools.product((True, False), repeat=4)
+                if any(g)]
+
+
+def _embed_operands(rng, patches_shape, d):
+    """Pixel patches and the (w, b, cls, pos) arrays that fit them."""
+    p, patch_dim = patches_shape[-2:]
+    return (rng.normal(size=patches_shape), rng.normal(size=(patch_dim, d)),
+            rng.normal(size=d), rng.normal(size=(1, d)),
+            rng.normal(size=(p + 1, d)))
+
+
+class TestEmbed:
+    """The fused op is bit for bit ``concat(cls, patches @ w + b) + pos``
+    built from the matmul, add, broadcast and concat nodes, whichever
+    operands need a gradient."""
+
+    @pytest.mark.parametrize("grads", _EMBED_GRADS)
+    @pytest.mark.parametrize("patches_shape", [(3, 4, 5), (2, 1, 5), (4, 5)],
+                             ids=["batch", "one-patch", "unbatched"])
+    def test_matches_composed_ops_on_every_operand(self, patches_shape,
+                                                   grads):
+        rng = np.random.default_rng(37)
+        patches, *params = _embed_operands(rng, patches_shape, 6)
+        g = rng.normal(size=patches_shape[:-2] + (patches_shape[-2] + 1, 6))
+
+        def run(op):
+            inputs = [T.Tensor(a, requires_grad=r)
+                      for a, r in zip(params, grads)]
+            return _run(lambda *ts: op(patches, *ts), inputs, g)
+
+        _assert_same_run(run(T.embed), run(composed_embed))
+
+    def test_saves_the_patches_only_for_the_weight_gradient(self):
+        rng = np.random.default_rng(38)
+        for w_grad in (True, False):
+            patches, w, b, cls, pos = _embed_operands(rng, (2, 3, 4), 5)
+            ref = weakref.ref(patches)
+            out = T.embed(patches, T.Tensor(w, requires_grad=w_grad),
+                          *(T.Tensor(a, requires_grad=True)
+                            for a in (b, cls, pos)))
+            del patches
+            assert (ref() is not None) == w_grad
+            assert out._node.name == "embed"
+
+    @pytest.mark.parametrize("which", ["w", "b", "cls", "pos", "all"])
+    def test_gradients_match_finite_differences(self, which):
+        rng = np.random.default_rng(39)
+        patches, *arrays = _embed_operands(rng, (2, 3, 4), 5)
+        names = ("w", "b", "cls", "pos")
+        params = [T.Tensor(a, requires_grad=which in (name, "all"))
+                  for name, a in zip(names, arrays)]
+        g = rng.normal(size=(2, 4, 5))
+        T.backward(tensor_sum(T.embed(patches, *params) * T.Tensor(g)))
+        w, b, cls, pos = params
+
+        def loss():
+            tok = patches @ w.data + b.data
+            cls_rows = np.broadcast_to(cls.data, (2, 1, 5))
+            z = np.concatenate([cls_rows, tok], axis=1) + pos.data
+            return float((z * g).sum())
+
+        for name, t in zip(names, params):
+            if t.requires_grad:
+                assert_grads_close(t.grad, numeric_grad(loss, t.data))
+            else:
+                assert t.grad is None
+
+    def test_operands_that_do_not_fit_are_refused(self):
+        rng = np.random.default_rng(40)
+        patches, *good = _embed_operands(rng, (2, 3, 4), 5)
+        bad = [np.ones((5, 5)), np.ones((1, 5)), np.ones(5), np.ones((3, 5))]
+        for slot, wrong in enumerate(bad):
+            args = [T.Tensor(a) for a in good]
+            args[slot] = T.Tensor(wrong)
+            with pytest.raises(ShapeMismatchError):
+                T.embed(patches, *args)
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
         logits = T.Tensor(np.zeros((3, 4)))
@@ -935,8 +1017,8 @@ class TestShapeOps:
         x = T.Tensor(rng.normal(size=(2, 12)), requires_grad=True)
         w = rng.normal(size=(3, 2, 2))
         a = transpose(reshape(x, (2, 3, 4)), (1, 0, 2))
-        out = tensor_sum(T.concat([a[:, :, :2] * a[:, :, :2], a[:, :, 2:]],
-                                  axis=2)[:, :, :2] * T.Tensor(w))
+        out = tensor_sum(concat([a[:, :, :2] * a[:, :, :2], a[:, :, 2:]],
+                                axis=2)[:, :, :2] * T.Tensor(w))
         T.backward(out)
 
         def loss():
@@ -948,7 +1030,7 @@ class TestShapeOps:
 
     def test_broadcast_to_grads(self):
         x = T.Tensor(np.array([[1.0], [2.0]]), requires_grad=True)
-        T.backward(tensor_sum(T.broadcast_to(x, (2, 3))))
+        T.backward(tensor_sum(broadcast_to(x, (2, 3))))
         np.testing.assert_array_equal(x.grad, [[3.0], [3.0]])
 
     def test_fancy_indexing_rejected(self):
@@ -1156,7 +1238,6 @@ UNCALLED_BY_DESIGN = {
     "softmax_rows": "perfbench/spans.py wraps it by name",
     "gelu": "perfbench/spans.py wraps it by name",
     "Tensor.__repr__": "introspection",
-    "Tensor.size": "introspection",
 }
 
 
@@ -1184,3 +1265,30 @@ def test_program_paths_call_every_function_of_the_engine():
     assert never == allowed, (
         f"never called: {sorted(never - allowed)}; "
         f"called though allowed or not defined: {sorted(allowed - never)}")
+
+
+# Every op name the recorded program paths below put on a graph.
+PROGRAM_OP_NAMES = {"add", "attention", "cross_entropy", "embed",
+                    "kl_divergence", "layer_norm", "matmul", "merge_tokens",
+                    "mlp", "mul", "reconstruct_tokens", "take"}
+
+
+def test_program_paths_record_a_fixed_set_of_ops():
+    # The stem is one node, and the recorded base, learnable-compressed
+    # and distillation paths of the engine guard above record exactly
+    # the listed names: a new op, or one the model stopped running, shows.
+    model, images = _tiny_model()
+    compressed, _ = _tiny_compressed_model()
+    labels = np.array([1, 0])
+
+    def names(root):
+        return [node.name for node in T.Tape.trace(root).nodes]
+
+    assert names(vit.patchify(images, model.config,
+                              model.params.embed)) == ["embed"]
+    losses = [T.cross_entropy(model.forward(images), labels),
+              T.cross_entropy(compressed.forward(images), labels),
+              self_distill_loss(compressed.forward(images, traces=[]),
+                                model.forward(images), labels,
+                                alpha=0.4)[0]]
+    assert set().union(*map(names, losses)) == PROGRAM_OP_NAMES

@@ -104,10 +104,9 @@ def test_all_pruned_but_class_is_white_and_black():
     # keep only the class token, prune every patch token
     rng = np.random.default_rng(2)
     scores = rng.uniform(0.1, 1.0, size=N)
-    mask, merge = generate_merge_matrix(scores, None, 1, prune_count=N - 1,
-                                        class_token=True)
-    entry = PlanEntry(mask=mask, merge=merge,
-                      r=pseudoinverse(merge), kept=1)
+    _, merge = generate_merge_matrix(scores, None, 1, prune_count=N - 1,
+                                     class_token=True)
+    entry = PlanEntry(merge=merge, r=pseudoinverse(merge))
     image = make_image(4)
     merge_px, recon_px = render_merge_map(image, entry, CFG)
     assert np.all(merge_px == 255)   # every patch pruned: all white
@@ -184,8 +183,7 @@ def random_entry(rng):
         r[live] += rng.normal(0.0, 0.3, live.sum())
     if rng.integers(3) == 0:
         w[entry.merge.segments.gid == rng.integers(entry.kept)] = 0.0
-    entry = PlanEntry(entry.mask, MergeMatrix(list(entry.merge.groups), w),
-                      r, entry.kept)
+    entry = PlanEntry(MergeMatrix(list(entry.merge.groups), w), r)
     image = rng.uniform(0.0, 1.0, size=(channels,) + (grid * patch,) * 2)
     return image, entry, config
 

@@ -15,6 +15,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import checkpoint
 from .compression import compress_model, global_plan
 from .data import load_idx_pair, synthetic_shapes
@@ -387,5 +389,14 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry(argv=None) -> int:
+    """The process entry, ``python -m prunemerge.cli`` and the
+    ``prunemerge`` script: ``main`` with numpy's floating-point warnings
+    off, so that a run driven non-finite ends in the one error line
+    alone.  ``main`` keeps its caller's numpy error state."""
+    with np.errstate(all="ignore"):
+        return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -16,6 +16,8 @@ epoch), so a run replays bit-identically from the same inputs.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -123,7 +125,10 @@ class AdamW:
     chunk from cache: the grads of consecutive small parameters are
     gathered into one chunk-sized scratch array, and a parameter larger
     than a chunk is updated chunk by chunk from its own grad.  Nothing
-    parameter-sized is allocated.
+    parameter-sized is allocated.  Once a step updates two whole chunks,
+    the chunks past its middle element run on the engine's second lane,
+    each half through its own scratch arrays; a chunk's arithmetic does
+    not depend on the lane.
     """
 
     def __init__(self, named_params, weight_decay: float = 0.0):
@@ -156,7 +161,9 @@ class AdamW:
                 self._decay_end = stop
             offset = stop
         n = min(total, T._CHUNK)
-        self._scratch = np.empty(n), np.empty(n), np.empty(n)
+        # One set of scratch arrays for each lane a step can use.
+        self._scratch = [(np.empty(n), np.empty(n), np.empty(n))
+                         for _ in range(1 + (total >= 2 * T._CHUNK))]
 
     def step(self, lr: float) -> None:
         runs = []              # [t, first offset, flat grads]
@@ -175,20 +182,28 @@ class AdamW:
                 run = [t, offset, []]
                 runs.append(run)
             run[2].append(g.reshape(-1))
-        for t, offset, grads in runs:
-            self._update_run(t, offset, grads, lr)
+        chunks = [c for t, offset, grads in runs
+                  for c in self._run_chunks(t, offset, grads)]
+        # The second lane takes the chunks past the middle element, once
+        # each half holds a whole chunk.
+        ends = list(itertools.accumulate(c[3] for c in chunks))
+        halves = bool(ends) and ends[-1] >= 2 * T._CHUNK
+        cut = bisect.bisect_left(ends, ends[-1] / 2) + 1 if halves \
+            else len(chunks)
+        T._both(
+            lambda: self._update_chunks(chunks[:cut], lr, self._scratch[0]),
+            lambda: self._update_chunks(chunks[cut:], lr, self._scratch[-1]),
+            halves)
 
-    def _update_run(self, t: int, offset: int, grads, lr: float) -> None:
-        """Update adjacent parameters from ``offset`` on: runs of whole
-        small grads gathered into one chunk, a large grad in chunks of
-        its own."""
-        g_buf = self._scratch[2]
+    @staticmethod
+    def _run_chunks(t: int, offset: int, grads):
+        """The chunks of one run of adjacent parameters from ``offset`` on,
+        as ``(t, offset, grads, size)``: runs of whole small grads, to be
+        gathered into one chunk, and each chunk of a large grad alone."""
         group, size = [], 0
         for g in grads + [None]:
             if group and (g is None or size + g.size > T._CHUNK):
-                self._update_chunk(t, offset, np.concatenate(
-                    group, out=g_buf[:size]) if len(group) > 1 else group[0],
-                    lr)
+                yield t, offset, group, size
                 offset += size
                 group, size = [], 0
             if g is None:
@@ -196,19 +211,26 @@ class AdamW:
             if g.size > T._CHUNK:
                 for start in range(0, g.size, T._CHUNK):
                     part = g[start:start + T._CHUNK]
-                    self._update_chunk(t, offset + start, part, lr)
+                    yield t, offset + start, [part], part.size
                 offset += g.size
             else:
                 group.append(g)
                 size += g.size
 
-    def _update_chunk(self, t: int, offset: int, g: np.ndarray,
-                      lr: float) -> None:
+    def _update_chunks(self, chunks, lr: float, scratch) -> None:
+        """Update each of ``chunks`` through one set of scratch arrays."""
+        for t, offset, grads, size in chunks:
+            g = grads[0] if len(grads) == 1 else np.concatenate(
+                grads, out=scratch[2][:size])
+            self._update_chunk(t, offset, g, lr, scratch)
+
+    def _update_chunk(self, t: int, offset: int, g: np.ndarray, lr: float,
+                      scratch) -> None:
         b1, b2 = BETA1, BETA2
         end = offset + g.size
         p, m, v = self._flat[offset:end], self._m[offset:end], \
             self._v[offset:end]
-        a, b = self._scratch[0][:g.size], self._scratch[1][:g.size]
+        a, b = scratch[0][:g.size], scratch[1][:g.size]
         # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
         m *= b1
         m += np.multiply(g, 1 - b1, out=a)

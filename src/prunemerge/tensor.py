@@ -42,6 +42,22 @@ Inference mode: inside ``with no_grad():`` operations record no node and
 their outputs never require grad, so a forward pass keeps no graph and no
 saved activations.  Parameters keep ``requires_grad``; only recording
 stops.  The previous mode returns on exit, also after an exception.
+
+Two lanes: a second thread, started on first use where the process may
+run on two CPUs, runs one part of some work while the caller runs the
+other (``_both``).  The parts are whole, independent products --
+``matmul``'s two gradients, ``mlp``'s fc1 recompute and ``g @ w2ᵀ``,
+then its ``w2`` and input gradients, ``attention``'s ``W_o`` gradient
+and ``g @ W_oᵀ``, its v gradient and score gradient, its q and k
+gradients -- or disjoint slices of work that runs per slice anyway:
+GELU passes split at a chunk boundary, attention maps, softmax and
+context per half of the leading batch axis, and the halves of an AdamW
+step's chunks.  One GEMM is never split, nor is a reduction across rows,
+so every bit is the serial code's.  Work goes to the lane only above
+``_LANE_MACS`` multiply-adds, or a whole chunk per half: every op at the
+acceptance shape stays on one lane, and the ``wide`` shape of
+``tests/identity.py`` uses both.  A task runs in a copy of the caller's
+context, so ``no_grad`` and ``np.errstate`` reach it.
 """
 
 from __future__ import annotations
@@ -49,6 +65,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import os
+import threading
 import weakref
 from typing import Callable, Sequence
 
@@ -65,6 +83,114 @@ _LN_EPS = 1e-6
 
 # Whether ``from_op`` records graph nodes; see ``no_grad``.
 _RECORDING = contextvars.ContextVar("prunemerge_recording", default=True)
+
+# ----------------------------------------------------------------------
+# the second lane
+# ----------------------------------------------------------------------
+
+# The least work a task must hold to be handed to the second lane, in
+# multiply-adds.  A round trip through the idle lane (queue, wake-up,
+# lock) took about 11 us on a 2-core host, and 2**20 multiply-adds of a
+# float64 GEMM about 20-25 us on one of its cores.  Elementwise work goes
+# to the lane in whole chunks (``_CHUNK``), far above this cost.
+_LANE_MACS = 1 << 20
+
+# The lane's state: ``"inbox"``, its queue, once its thread runs, or None
+# where the process may use one CPU only.  Empty until first use, and
+# emptied in a forked child, which inherits no thread.
+_LANE: dict = {}
+os.register_at_fork(after_in_child=_LANE.clear)
+# Tasks handed to the lane since import.
+_lane_tasks = 0
+
+# glibc's ``mallopt`` parameter number for the count of malloc arenas.
+_M_ARENA_MAX = -8
+
+
+def _mallopt(param: int, value: int) -> bool:
+    """glibc's ``mallopt(param, value)`` for this process's allocator;
+    returns whether it took effect.  Nothing happens on another libc."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return False
+    if not glibc.startswith("glibc"):
+        return False
+    import ctypes
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), \
+        ctypes.c_int
+    return mallopt(param, value) == 1
+
+
+def _lane():
+    """The second lane's inbox, its thread started on first use; None
+    where the process may run on one CPU only.
+
+    The lane allocates from the caller's malloc arena: by default glibc
+    gives a new thread an arena of its own, whose freed memory the
+    caller cannot reuse."""
+    try:
+        return _LANE["inbox"]
+    except KeyError:
+        pass
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    inbox = None
+    if cpus >= 2:
+        import queue
+        _mallopt(_M_ARENA_MAX, 1)
+        inbox = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(inbox,), daemon=True,
+                         name="prunemerge-lane").start()
+    _LANE["inbox"] = inbox
+    return inbox
+
+
+def _serve(inbox) -> None:
+    """The lane's loop: run each task in the context it was handed off
+    from, keep its result or exception, and release its lock; a None task
+    ends the loop.  The loop drops a task before it waits for the next,
+    so no array a task reached outlives it."""
+    while (task := inbox.get()) is not None:
+        context, g, done, box = task
+        try:
+            box.append((True, context.run(g)))
+        except BaseException as exc:      # re-raised by the caller
+            box.append((False, exc))
+        del task, context, g, box
+        done.release()
+
+
+def _both(f, g, worth: bool = True):
+    """``(f(), g())``, with ``g`` run on the second lane while the caller
+    runs ``f`` when ``worth`` and a lane can run; else both here, in
+    order.
+
+    It waits for both, then raises the caller's exception, or else the
+    lane's.  ``g`` runs in a copy of the caller's context, so
+    ``np.errstate`` and ``no_grad`` reach it.  The lane moves a kernel to
+    another core, never changes one: its tasks are whole products or
+    disjoint slices of elementwise work, so every bit is the serial
+    code's.  A lane task never hands work off itself."""
+    inbox = _lane() if worth else None
+    if inbox is None:
+        return f(), g()
+    global _lane_tasks
+    _lane_tasks += 1
+    done, box = threading.Lock(), []
+    done.acquire()
+    inbox.put((contextvars.copy_context(), g, done, box))
+    try:
+        a = f()
+    finally:
+        done.acquire()
+    ok, b = box[0]
+    if not ok:
+        raise b
+    return a, b
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -391,11 +517,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     # As in ``mul``: save an operand only for the other operand's gradient.
     ad = _saved(a) if b.requires_grad else None
     bd = b.data if a.requires_grad else None
+    pair = ad is not None and bd is not None \
+        and data.size * a_shape[-1] >= _LANE_MACS
 
     def grad_fn(g):
-        return (None if bd is None else _matmul_grad_a(g, bd, a_shape),
-                None if ad is None else _matmul_grad_b(_restored(ad), g,
-                                                       a_shape, b_shape))
+        return _both(
+            lambda: None if bd is None else _matmul_grad_a(g, bd, a_shape),
+            lambda: None if ad is None else _matmul_grad_b(
+                _restored(ad), g, a_shape, b_shape), pair)
 
     return from_op(data, (a, b), grad_fn, "matmul")
 
@@ -563,53 +692,90 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
     vd = _split_heads(v.data, heads)
     wd = w_o.data
     q_shape, kt_shape, v_shape = qd.shape, kt.shape, vd.shape
-    grad_q, grad_k, grad_v = q.requires_grad, k.requires_grad, v.requires_grad
-    grad_w = w_o.requires_grad
-
-    def maps():
-        s = np.matmul(qd, kt)
-        return _softmax(s, scale, out=s)
-
-    def bumped(y):
-        return y if bump is None else y + bump
-
-    def context(a):
-        return _merge_heads(np.matmul(a, vd))
-
-    y = maps()
+    y_shape = np.broadcast_shapes(q_shape[:-2], kt_shape[:-2]) \
+        + (q_shape[-2], kt_shape[-1])
+    c_shape = np.broadcast_shapes(y_shape[:-2], v_shape[:-2]) \
+        + (y_shape[-2], v_shape[-1])
+    ctx_shape = c_shape[:-3] + (y_shape[-2], v.shape[-1])
     if bump is not None:
         bump = np.array(bump, dtype=np.float64)
-        if bump.shape != y.shape:
+        if bump.shape != y_shape:
             raise ShapeMismatchError(
-                f"bump of shape {bump.shape} does not fit maps {y.shape}")
+                f"bump of shape {bump.shape} does not fit maps {y_shape}")
+    grad_q, grad_k, grad_v = q.requires_grad, k.requires_grad, v.requires_grad
+    grad_w = w_o.requires_grad
+    # The two lanes take half of a leading batch axis that q, k and v
+    # share each: numpy runs one GEMM per stacked slice, so a half runs
+    # the very calls of the whole.
+    lead = q.shape[:-2]
+    halves = lead != () and lead[0] >= 2 and k.shape[:-2] == lead \
+        and v.shape[:-2] == lead \
+        and math.prod(y_shape) * (q_shape[-1] + v_shape[-1]) \
+        >= 2 * _LANE_MACS
+    proj_macs = math.prod(ctx_shape) * wd.shape[-1]
+
+    def maps(with_ctx: bool):
+        """The maps A, A plus the bump, and the context if asked for."""
+        y = np.empty(y_shape)
+        a = y if bump is None else np.empty(y_shape)
+        c = np.empty(c_shape) if with_ctx else None
+
+        def attend(rows):
+            s = np.matmul(qd[rows], kt[rows], out=y[rows])
+            _softmax(s, scale, out=s)
+            if a is not y:
+                np.add(s, bump[rows], out=a[rows])
+            if c is not None:
+                np.matmul(a[rows], vd[rows], out=c[rows])
+
+        if halves:
+            cut = (lead[0] + 1) // 2
+            _both(lambda: attend(slice(0, cut)),
+                  lambda: attend(slice(cut, None)))
+        else:
+            attend(slice(None))
+        return y, a, None if c is None else _merge_heads(c)
+
+    y, a, ctx = maps(True)
     if sink is not None:
         sink.maps, sink.grads = y, None
-    ctx = context(bumped(y))
-    ctx_shape = ctx.shape
+    del y, a
     data = _matmul_data(ctx, wd)
+    del ctx
 
     def grad_fn(g):
-        y = maps()
-        a = bumped(y) if grad_v or grad_w else None
-        gq = gk = gv = gw = None
-        if grad_w:
-            gw = _matmul_grad_b(context(a), g, ctx_shape, wd.shape)
-        if not (grad_q or grad_k or grad_v):
-            return gq, gk, gv, gw
-        g = _split_heads(_matmul_grad_a(g, wd, ctx_shape), heads)
-        if grad_v:
-            gv = _merge_heads(_matmul_grad_b(a, g, y.shape, v_shape))
-        if grad_q or grad_k:
-            gs = _matmul_grad_a(g, vd, y.shape)
+        y, a, ctx = maps(grad_w)
+        grad_in = grad_q or grad_k or grad_v
+        gw, g = _both(
+            lambda: _matmul_grad_b(ctx, g, ctx_shape, wd.shape)
+            if grad_w else None,
+            lambda: _matmul_grad_a(g, wd, ctx_shape) if grad_in else None,
+            grad_w and grad_in and proj_macs >= _LANE_MACS)
+        del ctx
+        if not grad_in:
+            return None, None, None, gw
+        g = _split_heads(g, heads)
+
+        def grad_scores():
+            gs = _matmul_grad_a(g, vd, y_shape)
             if sink is not None:
                 sink.grads = gs.copy() if sink.grads is None \
                     else sink.grads + gs
-            gs = _softmax_grad(gs, y, scale, out=gs)
-            if grad_q:
-                gq = _merge_heads(_matmul_grad_a(gs, kt, q_shape))
-            if grad_k:
-                gk = _merge_heads(_matmul_grad_b(
-                    qd, gs, q_shape, kt_shape).swapaxes(-1, -2))
+            return _softmax_grad(gs, y, scale, out=gs)
+
+        gs, gv = _both(
+            lambda: grad_scores() if grad_q or grad_k else None,
+            lambda: _merge_heads(_matmul_grad_b(a, g, y_shape, v_shape))
+            if grad_v else None,
+            (grad_q or grad_k) and grad_v
+            and y.size * v_shape[-1] >= _LANE_MACS)
+        gq, gk = _both(
+            lambda: _merge_heads(_matmul_grad_a(gs, kt, q_shape))
+            if grad_q else None,
+            lambda: _merge_heads(_matmul_grad_b(
+                qd, gs, q_shape, kt_shape).swapaxes(-1, -2))
+            if grad_k else None,
+            grad_q and grad_k and y.size * q_shape[-1] >= _LANE_MACS)
         return gq, gk, gv, gw
 
     return from_op(data, (q, k, v, w_o), grad_fn, "attention")
@@ -730,6 +896,22 @@ def _gelu_passes(x: Array, y: Array | None = None, g: Array | None = None,
             np.multiply(t, gs, out=ds)
 
 
+def _gelu_halves(x: Array, y: Array | None = None, g: Array | None = None,
+                 dx: Array | None = None) -> None:
+    """``_gelu_passes`` split at the chunk boundary nearest the middle,
+    the second part on the lane, once each part holds a whole chunk: the
+    parts run the serial code's very chunks."""
+    if x.size < 2 * _CHUNK:
+        _gelu_passes(x, y, g, dx)
+        return
+    cut = round(x.size / (2 * _CHUNK)) * _CHUNK
+    flats = [None if a is None else a.reshape(-1) for a in (x, y, g, dx)]
+    _both(lambda: _gelu_passes(*[None if f is None else f[:cut]
+                                 for f in flats]),
+          lambda: _gelu_passes(*[None if f is None else f[cut:]
+                                 for f in flats]))
+
+
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation.
 
@@ -767,25 +949,32 @@ def mlp(h: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     a = _matmul_data(h.data, w1d)
     a_shape = a.shape
     y = np.empty(a_shape)
-    _gelu_passes(a, y=y)
+    _gelu_halves(a, y=y)
     del a
     data = _matmul_data(y, w2d)
     h_shape, w1_shape, w2_shape = h.shape, w1.shape, w2.shape
     grad_h, grad_w1, grad_w2 = h.requires_grad, w1.requires_grad, \
         w2.requires_grad
     hs = _saved(h)
+    # Each of the node's products has as many multiply-adds as h @ w1.
+    pair = math.prod(a_shape) * h_shape[-1] >= _LANE_MACS
 
     def grad_fn(g):
         hd = _restored(hs)
-        a = _matmul_data(hd, w1d)
-        ga = np.ascontiguousarray(_matmul_grad_a(g, w2d, a_shape)) \
-            if grad_h or grad_w1 else None
+        grad_a = grad_h or grad_w1
+        a, ga = _both(
+            lambda: _matmul_data(hd, w1d),
+            lambda: np.ascontiguousarray(_matmul_grad_a(g, w2d, a_shape))
+            if grad_a else None, pair and grad_a)
         y = np.empty(a_shape) if grad_w2 else None
-        _gelu_passes(a, y=y, g=ga, dx=ga)
+        _gelu_halves(a, y=y, g=ga, dx=ga)
         del a
-        gw2 = None if y is None else _matmul_grad_b(y, g, a_shape, w2_shape)
+        gw2, gh = _both(
+            lambda: None if y is None else _matmul_grad_b(y, g, a_shape,
+                                                          w2_shape),
+            lambda: _matmul_grad_a(ga, w1d, h_shape) if grad_h else None,
+            pair and grad_w2 and grad_h)
         del y
-        gh = _matmul_grad_a(ga, w1d, h_shape) if grad_h else None
         gw1 = _matmul_grad_b(hd, ga, h_shape, w1_shape) if grad_w1 else None
         return gh, gw1, gw2
 

@@ -2,10 +2,14 @@
 pseudoinverse and merge-map render the oracles compare against, the
 shape ops and loss reducer no program path runs, composed attention, MLP
 and embedding, the list of the functions of one or more modules that a
-run never calls, and a reader for the pixmaps ``visualize`` writes."""
+run never calls, a second lane decided anew for a given CPU count, and a
+reader for the pixmaps ``visualize`` writes."""
 
+import contextlib
 import inspect
+import os
 import sys
+import threading
 
 import numpy as np
 
@@ -238,9 +242,51 @@ def uncalled(modules, run) -> set[str]:
                     and fn.__code__.co_filename == module.__file__:
                 code[prefix + name] = fn.__code__
     called = set()
-    sys.setprofile(lambda frame, event, arg: called.add(frame.f_code))
+
+    def hook(frame, event, arg):
+        called.add(frame.f_code)
+
+    # ``sys.setprofile`` hooks the calling thread only: the engine's
+    # second lane takes the hook as a task if it runs already, and at its
+    # start if the run starts it.
+    _on_lane(lambda: sys.setprofile(hook))
+    threading.setprofile(hook)
+    sys.setprofile(hook)
     try:
         run()
     finally:
         sys.setprofile(None)
+        threading.setprofile(None)
+        _on_lane(lambda: sys.setprofile(None))
     return {name for name, c in code.items() if c not in called}
+
+
+def _on_lane(task) -> None:
+    """Run ``task`` on the engine's second lane, if its thread runs."""
+    if T._LANE.get("inbox") is not None:
+        T._both(lambda: None, task)
+
+
+@contextlib.contextmanager
+def fresh_lane(cpus: int):
+    """The body runs with the engine's second lane decided anew, as in a
+    process whose affinity allows ``cpus`` CPUs; on exit the lane's
+    thread, if the body started one, stops, and the former lane returns.
+    ``fresh_lane(1)`` forces the lane off."""
+    saved_lane, saved_affinity = dict(T._LANE), os.sched_getaffinity
+    threads = set(threading.enumerate())
+    T._LANE.clear()
+    os.sched_getaffinity = lambda pid: set(range(cpus))
+    try:
+        yield
+    finally:
+        os.sched_getaffinity = saved_affinity
+        inbox = T._LANE.get("inbox")
+        T._LANE.clear()
+        T._LANE.update(saved_lane)
+        if inbox is not None:
+            inbox.put(None)
+            for thread in set(threading.enumerate()) - threads:
+                if thread.name == "prunemerge-lane":
+                    thread.join(timeout=10.0)
+                    assert not thread.is_alive()

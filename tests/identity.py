@@ -7,7 +7,10 @@ compare two dumps array by array.
 ``dump`` writes ``DIR/arrays.npz``, one array per name, at two small
 configs: the acceptance shape (28 px, 5 tokens, D=48, batch 32) and a
 depth-4 64 px D=96 shape at batch 4, whose GELU input spans several of
-the engine's chunks.  Per config it holds:
+the engine's chunks.  Every op of the first stays on one lane; the
+second (``wide``) hands products, attention halves, GELU halves and
+AdamW chunks to the engine's second lane, where two CPUs allow one, and
+``dump`` prints how many tasks ran there.  Per config it holds:
 
 * ``no_grad``, recorded and traced logits of the base model and of the
   frozen- and learnable-compressed models under a class-token plan, a
@@ -298,7 +301,8 @@ def main(argv=None) -> int:
         target.mkdir(parents=True, exist_ok=True)
         arrays = collect()
         np.savez(target / "arrays.npz", **arrays)
-        print(f"{len(arrays)} arrays written to {target / 'arrays.npz'}")
+        print(f"{len(arrays)} arrays written to {target / 'arrays.npz'}; "
+              f"{T._lane_tasks} tasks ran on the second lane")
         return 0
     if len(argv) == 3 and argv[0] == "compare":
         a, b = _load(Path(argv[1])), _load(Path(argv[2]))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from prunemerge import checkpoint
-from prunemerge.cli import main
+from prunemerge.cli import entry, main
 from prunemerge.compression import (CompressedModel, CompressionPlan,
                                     compress_model, identity_plan)
 
@@ -329,6 +329,22 @@ def test_non_finite_loss_is_one_line_error(workdir, cfg, base_ckpt,
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: NumericError: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_non_finite_run_prints_one_line_in_a_process(workdir, cfg, base_ckpt,
+                                                     plan_file):
+    # The same run as above in a process of its own, as a shell runs it:
+    # numpy warns on stderr before the error line unless the process
+    # entry turns its floating-point warnings off.
+    out = workdir / "never_tuned_in_a_process.pmvt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "prunemerge.cli", "finetune", "--config", cfg,
+         "--ckpt", base_ckpt, "--plan", plan_file, "--out", str(out),
+         "--set", "base_lr=1e300"], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: NumericError: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
     assert not out.exists()
 
 
@@ -801,8 +817,10 @@ def test_program_paths_call_every_function_of_the_commands(tmp_path):
     ]
 
     def paths():
-        for argv in chain:
+        for argv in chain[:-1]:
             assert main(argv) == 0, argv
+        # The last command through the process entry, as the script runs.
+        assert entry(chain[-1]) == 0, chain[-1]
 
     never = uncalled(modules, paths)
     allowed = set(UNCALLED_BY_DESIGN)

@@ -20,8 +20,8 @@ from prunemerge.scoring import (ScorerVariant, collect_scores,
 from prunemerge.vit import ModelConfig, VisionTransformer, block_forward
 
 from helpers import (assert_grads_close, broadcast_to, composed_attention,
-                     composed_embed, composed_mlp, concat, numeric_grad,
-                     reshape, tensor_sum, transpose, uncalled)
+                     composed_embed, composed_mlp, concat, fresh_lane,
+                     numeric_grad, reshape, tensor_sum, transpose, uncalled)
 
 
 class TestMatmul:
@@ -1245,11 +1245,16 @@ def test_program_paths_call_every_function_of_the_engine():
     # What the commands run, in-process at a tiny size: recorded forward
     # and backward of the base and of a learnable compressed model, with
     # a class-row last layer and with traces under the distillation loss;
-    # a traced scoring batch; a no_grad evaluation.
+    # a traced scoring batch; a no_grad evaluation.  One product of
+    # 2**20 multiply-adds, the least the second lane takes, runs its
+    # backward there; the lane starts in the run, as on two CPUs.
     model, images = _tiny_model()
     compressed, _ = _tiny_compressed_model()
     labels = np.array([1, 0])
     dataset = Dataset(images, labels, num_classes=3)
+    rng = np.random.default_rng(31)
+    a, b = (T.Tensor(rng.normal(size=s), requires_grad=True)
+            for s in [(128, 128), (128, 64)])
 
     def paths():
         T.backward(T.cross_entropy(model.forward(images), labels))
@@ -1259,8 +1264,10 @@ def test_program_paths_call_every_function_of_the_engine():
                                      alpha=0.4)[0])
         collect_scores(model, dataset, iterations=1, batch_size=2)
         evaluate_accuracy(compressed, dataset, batch_size=2)
+        T.backward(tensor_sum(T.matmul(a, b)))
 
-    never = uncalled(T, paths)
+    with fresh_lane(2):
+        never = uncalled(T, paths)
     allowed = set(UNCALLED_BY_DESIGN)
     assert never == allowed, (
         f"never called: {sorted(never - allowed)}; "

@@ -12,7 +12,9 @@ gather plus a row copy (``reconstruct_tokens``, the one reconstruct op; a
 class-row last layer runs it on token 0 alone).  Both directions run in
 O(N*D): every grouped merge (the model's, its gradients' and
 ``grouped_merge``) is one segmented sum and every grouped reconstruct one
-gather.  Dense M and R are derived views.
+gather.  A ``MergeMatrix`` is its own kernel layout, refused when built
+unless its groups partition the tokens, and the kernels read only that
+layout.  Dense M and R are derived views.
 """
 
 from __future__ import annotations
@@ -67,23 +69,32 @@ def _load_sparsetools():
 csr_matvecs = _load_sparsetools().csr_matvecs
 
 
-class Segments:
-    """Contiguous token groups partitioning [0, n), as the kernels read them.
+@dataclass
+class MergeMatrix:
+    """A merge matrix as its group partition plus one weight per token,
+    and the kernel layout built from them, which is all the kernels read.
 
-    ``gid[j]`` is token j's group; ``live[j]`` is False for pruned tokens,
-    which the autodiff ops send no gradient.  ``pruned`` lists the pruned
-    tokens and ``bypass``, an (n, 1) column, is 1.0 on them and 0.0 on
-    live ones.  ``merge_at``/``recon_at`` flat-index each token's own
-    entry M[gid[j], j] and R[j, gid[j]].  The CSR layout of stacked batch
-    copies is kept for the last batch size asked for.
+    ``groups`` lists one half-open [start, stop) range per row; together
+    the ranges partition [0, n_tokens), which is what lets the merge run
+    as one segmented sum, and other groups are refused when built.
+    ``w[j]`` is token j's weight in its own group's row, M[gid[j], j];
+    every other entry of M is zero.  A token is live when its weight is
+    nonzero; ``pruned`` lists the others and ``bypass``, an (n, 1)
+    column, is 1.0 on them.  ``merge_at``/``recon_at`` flat-index each
+    token's entry M[gid[j], j] and R[j, gid[j]].  The CSR layout of
+    stacked batch copies is kept for the last batch size asked for.  The
+    instance is treated as immutable once built.
     """
 
-    def __init__(self, groups, live: np.ndarray):
-        self.live = np.asarray(live, dtype=bool)
+    groups: list[tuple[int, int]]
+    w: np.ndarray
+
+    def __post_init__(self):
+        self.live = self.w != 0
         self.pruned = np.flatnonzero(~self.live)
         self.bypass = (~self.live).astype(np.float64)[:, None]
-        self.n = n = self.live.size
-        bounds = np.asarray(groups, dtype=np.int64).reshape(-1, 2)
+        self.n_tokens = n = self.w.size
+        bounds = np.asarray(self.groups, dtype=np.int64).reshape(-1, 2)
         starts, stops = bounds[:, 0], bounds[:, 1]
         covered = np.concatenate([[0], stops])
         if (starts != covered[:-1]).any() or (stops <= starts).any() \
@@ -98,79 +109,49 @@ class Segments:
         self._layout = (np.append(starts, n), tokens)
 
     @cached_property
-    def head(self) -> "Segments":
+    def head(self) -> "MergeMatrix":
         """Token 0 alone, as the class-row reconstruct reads it: every
         plan's groups start at token 0, so gid[0] = 0."""
-        return Segments([(0, 1)], self.live[:1])
+        return MergeMatrix([(0, 1)], self.w[:1])
 
     def layout(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
         """CSR row pointers and column indices of ``batch`` stacked copies."""
         if batch != self._batch:
-            offsets = self.n * np.arange(batch)[:, None]
+            offsets = self.n_tokens * np.arange(batch)[:, None]
             self._layout = (np.append((self._starts + offsets).ravel(),
-                                      batch * self.n),
-                            np.arange(batch * self.n))
+                                      batch * self.n_tokens),
+                            np.arange(batch * self.n_tokens))
             self._batch = batch
         return self._layout
 
     def merge_matrix(self, w: np.ndarray) -> np.ndarray:
-        """Dense (kept, n) matrix holding w[j] at [gid[j], j]."""
-        out = np.zeros((self.kept, self.n))
+        """Dense (kept, n_tokens) matrix holding w[j] at [gid[j], j]."""
+        out = np.zeros((self.kept, self.n_tokens))
         out.put(self.merge_at, w)
         return out
 
     def recon_matrix(self, r: np.ndarray) -> np.ndarray:
-        """Dense (n, kept) matrix holding r[j] at [j, gid[j]]."""
-        out = np.zeros((self.n, self.kept))
+        """Dense (n_tokens, kept) matrix holding r[j] at [j, gid[j]]."""
+        out = np.zeros((self.n_tokens, self.kept))
         out.put(self.recon_at, r)
         return out
-
-
-@dataclass
-class MergeMatrix:
-    """A merge matrix as its group partition plus one weight per token.
-
-    ``groups`` lists one half-open [start, stop) range per row; together
-    the ranges partition [0, n_tokens), which is what lets the merge run
-    as one segmented sum.  ``w[j]`` is token j's weight in its own group's
-    row, M[gid[j], j]; every other entry of M is zero.  The instance is
-    treated as immutable once built.
-    """
-
-    groups: list[tuple[int, int]]
-    w: np.ndarray
-
-    @property
-    def kept(self) -> int:
-        return len(self.groups)
-
-    @property
-    def n_tokens(self) -> int:
-        return self.w.size
-
-    @cached_property
-    def segments(self) -> Segments:
-        """The groups in kernel form; a token is live when its weight is
-        nonzero, which ``validate(mask=...)`` ties to the plan's mask."""
-        return Segments(self.groups, self.w != 0)
 
     @property
     def data(self) -> np.ndarray:
         """The dense (kept, n_tokens) matrix, built afresh on every read."""
-        return self.segments.merge_matrix(self.w)
+        return self.merge_matrix(self.w)
 
     def validate(self, mask: np.ndarray | None = None,
                  class_token: bool = False, atol: float = 1e-10) -> None:
-        """Invariants of a generated matrix: groups that partition the
-        tokens, rows summing to one, zero weights exactly at the pruned
-        tokens of ``mask`` and, with ``class_token``, row 0 equal to e_0."""
-        seg = self.segments
-        totals = np.bincount(seg.gid, weights=self.w, minlength=seg.kept)
+        """Invariants of a generated matrix beyond the partition: rows
+        summing to one, zero weights exactly at the pruned tokens of
+        ``mask`` and, with ``class_token``, row 0 equal to e_0."""
+        totals = np.bincount(self.gid, weights=self.w, minlength=self.kept)
         rows = np.flatnonzero(np.abs(totals - 1.0) > atol)
         if rows.size:
             raise ContractError(
                 f"row {rows[0]} sums to {totals[rows[0]]}, expected 1")
-        if mask is not None and (seg.live != (np.asarray(mask) != 0)).any():
+        if mask is not None and (self.live != (np.asarray(mask) != 0)).any():
             raise ContractError(
                 "zero weights of the merge matrix disagree with the mask")
         if class_token:
@@ -192,7 +173,7 @@ class PlanEntry:
     @property
     def mask(self) -> np.ndarray:
         """0 for a pruned token: a fresh (n,) uint8 array on every read."""
-        return self.merge.segments.live.astype(np.uint8)
+        return self.merge.live.astype(np.uint8)
 
     @property
     def kept(self) -> int:
@@ -201,7 +182,7 @@ class PlanEntry:
     @property
     def reconstruct(self) -> np.ndarray:
         """The dense (n, kept) matrix, built afresh on every read."""
-        return self.merge.segments.recon_matrix(self.r)
+        return self.merge.recon_matrix(self.r)
 
 
 @dataclass
@@ -316,10 +297,12 @@ def _checked_entry(mask: np.ndarray, merge: np.ndarray, recon: np.ndarray,
     if not np.isin(mask, (0, 1)).all():
         raise ContractError("mask values must be 0 or 1")
     matrix = MergeMatrix([(int(a), int(b)) for a, b in groups], merge)
-    matrix.validate(mask=mask, atol=np.inf)  # any row sum passes
+    live = matrix.live
+    if (live != (mask != 0)).any():
+        raise ContractError(
+            "zero weights of the merge matrix disagree with the mask")
     if recon[mask == 0].any():
         raise ContractError("pruned tokens must have zero reconstruct weights")
-    live = matrix.segments.live
     if class_token and (not live[:1].any() or live[1:groups[0, 1]].any()):
         raise ContractError(
             "class_token is set but token 0 is not alone and unpruned in "
@@ -435,20 +418,20 @@ def pseudoinverse(merge: MergeMatrix) -> np.ndarray:
     Rows supported on disjoint groups make M.M^T diagonal, so column g of
     M+ is row_g / ||row_g||^2: r[j] = w[j] / ||row gid[j]||^2.
     """
-    seg = merge.segments
-    norms2 = np.bincount(seg.gid, weights=merge.w * merge.w,
-                         minlength=seg.kept)
+    norms2 = np.bincount(merge.gid, weights=merge.w * merge.w,
+                         minlength=merge.kept)
     if (norms2 <= RANK_TOL ** 2).any():
         bad = int(np.argmin(norms2))
         raise SingularMatrixError(f"merge-matrix row {bad} is zero")
-    return merge.w / norms2[seg.gid]
+    return merge.w / norms2[merge.gid]
 
 
 # ----------------------------------------------------------------------
 # the grouped kernels and their autodiff ops
 # ----------------------------------------------------------------------
 
-def _segment_sum(x: np.ndarray, w: np.ndarray, seg: Segments) -> np.ndarray:
+def _segment_sum(x: np.ndarray, w: np.ndarray,
+                 merge: MergeMatrix) -> np.ndarray:
     """The merge kernel: out[..., g, :] = sum of w[j] * x[..., j, :] over
     the tokens j of group g, each group summed left to right.
 
@@ -458,32 +441,33 @@ def _segment_sum(x: np.ndarray, w: np.ndarray, seg: Segments) -> np.ndarray:
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     *lead, n, d = x.shape
-    if n != seg.n:
-        raise ShapeMismatchError(
-            f"tokens axis {x.shape} does not match merge width {seg.n}")
+    if n != merge.n_tokens:
+        raise ShapeMismatchError(f"tokens axis {x.shape} does not match "
+                                 f"merge width {merge.n_tokens}")
     batch = math.prod(lead)
-    indptr, cols = seg.layout(batch)
-    out = np.zeros((*lead, seg.kept, d))
-    csr_matvecs(batch * seg.kept, batch * n, d, indptr, cols,
+    indptr, cols = merge.layout(batch)
+    out = np.zeros((*lead, merge.kept, d))
+    csr_matvecs(batch * merge.kept, batch * n, d, indptr, cols,
                 w if batch == 1 else np.tile(w, batch), x, out)
     return out
 
 
-def _gather(y: np.ndarray, seg: Segments) -> np.ndarray:
+def _gather(y: np.ndarray, merge: MergeMatrix) -> np.ndarray:
     """The reconstruct gather: token j takes row gid[j] of ``y``.
 
     np.take returns a fresh C-contiguous array, which callers may scale in
     place; fancy indexing would lay the token axis outermost in memory.
     """
-    return np.take(y, seg.gid, axis=-2)
+    return np.take(y, merge.gid, axis=-2)
 
 
-def _token_grad(a: np.ndarray, b: np.ndarray, seg: Segments) -> np.ndarray:
+def _token_grad(a: np.ndarray, b: np.ndarray,
+                merge: MergeMatrix) -> np.ndarray:
     """Per-token matrix gradient: a * b summed over every axis but the
     token axis, zero on pruned tokens so that they stay pruned."""
     per_token = (a * b).sum(axis=-1)
     per_token = per_token.sum(axis=tuple(range(per_token.ndim - 1)))
-    return np.where(seg.live, per_token, 0.0)
+    return np.where(merge.live, per_token, 0.0)
 
 
 def grouped_merge(z: np.ndarray, merge: MergeMatrix) -> np.ndarray:
@@ -491,10 +475,10 @@ def grouped_merge(z: np.ndarray, merge: MergeMatrix) -> np.ndarray:
 
     Runs the merge kernel of ``merge_tokens`` on 2-D or batched input.
     """
-    return _segment_sum(z, merge.w, merge.segments)
+    return _segment_sum(z, merge.w, merge)
 
 
-def merge_tokens(z: Tensor, merge_t: Tensor, seg: Segments) -> Tensor:
+def merge_tokens(z: Tensor, merge_t: Tensor, merge: MergeMatrix) -> Tensor:
     """Autodiff grouped merge: out[g] = sum_{j in g} M[g, j] * z[j].
 
     Gradients to the matrix touch only each live token's entry in its own
@@ -502,21 +486,21 @@ def merge_tokens(z: Tensor, merge_t: Tensor, seg: Segments) -> Tensor:
     through any number of training steps.  A frozen matrix gets no
     gradient, so its backward neither keeps ``z`` nor builds one.
     """
-    w = merge_t.data.take(seg.merge_at)
+    w = merge_t.data.take(merge.merge_at)
     zd = z.data if merge_t.requires_grad else None
-    data = _segment_sum(z.data, w, seg)
+    data = _segment_sum(z.data, w, merge)
 
     def grad_fn(g):
-        g_tok = _gather(g, seg)
+        g_tok = _gather(g, merge)
         dm = None if zd is None else \
-            seg.merge_matrix(_token_grad(g_tok, zd, seg))
+            merge.merge_matrix(_token_grad(g_tok, zd, merge))
         g_tok *= w[:, None]
         return g_tok, dm
 
     return from_op(data, (z, merge_t), grad_fn, "merge_tokens")
 
 
-def reconstruct_tokens(y: Tensor, recon_t: Tensor, seg: Segments,
+def reconstruct_tokens(y: Tensor, recon_t: Tensor, merge: MergeMatrix,
                        z: Tensor) -> Tensor:
     """Autodiff grouped reconstruct with the shortcut for pruned tokens.
 
@@ -525,29 +509,29 @@ def reconstruct_tokens(y: Tensor, recon_t: Tensor, seg: Segments,
     pruned token its input z[j], bit for bit.  Gradients to the matrix
     touch only each live token's entry in its own group's column; pruned
     rows stay exactly zero.  ``z`` gets the output gradient times the
-    (n, 1) ``seg.bypass`` column: the gradient on pruned rows, zeros
+    (n, 1) ``merge.bypass`` column: the gradient on pruned rows, zeros
     elsewhere, and nothing at all when no token is pruned.  As in
     ``merge_tokens``, a frozen matrix gets no gradient and its backward
     keeps no ``y``.  A class-row layer passes token 0's slices: ``y`` of
-    shape (B, 1, D), R[:1, :1], ``seg.head`` and z[:, :1].
+    shape (B, 1, D), R[:1, :1], ``merge.head`` and z[:, :1].
     """
-    w = recon_t.data.take(seg.recon_at)
+    w = recon_t.data.take(merge.recon_at)
     yd = y.data if recon_t.requires_grad else None
-    data = _gather(y.data, seg)
+    data = _gather(y.data, merge)
     if z.shape != data.shape:
         raise ShapeMismatchError(
             f"layer input {z.shape} does not match the reconstruct "
             f"{data.shape}")
     data *= w[:, None]
     bypass = None
-    if seg.pruned.size:
-        data[..., seg.pruned, :] = z.data[..., seg.pruned, :]
-        bypass = seg.bypass
+    if merge.pruned.size:
+        data[..., merge.pruned, :] = z.data[..., merge.pruned, :]
+        bypass = merge.bypass
 
     def grad_fn(g):
         dr = None if yd is None else \
-            seg.recon_matrix(_token_grad(g, _gather(yd, seg), seg))
-        return (_segment_sum(g, w, seg), dr,
+            merge.recon_matrix(_token_grad(g, _gather(yd, merge), merge))
+        return (_segment_sum(g, w, merge), dr,
                 None if bypass is None else g * bypass)
 
     return from_op(data, (y, recon_t, z), grad_fn, "reconstruct_tokens")
@@ -557,31 +541,33 @@ def pm_forward(z: Tensor, entry: PlanEntry, block: BlockParams, heads: int,
                trace: AttentionTrace | None = None) -> Tensor:
     """Compressed layer forward with a frozen plan entry."""
     return pm_forward_tensors(z, Tensor(entry.merge.data),
-                              Tensor(entry.reconstruct), entry.merge.segments,
+                              Tensor(entry.reconstruct), entry.merge,
                               entry.mask, block, heads, trace=trace)
 
 
 def pm_forward_tensors(z: Tensor, merge_t: Tensor, recon_t: Tensor,
-                       segments: Segments, mask: np.ndarray,
+                       merge: MergeMatrix, mask: np.ndarray,
                        block: BlockParams, heads: int,
                        trace: AttentionTrace | None = None,
                        class_row: bool = False) -> Tensor:
     """Compressed layer forward with explicit (possibly learnable) matrices.
 
-    ``mask`` is the plan's mask (0 = pruned); it must prune exactly the
-    tokens ``segments`` marks as pruned, which the reconstruct's shortcut
-    reads.  With ``class_row`` every token is still merged, because keys
-    and values need every group, but the block and the reconstruct produce
-    token 0 only, as (B, 1, D): ``reconstruct_tokens`` runs on token 0's
-    one-token segment ``segments.head`` with R[:1, :1] and z[:, :1].
+    ``merge`` gives the layout only: the weights come from ``merge_t``
+    and ``recon_t``.  ``mask`` is the plan's mask (0 = pruned); it must
+    prune exactly the tokens ``merge`` marks as pruned, which the
+    reconstruct's shortcut reads.  With ``class_row`` every token is still
+    merged, because keys and values need every group, but the block and
+    the reconstruct produce token 0 only, as (B, 1, D):
+    ``reconstruct_tokens`` runs on token 0's one-token group
+    ``merge.head`` with R[:1, :1] and z[:, :1].
     """
-    if not np.array_equal(np.asarray(mask) != 0, segments.live):
-        raise ContractError("mask disagrees with the segments' pruned tokens")
-    y = block_forward(merge_tokens(z, merge_t, segments), block, heads,
+    if not np.array_equal(np.asarray(mask) != 0, merge.live):
+        raise ContractError("mask disagrees with the merge's pruned tokens")
+    y = block_forward(merge_tokens(z, merge_t, merge), block, heads,
                       trace=trace, class_row=class_row)
     if class_row:
-        return reconstruct_tokens(y, recon_t[:1, :1], segments.head, z[:, :1])
-    return reconstruct_tokens(y, recon_t, segments, z)
+        return reconstruct_tokens(y, recon_t[:1, :1], merge.head, z[:, :1])
+    return reconstruct_tokens(y, recon_t, merge, z)
 
 
 # ----------------------------------------------------------------------
@@ -723,7 +709,7 @@ class CompressedModel:
                           class_row: bool) -> Tensor:
         entry = self.plan.entries[layer]
         return pm_forward_tensors(z, self.merge_t[layer], self.recon_t[layer],
-                                  entry.merge.segments, entry.mask, block,
+                                  entry.merge, entry.mask, block,
                                   self.config.heads, trace=trace,
                                   class_row=class_row)
 
@@ -748,11 +734,11 @@ class CompressedModel:
             if entry is None:
                 entries.append(None)
                 continue
-            seg = entry.merge.segments
-            merge = MergeMatrix(list(entry.merge.groups),
-                                self.merge_t[layer].data.take(seg.merge_at))
+            merge = entry.merge
             entries.append(PlanEntry(
-                merge, self.recon_t[layer].data.take(seg.recon_at)))
+                MergeMatrix(list(merge.groups),
+                            self.merge_t[layer].data.take(merge.merge_at)),
+                self.recon_t[layer].data.take(merge.recon_at)))
         return CompressionPlan(entries, self.plan.class_token)
 
 

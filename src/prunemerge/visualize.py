@@ -55,24 +55,22 @@ def render_merge_map(image: np.ndarray, entry: PlanEntry,
     the class token carries zero pixels and no merge weight.  A live patch
     whose group's patch weights sum to zero or less keeps its own pixels.
     """
-    n = config.num_tokens
-    if entry.merge.n_tokens != n:
-        raise ContractError(
-            f"plan width {entry.merge.n_tokens} != model tokens {n}")
-    seg = entry.merge.segments
+    n, merge = config.num_tokens, entry.merge
+    if merge.n_tokens != n:
+        raise ContractError(f"plan width {merge.n_tokens} != model tokens {n}")
     z = np.vstack([np.zeros((1, config.patch_dim)),
                    extract_patches(image[None], config)[0]])
 
-    w = entry.merge.w.copy()
+    w = merge.w.copy()
     w[0] = 0.0                      # patch tokens only
-    totals = np.bincount(seg.gid, weights=w, minlength=seg.kept)[seg.gid]
+    totals = np.bincount(merge.gid, weights=w, minlength=merge.kept)[merge.gid]
     positive = totals > 0
     share = np.divide(w, totals, out=np.zeros(n), where=positive)
     merged = np.where(positive[:, None],
-                      _gather(_segment_sum(z, share, seg), seg), z)
+                      _gather(_segment_sum(z, share, merge), merge), z)
     merged[entry.mask == 0] = 1.0   # pruned: white
 
-    round_trip = _gather(grouped_merge(z, entry.merge), seg)
+    round_trip = _gather(grouped_merge(z, merge), merge)
     round_trip *= entry.r[:, None]
     return (_patches_to_grid(merged[1:], config),
             _patches_to_grid(round_trip[1:], config))

@@ -2,8 +2,9 @@
 pseudoinverse and merge-map render the oracles compare against, the
 shape ops and loss reducer no program path runs, composed attention, MLP
 and embedding, the list of the functions of one or more modules that a
-run never calls, a second lane decided anew for a given CPU count, and a
-reader for the pixmaps ``visualize`` writes."""
+run never calls, a second lane decided anew for a given CPU count, a
+reader for the pixmaps ``visualize`` writes, and a path made fresh for
+each example a fuzz test writes."""
 
 import contextlib
 import inspect
@@ -23,7 +24,16 @@ from prunemerge.vit import extract_patches
 def dense_pinv(merge) -> np.ndarray:
     """The dense (n, kept) pseudoinverse of a merge matrix, derived from
     the vector ``pseudoinverse`` returns."""
-    return merge.segments.recon_matrix(pseudoinverse(merge))
+    return merge.recon_matrix(pseudoinverse(merge))
+
+
+def fresh(path):
+    """``path`` with any file there unlinked, for a test that writes the
+    same path once per example.  ext4 flushes a file that is truncated and
+    rewritten when it is closed (its replace-via-truncate heuristic): on a
+    2-core ext4 host such a rewrite took 46-60 ms, a new file 8-16 us."""
+    path.unlink(missing_ok=True)
+    return path
 
 
 def read_ppm(path) -> np.ndarray:
@@ -47,7 +57,7 @@ def dense_render_merge_map(image, entry, config):
     patches = extract_patches(image[None], config)[0]
     n = config.num_tokens
     merged = np.empty_like(patches)
-    gid = entry.merge.segments.gid
+    gid = entry.merge.gid
     m = entry.merge.data
     for j in range(1, n):
         if entry.mask[j] == 0:

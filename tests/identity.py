@@ -65,6 +65,8 @@ from prunemerge.finetune import DistillConfig, finetune
 from prunemerge.scoring import ScorerVariant, scores_from_trace
 from prunemerge.vit import ModelConfig, VisionTransformer
 
+from helpers import fresh
+
 ACCEPTANCE = ModelConfig(image_size=28, patch_size=14, channels=1,
                          embed_dim=48, depth=2, heads=4, mlp_ratio=2,
                          num_classes=10)
@@ -180,7 +182,7 @@ def _random_plans(out: dict, count: int, work: Path) -> None:
         except ContractError as e:
             out[f"plan/{i:03d}.refused"] = _bytes(str(e).encode())
             continue
-        save_plan(work / "plan.pmvt", plan)
+        save_plan(fresh(work / "plan.pmvt"), plan)
         out[f"plan/{i:03d}.pmvt"] = _bytes((work / "plan.pmvt").read_bytes())
 
 

@@ -16,6 +16,8 @@ from prunemerge.errors import (CheckpointError, ContractError,
                                UnsupportedVersionError)
 from prunemerge.vit import ModelConfig, VisionTransformer
 
+from helpers import fresh
+
 
 @pytest.fixture
 def sample_arrays():
@@ -280,7 +282,7 @@ class TestPlanDecoderFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(arrays=one_mutation())
     def test_any_mutation_is_refused(self, tmp_path, arrays):
-        path = tmp_path / "plan.pmvt"
+        path = fresh(tmp_path / "plan.pmvt")
         save_arrays(path, arrays)
         with pytest.raises((ContractError, CheckpointError)):
             load_plan(path)
@@ -538,7 +540,7 @@ class TestContainerDecoderFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_any_mutation_is_refused(self, tmp_path, base_blob, data):
-        path = tmp_path / "m.pmvt"
+        path = fresh(tmp_path / "m.pmvt")
         path.write_bytes(data.draw(one_container_mutation(base_blob)))
         with pytest.raises(CheckpointError):
             load_model(path)
@@ -549,7 +551,7 @@ class TestContainerDecoderFuzz:
     @given(data=st.data())
     def test_cli_reports_one_error_line(self, tmp_path, capsys, base_blob,
                                         data):
-        path = tmp_path / "m.pmvt"
+        path = fresh(tmp_path / "m.pmvt")
         path.write_bytes(data.draw(one_container_mutation(base_blob)))
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(path)]) == 1

@@ -9,7 +9,7 @@ import pytest
 import prunemerge
 from prunemerge import tensor as T
 from prunemerge.compression import (CompressionPlan, MergeMatrix,
-                                    Segments, compress_model, generate_merge_matrix,
+                                    compress_model, generate_merge_matrix,
                                     global_plan, grouped_merge,
                                     identity_plan, merge_tokens,
                                     pm_forward, pm_forward_tensors,
@@ -134,10 +134,27 @@ class TestGenerateMergeMatrix:
 
 
 class TestMergeMatrixValidate:
-    def test_gap_in_groups_rejected(self):
-        m = MergeMatrix([(0, 1), (2, 3)], np.ones(3))
-        with pytest.raises(ContractError):
-            m.validate()
+    # nine tokens: the width of the plan TestPlanLoading builds
+    @pytest.mark.parametrize("groups", [
+        [(0, 2), (3, 9)],
+        [(0, 3), (2, 9)],
+        [(0, 2), (2, 2), (2, 9)],
+        [(1, 4), (4, 9)],
+        [(0, 2), (2, 8)],
+        [(0, 2), (2, 10)],
+    ], ids=["gap", "overlap", "empty-group", "start-not-0", "cover-short",
+            "cover-long"])
+    def test_bad_partition_refused_when_built(self, groups, tmp_path):
+        from prunemerge.checkpoint import load_plan, save_arrays
+        with pytest.raises(ContractError,
+                           match=r"^groups do not partition \[0, 9\)$"):
+            MergeMatrix(groups, np.full(9, 0.5))
+        arrays = TestPlanLoading.arrays()
+        arrays["plan.layer1.groups"] = np.array(groups, dtype=np.int64)
+        save_arrays(tmp_path / "plan.pmvt", arrays)
+        with pytest.raises(ContractError, match=r"^plan layer 1: groups do "
+                           r"not partition \[0, 9\)$"):
+            load_plan(tmp_path / "plan.pmvt")
 
     def test_row_sum_enforced(self):
         m = MergeMatrix([(0, 2), (2, 3)], np.array([0.5, 0.4, 1.0]))
@@ -237,7 +254,7 @@ class TestGroupedOps:
                       rng.standard_normal((2, 3, n, 7)),
                       rng.standard_normal((7, n)).T,
                       rng.standard_normal((2, n, 14))[..., ::2]):
-                out = merge_tokens(Tensor(z), m_t, merge.segments).data
+                out = merge_tokens(Tensor(z), m_t, merge).data
                 np.testing.assert_allclose(out, merge.data @ z, atol=1e-12)
                 assert np.array_equal(out, grouped_merge(z, merge))
 
@@ -253,7 +270,7 @@ class TestGroupedOps:
                       rng.standard_normal((2, 4, kept)).swapaxes(1, 2)):
                 z = rng.standard_normal(y.shape[:-2] + (n, 4))
                 out = reconstruct_tokens(Tensor(y), Tensor(plus),
-                                         merge.segments, Tensor(z)).data
+                                         merge, Tensor(z)).data
                 np.testing.assert_allclose(
                     out, plus @ y + z * (1.0 - mask)[:, None], atol=1e-12)
 
@@ -266,7 +283,7 @@ class TestGroupedOps:
         coef = rng.standard_normal((2, 3, 4))
 
         def loss_fn():
-            out = merge_tokens(z, m_t, merge.segments)
+            out = merge_tokens(z, m_t, merge)
             return tensor_sum(out * Tensor(coef))
 
         loss = loss_fn()
@@ -293,7 +310,7 @@ class TestGroupedOps:
         coef = rng.standard_normal((2, 6, 3))
 
         def loss_fn():
-            out = reconstruct_tokens(y, r_t, merge.segments, z)
+            out = reconstruct_tokens(y, r_t, merge, z)
             return tensor_sum(out * Tensor(coef))
 
         loss = loss_fn()
@@ -329,18 +346,17 @@ class TestFusedReconstruct:
                                             class_token=class_token)
         r = pseudoinverse(merge) * rng.uniform(0.5, 1.5, size=7)
         y = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-        r_t = Tensor(merge.segments.recon_matrix(r), requires_grad=True)
+        r_t = Tensor(merge.recon_matrix(r), requires_grad=True)
         z = Tensor(rng.standard_normal((2, 7, 4)), requires_grad=True)
         return rng, mask, merge, r, y, r_t, z
 
     def test_pruned_rows_are_the_input_and_live_rows_the_gather(self):
         _, mask, merge, r, y, r_t, z = self._setup(81)
-        seg = merge.segments
-        out = reconstruct_tokens(y, r_t, seg, z).data
+        out = reconstruct_tokens(y, r_t, merge, z).data
         pruned, live = mask == 0, mask != 0
         assert pruned.any() and live.any()
         assert out[:, pruned].tobytes() == z.data[:, pruned].tobytes()
-        want = y.data[:, seg.gid[live]] * r[live][:, None]
+        want = y.data[:, merge.gid[live]] * r[live][:, None]
         assert out[:, live].tobytes() == want.tobytes()
 
     def test_gradients_match_finite_differences(self):
@@ -348,12 +364,12 @@ class TestFusedReconstruct:
         coef = rng.standard_normal((2, 7, 4))
 
         def loss_fn():
-            out = reconstruct_tokens(y, r_t, merge.segments, z)
+            out = reconstruct_tokens(y, r_t, merge, z)
             return tensor_sum(out * Tensor(coef))
 
         T.backward(loss_fn())
         support = np.zeros(r_t.shape, dtype=bool)
-        support.flat[merge.segments.recon_at[mask != 0]] = True
+        support.flat[merge.recon_at[mask != 0]] = True
         for t in (y, r_t, z):
             num = numeric_grad(lambda: float(loss_fn().data), t.data)
             keep = support if t is r_t else slice(None)
@@ -377,7 +393,7 @@ class TestFusedReconstruct:
         coef = rng.standard_normal((2, 1, 4))
 
         def class_row():
-            return reconstruct_tokens(y0, r_t[:1, :1], merge.segments.head,
+            return reconstruct_tokens(y0, r_t[:1, :1], merge.head,
                                       z[:, :1])
 
         def loss_fn():
@@ -409,7 +425,7 @@ class TestFusedReconstruct:
         z = Tensor(z_np, requires_grad=True)
         m_t = Tensor(merge.data, requires_grad=True)
         r_t = Tensor(dense_pinv(merge), requires_grad=True)
-        out = pm_forward_tensors(z, m_t, r_t, merge.segments, mask, block,
+        out = pm_forward_tensors(z, m_t, r_t, merge, mask, block,
                                  heads=2, class_row=class_row)
         names = [node.name for node in T.Tape.trace(out).nodes]
         merged = Tensor(grouped_merge(z_np, merge), requires_grad=True)
@@ -419,7 +435,7 @@ class TestFusedReconstruct:
         assert sorted(names) == sorted(block_names + token0
                                        + ["merge_tokens", "reconstruct_tokens"])
 
-    def test_mask_must_match_the_segments(self):
+    def test_mask_must_match_the_merge(self):
         rng, block, z_np = small_block_setup(seed=85, n=5, dim=4, heads=2)
         mask, merge = generate_merge_matrix(rng.uniform(0.05, 1.0, size=5),
                                             None, 2, prune_count=1)
@@ -427,13 +443,13 @@ class TestFusedReconstruct:
         wrong[np.flatnonzero(mask)[0]] = 0
         with pytest.raises(ContractError, match="mask"):
             pm_forward_tensors(Tensor(z_np), Tensor(merge.data),
-                               Tensor(dense_pinv(merge)), merge.segments,
+                               Tensor(dense_pinv(merge)), merge,
                                wrong, block, heads=2)
 
     def test_layer_input_shape_checked(self):
         _, _, merge, _, y, r_t, _ = self._setup(86)
         with pytest.raises(ShapeMismatchError, match="layer input"):
-            reconstruct_tokens(y, r_t, merge.segments,
+            reconstruct_tokens(y, r_t, merge,
                                Tensor(np.zeros((2, 6, 4))))
 
 
@@ -494,7 +510,7 @@ class TestPmForward:
         from prunemerge.compression import pm_forward_tensors
 
         def loss_fn():
-            out = pm_forward_tensors(z, m_t, r_t, merge.segments, mask,
+            out = pm_forward_tensors(z, m_t, r_t, merge, mask,
                                      block, heads=1)
             return tensor_sum(out * Tensor(coef))
 
@@ -937,10 +953,10 @@ class TestCompressedModel:
         plan = global_plan(scores, rate=0.6, pm_threshold=0.2)
         calls = []
         for name in ("merge_matrix", "recon_matrix"):
-            def counted(self, w, _original=getattr(Segments, name)):
+            def counted(self, w, _original=getattr(MergeMatrix, name)):
                 calls.append(w)
                 return _original(self, w)
-            monkeypatch.setattr(Segments, name, counted)
+            monkeypatch.setattr(MergeMatrix, name, counted)
         for learnable, expected in ((True, 2 * len(plan.entries)),
                                     (False, 0)):
             comp = compress_model(base_model, plan,
@@ -1039,9 +1055,9 @@ class TestClassRowPath:
         if learnable:
             # entries outside the groups and of pruned tokens stay exact 0
             r_grad = row_grads["pm.layer1.reconstruct"]
-            seg = plan.entries[1].merge.segments
+            merge = plan.entries[1].merge
             outside = np.ones(r_grad.shape, dtype=bool)
-            outside.flat[seg.recon_at[seg.live]] = False
+            outside.flat[merge.recon_at[merge.live]] = False
             assert not r_grad[outside].any()
         with T.no_grad():
             inference = comp.forward(images)
@@ -1058,7 +1074,7 @@ class TestClassRowPath:
                        comp.config.heads)
         entry, layer = plan.entries[1], 1
         out = pm_forward_tensors(z, comp.merge_t[layer], comp.recon_t[layer],
-                                 entry.merge.segments, entry.mask,
+                                 entry.merge, entry.mask,
                                  comp.params.blocks[layer],
                                  comp.config.heads, class_row=True)
         assert out.shape == (2, 1, comp.config.embed_dim)
@@ -1103,10 +1119,10 @@ class TestClassRowPath:
             return float(T.cross_entropy(comp.forward(images), labels).data)
 
         T.backward(T.cross_entropy(comp.forward(images), labels))
-        seg = plan.entries[1].merge.segments
+        merge = plan.entries[1].merge
         last = comp.params.blocks[1]
-        for t, at in ((comp.merge_t[1], seg.merge_at[seg.live]),
-                      (comp.recon_t[1], seg.recon_at[seg.live]),
+        for t, at in ((comp.merge_t[1], merge.merge_at[merge.live]),
+                      (comp.recon_t[1], merge.recon_at[merge.live]),
                       (last.w_q, slice(None)), (last.w_v, slice(None)),
                       (last.ln1_b, slice(None))):
             numeric = numeric_grad(f, t.data)

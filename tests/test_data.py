@@ -19,6 +19,8 @@ from prunemerge.data import (IDX_DTYPES, Dataset, batch_indices, batches,
                              write_idx, NUM_SHAPE_CLASSES)
 from prunemerge.errors import ContractError
 
+from helpers import fresh
+
 
 # --- Dataset container -----------------------------------------------------
 
@@ -257,7 +259,7 @@ def test_load_idx_pair_rejects_empty_pair(tmp_path):
 
 
 def _idx_bytes(array: np.ndarray, tmp_path) -> bytes:
-    write_idx(tmp_path / "blob.idx", array)
+    write_idx(fresh(tmp_path / "blob.idx"), array)
     return (tmp_path / "blob.idx").read_bytes()
 
 
@@ -312,7 +314,7 @@ class TestIdxDecoderFuzz:
             del blob[resize:]
         blobs[which] = bytes(blob)
         for name, data in blobs.items():
-            (tmp_path / f"{name}.idx").write_bytes(data)
+            fresh(tmp_path / f"{name}.idx").write_bytes(data)
         return tmp_path / "images.idx", tmp_path / "labels.idx"
 
     def test_unmutated_pair_loads(self, tmp_path):

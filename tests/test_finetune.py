@@ -427,7 +427,7 @@ class TestFinetune:
             assert np.all(comp.recon_t[layer].data[pruned] == 0.0)
             z = Tensor(rng.standard_normal((3, mask.size, 8)))
             out = pm_forward_tensors(z, m_t, comp.recon_t[layer],
-                                     plan.entries[layer].merge.segments, mask,
+                                     plan.entries[layer].merge, mask,
                                      comp.params.blocks[layer], heads=2)
             assert np.array_equal(out.data[:, pruned], z.data[:, pruned])
         assert seen > 0

@@ -10,6 +10,8 @@ from prunemerge.runconfig import (SCHEMA, load_config, model_config_from,
                                   resolve_freeze_epoch)
 from prunemerge.scoring import ScorerVariant
 
+from helpers import fresh
+
 
 def test_defaults_cover_every_key():
     cfg = load_config()
@@ -158,7 +160,7 @@ def test_any_one_byte_edit_loads_or_is_a_config_error(tmp_path, at, byte,
                                                       how):
     blob = CONFIG_BLOB[:at] + (b"" if how == "delete" else bytes([byte])) \
         + CONFIG_BLOB[at + (how != "insert"):]
-    path = tmp_path / "run.cfg"
+    path = fresh(tmp_path / "run.cfg")
     path.write_bytes(blob)
     try:
         load_config(path)

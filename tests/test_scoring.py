@@ -13,6 +13,8 @@ from prunemerge.data import Dataset, synthetic_shapes
 from prunemerge.errors import ContractError, ShapeMismatchError
 from prunemerge.scoring import ScorerVariant
 
+from helpers import fresh
+
 
 class TestTaylorToken:
     def test_zero_gradient(self):
@@ -400,7 +402,7 @@ class TestScoresCsvFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(blob=one_csv_mutation(SCORES_BLOB))
     def test_any_mutation_loads_or_is_refused(self, tmp_path, blob):
-        path = tmp_path / "s.csv"
+        path = fresh(tmp_path / "s.csv")
         path.write_bytes(blob)
         try:
             loaded = scoring.load_scores_csv(path)

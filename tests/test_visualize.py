@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from prunemerge.compression import (MergeMatrix, PlanEntry, Segments,
+from prunemerge.compression import (MergeMatrix, PlanEntry,
                                     generate_merge_matrix, global_plan,
                                     pseudoinverse)
 from prunemerge.errors import ContractError
@@ -131,7 +131,7 @@ def test_alive_group_members_share_one_average_patch():
     entry = plan.entries[1]
     merge_px, _ = render_merge_map(image, entry, CFG)
     patch_view = merge_px.reshape(4, 2, 4, 2, 3).transpose(0, 2, 1, 3, 4)
-    gid = entry.merge.segments.gid
+    gid = entry.merge.gid
     by_group = {}
     for token in range(1, N):
         if entry.mask[token] == 0:
@@ -182,7 +182,7 @@ def random_entry(rng):
         w[live] += rng.normal(0.0, 0.3, live.sum())
         r[live] += rng.normal(0.0, 0.3, live.sum())
     if rng.integers(3) == 0:
-        w[entry.merge.segments.gid == rng.integers(entry.kept)] = 0.0
+        w[entry.merge.gid == rng.integers(entry.kept)] = 0.0
     entry = PlanEntry(MergeMatrix(list(entry.merge.groups), w), r)
     image = rng.uniform(0.0, 1.0, size=(channels,) + (grid * patch,) * 2)
     return image, entry, config
@@ -203,8 +203,8 @@ def test_render_reads_no_dense_matrix(monkeypatch):
     def refuse(*_):
         raise AssertionError("render built a dense matrix")
 
-    monkeypatch.setattr(Segments, "merge_matrix", refuse)
-    monkeypatch.setattr(Segments, "recon_matrix", refuse)
+    monkeypatch.setattr(MergeMatrix, "merge_matrix", refuse)
+    monkeypatch.setattr(MergeMatrix, "recon_matrix", refuse)
     plan = make_plan(rate=0.6, threshold=0.2, seed=3)
     render_merge_map(make_image(3), plan.entries[0], CFG)
 

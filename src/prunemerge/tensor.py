@@ -49,15 +49,20 @@ other (``_both``).  The parts are whole, independent products --
 ``matmul``'s two gradients, ``mlp``'s fc1 recompute and ``g @ w2ᵀ``,
 then its ``w2`` and input gradients, ``attention``'s ``W_o`` gradient
 and ``g @ W_oᵀ``, its v gradient and score gradient, its q and k
-gradients -- or disjoint slices of work that runs per slice anyway:
-GELU passes split at a chunk boundary, attention maps, softmax and
-context per half of the leading batch axis, and the halves of an AdamW
-step's chunks.  One GEMM is never split, nor is a reduction across rows,
-so every bit is the serial code's.  Work goes to the lane only above
-``_LANE_MACS`` multiply-adds, or a whole chunk per half: every op at the
-acceptance shape stays on one lane, and the ``wide`` shape of
-``tests/identity.py`` uses both.  A task runs in a copy of the caller's
-context, so ``no_grad`` and ``np.errstate`` reach it.
+gradients -- the two row halves of a forward weight product
+(``_matmul_data``), or disjoint slices of work that runs per slice
+anyway: GELU passes split at a chunk boundary, attention maps, softmax
+and context per half of the leading batch axis, and the halves of an
+AdamW step's chunks.  A GEMM is split only where each half holds two
+rows and at least ``_LANE_MACS`` multiply-adds, above OpenBLAS's
+small-matrix cut, and the output width is a multiple of
+``_SPLIT_WIDTH``: there a row block keeps the whole product's bits.  No
+reduction across rows is split, so every bit is the serial code's.
+Work goes to the lane only above ``_LANE_MACS`` multiply-adds, or a
+whole chunk per half, and only while the lane holds no other task:
+every op at the acceptance shape stays on one lane, and the ``wide``
+shape of ``tests/identity.py`` uses both.  A task runs in a copy of the
+caller's context, so ``no_grad`` and ``np.errstate`` reach it.
 """
 
 from __future__ import annotations
@@ -94,10 +99,17 @@ _RECORDING = contextvars.ContextVar("prunemerge_recording", default=True)
 # float64 GEMM about 20-25 us on one of its cores.  Elementwise work goes
 # to the lane in whole chunks (``_CHUNK``), far above this cost.
 _LANE_MACS = 1 << 20
+# A forward weight product is cut into row halves only where its output
+# width E is a multiple of this.  On OpenBLAS's SkylakeX dgemm a row cut
+# changed the bits of the last E mod 8 output columns in 283 of 500
+# random products with E = 4 mod 8, and of none of 1,500 with E a
+# multiple of 8; 16, the kernel's unroll along E, keeps a margin.
+_SPLIT_WIDTH = 16
 
 # The lane's state: ``"inbox"``, its queue, once its thread runs, or None
-# where the process may use one CPU only.  Empty until first use, and
-# emptied in a forked child, which inherits no thread.
+# where the process may use one CPU only, and ``"busy"``, a lock held
+# while the lane holds a task.  Empty until first use, and emptied in a
+# forked child, which inherits no thread.
 _LANE: dict = {}
 os.register_at_fork(after_in_child=_LANE.clear)
 # Tasks handed to the lane since import.
@@ -143,10 +155,13 @@ def _lane():
         import queue
         _mallopt(_M_ARENA_MAX, 1)
         inbox = queue.SimpleQueue()
+        _LANE.setdefault("busy", threading.Lock())
+    # Of threads that reach this at once, the one whose inbox is stored
+    # first starts the lane, and all use that inbox.
+    if _LANE.setdefault("inbox", inbox) is inbox and inbox is not None:
         threading.Thread(target=_serve, args=(inbox,), daemon=True,
                          name="prunemerge-lane").start()
-    _LANE["inbox"] = inbox
-    return inbox
+    return _LANE["inbox"]
 
 
 def _serve(inbox) -> None:
@@ -164,29 +179,42 @@ def _serve(inbox) -> None:
         done.release()
 
 
+def _lane_free() -> bool:
+    """Whether a lane can run and holds no task, so that ``_both`` would
+    hand its next task to it."""
+    return _lane() is not None and not _LANE["busy"].locked()
+
+
 def _both(f, g, worth: bool = True):
     """``(f(), g())``, with ``g`` run on the second lane while the caller
-    runs ``f`` when ``worth`` and a lane can run; else both here, in
+    runs ``f`` when ``worth`` and the lane is free; else both here, in
     order.
 
     It waits for both, then raises the caller's exception, or else the
     lane's.  ``g`` runs in a copy of the caller's context, so
     ``np.errstate`` and ``no_grad`` reach it.  The lane moves a kernel to
-    another core, never changes one: its tasks are whole products or
-    disjoint slices of elementwise work, so every bit is the serial
-    code's.  A lane task never hands work off itself."""
-    inbox = _lane() if worth else None
-    if inbox is None:
-        return f(), g()
+    another core, never changes one: its tasks are whole products, row
+    halves of a GEMM where a half keeps the whole's bits (see
+    ``_matmul_data``) or disjoint slices of elementwise work, so every
+    bit is the serial code's.  The lane holds one task at a time, and a
+    ``_both`` reached while it holds one -- from ``f``, from ``g`` on
+    the lane, or from another thread -- runs here: a pair never waits
+    behind its own half, and a lane task never hands work to itself."""
     global _lane_tasks
-    _lane_tasks += 1
-    done, box = threading.Lock(), []
-    done.acquire()
-    inbox.put((contextvars.copy_context(), g, done, box))
+    inbox = _lane() if worth else None
+    if inbox is None or not (busy := _LANE["busy"]).acquire(blocking=False):
+        return f(), g()
     try:
-        a = f()
-    finally:
+        _lane_tasks += 1
+        done, box = threading.Lock(), []
         done.acquire()
+        inbox.put((contextvars.copy_context(), g, done, box))
+        try:
+            a = f()
+        finally:
+            done.acquire()
+    finally:
+        busy.release()
     ok, b = box[0]
     if not ok:
         raise b
@@ -498,14 +526,28 @@ def _matmul_data(a: Array, b: Array) -> Array:
     """``np.matmul(a, b)``, the forward of every weight product.
 
     A batch of multi-row operands times one matrix runs as one GEMM over
-    all rows, written into an array the result owns.  Single-row operands
-    stay batched: folding those turns B GEMVs into one GEMM, which changes
-    bits.
+    all rows, written into an array the result owns.  When the lane is
+    free, each half of those rows holds at least two rows and
+    ``_LANE_MACS`` multiply-adds, and the output width is a multiple of
+    ``_SPLIT_WIDTH``, the two row halves run as two GEMMs, one per lane,
+    into the one output; a product run as one side of a ``_both`` pair,
+    or on the lane, runs whole.  Such a row block gets the bits it gets
+    in the whole.  A block can differ below OpenBLAS's small-matrix cut
+    (10**6 multiply-adds, under ``_LANE_MACS``), as a single row, which
+    runs as a GEMV, or in the last columns of a width that is not a
+    multiple of 8.  Single-row operands stay batched: folding those
+    turns B GEMVs into one GEMM, which changes bits.
     """
     if b.ndim == 2 and a.ndim > 2 and a.shape[-2] > 1:
         out = np.empty(a.shape[:-1] + b.shape[-1:])
-        np.matmul(a.reshape(-1, a.shape[-1]), b,
-                  out=out.reshape(-1, b.shape[-1]))
+        rows, o = a.reshape(-1, a.shape[-1]), out.reshape(-1, b.shape[-1])
+        cut = len(rows) // 2
+        if cut * b.size >= _LANE_MACS and cut >= 2 \
+                and b.shape[-1] % _SPLIT_WIDTH == 0 and _lane_free():
+            _both(lambda: np.matmul(rows[:cut], b, out=o[:cut]),
+                  lambda: np.matmul(rows[cut:], b, out=o[cut:]))
+        else:
+            np.matmul(rows, b, out=o)
         return out
     return np.matmul(a, b)
 

@@ -1,10 +1,13 @@
 """The engine's second lane: every output is bit for bit the same with the
 lane on and off, work below the hand-off threshold stays on one lane,
-the caller's context reaches the lane, errors wait for both halves, and
-a one-CPU process starts no thread."""
+a weight product's row halves keep the whole GEMM's bits, work reached
+while the lane holds a task runs whole, the caller's context reaches
+the lane, errors wait for both halves, and a one-CPU process starts no
+thread."""
 
 import functools
 import os
+import sys
 import threading
 import time
 import warnings
@@ -97,6 +100,165 @@ def test_outputs_are_bit_identical_with_the_lane_on_and_off(tag):
     # The wide shape hands work to the lane; every op at the acceptance
     # shape stays below the threshold.
     assert (tasks > 0) == (tag == "wide")
+
+
+def _split_table(count, seed=43):
+    """``count`` folded products (B, T, K) @ (K, E), B * T odd, with K
+    and E drawn from DeiT widths and each row half at least 2**20
+    multiply-adds: the least a half must hold, up to half as much
+    again, and at least two rows."""
+    rng = np.random.default_rng(seed)
+    widths = [48, 96, 192, 384, 768]
+    table = []
+    for _ in range(count):
+        k, e = rng.choice(widths, 2)
+        least = -(-T._LANE_MACS // (k * e))            # rows per half
+        half = least + int(rng.integers(0, least // 2 + 1))
+        batch = int(rng.choice([1, 3, 5]))
+        tokens = max(3, -(-(2 * half + 1) // batch)) | 1   # odd, > 1
+        table.append((rng.normal(size=(batch, tokens, k)),
+                      rng.normal(size=(k, e))))
+    return table
+
+
+def test_row_halves_above_the_cut_keep_the_whole_products_bits():
+    # A BLAS build whose kernels round a row block of a GEMM above the
+    # cut differently from the whole fails here, not in a changed bit
+    # somewhere downstream.
+    table = _split_table(100)
+    on, tasks = [], []
+    with fresh_lane(2):
+        for a, b in table:
+            before = T._lane_tasks
+            on.append(T._matmul_data(a, b))
+            tasks.append(T._lane_tasks - before)
+    with fresh_lane(1):
+        off = [T._matmul_data(a, b) for a, b in table]
+    assert tasks == [1] * len(table)
+    different = [(a.shape, b.shape) for (a, b), x, y in zip(table, on, off)
+                 if x.tobytes() != y.tobytes()]
+    assert different == []
+
+
+@pytest.mark.parametrize("rows, k, e, tasks", [
+    # At K=64, E=128 a half of 128 rows holds exactly 2**20 multiply-adds.
+    (255, 64, 128, 0), (256, 64, 128, 1), (257, 64, 128, 1),
+    # A width that is not a multiple of 16 runs whole.
+    (1025, 64, 120, 0), (1025, 64, 100, 0),
+    # So does a product whose half would be a single row.
+    (3, 1024, 1024, 0), (4, 1024, 1024, 1)])
+def test_a_product_splits_only_where_its_halves_keep_their_bits(rows, k, e,
+                                                                tasks):
+    rng = np.random.default_rng(44)
+    a, b = rng.normal(size=(1, rows, k)), rng.normal(size=(k, e))
+    with fresh_lane(2):
+        before = T._lane_tasks
+        out = T._matmul_data(a, b)
+        assert T._lane_tasks - before == tasks
+    assert out.tobytes() == np.matmul(a[0], b).tobytes()
+
+
+def _within(seconds, fn):
+    """``fn()`` run on a helper thread; fails, rather than hangs, if it
+    does not return within ``seconds``."""
+    box = []
+    thread = threading.Thread(target=lambda: box.append(fn()), daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert box, f"no result within {seconds} s"
+    return box[0]
+
+
+def test_a_product_reached_while_the_lane_holds_a_task_runs_whole(
+        monkeypatch):
+    # Each side of the pair reaches a product whose halves the lane
+    # would take: both run whole, so the pair hands off one task, and
+    # the lane's product does not hand a half to itself.
+    rng = np.random.default_rng(45)
+    a, b = rng.normal(size=(3, 171, 96)), rng.normal(size=(96, 96))
+    c, d = rng.normal(size=(1, 33, 768)), rng.normal(size=(768, 384))
+    serial = T._matmul_data(a, b), T._matmul_data(c, d)
+    matmul, calls = np.matmul, []
+
+    def spy(x, y, *args, **kwargs):
+        calls.append((threading.current_thread().name, x.shape))
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    with fresh_lane(2):
+        before = T._lane_tasks
+        pair = _within(10.0, lambda: T._both(lambda: T._matmul_data(a, b),
+                                             lambda: T._matmul_data(c, d)))
+        assert T._lane_tasks - before == 1
+    assert sorted((name == "prunemerge-lane", shape)
+                  for name, shape in calls) == [(False, (513, 96)),
+                                                (True, (33, 768))]
+    assert [x.tobytes() for x in pair] == [x.tobytes() for x in serial]
+
+
+def test_callers_on_several_threads_share_the_lane(monkeypatch):
+    # Four threads reach a lane not yet started and hand off at once,
+    # with a short switch interval: one lane starts (fresh_lane stops
+    # it, and fails on a second), each pair gets both results, each
+    # product keeps its bits, and the task count matches the tasks that
+    # ran on the lane.
+    rng = np.random.default_rng(46)
+    a, b = rng.normal(size=(3, 171, 96)), rng.normal(size=(96, 96))
+    serial = T._matmul_data(a, b).tobytes()
+    matmul, on_lane, wrong = np.matmul, [], []
+
+    def on(what):
+        if threading.current_thread().name == "prunemerge-lane":
+            on_lane.append(what)
+
+    def spy(*args, **kwargs):
+        on("half")
+        return matmul(*args, **kwargs)
+
+    def caller(t):
+        for i in range(50):
+            if T._both(lambda: t, lambda: on("pair") or i) != (t, i) \
+                    or T._matmul_data(a, b).tobytes() != serial:
+                wrong.append((t, i))
+
+    monkeypatch.setattr(np, "matmul", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with fresh_lane(2):
+            before = T._lane_tasks
+            threads = [threading.Thread(target=caller, args=(t,))
+                       for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10.0)
+                assert not thread.is_alive()
+            tasks = T._lane_tasks - before
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert tasks == len(on_lane) and "pair" in on_lane
+
+
+def test_a_no_grad_forward_splits_products_at_the_wide_shape_only(
+        monkeypatch):
+    free, splits = T._lane_free, []
+
+    def counted():
+        splits.append(free())
+        return splits[-1]
+
+    monkeypatch.setattr(T, "_lane_free", counted)
+    handed = {}
+    for tag in ("wide", "acc"):
+        base, student, images, _ = _models(tag)
+        splits.clear()
+        with fresh_lane(2), T.no_grad():
+            base.forward(images)
+            student.forward(images)
+        handed[tag] = sum(splits)
+    assert handed["wide"] > 0 and handed["acc"] == 0
 
 
 def test_a_non_finite_input_raises_after_both_halves(monkeypatch):

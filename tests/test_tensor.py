@@ -1245,16 +1245,17 @@ def test_program_paths_call_every_function_of_the_engine():
     # What the commands run, in-process at a tiny size: recorded forward
     # and backward of the base and of a learnable compressed model, with
     # a class-row last layer and with traces under the distillation loss;
-    # a traced scoring batch; a no_grad evaluation.  One product of
-    # 2**20 multiply-adds, the least the second lane takes, runs its
-    # backward there; the lane starts in the run, as on two CPUs.
+    # a traced scoring batch; a no_grad evaluation.  One folded product
+    # whose row halves hold 2**20 multiply-adds each, the least the
+    # second lane takes, runs a half and its backward there; the lane
+    # starts in the run, as on two CPUs.
     model, images = _tiny_model()
     compressed, _ = _tiny_compressed_model()
     labels = np.array([1, 0])
     dataset = Dataset(images, labels, num_classes=3)
     rng = np.random.default_rng(31)
     a, b = (T.Tensor(rng.normal(size=s), requires_grad=True)
-            for s in [(128, 128), (128, 64)])
+            for s in [(2, 128, 128), (128, 64)])
 
     def paths():
         T.backward(T.cross_entropy(model.forward(images), labels))

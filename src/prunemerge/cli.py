@@ -12,6 +12,8 @@ line to stderr and exit 1 so shell pipelines can parse them.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -23,7 +25,8 @@ from .data import load_idx_pair, synthetic_shapes
 from .errors import CheckpointError, ConfigError, ContractError, NumericError
 from .finetune import (evaluate_accuracy, finetune, metrics_to_csv,
                        train_baseline)
-from .flops import benchmark_json, micro_benchmark, model_flops
+from .flops import (_single_blas_worker, benchmark_json, micro_benchmark,
+                    model_flops)
 from .runconfig import (distill_config_from, int_list, load_config,
                         model_config_from, resolve_exempt)
 from .scoring import ScorerVariant, collect_scores, export_scores_csv, \
@@ -389,12 +392,26 @@ def main(argv=None) -> int:
         return 1
 
 
+# Thread-count variables of the pools ``_single_blas_worker`` may pin:
+# OpenBLAS reads the first three, threadpoolctl also pins MKL's and BLIS's.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                         "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                         "BLIS_NUM_THREADS")
+
+
 def entry(argv=None) -> int:
     """The process entry, ``python -m prunemerge.cli`` and the
     ``prunemerge`` script: ``main`` with numpy's floating-point warnings
     off, so that a run driven non-finite ends in the one error line
-    alone.  ``main`` keeps its caller's numpy error state."""
-    with np.errstate(all="ignore"):
+    alone, and with BLAS pinned to one worker unless one of
+    ``BLAS_THREAD_VARIABLES`` is set.  The engine's second lane is the
+    parallelism; on a 2-core host two OpenBLAS threads beside it were
+    slower and changed the outputs' bits, which then depended on the
+    core count.  ``main`` keeps its caller's numpy error state and BLAS
+    threads, and so does ``entry`` once it returns."""
+    chosen = any(name in os.environ for name in BLAS_THREAD_VARIABLES)
+    pin = contextlib.nullcontext() if chosen else _single_blas_worker()
+    with np.errstate(all="ignore"), pin:
         return main(argv)
 
 

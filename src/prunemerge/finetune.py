@@ -188,12 +188,11 @@ class AdamW:
         # each half holds a whole chunk.
         ends = list(itertools.accumulate(c[3] for c in chunks))
         halves = bool(ends) and ends[-1] >= 2 * T._CHUNK
-        cut = bisect.bisect_left(ends, ends[-1] / 2) + 1 if halves \
-            else len(chunks)
-        T._both(
-            lambda: self._update_chunks(chunks[:cut], lr, self._scratch[0]),
-            lambda: self._update_chunks(chunks[cut:], lr, self._scratch[-1]),
-            halves)
+        cut = bisect.bisect_left(ends, ends[-1] / 2) + 1 if halves else 0
+        # The lane's part, the one whose slice starts past 0, writes
+        # through the second set of scratch arrays.
+        T._halves(cut, halves, lambda s: self._update_chunks(
+            chunks[s], lr, self._scratch[s.start is not None]))
 
     @staticmethod
     def _run_chunks(t: int, offset: int, grads):

@@ -49,20 +49,28 @@ other (``_both``).  The parts are whole, independent products --
 ``matmul``'s two gradients, ``mlp``'s fc1 recompute and ``g @ w2ᵀ``,
 then its ``w2`` and input gradients, ``attention``'s ``W_o`` gradient
 and ``g @ W_oᵀ``, its v gradient and score gradient, its q and k
-gradients -- the two row halves of a forward weight product
-(``_matmul_data``), or disjoint slices of work that runs per slice
-anyway: GELU passes split at a chunk boundary, attention maps, softmax
-and context per half of the leading batch axis, and the halves of an
-AdamW step's chunks.  A GEMM is split only where each half holds two
-rows and at least ``_LANE_MACS`` multiply-adds, above OpenBLAS's
-small-matrix cut, and the output width is a multiple of
-``_SPLIT_WIDTH``: there a row block keeps the whole product's bits.  No
-reduction across rows is split, so every bit is the serial code's.
-Work goes to the lane only above ``_LANE_MACS`` multiply-adds, or a
-whole chunk per half, and only while the lane holds no other task:
-every op at the acceptance shape stays on one lane, and the ``wide``
-shape of ``tests/identity.py`` uses both.  A task runs in a copy of the
-caller's context, so ``no_grad`` and ``np.errstate`` reach it.
+gradients -- or the two halves of one piece of work (``_halves``): the
+row halves of a forward weight product (``_matmul_data``), the output
+row halves of a weight gradient that runs alone (``_matmul_grad_b``,
+such as ``mlp``'s w1 and ``embed``'s weight gradient), layer norm's rows
+in both directions, GELU passes split at a chunk boundary, attention
+maps, softmax and context per half of the leading batch axis, and the
+halves of an AdamW step's chunks.  A GEMM is split only where each half
+holds two rows and at least ``_LANE_MACS`` multiply-adds, above
+OpenBLAS's small-matrix cut, and the output width is a multiple of
+``_SPLIT_WIDTH``: there a row block keeps the whole product's bits
+(``_gemm``).  No reduction across rows is split (layer norm's gain
+and offset gradients run whole beside a half), so every bit is the
+serial code's.  Work goes to the lane only above ``_LANE_MACS``
+multiply-adds, or a whole chunk per half, and only while the lane holds
+no other task: every op at the acceptance shape stays on one lane, and
+the ``wide`` shape of ``tests/identity.py`` uses both.  A task runs in a
+copy of the caller's context, so ``no_grad`` and ``np.errstate`` reach
+it.
+
+Allocator: the first forward (``vit.model_forward``) keeps large arrays
+on glibc's heap and freed memory in the process
+(``_allocator_defaults``); importing the package changes nothing.
 """
 
 from __future__ import annotations
@@ -99,7 +107,7 @@ _RECORDING = contextvars.ContextVar("prunemerge_recording", default=True)
 # float64 GEMM about 20-25 us on one of its cores.  Elementwise work goes
 # to the lane in whole chunks (``_CHUNK``), far above this cost.
 _LANE_MACS = 1 << 20
-# A forward weight product is cut into row halves only where its output
+# A GEMM is cut into halves of its output rows only where its output
 # width E is a multiple of this.  On OpenBLAS's SkylakeX dgemm a row cut
 # changed the bits of the last E mod 8 output columns in 283 of 500
 # random products with E = 4 mod 8, and of none of 1,500 with E a
@@ -115,8 +123,12 @@ os.register_at_fork(after_in_child=_LANE.clear)
 # Tasks handed to the lane since import.
 _lane_tasks = 0
 
-# glibc's ``mallopt`` parameter number for the count of malloc arenas.
-_M_ARENA_MAX = -8
+# glibc's ``mallopt`` parameter numbers: the count of malloc arenas, the
+# least request served by its own mmap, and the free memory at the heap's
+# top above which glibc returns it to the system.
+_M_ARENA_MAX, _M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD = -8, -3, -1
+# Whether ``_allocator_defaults`` ran in this process (or its parent).
+_allocator_set = False
 
 
 def _mallopt(param: int, value: int) -> bool:
@@ -133,6 +145,21 @@ def _mallopt(param: int, value: int) -> bool:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), \
         ctypes.c_int
     return mallopt(param, value) == 1
+
+
+def _allocator_defaults() -> None:
+    """Serve requests up to 32 MB from the heap and keep up to 1 GB of
+    freed memory there, once per process.  By default glibc unmaps a large
+    array when it is freed and trims the heap's free top, so every forward
+    faults its buffers in afresh: a steady-state compressed DeiT-tiny
+    ``no_grad`` forward at batch 8 took 43 k minor faults and 117-132 ms,
+    against none and 87-102 ms with these settings (2 cores, one BLAS
+    thread), at a peak within 0.7 % of the default's."""
+    global _allocator_set
+    if not _allocator_set:
+        _allocator_set = True
+        _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        _mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 def _lane():
@@ -194,9 +221,9 @@ def _both(f, g, worth: bool = True):
     lane's.  ``g`` runs in a copy of the caller's context, so
     ``np.errstate`` and ``no_grad`` reach it.  The lane moves a kernel to
     another core, never changes one: its tasks are whole products, row
-    halves of a GEMM where a half keeps the whole's bits (see
-    ``_matmul_data``) or disjoint slices of elementwise work, so every
-    bit is the serial code's.  The lane holds one task at a time, and a
+    halves of a GEMM where a half keeps the whole's bits (see ``_gemm``)
+    or disjoint slices of row-wise or elementwise work, so every bit is
+    the serial code's.  The lane holds one task at a time, and a
     ``_both`` reached while it holds one -- from ``f``, from ``g`` on
     the lane, or from another thread -- runs here: a pair never waits
     behind its own half, and a lane task never hands work to itself."""
@@ -219,6 +246,32 @@ def _both(f, g, worth: bool = True):
     if not ok:
         raise b
     return a, b
+
+
+def _halves(cut: int, worth: bool, part):
+    """``part(slice(None, cut))`` here and ``part(slice(cut, None))`` on
+    the lane when ``worth`` and the lane is free, else ``part(slice(None))``
+    here; returns the parts' results, the second None for the whole.  The
+    caller's part is the one whose slice has no start.  A site cuts only
+    where the parts give the whole's bits."""
+    if worth and _lane_free():
+        return _both(lambda: part(slice(None, cut)),
+                     lambda: part(slice(cut, None)))
+    return part(slice(None)), None
+
+
+def _gemm(a: Array, b: Array, out: Array | None = None) -> Array:
+    """``np.matmul(a, b, out=out)`` for 2-D operands, as two halves of
+    the output rows, one per lane, where each half holds two rows and
+    ``_LANE_MACS`` multiply-adds and the output width is a multiple of
+    ``_SPLIT_WIDTH``: there a row block keeps the whole product's bits."""
+    cut = len(a) // 2
+    if cut < 2 or cut * b.size < _LANE_MACS or b.shape[1] % _SPLIT_WIDTH:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((len(a), b.shape[1]))
+    _halves(cut, True, lambda s: np.matmul(a[s], b, out=out[s]))
+    return out
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -518,7 +571,8 @@ def _matmul_grad_b(ad: Array, g: Array, a_shape, b_shape) -> Array:
     if len(b_shape) == 2 and len(a_shape) > 2:
         # A batch of rows times one weight matrix: fold the batch into the
         # contraction, one GEMM instead of a batched one plus a sum.
-        return ad.reshape(-1, a_shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return _gemm(ad.reshape(-1, a_shape[-1]).T,
+                     g.reshape(-1, g.shape[-1]))
     return _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), b_shape)
 
 
@@ -540,14 +594,7 @@ def _matmul_data(a: Array, b: Array) -> Array:
     """
     if b.ndim == 2 and a.ndim > 2 and a.shape[-2] > 1:
         out = np.empty(a.shape[:-1] + b.shape[-1:])
-        rows, o = a.reshape(-1, a.shape[-1]), out.reshape(-1, b.shape[-1])
-        cut = len(rows) // 2
-        if cut * b.size >= _LANE_MACS and cut >= 2 \
-                and b.shape[-1] % _SPLIT_WIDTH == 0 and _lane_free():
-            _both(lambda: np.matmul(rows[:cut], b, out=o[:cut]),
-                  lambda: np.matmul(rows[cut:], b, out=o[cut:]))
-        else:
-            np.matmul(rows, b, out=o)
+        _gemm(a.reshape(-1, a.shape[-1]), b, out.reshape(-1, b.shape[-1]))
         return out
     return np.matmul(a, b)
 
@@ -754,6 +801,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
         and v.shape[:-2] == lead \
         and math.prod(y_shape) * (q_shape[-1] + v_shape[-1]) \
         >= 2 * _LANE_MACS
+    cut = (lead[0] + 1) // 2 if lead else 0
     proj_macs = math.prod(ctx_shape) * wd.shape[-1]
 
     def maps(with_ctx: bool):
@@ -770,12 +818,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
             if c is not None:
                 np.matmul(a[rows], vd[rows], out=c[rows])
 
-        if halves:
-            cut = (lead[0] + 1) // 2
-            _both(lambda: attend(slice(0, cut)),
-                  lambda: attend(slice(cut, None)))
-        else:
-            attend(slice(None))
+        _halves(cut, halves, attend)
         return y, a, None if c is None else _merge_heads(c)
 
     y, a, ctx = maps(True)
@@ -838,42 +881,68 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     row (zero variance) maps to zeros, so ``_LN_EPS`` keeps the division
     finite rather than changing the result.  The forward makes two x-sized
     arrays, ``xhat`` (saved) and the output, which first holds the squares
-    for the variance; the backward makes two, one of which becomes dx.
-    The node's ``rebuild`` remakes the output from ``xhat``, so a consumer
-    need not save it.
+    for the variance; the backward makes two, one of which becomes dx, and
+    a third for the gain's gradient when split.  The node's ``rebuild``
+    remakes the output from ``xhat``, so a consumer need not save it.
+    Both directions run by row halves, one per lane, once each half holds
+    a whole chunk; the gain's and offset's gradients are whole reductions
+    across rows, run beside the caller's half.
     """
-    gd = gamma.data
-    if gd.shape != x.shape[-1:] or beta.shape != gd.shape:
+    gd, bd = gamma.data, beta.data
+    if gd.shape != x.shape[-1:] or bd.shape != gd.shape:
         raise ShapeMismatchError(
-            f"layer_norm gain {gd.shape} and offset {beta.shape} do not fit "
+            f"layer_norm gain {gd.shape} and offset {bd.shape} do not fit "
             f"input {x.shape}")
-    xhat = x.data - _mean_last(x.data)
-    data = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(_mean_last(data) + _LN_EPS)
-    xhat *= inv
-    affine = _Affine(xhat, gd, beta.data)
-    affine.array(out=data)
-    lead = tuple(range(x.ndim - 1))
+    xd, d = x.data, gd.size
+    xhat, data = np.empty(xd.shape), np.empty(xd.shape)
+    inv = np.empty(xd.shape[:-1] + (1,))
+    cut = xd.size // d // 2
+    worth = cut * d >= _CHUNK           # each half holds a whole chunk
+    lead = tuple(range(xd.ndim - 1))
+    rows = [a.reshape(-1, a.shape[-1]) for a in (xd, xhat, data, inv)]
+
+    def normalise(s):
+        xs, xh, sq, iv = [r[s] for r in rows]
+        np.subtract(xs, _mean_last(xs), out=xh)
+        np.multiply(xh, xh, out=sq)
+        root = _mean_last(sq)
+        root += _LN_EPS
+        np.divide(1.0, np.sqrt(root, out=root), out=iv)
+        xh *= iv
+        _Affine(xh, gd, bd).array(out=sq)
+
+    _halves(cut, worth, normalise)
 
     def grad_fn(g):
         # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         # with dxhat = g * gamma, in the order the terms are written.
-        t = np.multiply(g, xhat)
-        dgamma = np.add.reduce(t, axis=lead)
-        dbeta = np.add.reduce(g, axis=lead)
-        dx = np.multiply(g, gd)
-        m1 = _mean_last(dx)
-        np.multiply(dx, xhat, out=t)
-        m2 = _mean_last(t)
-        dx -= m1
-        np.multiply(xhat, m2, out=t)
-        dx -= t
-        dx *= inv
+        dx, t = np.empty(g.shape), np.empty(g.shape)
+        g_rows = [a.reshape(-1, a.shape[-1]) for a in (g, dx, t, xhat, inv)]
+
+        def part(s):
+            gs, dxs, ts, xh, iv = [r[s] for r in g_rows]
+            sums = None
+            if s.start is None:           # the caller's part
+                # Whole, t is free to hold g * xhat until dx needs it.
+                gx = np.multiply(g, xhat, out=t if s.stop is None else None)
+                sums = (np.add.reduce(gx, axis=lead),
+                        np.add.reduce(g, axis=lead))
+            np.multiply(gs, gd, out=dxs)
+            m1 = _mean_last(dxs)
+            np.multiply(dxs, xh, out=ts)
+            m2 = _mean_last(ts)
+            dxs -= m1
+            np.multiply(xh, m2, out=ts)
+            dxs -= ts
+            dxs *= iv
+            return sums
+
+        (dgamma, dbeta), _ = _halves(cut, worth, part)
         return dx, dgamma, dbeta
 
     out = from_op(data, (x, gamma, beta), grad_fn, "layer_norm")
     if out._node is not None:
-        out._node.rebuild = affine
+        out._node.rebuild = _Affine(xhat, gd, bd)
     return out
 
 
@@ -882,11 +951,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 _CHUNK = 32768
 
 
-def _chunks(*arrays: Array | None):
-    """Matching flat slices of equally shaped C-contiguous arrays, at most
-    ``_CHUNK`` elements each; a None array yields None slices.  Slices are
-    views, so results written into a slice land in its array."""
-    flats = [None if a is None else a.reshape(-1) for a in arrays]
+def _chunks(part: slice, *arrays: Array | None):
+    """Matching views of at most ``_CHUNK`` of the flat elements ``part``
+    of equally shaped C-contiguous arrays (None for a None array), so a
+    result written into a view lands in its array."""
+    flats = [None if a is None else a.reshape(-1)[part] for a in arrays]
     for start in range(0, flats[0].size, _CHUNK):
         yield [None if f is None else f[start:start + _CHUNK] for f in flats]
 
@@ -905,16 +974,17 @@ def _gelu_tanh(x: Array, t: Array, x2: Array) -> None:
 
 
 def _gelu_passes(x: Array, y: Array | None = None, g: Array | None = None,
-                 dx: Array | None = None) -> None:
+                 dx: Array | None = None, part: slice = slice(None)) -> None:
     """Write ``y = gelu(x)`` and ``dx = gelu'(x) * g``, each when given,
-    in one chunked pass over C-contiguous ``x`` (``dx`` may be ``g``).
+    in one chunked pass over the flat elements ``part`` of C-contiguous
+    ``x`` (``dx`` may be ``g``).
 
     Both share one tanh per chunk; chunking changes no arithmetic, only
     how often each element travels from memory.
     """
     n = min(x.size, _CHUNK)
     t_buf, slope_buf, sech2_buf = np.empty(n), np.empty(n), np.empty(n)
-    for xs, ys, gs, ds in _chunks(x, y, g, dx):
+    for xs, ys, gs, ds in _chunks(part, x, y, g, dx):
         slope = slope_buf[:xs.size]
         t = ys if ds is None else t_buf[:xs.size]
         _gelu_tanh(xs, t, slope)           # slope holds x^2 until scaled
@@ -943,15 +1013,8 @@ def _gelu_halves(x: Array, y: Array | None = None, g: Array | None = None,
     """``_gelu_passes`` split at the chunk boundary nearest the middle,
     the second part on the lane, once each part holds a whole chunk: the
     parts run the serial code's very chunks."""
-    if x.size < 2 * _CHUNK:
-        _gelu_passes(x, y, g, dx)
-        return
-    cut = round(x.size / (2 * _CHUNK)) * _CHUNK
-    flats = [None if a is None else a.reshape(-1) for a in (x, y, g, dx)]
-    _both(lambda: _gelu_passes(*[None if f is None else f[:cut]
-                                 for f in flats]),
-          lambda: _gelu_passes(*[None if f is None else f[cut:]
-                                 for f in flats]))
+    _halves(round(x.size / (2 * _CHUNK)) * _CHUNK, x.size >= 2 * _CHUNK,
+            lambda s: _gelu_passes(x, y, g, dx, s))
 
 
 def gelu(x: Tensor) -> Tensor:

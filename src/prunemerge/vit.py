@@ -258,8 +258,10 @@ def model_forward(images: np.ndarray, params: VitParams, config: ModelConfig,
     compressed layers there.  ``attn_bumps`` reaches only the layers
     ``block_forward`` runs.  The head reads only the class token, so the
     last layer runs in class-row mode unless a trace or a bump asks for
-    its full maps.
+    its full maps.  The first call sets the allocator's defaults (see
+    ``tensor._allocator_defaults``).
     """
+    T._allocator_defaults()
     z = patchify(images, config, params.embed)
     last = len(params.blocks) - 1
     for layer, blk in enumerate(params.blocks):

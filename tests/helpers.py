@@ -2,9 +2,10 @@
 pseudoinverse and merge-map render the oracles compare against, the
 shape ops and loss reducer no program path runs, composed attention, MLP
 and embedding, the list of the functions of one or more modules that a
-run never calls, a second lane decided anew for a given CPU count, a
-reader for the pixmaps ``visualize`` writes, and a path made fresh for
-each example a fuzz test writes."""
+run never calls, a second lane decided anew for a given CPU count, the
+outputs the lane could touch with it on and forced off, a reader for
+the pixmaps ``visualize`` writes, and a path made fresh for each example
+a fuzz test writes."""
 
 import contextlib
 import inspect
@@ -15,10 +16,13 @@ import threading
 import numpy as np
 
 from prunemerge import tensor as T
-from prunemerge.compression import pseudoinverse
+from prunemerge.compression import compress_model, global_plan, pseudoinverse
+from prunemerge.data import Dataset
 from prunemerge.errors import ContractError
+from prunemerge.finetune import AdamW, self_distill_loss
+from prunemerge.scoring import collect_scores
 from prunemerge.visualize import _patches_to_grid
-from prunemerge.vit import extract_patches
+from prunemerge.vit import VisionTransformer, extract_patches
 
 
 def dense_pinv(merge) -> np.ndarray:
@@ -300,3 +304,64 @@ def fresh_lane(cpus: int):
                 if thread.name == "prunemerge-lane":
                     thread.join(timeout=10.0)
                     assert not thread.is_alive()
+
+
+def lane_models(config, batch):
+    """The base model, a learnable compressed model, images and labels of
+    ``batch`` at ``config``, all seeded."""
+    rng = np.random.default_rng(41)
+    images = rng.uniform(0.0, 1.0, (batch, config.channels,
+                                    config.image_size, config.image_size))
+    labels = rng.integers(0, config.num_classes, batch)
+    base = VisionTransformer.build(config, seed=5)
+    scores = [rng.uniform(0.1, 1.0, config.num_tokens)
+              for _ in range(config.depth)]
+    plan = global_plan(scores, 0.7, 0.1)
+    return base, compress_model(base, plan, learnable_matrices=True), \
+        images, labels
+
+
+def lane_outputs(config, batch):
+    """Every array the lane could touch: recorded logits and gradients of
+    both models, a traced scoring batch, a no_grad forward and the state
+    after two AdamW steps of a distillation loss."""
+    base, student, images, labels = lane_models(config, batch)
+    out = {}
+    for name, model in (("base", base), ("student", student)):
+        T.zero_grads(p for _, p in model.named_parameters())
+        logits = model.forward(images)
+        T.backward(T.cross_entropy(logits, labels))
+        out[f"{name}.logits"] = logits.data
+        for pname, p in model.named_parameters():
+            out[f"{name}.grad.{pname}"] = p.grad.copy()
+    scores = collect_scores(base, Dataset(images, labels, base.config
+                                          .num_classes),
+                            iterations=1, batch_size=len(labels))
+    out.update({f"scores.{i}": s for i, s in enumerate(scores)})
+    with T.no_grad():
+        out["no_grad.logits"] = student.forward(images).data
+    teacher = base.frozen_copy()
+    optimizer = AdamW(student.named_parameters(), weight_decay=0.05)
+    for _ in range(2):
+        optimizer.zero_grad()
+        T.backward(self_distill_loss(student.forward(images),
+                                     teacher.forward(images), labels,
+                                     alpha=0.5)[0])
+        optimizer.step(1e-2)
+    for pname, p in student.named_parameters():
+        out[f"adamw.param.{pname}"] = p.data.copy()
+        out[f"adamw.m.{pname}"] = optimizer.m[pname].copy()
+        out[f"adamw.v.{pname}"] = optimizer.v[pname].copy()
+    return out
+
+
+def on_and_off(config, batch):
+    """``lane_outputs`` with the lane on, how many tasks it ran, and the
+    outputs with the lane forced off."""
+    with fresh_lane(2):
+        before = T._lane_tasks
+        on = lane_outputs(config, batch)
+        tasks = T._lane_tasks - before
+    with fresh_lane(1):
+        off = lane_outputs(config, batch)
+    return on, tasks, off

@@ -9,9 +9,9 @@ configs: the acceptance shape (28 px, 5 tokens, D=48, batch 32) and a
 depth-4 64 px D=96 shape at batch 4, whose GELU input spans several of
 the engine's chunks.  Every op of the first stays on one lane; the
 second (``wide``) hands gradient products, the row halves of forward
-weight products, attention halves, GELU halves and AdamW chunks to the
-engine's second lane, where two CPUs allow one, and ``dump`` prints how
-many tasks ran there.  Per config it holds:
+weight products and of weight gradients, attention halves, GELU halves
+and AdamW chunks to the engine's second lane, where two CPUs allow one,
+and ``dump`` prints how many tasks ran there.  Per config it holds:
 
 * ``no_grad``, recorded and traced logits of the base model and of the
   frozen- and learnable-compressed models under a class-token plan, a

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prunemerge import checkpoint
+from prunemerge import checkpoint, cli, flops
 from prunemerge.cli import entry, main
 from prunemerge.compression import (CompressedModel, CompressionPlan,
                                     compress_model, identity_plan)
@@ -749,6 +749,30 @@ def test_final_accuracy_is_the_last_validation(workdir, cfg, base_ckpt,
     assert calls == [64, 64]                  # epochs=2, once per epoch
     last = metrics.read_text().strip().split("\n")[-1].split(",")[-1]
     assert f"top1_accuracy={float(last)!r}\n" in capsys.readouterr().out
+
+
+def test_entry_pins_blas_to_one_worker_unless_a_thread_variable_is_set(
+        monkeypatch):
+    controls = flops._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread controls in this process")
+    get, set_ = controls[0]
+    former = get()
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda argv: seen.append(get()) or 0)
+    for name in cli.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    set_(2)
+    try:
+        threads = get()
+        assert entry([]) == 0 and get() == threads
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.setenv(name, str(threads))
+            assert entry([]) == 0 and get() == threads
+            monkeypatch.delenv(name)
+    finally:
+        set_(former)
+    assert seen == [1, threads, threads]
 
 
 def test_unknown_flag_exits_nonzero():

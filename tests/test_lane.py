@@ -1,9 +1,10 @@
 """The engine's second lane: every output is bit for bit the same with the
 lane on and off, work below the hand-off threshold stays on one lane,
-a weight product's row halves keep the whole GEMM's bits, work reached
-while the lane holds a task runs whole, the caller's context reaches
-the lane, errors wait for both halves, and a one-CPU process starts no
-thread."""
+a weight product's row halves and a weight gradient's output-row halves
+keep the whole GEMM's bits, each split hands off one task from its
+threshold on, work reached while the lane holds a task runs whole, the
+caller's context reaches the lane, errors wait for both halves, and a
+one-CPU process starts no thread."""
 
 import functools
 import os
@@ -17,82 +18,16 @@ import numpy as np
 import pytest
 
 from prunemerge import tensor as T
-from prunemerge.compression import compress_model, global_plan
-from prunemerge.data import Dataset
 from prunemerge.errors import NumericError
-from prunemerge.finetune import AdamW, self_distill_loss
-from prunemerge.scoring import collect_scores
-from prunemerge.vit import VisionTransformer
+from prunemerge.finetune import AdamW
 
 import identity
-from helpers import fresh_lane
-
-
-def _models(tag):
-    """The base model, a learnable compressed model, images and labels at
-    one of the identity harness's shapes."""
-    config, batch = identity.SHAPES[tag]
-    rng = np.random.default_rng(41)
-    images = rng.uniform(0.0, 1.0, (batch, config.channels,
-                                    config.image_size, config.image_size))
-    labels = rng.integers(0, config.num_classes, batch)
-    base = VisionTransformer.build(config, seed=5)
-    scores = [rng.uniform(0.1, 1.0, config.num_tokens)
-              for _ in range(config.depth)]
-    plan = global_plan(scores, 0.7, 0.1)
-    return base, compress_model(base, plan, learnable_matrices=True), \
-        images, labels
-
-
-def _outputs(tag):
-    """Every array the lane could touch at ``tag``: recorded logits and
-    gradients of both models, a traced scoring batch, a no_grad forward
-    and the state after two AdamW steps of a distillation loss."""
-    base, student, images, labels = _models(tag)
-    out = {}
-    for name, model in (("base", base), ("student", student)):
-        T.zero_grads(p for _, p in model.named_parameters())
-        logits = model.forward(images)
-        T.backward(T.cross_entropy(logits, labels))
-        out[f"{name}.logits"] = logits.data
-        for pname, p in model.named_parameters():
-            out[f"{name}.grad.{pname}"] = p.grad.copy()
-    scores = collect_scores(base, Dataset(images, labels, base.config
-                                          .num_classes),
-                            iterations=1, batch_size=len(labels))
-    out.update({f"scores.{i}": s for i, s in enumerate(scores)})
-    with T.no_grad():
-        out["no_grad.logits"] = student.forward(images).data
-    teacher = base.frozen_copy()
-    optimizer = AdamW(student.named_parameters(), weight_decay=0.05)
-    for _ in range(2):
-        optimizer.zero_grad()
-        T.backward(self_distill_loss(student.forward(images),
-                                     teacher.forward(images), labels,
-                                     alpha=0.5)[0])
-        optimizer.step(1e-2)
-    for pname, p in student.named_parameters():
-        out[f"adamw.param.{pname}"] = p.data.copy()
-        out[f"adamw.m.{pname}"] = optimizer.m[pname].copy()
-        out[f"adamw.v.{pname}"] = optimizer.v[pname].copy()
-    return out
-
-
-def _on_and_off(tag):
-    """The outputs at ``tag`` with the lane on, how many tasks it ran,
-    and the outputs with the lane forced off."""
-    with fresh_lane(2):
-        before = T._lane_tasks
-        on = _outputs(tag)
-        tasks = T._lane_tasks - before
-    with fresh_lane(1):
-        off = _outputs(tag)
-    return on, tasks, off
+from helpers import fresh_lane, lane_models, on_and_off
 
 
 @pytest.mark.parametrize("tag", ["wide", "acc"])
 def test_outputs_are_bit_identical_with_the_lane_on_and_off(tag):
-    on, tasks, off = _on_and_off(tag)
+    on, tasks, off = on_and_off(*identity.SHAPES[tag])
     assert sorted(on) == sorted(off)
     different = [name for name in on
                  if on[name].tobytes() != off[name].tobytes()]
@@ -156,6 +91,146 @@ def test_a_product_splits_only_where_its_halves_keep_their_bits(rows, k, e,
         out = T._matmul_data(a, b)
         assert T._lane_tasks - before == tasks
     assert out.tobytes() == np.matmul(a[0], b).tobytes()
+
+
+def _gradient_table(count, seed=47):
+    """``count`` weight gradients aᵀ @ g of (B, T, K) and (B, T, E)
+    operands, B * T odd, with K and E drawn from DeiT widths and each
+    half of the K output rows at least 2**20 multiply-adds."""
+    rng = np.random.default_rng(seed)
+    widths = [48, 96, 192, 384, 768]
+    table = []
+    for _ in range(count):
+        k, e = rng.choice(widths, 2)
+        least = -(-T._LANE_MACS // (k // 2 * e))     # contracted rows
+        rows = least + int(rng.integers(0, least // 2 + 1))
+        batch = int(rng.choice([1, 3, 5]))
+        tokens = max(3, -(-rows // batch)) | 1
+        table.append((rng.normal(size=(batch, tokens, k)),
+                      rng.normal(size=(batch, tokens, e))))
+    return table
+
+
+def test_weight_gradient_halves_keep_the_whole_products_bits():
+    # The w1 gradient of ``mlp`` and the weight gradient of ``embed``
+    # are this product; its halves cut the output rows.
+    table = _gradient_table(60)
+    on, tasks = [], []
+    with fresh_lane(2):
+        for a, g in table:
+            before = T._lane_tasks
+            on.append(T._matmul_grad_b(a, g, a.shape, (a.shape[-1],
+                                                       g.shape[-1])))
+            tasks.append(T._lane_tasks - before)
+    with fresh_lane(1):
+        off = [T._matmul_grad_b(a, g, a.shape, (a.shape[-1], g.shape[-1]))
+               for a, g in table]
+    assert tasks == [1] * len(table)
+    different = [(a.shape, g.shape) for (a, g), x, y in zip(table, on, off)
+                 if x.tobytes() != y.tobytes()]
+    assert different == []
+
+
+# Each new split as a function of its size: operands at DeiT widths
+# (D=192, 4D=768, 768-pixel patches), seeded, and a thunk that runs only
+# the split work and returns its outputs.  ``n`` counts rows: normalised
+# rows for layer norm, contracted rows for the weight gradients.
+
+def _layer_norm_operands(n, rng):
+    return (T.Tensor(rng.normal(size=(1, n, 192)), requires_grad=True),
+            T.Tensor(rng.normal(size=192), requires_grad=True),
+            T.Tensor(rng.normal(size=192), requires_grad=True))
+
+
+def _layer_norm_forward(n, rng):
+    x, gamma, beta = _layer_norm_operands(n, rng)
+
+    def run():
+        with T.no_grad():
+            return [T.layer_norm(x, gamma, beta).data]
+    return run
+
+
+def _layer_norm_backward(n, rng):
+    out = T.layer_norm(*_layer_norm_operands(n, rng))
+    g = rng.normal(size=out.shape)
+    return lambda: list(out._node.grad_fn(g))
+
+
+def _w1_gradient(n, rng):
+    h, ga = rng.normal(size=(1, n, 192)), rng.normal(size=(1, n, 768))
+    return lambda: [T._matmul_grad_b(h, ga, h.shape, (192, 768))]
+
+
+def _embed_gradient(n, rng):
+    d = 192
+    w, b, cls, pos = (T.Tensor(rng.normal(size=s), requires_grad=True)
+                      for s in [(768, d), (d,), (1, d), (n + 1, d)])
+    out = T.embed(rng.normal(size=(1, n, 768)), w, b, cls, pos)
+    g = rng.normal(size=out.shape)
+    return lambda: list(out._node.grad_fn(g))
+
+
+# (site, least size that splits): a layer-norm half holds a chunk from
+# 342 rows of 192 on; a weight-gradient half holds 2**20 multiply-adds
+# from 15 contracted rows on (96 * 15 * 768 and 384 * 15 * 192).
+NEW_SPLITS = [(_layer_norm_forward, 342), (_layer_norm_backward, 342),
+              (_w1_gradient, 15), (_embed_gradient, 15)]
+
+
+def _tasks_of(run):
+    before = T._lane_tasks
+    out = run()
+    return T._lane_tasks - before, out
+
+
+@pytest.mark.parametrize("site, least", NEW_SPLITS,
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_each_new_split_keeps_its_bits_and_hands_off_one_task(site, least):
+    for n, tasks in ((least - 1, 0), (least, 1), (2 * least + 1, 1)):
+        with fresh_lane(2):
+            counted, on = _tasks_of(site(n, np.random.default_rng(n)))
+            assert counted == tasks, n
+            # Reached while the lane holds a task, the work runs whole.
+            run = site(n, np.random.default_rng(n))
+            busy, _ = _tasks_of(lambda: T._both(run, lambda: None))
+            assert busy == 1, n
+        with fresh_lane(1):
+            off = site(n, np.random.default_rng(n))()
+        assert [x.tobytes() for x in on] == [x.tobytes() for x in off], n
+
+
+def _gelu_site(n, rng):
+    x = rng.normal(size=n)
+    return lambda: T._gelu_halves(x, y=np.empty(n))
+
+
+def _attention_site(n, rng):
+    # Batch 2 of n tokens at width 64, one head: the halves take maps and
+    # context of 2 n**2 (64 + 64) multiply-adds, twice the least; the
+    # output product's halves stay below it.
+    q, k, v = (T.Tensor(rng.normal(size=(2, n, 64))) for _ in range(3))
+    w_o = T.Tensor(rng.normal(size=(64, 64)))
+    return lambda: T.attention(q, k, v, w_o, 1, 0.125)
+
+
+def _adamw_site(n, rng):
+    p = T.Tensor(rng.normal(size=n), requires_grad=True)
+    optimizer = AdamW([("p", p)])
+    p.grad = rng.normal(size=n)
+    return lambda: optimizer.step(1e-2)
+
+
+@pytest.mark.parametrize("site, least", [
+    (_gelu_site, 2 * T._CHUNK), (_attention_site, 91),
+    (_adamw_site, 2 * T._CHUNK)],
+    ids=lambda v: getattr(v, "__name__", str(v)))
+def test_the_halved_sites_hand_off_one_task_from_their_threshold(site,
+                                                                 least):
+    for n, tasks in ((least - 1, 0), (least, 1)):
+        with fresh_lane(2):
+            counted, _ = _tasks_of(site(n, np.random.default_rng(n)))
+            assert counted == tasks, n
 
 
 def _within(seconds, fn):
@@ -252,7 +327,7 @@ def test_a_no_grad_forward_splits_products_at_the_wide_shape_only(
     monkeypatch.setattr(T, "_lane_free", counted)
     handed = {}
     for tag in ("wide", "acc"):
-        base, student, images, _ = _models(tag)
+        base, student, images, _ = lane_models(*identity.SHAPES[tag])
         splits.clear()
         with fresh_lane(2), T.no_grad():
             base.forward(images)

@@ -1,5 +1,9 @@
 """Unit tests for the vision-transformer core."""
 
+import ctypes
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -456,3 +460,59 @@ class TestClassRowBlock:
         shapes.clear()
         model.forward(imgs, attn_bumps={0: np.zeros((2, cfg.heads, 5, 5))})
         assert shapes == [(2, 5, 8), (2, 1, 8)]
+
+
+# Run in a fresh interpreter: whether a 4 MB array is mmapped (glibc's
+# ``mallinfo2().hblks`` grows by one while it lives) after the import, and
+# after one forward at the acceptance shape; then whether ``mallopt``
+# takes both thresholds.
+ALLOCATOR_PROBE = """
+import ctypes
+import numpy as np
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = MallInfo2
+
+kept = []
+
+def mapped():
+    # The array stays alive: glibc raises its mmap threshold to the size
+    # of an mmapped chunk that is freed.
+    before = libc.mallinfo2().hblks
+    kept.append(np.empty(1 << 19))
+    return libc.mallinfo2().hblks - before
+
+from prunemerge import tensor as T
+from prunemerge.vit import ModelConfig, VisionTransformer
+print(mapped())
+images = np.random.default_rng(0).uniform(size=(32, 1, 28, 28))
+config = ModelConfig(image_size=28, patch_size=14, embed_dim=48, heads=4,
+                     mlp_ratio=2)
+VisionTransformer.build(config, seed=0).forward(images)
+print(mapped())
+print(T._mallopt(T._M_MMAP_THRESHOLD, 32 << 20),
+      T._mallopt(T._M_TRIM_THRESHOLD, 1 << 30))
+"""
+
+
+def _has_mallinfo2() -> bool:
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return False
+    return libc.startswith("glibc") \
+        and hasattr(ctypes.CDLL(None), "mallinfo2")
+
+
+@pytest.mark.skipif(not _has_mallinfo2(), reason="needs glibc's mallinfo2")
+def test_the_first_forward_keeps_large_arrays_on_the_heap():
+    # Importing the package changes no allocator setting; the first
+    # forward serves a 4 MB request from the heap from then on.
+    proc = subprocess.run([sys.executable, "-c", ALLOCATOR_PROBE],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split("\n") == ["1", "0", "True True", ""]

@@ -174,7 +174,7 @@ def _plan_table(plan, scores) -> str:
         if entry is None:
             rows.append(f"{layer:>6} {len(scores[layer]):>7} {'exempt':>7}")
             continue
-        tokens, live = entry.merge.n_tokens, int(entry.mask.sum())
+        tokens, live = entry.merge.n_tokens, int(entry.merge.live.sum())
         rows.append(f"{layer:>6} {tokens:>7} {entry.kept:>7} "
                     f"{live - entry.kept:>7} {tokens - live:>7}")
     return "\n".join(rows)

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, ShapeMismatchError, SingularMatrixError
-from .scoring import prune_count_for, rank_descending, round_half_up
+from .scoring import rank_descending, round_half_up
 from .tensor import Tensor, from_op
 from .vit import (AttentionTrace, BlockParams, ModelConfig, VisionTransformer,
                   block_forward, clone_params, model_forward)
@@ -141,19 +141,15 @@ class MergeMatrix:
         """The dense (kept, n_tokens) matrix, built afresh on every read."""
         return self.merge_matrix(self.w)
 
-    def validate(self, mask: np.ndarray | None = None,
-                 class_token: bool = False, atol: float = 1e-10) -> None:
+    def validate(self, class_token: bool = False) -> None:
         """Invariants of a generated matrix beyond the partition: rows
-        summing to one, zero weights exactly at the pruned tokens of
-        ``mask`` and, with ``class_token``, row 0 equal to e_0."""
+        summing to one within 1e-10 and, with ``class_token``, row 0 equal
+        to e_0.  The keep-mask is ``live``, read from the weights."""
         totals = np.bincount(self.gid, weights=self.w, minlength=self.kept)
-        rows = np.flatnonzero(np.abs(totals - 1.0) > atol)
+        rows = np.flatnonzero(np.abs(totals - 1.0) > 1e-10)
         if rows.size:
             raise ContractError(
                 f"row {rows[0]} sums to {totals[rows[0]]}, expected 1")
-        if mask is not None and (self.live != (np.asarray(mask) != 0)).any():
-            raise ContractError(
-                "zero weights of the merge matrix disagree with the mask")
         if class_token:
             row0 = self.w[:self.groups[0][1]]
             if row0[0] != 1.0 or row0[1:].any():
@@ -315,18 +311,18 @@ def _checked_entry(mask: np.ndarray, merge: np.ndarray, recon: np.ndarray,
 # ----------------------------------------------------------------------
 
 def _assemble(scores: np.ndarray, reserved: np.ndarray, pruned: np.ndarray,
-              class_token: bool) -> tuple[np.ndarray, MergeMatrix]:
-    """Build mask and merge matrix from explicit index sets.
+              class_token: bool) -> MergeMatrix:
+    """Build the merge matrix from explicit index sets.
 
     ``reserved`` holds the merge-eligible (non-class) important token
-    indices, ascending; ``pruned`` the pruned indices.  The class token,
-    when present, occupies row 0 as a pure unit vector.
+    indices, ascending; ``pruned`` the pruned indices, none below the
+    class token.  The class token, when present, occupies row 0 as a pure
+    unit vector.
     """
     n = scores.size
     start = 1 if class_token else 0
-    mask = np.ones(n, dtype=np.uint8)
-    mask[pruned] = 0
-    pruned_flag = mask == 0
+    pruned_flag = np.zeros(n, dtype=bool)
+    pruned_flag[pruned] = True
 
     weights = np.where(pruned_flag, 0.0, np.asarray(scores, dtype=np.float64))
     w = np.zeros(n)
@@ -334,8 +330,6 @@ def _assemble(scores: np.ndarray, reserved: np.ndarray, pruned: np.ndarray,
     reserved = np.asarray(reserved, dtype=np.int64)
 
     if class_token:
-        if pruned_flag[0]:
-            raise ContractError("the class token cannot be pruned")
         w[0] = 1.0
         # With no merge groups at all, the class group absorbs the (fully
         # pruned) remainder so the partition invariant holds.
@@ -367,31 +361,26 @@ def _assemble(scores: np.ndarray, reserved: np.ndarray, pruned: np.ndarray,
             groups.append((a, b))
             prev = int(r)
 
-    return mask, MergeMatrix(groups, w)
+    return MergeMatrix(groups, w)
 
 
-def generate_merge_matrix(scores: np.ndarray, pm_threshold: float | None,
-                          keep_count: int, prune_count: int | None = None,
-                          class_token: bool = False,
-                          ) -> tuple[np.ndarray, MergeMatrix]:
+def generate_merge_matrix(scores: np.ndarray, keep_count: int,
+                          prune_count: int,
+                          class_token: bool = False) -> MergeMatrix:
     """Single-layer merge-matrix construction.
 
-    Sorts scores descending, prunes the lowest ``prune_count`` tokens
-    (derived from ``pm_threshold`` when not given explicitly), selects the
-    ``keep_count`` highest as important, and partitions the sequence into
-    one contiguous group per important token: half-open (previous,
-    current], trailing tokens folded into the last group.  Row weights are
-    the prune-zeroed scores normalized per group.
+    Sorts scores descending, prunes the lowest ``prune_count`` tokens,
+    selects the ``keep_count`` highest as important, and partitions the
+    sequence into one contiguous group per important token: half-open
+    (previous, current], trailing tokens folded into the last group.  Row
+    weights are the prune-zeroed scores normalized per group.  A pruned
+    token is one with weight 0, so the keep-mask is ``merge.live``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise ContractError("scores must be finite")
     n = scores.size
     start = 1 if class_token else 0
-    if prune_count is None:
-        if pm_threshold is None:
-            raise ContractError("need pm_threshold or prune_count")
-        prune_count = prune_count_for(pm_threshold, n, class_token=class_token)
     if prune_count < 0:
         raise ContractError(f"prune_count must be nonnegative, got {prune_count}")
     if keep_count < 1:
@@ -400,15 +389,9 @@ def generate_merge_matrix(scores: np.ndarray, pm_threshold: float | None,
         raise ContractError(
             f"keep_count {keep_count} + prune_count {prune_count} exceeds "
             f"{n} tokens")
-    eligible = n - start
-    k_eff = keep_count - start
-    if k_eff < 0:
-        raise ContractError("keep_count must include the class token")
-
     order = rank_descending(scores[start:]) + start
-    reserved = np.sort(order[:k_eff])
-    pruned = np.sort(order[eligible - prune_count:]) if prune_count else \
-        np.empty(0, dtype=np.int64)
+    reserved = np.sort(order[:keep_count - start])
+    pruned = np.sort(order[order.size - prune_count:])
     return _assemble(scores, reserved, pruned, class_token)
 
 
@@ -642,8 +625,8 @@ def global_plan(all_scores: list[np.ndarray], rate: float,
         if reserved.size == 0:
             pruned = np.arange(start, sizes[layer])
         scores_l = np.asarray(all_scores[layer], dtype=np.float64)
-        mask, merge = _assemble(scores_l, reserved, pruned, class_token)
-        merge.validate(mask=mask, class_token=class_token)
+        merge = _assemble(scores_l, reserved, pruned, class_token)
+        merge.validate(class_token=class_token)
         entries.append(PlanEntry(merge, pseudoinverse(merge)))
 
     plan = CompressionPlan(entries, class_token)

@@ -247,8 +247,7 @@ def micro_benchmark(n_tokens: int = 128, dim: int = 128,
     rng = np.random.default_rng(seed)
     scores = rng.uniform(0.05, 1.0, size=n_tokens)
     kept = max(1, n_tokens // 2)
-    _, merge = generate_merge_matrix(scores, None, kept,
-                                     prune_count=n_tokens // 10)
+    merge = generate_merge_matrix(scores, kept, n_tokens // 10)
     z = rng.standard_normal((n_tokens, dim))
 
     # The dense matrix is a derived view; build it once, here, so that the

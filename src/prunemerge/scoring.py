@@ -117,15 +117,6 @@ def scores_from_trace(trace: AttentionTrace,
     return score_attention(variant, trace.maps, trace.grads)
 
 
-def prune_count_for(pm_threshold: float, n_tokens: int,
-                    class_token: bool = True) -> int:
-    """Number of tokens pruned outright in one layer: round(tau * (N-1))."""
-    if not 0.0 <= pm_threshold <= 1.0:
-        raise ContractError(f"pm_threshold must lie in [0, 1], got {pm_threshold}")
-    eligible = n_tokens - (1 if class_token else 0)
-    return round_half_up(pm_threshold * eligible)
-
-
 def round_half_up(x: float) -> int:
     """Deterministic budget rounding: .5 always rounds up."""
     return int(np.floor(x + 0.5))

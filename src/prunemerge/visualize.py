@@ -68,7 +68,7 @@ def render_merge_map(image: np.ndarray, entry: PlanEntry,
     share = np.divide(w, totals, out=np.zeros(n), where=positive)
     merged = np.where(positive[:, None],
                       _gather(_segment_sum(z, share, merge), merge), z)
-    merged[entry.mask == 0] = 1.0   # pruned: white
+    merged[merge.pruned] = 1.0      # pruned: white
 
     round_trip = _gather(grouped_merge(z, merge), merge)
     round_trip *= entry.r[:, None]

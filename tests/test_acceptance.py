@@ -102,9 +102,8 @@ def test_criterion_2_pseudoinverse():
         cases.append((n, keep, prune, class_token))
     for n, keep, prune, class_token in cases:
         scores = rng.uniform(0.05, 1.0, size=n)
-        _, merge = generate_merge_matrix(scores, None, keep,
-                                         prune_count=prune,
-                                         class_token=class_token)
+        merge = generate_merge_matrix(scores, keep, prune,
+                                      class_token=class_token)
         m = merge.data
         p = dense_pinv(merge)
         assert np.abs(m @ p @ m - m).max() < 1e-6
@@ -127,8 +126,8 @@ def test_criterion_3_compressed_forward():
 
     # Pruned positions ride the shortcut: bit-identical to the input.
     scores = rng.uniform(0.05, 1.0, size=n)
-    mask, merge = generate_merge_matrix(scores, None, 4, prune_count=3,
-                                        class_token=True)
+    merge = generate_merge_matrix(scores, 4, 3, class_token=True)
+    mask = merge.live.astype(np.uint8)
     entry = PlanEntry(merge, pseudoinverse(merge))
     z = Tensor(rng.standard_normal((2, n, cfg.embed_dim)))
     out = pm_forward(z, entry, blk, cfg.heads)
@@ -150,8 +149,7 @@ def test_criterion_3_compressed_forward():
         keep = int(rng.integers(2 if class_token else 1, nt + 1))
         prune = int(rng.integers(0, nt - keep + 1))
         s = rng.uniform(0.05, 1.0, size=nt)
-        _, mg = generate_merge_matrix(s, None, keep, prune_count=prune,
-                                      class_token=class_token)
+        mg = generate_merge_matrix(s, keep, prune, class_token=class_token)
         zz = rng.standard_normal((nt, d))
         assert np.abs(grouped_merge(zz, mg) - mg.data @ zz).max() < 1e-12
         zb = rng.standard_normal((3, nt, d))
@@ -281,9 +279,9 @@ def test_criterion_5_planner_oracle():
         singles.append((n, keep, prune, class_token))
     for n, keep, prune, class_token in singles:
         scores = rng.uniform(0.01, 1.0, size=n)
-        mask, merge = generate_merge_matrix(scores, None, keep,
-                                            prune_count=prune,
-                                            class_token=class_token)
+        merge = generate_merge_matrix(scores, keep, prune,
+                                      class_token=class_token)
+        mask = merge.live.astype(np.uint8)
         _compare_entry(mask, merge,
                        _oracle_single(list(scores), keep, prune, class_token))
 

@@ -794,8 +794,6 @@ def test_module_entry_point_runs():
 # chain of the test that follows.
 UNCALLED_BY_DESIGN = {
     "data.write_idx": "perfbench and the tests write IDX inputs",
-    "scoring.prune_count_for": "the pm_threshold path of "
-                               "generate_merge_matrix",
 }
 
 

@@ -30,16 +30,16 @@ WORKED_SCORES = np.array([0.2, 0.8, 0.0, 0.3, 0.9])
 def random_merge(n, kept, rng, class_token=False):
     scores = rng.uniform(0.05, 1.0, size=n)
     prune = rng.integers(0, n - kept + 1)
-    mask, merge = generate_merge_matrix(scores, None, kept,
-                                        prune_count=int(prune),
-                                        class_token=class_token)
+    merge = generate_merge_matrix(scores, kept, int(prune),
+                                  class_token=class_token)
+    mask = merge.live.astype(np.uint8)
     return scores, mask, merge
 
 
 class TestGenerateMergeMatrix:
     def test_worked_example_rows(self):
-        mask, merge = generate_merge_matrix(WORKED_SCORES, None, 2,
-                                            prune_count=1)
+        merge = generate_merge_matrix(WORKED_SCORES, 2, 1)
+        mask = merge.live.astype(np.uint8)
         np.testing.assert_array_equal(mask, [1, 1, 0, 1, 1])
         np.testing.assert_allclose(merge.data[0], [0.2, 0.8, 0, 0, 0],
                                    atol=1e-12)
@@ -47,28 +47,21 @@ class TestGenerateMergeMatrix:
                                    atol=1e-12)
         assert merge.groups == [(0, 2), (2, 5)]
 
-    def test_worked_example_from_threshold(self):
-        # 5 tokens at threshold 0.2 -> one pruned, same matrix as above.
-        mask, merge = generate_merge_matrix(WORKED_SCORES, 0.2, 2)
-        np.testing.assert_array_equal(mask, [1, 1, 0, 1, 1])
-        np.testing.assert_allclose(merge.data[1], [0, 0, 0, 0.25, 0.75],
-                                   atol=1e-12)
-
     def test_rows_sum_to_one_and_partition(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             n = int(rng.integers(3, 24))
             kept = int(rng.integers(1, n))
-            _, mask, merge = random_merge(n, kept, rng)
-            merge.validate(mask=mask)
+            _, _, merge = random_merge(n, kept, rng)
+            merge.validate()
             assert merge.kept == kept
 
     def test_class_token_row_is_unit_vector(self):
         rng = np.random.default_rng(8)
         scores = rng.uniform(0.0, 1.0, size=9)
-        mask, merge = generate_merge_matrix(scores, None, 4, prune_count=2,
-                                            class_token=True)
-        merge.validate(mask=mask, class_token=True)
+        merge = generate_merge_matrix(scores, 4, 2, class_token=True)
+        mask = merge.live.astype(np.uint8)
+        merge.validate(class_token=True)
         np.testing.assert_array_equal(merge.data[0],
                                       np.eye(9)[0])
         assert mask[0] == 1
@@ -78,7 +71,7 @@ class TestGenerateMergeMatrix:
 
     def test_ties_prefer_lower_index_for_reservation(self):
         scores = np.array([0.5, 0.5, 0.5, 0.5])
-        mask, merge = generate_merge_matrix(scores, None, 2, prune_count=0)
+        merge = generate_merge_matrix(scores, 2, 0)
         # rows anchored at tokens 0 and 1; trailing tokens fold into row 1
         assert merge.groups == [(0, 1), (1, 4)]
         np.testing.assert_allclose(merge.data[1],
@@ -86,7 +79,7 @@ class TestGenerateMergeMatrix:
 
     def test_ties_prune_higher_index_first(self):
         scores = np.array([0.9, 0.1, 0.1, 0.8])
-        mask, _ = generate_merge_matrix(scores, None, 2, prune_count=1)
+        mask = generate_merge_matrix(scores, 2, 1).live.astype(np.uint8)
         np.testing.assert_array_equal(mask, [1, 1, 0, 1])
 
     def test_degenerate_group_gets_uniform_weights(self):
@@ -95,8 +88,9 @@ class TestGenerateMergeMatrix:
         # normalized weight would vanish, so it degenerates to uniform
         # over survivors too, keeping every kept column nonzero.
         scores = np.array([1.0, 0.0, 0.0, 0.0, 0.9])
-        mask, merge = generate_merge_matrix(scores, None, 3, prune_count=1)
-        merge.validate(mask=mask)
+        merge = generate_merge_matrix(scores, 3, 1)
+        mask = merge.live.astype(np.uint8)
+        merge.validate()
         np.testing.assert_array_equal(mask, [1, 1, 1, 0, 1])
         np.testing.assert_allclose(merge.data[1], [0, 1, 0, 0, 0],
                                    atol=1e-12)
@@ -105,32 +99,31 @@ class TestGenerateMergeMatrix:
 
     def test_over_budget_rejected(self):
         with pytest.raises(ContractError):
-            generate_merge_matrix(WORKED_SCORES, None, 3, prune_count=3)
+            generate_merge_matrix(WORKED_SCORES, 3, 3)
 
     def test_zero_keep_rejected(self):
         with pytest.raises(ContractError):
-            generate_merge_matrix(WORKED_SCORES, None, 0, prune_count=1)
+            generate_merge_matrix(WORKED_SCORES, 0, 1)
 
     def test_nonfinite_scores_rejected(self):
         bad = np.array([0.1, np.nan, 0.3])
         with pytest.raises(ContractError):
-            generate_merge_matrix(bad, None, 1, prune_count=0)
+            generate_merge_matrix(bad, 1, 0)
 
     def test_unprunable_remainder_rejected(self):
         # class token is the only kept token, yet unpruned tokens remain:
         # the unit-vector class row cannot host them.
         scores = np.array([0.0, 0.5, 0.6, 0.7])
         with pytest.raises(ContractError):
-            generate_merge_matrix(scores, None, 1, prune_count=1,
-                                  class_token=True)
+            generate_merge_matrix(scores, 1, 1, class_token=True)
 
     def test_class_only_with_everything_pruned(self):
         scores = np.array([0.0, 0.5, 0.6, 0.7])
-        mask, merge = generate_merge_matrix(scores, None, 1, prune_count=3,
-                                            class_token=True)
+        merge = generate_merge_matrix(scores, 1, 3, class_token=True)
+        mask = merge.live.astype(np.uint8)
         np.testing.assert_array_equal(mask, [1, 0, 0, 0])
         assert merge.groups == [(0, 4)]
-        merge.validate(mask=mask, class_token=True)
+        merge.validate(class_token=True)
 
 
 class TestMergeMatrixValidate:
@@ -161,13 +154,6 @@ class TestMergeMatrixValidate:
         with pytest.raises(ContractError):
             m.validate()
 
-    def test_mask_column_consistency(self):
-        _, merge = generate_merge_matrix(WORKED_SCORES, None, 2,
-                                         prune_count=1)
-        wrong_mask = np.array([1, 1, 1, 1, 1], dtype=np.uint8)
-        with pytest.raises(ContractError):
-            merge.validate(mask=wrong_mask)
-
     def test_class_row_enforced(self):
         m = MergeMatrix([(0, 2), (2, 3)], np.array([0.5, 0.5, 1.0]))
         with pytest.raises(ContractError):
@@ -182,8 +168,7 @@ class TestPseudoinverse:
                                    atol=1e-12)
 
     def test_worked_example_columns(self):
-        _, merge = generate_merge_matrix(WORKED_SCORES, None, 2,
-                                         prune_count=1)
+        merge = generate_merge_matrix(WORKED_SCORES, 2, 1)
         plus = dense_pinv(merge)
         np.testing.assert_allclose(plus[:, 0],
                                    np.array([0.2, 0.8, 0, 0, 0]) / 0.68,
@@ -276,8 +261,8 @@ class TestGroupedOps:
 
     def test_merge_tokens_gradients(self):
         rng = np.random.default_rng(36)
-        mask, merge = generate_merge_matrix(rng.uniform(0.05, 1.0, size=7),
-                                            None, 3, prune_count=2)
+        merge = generate_merge_matrix(rng.uniform(0.05, 1.0, size=7), 3, 2)
+        mask = merge.live.astype(np.uint8)
         z = Tensor(rng.standard_normal((2, 7, 4)), requires_grad=True)
         m_t = Tensor(merge.data.copy(), requires_grad=True)
         coef = rng.standard_normal((2, 3, 4))
@@ -301,8 +286,8 @@ class TestGroupedOps:
 
     def test_reconstruct_tokens_gradients(self):
         rng = np.random.default_rng(37)
-        mask, merge = generate_merge_matrix(rng.uniform(0.05, 1.0, size=6),
-                                            None, 2, prune_count=2)
+        merge = generate_merge_matrix(rng.uniform(0.05, 1.0, size=6), 2, 2)
+        mask = merge.live.astype(np.uint8)
         plus = dense_pinv(merge)
         y = Tensor(rng.standard_normal((2, 2, 3)), requires_grad=True)
         r_t = Tensor(plus.copy(), requires_grad=True)
@@ -341,9 +326,9 @@ class TestFusedReconstruct:
 
     def _setup(self, seed, class_token=False):
         rng = np.random.default_rng(seed)
-        mask, merge = generate_merge_matrix(rng.uniform(0.05, 1.0, size=7),
-                                            None, 3, prune_count=3,
-                                            class_token=class_token)
+        merge = generate_merge_matrix(rng.uniform(0.05, 1.0, size=7), 3, 3,
+                                      class_token=class_token)
+        mask = merge.live.astype(np.uint8)
         r = pseudoinverse(merge) * rng.uniform(0.5, 1.5, size=7)
         y = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         r_t = Tensor(merge.recon_matrix(r), requires_grad=True)
@@ -385,8 +370,8 @@ class TestFusedReconstruct:
         if token0_pruned:
             scores = rng.uniform(0.05, 1.0, size=7)
             scores[0] = 0.0
-            mask, merge = generate_merge_matrix(scores, None, 3,
-                                                prune_count=3)
+            merge = generate_merge_matrix(scores, 3, 3)
+            mask = merge.live.astype(np.uint8)
             r_t = Tensor(dense_pinv(merge), requires_grad=True)
         assert (mask[0] == 0) == token0_pruned
         y0 = Tensor(y.data[:, :1].copy(), requires_grad=True)
@@ -419,9 +404,9 @@ class TestFusedReconstruct:
         # class-row layer adds the two slices of token 0 that its
         # reconstruct reads, R[:1, :1] and z[:, :1].
         rng, block, z_np = small_block_setup(seed=84, n=7, dim=4, heads=2)
-        mask, merge = generate_merge_matrix(rng.uniform(0.05, 1.0, size=7),
-                                            None, 3, prune_count=2,
-                                            class_token=True)
+        merge = generate_merge_matrix(rng.uniform(0.05, 1.0, size=7), 3, 2,
+                                      class_token=True)
+        mask = merge.live.astype(np.uint8)
         z = Tensor(z_np, requires_grad=True)
         m_t = Tensor(merge.data, requires_grad=True)
         r_t = Tensor(dense_pinv(merge), requires_grad=True)
@@ -437,8 +422,8 @@ class TestFusedReconstruct:
 
     def test_mask_must_match_the_merge(self):
         rng, block, z_np = small_block_setup(seed=85, n=5, dim=4, heads=2)
-        mask, merge = generate_merge_matrix(rng.uniform(0.05, 1.0, size=5),
-                                            None, 2, prune_count=1)
+        merge = generate_merge_matrix(rng.uniform(0.05, 1.0, size=5), 2, 1)
+        mask = merge.live.astype(np.uint8)
         wrong = mask.copy()
         wrong[np.flatnonzero(mask)[0]] = 0
         with pytest.raises(ContractError, match="mask"):
@@ -474,7 +459,8 @@ class TestPmForward:
     def test_pruned_tokens_pass_through_unchanged(self):
         rng, block, z = small_block_setup(seed=2)
         scores = np.array([0.9, 0.1, 0.8, 0.05, 0.7])
-        mask, merge = generate_merge_matrix(scores, None, 2, prune_count=2)
+        merge = generate_merge_matrix(scores, 2, 2)
+        mask = merge.live.astype(np.uint8)
         entry_recon = pseudoinverse(merge)
         from prunemerge.compression import PlanEntry
         entry = PlanEntry(merge, entry_recon)
@@ -485,7 +471,8 @@ class TestPmForward:
     def test_matches_dense_oracle(self):
         rng, block, z = small_block_setup(seed=3)
         scores = rng.uniform(0.1, 1.0, size=5)
-        mask, merge = generate_merge_matrix(scores, None, 3, prune_count=1)
+        merge = generate_merge_matrix(scores, 3, 1)
+        mask = merge.live.astype(np.uint8)
         from prunemerge.compression import PlanEntry
         entry = PlanEntry(merge, pseudoinverse(merge))
         plus = entry.reconstruct
@@ -500,7 +487,8 @@ class TestPmForward:
     def test_gradients_flow_through_compressed_layer(self):
         rng, block, z_np = small_block_setup(seed=4, n=4, dim=4, heads=1)
         scores = np.array([0.6, 0.9, 0.2, 0.8])
-        mask, merge = generate_merge_matrix(scores, None, 2, prune_count=1)
+        merge = generate_merge_matrix(scores, 2, 1)
+        mask = merge.live.astype(np.uint8)
         plus = dense_pinv(merge)
         z = Tensor(z_np, requires_grad=True)
         m_t = Tensor(merge.data.copy(), requires_grad=True)

@@ -21,7 +21,7 @@ def plan_keeping(kept: dict[int, int]) -> CompressionPlan:
     entries: list[PlanEntry | None] = [None] * DEIT_TINY.depth
     for layer, m in kept.items():
         scores = rng.uniform(0.1, 1, DEIT_TINY.num_tokens)
-        _, merge = generate_merge_matrix(scores, None, m, prune_count=0)
+        merge = generate_merge_matrix(scores, m, 0)
         entries[layer] = PlanEntry(merge, pseudoinverse(merge))
     return CompressionPlan(entries, class_token=False)
 

@@ -254,10 +254,9 @@ def _prune_mask(scores, prune_count: int, class_token: bool = True):
     """The keep mask of a plan entry that prunes ``prune_count`` tokens and
     keeps every other token."""
     scores = np.asarray(scores)
-    mask, _ = generate_merge_matrix(scores, None, scores.size - prune_count,
-                                    prune_count=prune_count,
-                                    class_token=class_token)
-    return mask
+    merge = generate_merge_matrix(scores, scores.size - prune_count,
+                                  prune_count, class_token=class_token)
+    return merge.live.astype(np.uint8)
 
 
 class TestTokenMask:
@@ -298,18 +297,9 @@ class TestTokenMask:
 
 
 class TestPruneCount:
-    def test_default_threshold(self):
-        # 17 tokens, one class token: round(0.1 * 16) = 2
-        assert scoring.prune_count_for(0.1, 17) == 2
-
     def test_rounding_half_up(self):
-        assert scoring.prune_count_for(0.5, 6, class_token=False) == 3
         assert scoring.round_half_up(2.5) == 3
         assert scoring.round_half_up(2.4999) == 2
-
-    def test_range_check(self):
-        with pytest.raises(ContractError):
-            scoring.prune_count_for(1.5, 10)
 
 
 @pytest.fixture(scope="module")

@@ -104,8 +104,7 @@ def test_all_pruned_but_class_is_white_and_black():
     # keep only the class token, prune every patch token
     rng = np.random.default_rng(2)
     scores = rng.uniform(0.1, 1.0, size=N)
-    _, merge = generate_merge_matrix(scores, None, 1, prune_count=N - 1,
-                                     class_token=True)
+    merge = generate_merge_matrix(scores, 1, N - 1, class_token=True)
     entry = PlanEntry(merge=merge, r=pseudoinverse(merge))
     image = make_image(4)
     merge_px, recon_px = render_merge_map(image, entry, CFG)

@@ -608,8 +608,7 @@ def global_plan(all_scores: list[np.ndarray], rate: float,
 
     order = rank_descending(flat_scores)
     reserved_pos = order[:keep - n_class]
-    pruned_pos = order[len(order) - prune:] if prune else \
-        np.empty(0, dtype=np.int64)
+    pruned_pos = order[len(order) - prune:]
 
     entries: list[PlanEntry | None] = []
     for layer in range(depth):

@@ -11,7 +11,13 @@ and a closure that maps the output gradient to input gradients.
 them once in reverse.  Gradient flow inside a single replay uses fresh
 buffers; the results are then *accumulated* into the ``grad`` of every
 leaf and of every intermediate tensor the caller still holds, so separate
-forward/backward rounds add up until ``zero_grad`` is called.
+forward/backward rounds add up until ``zero_grad`` is called.  A leaf
+whose ``grad`` is None takes the replay's own array where nothing else
+can reach it: the array owns its C-contiguous, writeable data and went
+to no other leaf.  Any other first gradient is copied, as is every
+held intermediate's (its node's closure still reads the array), so no
+two ``grad`` arrays share storage and a parameter's gradient is held
+once, not twice.
 
 Graph lifetime: a tensor owns its node, and a node owns its edges (the
 input's node, the input itself when it is a leaf that requires grad, or
@@ -371,6 +377,9 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: Array) -> None:
+        """Add ``g`` into ``grad``: a copy of ``g`` when ``grad`` is None,
+        else a new sum, so ``g`` stays the caller's.  Only a leaf's fold
+        in ``Tape.replay_backward`` hands its array over without a copy."""
         if self.grad is None:
             self.grad = g.copy()
         else:
@@ -413,8 +422,11 @@ def from_op(data: Array, inputs: Sequence[Tensor],
     computing its gradient (see ``mul``).  A closure may recompute an
     intermediate from the arrays it saved instead of saving the
     intermediate itself (see ``attention``); run the forward's kernel on
-    the same arrays and the recomputation is exact.  Under ``no_grad``
-    nothing is recorded and the output needs no grad.
+    the same arrays and the recomputation is exact.  Return fresh arrays,
+    views or the output gradient itself, never an array kept elsewhere: a
+    leaf may keep a returned array as its ``grad`` (see
+    ``Tape.replay_backward``).  Under ``no_grad`` nothing is recorded and
+    the output needs no grad.
     """
     out = Tensor(data)
     if _RECORDING.get():
@@ -475,7 +487,10 @@ class Tape:
 
         ``flow`` is keyed by edge: by node for intermediates, by tensor for
         leaves.  An intermediate output receives ``grad`` only while the
-        caller still holds it; a dropped one could never be read.
+        caller still holds it; a dropped one could never be read.  A leaf
+        without a ``grad`` takes its replay array itself where that array
+        owns C-contiguous, writeable data no other leaf took; every other
+        fold copies or adds.
         """
         if root._node is None:
             return
@@ -497,8 +512,16 @@ class Tape:
                     flow[e] = g
         # Anything left in ``flow`` belongs to graph leaves (parameters,
         # traced inputs): fold it into their persistent grads.
+        taken = set()
         for leaf, g in flow.items():
-            if leaf.requires_grad:
+            if not leaf.requires_grad:
+                continue
+            flags = g.flags
+            if leaf.grad is None and id(g) not in taken and flags.owndata \
+                    and flags.writeable and flags.c_contiguous:
+                leaf.grad = g
+                taken.add(id(g))
+            else:
                 leaf.accumulate_grad(g)
 
 
@@ -736,6 +759,14 @@ def _merge_heads(x: Array) -> Array:
     return x.reshape(x.shape[:-2] + (-1,))
 
 
+def _head_major(shape: tuple[int, ...], heads: int) -> tuple[Array, Array]:
+    """A new token-major (..., T, D) array and its (..., heads, T,
+    D/heads) view: per-head products written into the view land
+    token-major, with no ``_merge_heads`` copy."""
+    x = np.empty(shape)
+    return x, _split_heads(x, heads)
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
               scale: float, sink=None, bump: Array | None = None) -> Tensor:
     """Multi-head ``softmax_rows(q @ kᵀ, scale) @ v`` and the output
@@ -744,9 +775,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
     ``q`` is token-major (..., rows, D) and ``k`` and ``v`` are
     (..., N, D) (v may have its own width, which is ``w_o``'s row count);
     the op splits the last axis into ``heads`` heads as views, attends per
-    head, merges the heads back into the (..., rows, D_v) context and
-    projects it.  Its gradients arrive and leave token-major too, so a
-    block records no reshape or transpose around it.
+    head, writes each head's product into its columns of the token-major
+    (..., rows, D_v) context (``_head_major``) and projects it.  Its
+    gradients arrive and leave token-major too, so a block records no
+    reshape or transpose around it.
 
     The node saves ``q``, ``k``, ``v`` and ``w_o`` but neither the
     (..., heads, rows, N) attention maps A nor the context: backward
@@ -783,9 +815,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
     q_shape, kt_shape, v_shape = qd.shape, kt.shape, vd.shape
     y_shape = np.broadcast_shapes(q_shape[:-2], kt_shape[:-2]) \
         + (q_shape[-2], kt_shape[-1])
-    c_shape = np.broadcast_shapes(y_shape[:-2], v_shape[:-2]) \
-        + (y_shape[-2], v_shape[-1])
-    ctx_shape = c_shape[:-3] + (y_shape[-2], v.shape[-1])
+    # Token-major, as q: the lead axes of A @ v without the heads axis.
+    ctx_shape = np.broadcast_shapes(y_shape[:-2], v_shape[:-2])[:-1] \
+        + (y_shape[-2], v.shape[-1])
     if bump is not None:
         bump = np.array(bump, dtype=np.float64)
         if bump.shape != y_shape:
@@ -805,10 +837,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
     proj_macs = math.prod(ctx_shape) * wd.shape[-1]
 
     def maps(with_ctx: bool):
-        """The maps A, A plus the bump, and the context if asked for."""
+        """The maps A, A plus the bump, and the context if asked for,
+        written per head straight into its token-major array."""
         y = np.empty(y_shape)
         a = y if bump is None else np.empty(y_shape)
-        c = np.empty(c_shape) if with_ctx else None
+        ctx, c = _head_major(ctx_shape, heads) if with_ctx else (None, None)
 
         def attend(rows):
             s = np.matmul(qd[rows], kt[rows], out=y[rows])
@@ -819,7 +852,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
                 np.matmul(a[rows], vd[rows], out=c[rows])
 
         _halves(cut, halves, attend)
-        return y, a, None if c is None else _merge_heads(c)
+        return y, a, ctx
 
     y, a, ctx = maps(True)
     if sink is not None:
@@ -977,21 +1010,18 @@ def _gelu_passes(x: Array, y: Array | None = None, g: Array | None = None,
                  dx: Array | None = None, part: slice = slice(None)) -> None:
     """Write ``y = gelu(x)`` and ``dx = gelu'(x) * g``, each when given,
     in one chunked pass over the flat elements ``part`` of C-contiguous
-    ``x`` (``dx`` may be ``g``).
+    ``x`` (``y`` may be ``x``, ``dx`` may be ``g``).
 
-    Both share one tanh per chunk; chunking changes no arithmetic, only
-    how often each element travels from memory.
+    Both share one tanh per chunk, held in scratch: the slope reads ``x``
+    before ``y`` is written, and ``dx`` reads only the tanh, the slope and
+    ``g``, so ``y = x`` computes GELU in place.  Chunking changes no
+    arithmetic, only how often each element travels from memory.
     """
     n = min(x.size, _CHUNK)
     t_buf, slope_buf, sech2_buf = np.empty(n), np.empty(n), np.empty(n)
     for xs, ys, gs, ds in _chunks(part, x, y, g, dx):
-        slope = slope_buf[:xs.size]
-        t = ys if ds is None else t_buf[:xs.size]
+        slope, t = slope_buf[:xs.size], t_buf[:xs.size]
         _gelu_tanh(xs, t, slope)           # slope holds x^2 until scaled
-        if ys is not None:
-            np.add(t, 1.0, out=ys)
-            ys *= xs
-            ys *= 0.5
         if ds is not None:
             # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)
             sech2 = sech2_buf[:xs.size]
@@ -1002,7 +1032,11 @@ def _gelu_passes(x: Array, y: Array | None = None, g: Array | None = None,
             np.multiply(t, t, out=sech2)
             np.subtract(1.0, sech2, out=sech2)
             slope *= sech2
-            t += 1.0
+        t += 1.0
+        if ys is not None:
+            np.multiply(t, xs, out=ys)
+            ys *= 0.5
+        if ds is not None:
             t += slope
             t *= 0.5
             np.multiply(t, gs, out=ds)
@@ -1042,21 +1076,22 @@ def mlp(h: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     (its layer-norm recipe, if it has one) and the two weights, but
     neither ``h @ w1`` nor its gelu.
 
-    Backward rebuilds ``h``, recomputes ``h @ w1`` with the forward's
-    kernel and runs gelu's output and slope in one chunked pass, so every
-    gradient is bit for bit the composed ops'.  The price is one more
-    ``h @ w1`` GEMM per backward.  As in ``matmul``, an operand that needs
-    no gradient gets None and costs nothing.
+    The forward writes gelu over ``h @ w1`` in place, so the hidden
+    layer takes one array, not two.  Backward rebuilds ``h``,
+    recomputes ``h @ w1`` with the forward's kernel and runs gelu's slope
+    and, when ``w2`` needs a gradient, its output in place, in one
+    chunked pass, so every gradient is bit for bit the composed ops'.
+    The price is one more ``h @ w1`` GEMM per backward.  As in
+    ``matmul``, an operand that needs no gradient gets None and costs
+    nothing.
     """
     _check_matmul(h.shape, w1.shape)
     _check_matmul(h.shape[:-1] + w1.shape[-1:], w2.shape)
     w1d, w2d = w1.data, w2.data
     a = _matmul_data(h.data, w1d)
     a_shape = a.shape
-    y = np.empty(a_shape)
-    _gelu_halves(a, y=y)
-    del a
-    data = _matmul_data(y, w2d)
+    _gelu_halves(a, y=a)
+    data = _matmul_data(a, w2d)
     h_shape, w1_shape, w2_shape = h.shape, w1.shape, w2.shape
     grad_h, grad_w1, grad_w2 = h.requires_grad, w1.requires_grad, \
         w2.requires_grad
@@ -1071,7 +1106,7 @@ def mlp(h: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
             lambda: _matmul_data(hd, w1d),
             lambda: np.ascontiguousarray(_matmul_grad_a(g, w2d, a_shape))
             if grad_a else None, pair and grad_a)
-        y = np.empty(a_shape) if grad_w2 else None
+        y = a if grad_w2 else None
         _gelu_halves(a, y=y, g=ga, dx=ga)
         del a
         gw2, gh = _both(

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -422,6 +423,17 @@ class TestGelu:
             want_y, want_grad = reference(xd, g)
             np.testing.assert_array_equal(y.data, want_y)
             np.testing.assert_array_equal(x.grad, want_grad)
+
+    def test_passes_in_place_match_separate_outputs(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(scale=3.0, size=2 * T._CHUNK + 5)
+        g = rng.normal(size=x.shape)
+        y, dx = np.empty(x.shape), np.empty(x.shape)
+        T._gelu_passes(x, y=y, g=g, dx=dx)
+        xi, gi = x.copy(), g.copy()
+        T._gelu_passes(xi, y=xi, g=gi, dx=gi)
+        np.testing.assert_array_equal(xi, y)
+        np.testing.assert_array_equal(gi, dx)
 
     def test_input_never_written(self):
         x = T.Tensor(np.linspace(-4.0, 4.0, 9), requires_grad=True)
@@ -1010,6 +1022,34 @@ class TestBackward:
         T.backward(tensor_sum(x * x))
         assert x.grad.shape == x.data.shape
 
+    def test_first_grad_is_the_replays_own_array(self):
+        x = T.Tensor(np.ones((512, 256)), requires_grad=True)
+        loss = tensor_sum(x)
+        tracemalloc.start()
+        try:
+            T.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(x.grad, np.ones(x.shape))
+        # The sum's gradient is the one x-sized array: x.grad takes it
+        # rather than a copy of it.
+        assert peak < 1.5 * x.data.nbytes
+
+    def test_leaves_fed_one_array_get_separate_grads(self):
+        rng = np.random.default_rng(22)
+        a = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        total = a + b                  # add hands g itself to both inputs
+        T.backward(tensor_sum(total * T.Tensor(rng.normal(size=(3, 4)))))
+        want = b.grad.copy()
+        np.testing.assert_array_equal(a.grad, want)
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, total.grad)
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, want)
+        np.testing.assert_array_equal(total.grad, want)
+
 
 class TestShapeOps:
     def test_reshape_transpose_take_concat_grads(self):
@@ -1197,20 +1237,20 @@ class TestGraphLifetime:
         model, images = (_tiny_compressed_model() if compressed
                          else _tiny_model())
         made = []
-        layer_norm, merge_heads = T.layer_norm, T._merge_heads
+        layer_norm, head_major = T.layer_norm, T._head_major
 
         def norm_spy(*args, **kwargs):
             out = layer_norm(*args, **kwargs)
             made.append(("layer_norm", weakref.ref(out.data)))
             return out
 
-        def context_spy(x):
-            out = merge_heads(x)
+        def context_spy(shape, heads):
+            out, view = head_major(shape, heads)
             made.append(("context", weakref.ref(out)))
-            return out
+            return out, view
 
         monkeypatch.setattr(T, "layer_norm", norm_spy)
-        monkeypatch.setattr(T, "_merge_heads", context_spy)
+        monkeypatch.setattr(T, "_head_major", context_spy)
         with _gc_off():
             logits = model.forward(images, traces=[] if traced else None)
             depth = model.config.depth

@@ -1,10 +1,10 @@
 """Training: baseline supervised training and compressed-model
 fine-tuning with self-distillation against the frozen original model.
 
-Both trainers run one loop, ``run_epochs``.  It owns the cosine rate, the
-non-finite check, zero_grad/backward/step, the metrics rows, per-epoch
-validation and freeing each step's graph before the next forward; a
-trainer gives it a per-batch loss closure over batch indices.
+Both trainers run one loop, ``run_epochs``.  It owns the cosine rate,
+zero_grad before the forward, the non-finite check, backward/step, the
+metrics rows and per-epoch validation; a trainer gives it a per-batch
+loss closure over batch indices.
 ``finetune`` adds the freeze epoch and the teacher logit cache around it.
 
 The distillation objective is cross-entropy plus alpha times the KL term;
@@ -306,9 +306,12 @@ def run_epochs(model, optimizer: AdamW, loss_of, n: int, batch_size: int,
     Runs ``epochs`` epochs of a cosine schedule over ``batch_indices(n,
     batch_size, seed=seed, epoch=e)``.  ``loss_of(idx)`` returns a batch's
     loss tensor and the floats logged as ce and kl.  A non-finite loss
-    raises NumericError before any step is taken on it.  A step's graph is
-    dropped before the next forward runs.  ``begin_epoch(epoch)`` runs
-    before each epoch, validation on ``val_data`` after it.
+    raises NumericError before any step is taken on it.  Each step drops
+    the previous step's gradients before its forward runs, and its
+    backward frees what the graph saved, so a forward never runs beside
+    either.  The last step's gradients stay on the parameters.
+    ``begin_epoch(epoch)`` runs before each epoch, validation on
+    ``val_data`` after it.
     """
     total_steps = epochs * max(1, math.ceil(n / batch_size))
     metrics: list[dict] = []
@@ -318,20 +321,20 @@ def run_epochs(model, optimizer: AdamW, loss_of, n: int, batch_size: int,
             begin_epoch(epoch)
         for idx in batch_indices(n, batch_size, seed=seed, epoch=epoch):
             lr = cosine_lr(step, total_steps, base_lr)
+            optimizer.zero_grad()
             loss, ce, kl = loss_of(idx)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise NumericError(
                     f"non-finite loss {loss_val} at epoch {epoch} "
                     f"step {step}")
-            optimizer.zero_grad()
             T.backward(loss)
             optimizer.step(lr)
             step += 1
             metrics.append({"epoch": epoch, "step": step,
                             "loss": loss_val, "ce": ce, "kl": kl, "lr": lr,
                             "val_acc": None})
-            # Free this step's graph before the next step's forwards run.
+            # Backward freed what the graph saved; this frees its nodes.
             del loss
         if val_data is not None and metrics:
             metrics[-1]["val_acc"] = evaluate_accuracy(model, val_data)

@@ -27,8 +27,11 @@ keeps exactly what backward reads: an intermediate array nothing saved
 dies as soon as the caller drops its tensor.  The graph is a tree of
 strong references rooted at its newest tensors, and reference counting
 frees it the moment the last tensor that reaches it is dropped -- no
-garbage-collector pass is needed.  ``backward`` may run any number of
-times while the root is alive.
+garbage-collector pass is needed.  ``backward`` frees it sooner: the
+replay drops each node's closure and recipe once it has run the node,
+so a held loss keeps only the nodes' names and edges.  A graph therefore
+takes one backward; a second raises ContractError, and the forward must
+run again.
 
 Fused ops trade a little backward arithmetic for graph memory: where an
 intermediate is a cheap function of arrays the graph keeps anyway, one
@@ -299,7 +302,9 @@ class _OpNode:
     None for a constant.  ``output`` is a weak reference, so the node does
     not keep its own output (and with it the graph) alive.  ``rebuild``,
     when set, remakes the output's array from arrays the node saved; a
-    consumer saves it in place of the array (see ``_saved``)."""
+    consumer saves it in place of the array (see ``_saved``).  A replay
+    sets ``grad_fn`` and ``rebuild`` to None, which marks the node
+    consumed."""
 
     __slots__ = ("inputs", "output", "grad_fn", "name", "rebuild")
 
@@ -416,10 +421,10 @@ def from_op(data: Array, inputs: Sequence[Tensor],
     None) per input, each already shaped like the matching input.  This is
     the extension hook other modules use to define custom operations.
     ``grad_fn`` must close over the arrays (and shapes) it reads, never
-    over an input ``Tensor``: the node keeps its closure alive, so a
-    captured tensor would keep that tensor's data alive for the graph's
-    whole life.  Returning None for an input that needs no grad spares
-    computing its gradient (see ``mul``).  A closure may recompute an
+    over an input ``Tensor``: the node keeps its closure alive until
+    backward has run it, so a captured tensor would keep that tensor's
+    data alive as long.  Returning None for an input that needs no grad
+    spares computing its gradient (see ``mul``).  A closure may recompute an
     intermediate from the arrays it saved instead of saving the
     intermediate itself (see ``attention``); run the forward's kernel on
     the same arrays and the recomputation is exact.  Return fresh arrays,
@@ -483,7 +488,12 @@ class Tape:
         return cls(nodes)
 
     def replay_backward(self, root: Tensor, seed: Array) -> None:
-        """Propagate ``seed`` from ``root`` through the tape exactly once.
+        """Propagate ``seed`` from ``root`` through the tape exactly once,
+        and release every node: its ``grad_fn`` and ``rebuild`` become
+        None as soon as the replay has run the node, or when the replay
+        ends for a node it never reached, so what the forward saved dies
+        with the replay, not with the graph.  A tape holding a released
+        node is refused before anything changes.
 
         ``flow`` is keyed by edge: by node for intermediates, by tensor for
         leaves.  An intermediate output receives ``grad`` only while the
@@ -492,24 +502,33 @@ class Tape:
         owns C-contiguous, writeable data no other leaf took; every other
         fold copies or adds.
         """
+        if any(node.grad_fn is None for node in self.nodes):
+            raise ContractError(
+                "the graph was consumed by an earlier backward; run the "
+                "forward again")
         if root._node is None:
             return
         flow: dict[object, Array] = {root._node: seed}
-        for node in reversed(self.nodes):
-            out_grad = flow.pop(node, None)
-            if out_grad is None:
-                continue
-            output = node.output()
-            if output is not None and output is not root:
-                output.accumulate_grad(out_grad)
-            grads = node.grad_fn(out_grad)
-            for e, g in zip(node.inputs, grads):
-                if g is None or e is None:
+        try:
+            for node in reversed(self.nodes):
+                out_grad = flow.pop(node, None)
+                if out_grad is None:
                     continue
-                if e in flow:
-                    flow[e] = flow[e] + g
-                else:
-                    flow[e] = g
+                output = node.output()
+                if output is not None and output is not root:
+                    output.accumulate_grad(out_grad)
+                grads = node.grad_fn(out_grad)
+                node.grad_fn = node.rebuild = None
+                for e, g in zip(node.inputs, grads):
+                    if g is None or e is None:
+                        continue
+                    if e in flow:
+                        flow[e] = flow[e] + g
+                    else:
+                        flow[e] = g
+        finally:
+            for node in self.nodes:
+                node.grad_fn = node.rebuild = None
         # Anything left in ``flow`` belongs to graph leaves (parameters,
         # traced inputs): fold it into their persistent grads.
         taken = set()
@@ -526,18 +545,22 @@ class Tape:
 
 
 def backward(loss: Tensor) -> Tape:
-    """Populate ``grad`` on every requires_grad tensor reaching ``loss``.
+    """Populate ``grad`` on every requires_grad tensor reaching ``loss``,
+    and free what the graph's nodes saved.
 
-    Repeated calls accumulate; callers zero grads between steps.  Returns
-    the tape, whose ``nodes`` are the nodes the replay walked, each once.
+    A graph takes one backward: a second call through it raises
+    ContractError and changes no ``grad``; run the forward again.  Rounds
+    of forward and backward accumulate; callers zero grads between steps.
+    Returns the tape, whose ``nodes`` are the nodes the replay walked,
+    each once, still linked to their inputs and named.
     """
     if loss.data.size != 1:
         raise ContractError(
             f"backward requires a scalar loss, got shape {loss.shape}")
     tape = Tape.trace(loss)
     seed = np.ones_like(loss.data)
-    loss.accumulate_grad(seed)
     tape.replay_backward(loss, seed)
+    loss.accumulate_grad(seed)
     return tape
 
 
@@ -767,6 +790,19 @@ def _head_major(shape: tuple[int, ...], heads: int) -> tuple[Array, Array]:
     return x, _split_heads(x, heads)
 
 
+def _head_grad(a: Array, b: Array, shape: tuple[int, ...],
+               heads: int) -> Array:
+    """The token-major ``shape`` gradient whose per-head view is ``a @
+    b`` summed down to that view's shape, each head's product written
+    straight into its columns."""
+    x, view = _head_major(shape, heads)
+    if np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) == view.shape[:-2]:
+        np.matmul(a, b, out=view)
+    else:
+        view[...] = _unbroadcast(np.matmul(a, b), view.shape)
+    return x
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
               scale: float, sink=None, bump: Array | None = None) -> Tensor:
     """Multi-head ``softmax_rows(q @ kᵀ, scale) @ v`` and the output
@@ -777,8 +813,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
     the op splits the last axis into ``heads`` heads as views, attends per
     head, writes each head's product into its columns of the token-major
     (..., rows, D_v) context (``_head_major``) and projects it.  Its
-    gradients arrive and leave token-major too, so a block records no
-    reshape or transpose around it.
+    gradients arrive and leave token-major too, each head's q and v
+    gradient written into its columns the same way (``_head_grad``), so
+    a block records no reshape or transpose around it.
 
     The node saves ``q``, ``k``, ``v`` and ``w_o`` but neither the
     (..., heads, rows, N) attention maps A nor the context: backward
@@ -787,9 +824,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
     gets None and costs nothing.
 
     ``sink`` is any object with ``maps`` and ``grads`` attributes.  The
-    forward stores A in ``sink.maps`` and clears ``sink.grads``; each
-    backward that reaches q or k adds dL/dA to ``sink.grads``, as a held
-    tensor's ``grad`` accumulates.  ``bump``, an array of A's shape, is a
+    forward stores A in ``sink.maps`` and clears ``sink.grads``; the
+    graph's one backward, where it reaches q or k, stores dL/dA in
+    ``sink.grads``.  ``bump``, an array of A's shape, is a
     constant added to A before the product with v, so dL/dA is what a
     finite-difference probe of the bump measures.  The node copies it.
     """
@@ -813,6 +850,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
     vd = _split_heads(v.data, heads)
     wd = w_o.data
     q_shape, kt_shape, v_shape = qd.shape, kt.shape, vd.shape
+    q_tok, v_tok = q.shape, v.shape
     y_shape = np.broadcast_shapes(q_shape[:-2], kt_shape[:-2]) \
         + (q_shape[-2], kt_shape[-1])
     # Token-major, as q: the lead axes of A @ v without the heads axis.
@@ -877,19 +915,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
         def grad_scores():
             gs = _matmul_grad_a(g, vd, y_shape)
             if sink is not None:
-                sink.grads = gs.copy() if sink.grads is None \
-                    else sink.grads + gs
+                sink.grads = gs.copy()
             return _softmax_grad(gs, y, scale, out=gs)
 
         gs, gv = _both(
             lambda: grad_scores() if grad_q or grad_k else None,
-            lambda: _merge_heads(_matmul_grad_b(a, g, y_shape, v_shape))
+            lambda: _head_grad(a.swapaxes(-1, -2), g, v_tok, heads)
             if grad_v else None,
             (grad_q or grad_k) and grad_v
             and y.size * v_shape[-1] >= _LANE_MACS)
         gq, gk = _both(
-            lambda: _merge_heads(_matmul_grad_a(gs, kt, q_shape))
+            lambda: _head_grad(gs, kt.swapaxes(-1, -2), q_tok, heads)
             if grad_q else None,
+            # Written into k's head view, as gsᵀ @ q or through the view
+            # transposed, this product's bits move; it is copied instead.
             lambda: _merge_heads(_matmul_grad_b(
                 qd, gs, q_shape, kt_shape).swapaxes(-1, -2))
             if grad_k else None,

@@ -5,7 +5,7 @@ Attention projections are bias-free; the patch embedding and the head carry
 biases.  Every block runs one fused attention op, ``tensor.attention``,
 which also applies the output projection.
 Given an AttentionTrace as its sink, that op records the block's
-post-softmax attention maps and, in each backward pass, their gradients;
+post-softmax attention maps and, in the graph's backward, their gradients;
 given a bump, it adds a constant to the maps.  The MLP is one fused op
 too, ``tensor.mlp``, which saves neither its hidden layer nor that
 layer's GELU.
@@ -125,7 +125,7 @@ class AttentionTrace:
     """Per-layer sink of ``tensor.attention``.
 
     ``maps`` holds the post-softmax attention maps A of the forward pass
-    and ``grads`` the dL/dA its backward passes add up; each is None
+    and ``grads`` the dL/dA of that forward's one backward; each is None
     until written.  ``tokens`` is the block's input, a graph tensor, so
     after backward its grad serves activation-based scoring.
     """

@@ -470,6 +470,24 @@ class TestFinetune:
         assert len(refs) == 4
         assert alive == [[False] * k for k in range(4)]
 
+    def test_grads_dropped_before_each_forward(self, compressed_pair):
+        # The previous step's grads are gone before the next graph is
+        # built; the last step's stay after the loop.
+        base, plan = compressed_pair
+        comp = compress_model(base, plan, learnable_matrices=True)
+        params = [p for _, p in comp.named_parameters()]
+        forward, held = comp.forward, []
+
+        def spy(images):
+            held.append(sum(p.grad is not None for p in params))
+            return forward(images)
+
+        comp.forward = spy
+        finetune(comp, base.frozen_copy(), tiny_dataset(16),
+                 DistillConfig(epochs=1, freeze_epoch=1, batch_size=4))
+        assert held == [0] * 4
+        assert all(p.grad is not None for p in params)
+
     def test_teacher_runs_once_per_batch_of_stored_order(self,
                                                          compressed_pair):
         base, plan = compressed_pair

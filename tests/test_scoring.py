@@ -1,5 +1,7 @@
 """Unit tests for token importance scoring."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -343,6 +345,26 @@ class TestCollectScores:
         assert not np.allclose(results[ScorerVariant.ATTN_ONLY_AVG][0],
                                default[0])
         assert not np.allclose(results[ScorerVariant.RANDOM][0], default[0])
+
+    def test_iterations_hold_one_graph_at_a_time(self):
+        # Each backward frees its graph, so the next iteration's forward
+        # does not build beside it: three iterations peak about where one
+        # does, not at two graphs.
+        cfg = vit.ModelConfig(image_size=16, patch_size=4, channels=1,
+                              embed_dim=32, depth=4, heads=2,
+                              num_classes=10)
+        model = vit.VisionTransformer.build(cfg, seed=1)
+        ds = synthetic_shapes(32, image_size=16, seed=2)
+        peaks = []
+        for iterations in (1, 1, 3):
+            tracemalloc.start()
+            try:
+                scoring.collect_scores(model, ds, iterations=iterations,
+                                       batch_size=16)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] < 1.15 * peaks[1]
 
     def test_csv_round_trip(self, model_and_data, tmp_path):
         model, ds = model_and_data

@@ -502,6 +502,21 @@ class TestAttention:
             np.testing.assert_array_equal(fused.maps, composed.maps)
             np.testing.assert_array_equal(fused.grads, composed.grads)
 
+    @pytest.mark.parametrize("shared", [0, 1, 2], ids=["q", "k", "v"])
+    def test_operand_broadcast_over_the_batch_matches_composed_ops(
+            self, shared):
+        # One operand without the batch axis: its gradient sums the
+        # batch's per-head products before landing token-major.
+        rng = np.random.default_rng(25)
+        shapes = [(2, 3, 4), (2, 5, 4), (2, 5, 6)]
+        shapes[shared] = shapes[shared][1:]
+        inputs = [T.Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in shapes + [(6, 6)]]
+        w = rng.normal(size=(2, 3, 6))
+        _assert_same_run(
+            _run(lambda *t: T.attention(*t, 2, 0.5), inputs, w),
+            _run(lambda *t: composed_attention(*t, 2, 0.5), inputs, w))
+
     def test_constant_operands_get_no_gradient(self):
         rng = np.random.default_rng(22)
         arrays = [rng.normal(size=(2, 4, 6)), rng.normal(size=(2, 6, 6)),
@@ -572,8 +587,12 @@ class TestAttention:
             if bump is not None:
                 assert_grads_close(sink.grads, numeric_grad(loss, bump))
                 once = sink.grads.copy()
-                T.backward(loss_t)
-                np.testing.assert_array_equal(sink.grads, 2.0 * once)
+                # A second forward clears the sink, and its backward
+                # stores the same dL/dA.
+                T.backward(tensor_sum(T.attention(q, k, v, w_o, 2, scale,
+                                                  sink=sink, bump=bump)
+                                      * T.Tensor(w)))
+                np.testing.assert_array_equal(sink.grads, once)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_scores_raise(self, bad):
@@ -1217,13 +1236,32 @@ class TestGraphLifetime:
 
     def test_backward_twice_on_live_loss_accumulates(self):
         model, images = _tiny_model()
-        loss = T.cross_entropy(model.forward(images), np.array([1, 0]))
-        T.backward(loss)
-        params = dict(model.named_parameters())
-        first = {k: p.grad.copy() for k, p in params.items()}
-        T.backward(loss)
-        for k, p in params.items():
-            np.testing.assert_array_equal(p.grad, 2.0 * first[k])
+        _assert_second_backward_refused_then_rounds_accumulate(
+            model, lambda: T.cross_entropy(model.forward(images),
+                                           np.array([1, 0])))
+
+    def test_backward_frees_saved_arrays_while_the_loss_lives(
+            self, monkeypatch):
+        model, images = _tiny_model()
+        keys = []
+
+        def spy(q, k, *args, **kwargs):
+            keys.append(weakref.ref(k.data))
+            return attention(q, k, *args, **kwargs)
+
+        attention = T.attention
+        monkeypatch.setattr(T, "attention", spy)
+        with _gc_off():
+            loss = T.cross_entropy(model.forward(images), np.array([1, 0]))
+            assert len(keys) == model.config.depth
+            assert all(ref() is not None for ref in keys)
+            tape = T.backward(loss)
+            # Only the attention nodes saved the keys, and the replay
+            # released them; the tape still names every op.
+            assert all(ref() is None for ref in keys)
+        assert loss.grad == 1.0
+        assert [n.name for n in tape.nodes].count("attention") == \
+            model.config.depth
 
     @pytest.mark.parametrize("compressed", [False, True],
                              ids=["base", "compressed"])
@@ -1262,14 +1300,31 @@ class TestGraphLifetime:
 
     def test_backward_twice_on_compressed_loss_accumulates(self):
         model, images = _tiny_compressed_model()
-        loss = T.cross_entropy(model.forward(images), np.array([2, 0]))
-        T.backward(loss)
-        params = dict(model.named_parameters())
-        first = {k: p.grad.copy() for k, p in params.items()}
+        first = _assert_second_backward_refused_then_rounds_accumulate(
+            model, lambda: T.cross_entropy(model.forward(images),
+                                           np.array([2, 0])))
         assert any(first[k].any() for k, _ in model.matrix_parameters())
+
+
+def _assert_second_backward_refused_then_rounds_accumulate(model, loss_of):
+    """A second backward through ``loss_of()``'s graph raises and
+    changes no grad; a second forward and backward doubles every grad.
+    Returns the first round's grads."""
+    loss = loss_of()
+    T.backward(loss)
+    params = dict(model.named_parameters())
+    first = {k: p.grad.copy() for k, p in params.items()}
+    with pytest.raises(ContractError) as err:
         T.backward(loss)
-        for k, p in params.items():
-            np.testing.assert_array_equal(p.grad, 2.0 * first[k])
+    assert str(err.value) == ("the graph was consumed by an earlier "
+                              "backward; run the forward again")
+    assert loss.grad == 1.0
+    for k, p in params.items():
+        np.testing.assert_array_equal(p.grad, first[k])
+    T.backward(loss_of())
+    for k, p in params.items():
+        np.testing.assert_array_equal(p.grad, 2.0 * first[k])
+    return first
 
 
 # Functions of ``prunemerge.tensor`` that no program path calls, and why

@@ -187,6 +187,9 @@ def cmd_finetune(args) -> int:
                else base).frozen_copy()
     plan = checkpoint.load_plan(args.plan)
     model = compress_model(base, plan, learnable_matrices=True)
+    # The model trains its own clone of the weights and the teacher is a
+    # copy, so the loaded base is read no more.
+    del base
     train, val = _load_datasets(cfg)
     model, metrics, _ = finetune(model, teacher, train,
                                  distill_config_from(cfg), val_data=val)

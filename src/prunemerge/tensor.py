@@ -44,8 +44,12 @@ the hidden layer.  A layer-norm output is never saved: its node keeps a
 recipe (``_Affine``), the ``xhat`` it saves anyway plus the gain and
 offset, and a ``matmul`` or ``mlp`` that would save the output, or a row
 slice of it, saves the recipe and rebuilds the array in backward.  A
-rebuilt array reads the current parameter data, as matmul's saved weight
-already does, so change no parameter between a forward and its backward.
+weight product of such an output keeps a recipe too (``_Product``, one
+GEMM deep), so ``attention`` saves no q, k or v array: a recorded block
+keeps its two ``xhat`` arrays and its output.  A norm recipe builds its
+array once per backward and hands it to every reader.  A rebuilt array
+reads the current parameter data, as matmul's saved weight already
+does, so change no parameter between a forward and its backward.
 
 Inference mode: inside ``with no_grad():`` operations record no node and
 their outputs never require grad, so a forward pass keeps no graph and no
@@ -59,10 +63,11 @@ other (``_both``).  The parts are whole, independent products --
 then its ``w2`` and input gradients, ``attention``'s ``W_o`` gradient
 and ``g @ W_oᵀ``, its v gradient and score gradient, its q and k
 gradients -- or the two halves of one piece of work (``_halves``): the
-row halves of a forward weight product (``_matmul_data``), the output
-row halves of a weight gradient that runs alone (``_matmul_grad_b``,
-such as ``mlp``'s w1 and ``embed``'s weight gradient), layer norm's rows
-in both directions, GELU passes split at a chunk boundary, attention
+row halves of a forward weight product (``_matmul_data``, which
+attention's backward also runs to rebuild q, k and v), the output row
+halves of a weight gradient that runs alone (``_matmul_grad_b``, such
+as ``mlp``'s w1 and ``embed``'s weight gradient), layer norm's rows in
+both directions, GELU passes split at a chunk boundary, attention
 maps, softmax and context per half of the leading batch axis, and the
 halves of an AdamW step's chunks.  A GEMM is split only where each half
 holds two rows and at least ``_LANE_MACS`` multiply-adds, above
@@ -301,7 +306,9 @@ class _OpNode:
     input's node, the input itself when it is a grad-requiring leaf, or
     None for a constant.  ``output`` is a weak reference, so the node does
     not keep its own output (and with it the graph) alive.  ``rebuild``,
-    when set, remakes the output's array from arrays the node saved; a
+    when set, is a recipe that remakes the output's array from arrays the
+    graph keeps anyway: an ``_Affine`` for a layer-norm output or a row
+    slice of one, a ``_Product`` for a weight product of either.  A
     consumer saves it in place of the array (see ``_saved``).  A replay
     sets ``grad_fn`` and ``rebuild`` to None, which marks the node
     consumed."""
@@ -313,25 +320,38 @@ class _OpNode:
         self.output = weakref.ref(output)
         self.grad_fn = grad_fn
         self.name = name
-        self.rebuild: _Affine | None = None
+        self.rebuild: _Affine | _Product | None = None
 
 
 class _Affine:
     """``xhat * gamma + beta``, a layer-norm output, kept as its parts:
     ``xhat``, which the layer-norm node saves anyway, and the gain and
-    offset, which are parameter data."""
+    offset, which are parameter data.
 
-    __slots__ = ("xhat", "gamma", "beta")
+    ``array()`` builds the output at most once and hands that one array
+    to every consumer, so a norm output read by several backward closures
+    (the q, k and v products and attention's rebuilds of them) is built
+    once per backward.  No consumer may write into it.  The array dies
+    with the recipe, when the replay releases the last node that holds
+    it."""
+
+    __slots__ = ("xhat", "gamma", "beta", "built")
 
     def __init__(self, xhat: Array, gamma: Array, beta: Array):
         self.xhat, self.gamma, self.beta = xhat, gamma, beta
+        self.built: Array | None = None
 
     def array(self, out: Array | None = None) -> Array:
         """The forward's kernel, so a rebuilt array is bit for bit the
-        forward's."""
-        out = np.multiply(self.xhat, self.gamma, out=out)
-        out += self.beta
-        return out
+        forward's; written into ``out`` when given, else built once and
+        shared."""
+        if out is None and self.built is not None:
+            return self.built
+        y = np.multiply(self.xhat, self.gamma, out=out)
+        y += self.beta
+        if out is None:
+            self.built = y
+        return y
 
     def rows(self, key) -> "_Affine":
         """The recipe of ``array()[key]``, from views of the parts: a
@@ -341,16 +361,33 @@ class _Affine:
                        np.broadcast_to(self.beta, shape)[key])
 
 
-def _saved(t: Tensor) -> Array | _Affine:
+class _Product:
+    """``a @ b``, a weight product whose input has an ``_Affine`` recipe
+    ``a``, kept as that recipe and the weight's data: one GEMM away from
+    what the graph keeps anyway, so a recipe is never deeper than that."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: _Affine, b: Array):
+        self.a, self.b = a, b
+
+    def array(self) -> Array:
+        """A new array from the forward's kernel on the rebuilt input, so
+        it is bit for bit the forward's."""
+        return _matmul_data(self.a.array(), self.b)
+
+
+def _saved(t: Tensor) -> Array | _Affine | _Product:
     """What a node saves to read ``t.data`` in backward: the recipe that
     ``t``'s node rebuilds it from, if it has one, else the array."""
     node = t._node
     return t.data if node is None or node.rebuild is None else node.rebuild
 
 
-def _restored(saved: Array | _Affine) -> Array:
-    """The array ``_saved`` stood for."""
-    return saved.array() if isinstance(saved, _Affine) else saved
+def _restored(saved: Array | _Affine | _Product) -> Array:
+    """The array ``_saved`` stood for.  A norm recipe's array is shared
+    with the recipe's other consumers: read it, never write into it."""
+    return saved if isinstance(saved, np.ndarray) else saved.array()
 
 
 class Tensor:
@@ -646,6 +683,10 @@ def _matmul_data(a: Array, b: Array) -> Array:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b``.  Where ``a`` is a layer-norm output or a row slice of
+    one, the node's ``rebuild`` is a ``_Product`` of ``a``'s recipe and
+    ``b``'s data, so a consumer such as ``attention`` saves that recipe
+    instead of the output."""
     _check_matmul(a.shape, b.shape)
     data = _matmul_data(a.data, b.data)
     a_shape, b_shape = a.shape, b.shape
@@ -661,7 +702,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             lambda: None if ad is None else _matmul_grad_b(
                 _restored(ad), g, a_shape, b_shape), pair)
 
-    return from_op(data, (a, b), grad_fn, "matmul")
+    out = from_op(data, (a, b), grad_fn, "matmul")
+    if out._node is not None and a._node is not None \
+            and type(a._node.rebuild) is _Affine:
+        out._node.rebuild = _Product(a._node.rebuild, b.data)
+    return out
 
 
 def _is_basic_key(key) -> bool:
@@ -683,8 +728,10 @@ def take(x: Tensor, key) -> Tensor:
         return (full,)
 
     out = from_op(data, (x,), grad_fn, "take")
+    # Only a norm output's slice is a recipe: a row of a product would
+    # rebuild as a GEMV, whose bits differ from the GEMM's.
     if out._node is not None and x._node is not None \
-            and x._node.rebuild is not None:
+            and type(x._node.rebuild) is _Affine:
         out._node.rebuild = x._node.rebuild.rows(key)
     return out
 
@@ -817,8 +864,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
     gradient written into its columns the same way (``_head_grad``), so
     a block records no reshape or transpose around it.
 
-    The node saves ``q``, ``k``, ``v`` and ``w_o`` but neither the
-    (..., heads, rows, N) attention maps A nor the context: backward
+    The node saves ``w_o`` and what ``_saved`` gives for ``q``, ``k``
+    and ``v``: in a block, where each is a weight product of the first
+    norm's output, its ``_Product`` recipe, so no q, k or v array
+    outlives the forward.  It saves neither the (..., heads, rows, N)
+    attention maps A nor the context.  Backward rebuilds q, k and v, then
     recomputes A with the forward's kernel and, for ``w_o``'s gradient,
     the context from A, bit for bit.  An operand that needs no gradient
     gets None and costs nothing.
@@ -845,9 +895,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
         raise ShapeMismatchError(
             f"{heads!r} heads do not split widths {q.shape[-1]} and "
             f"{v.shape[-1]}")
-    qd = _split_heads(q.data, heads)
-    kt = _split_heads(k.data, heads).swapaxes(-1, -2)
-    vd = _split_heads(v.data, heads)
+
+    def head_views(qa: Array, ka: Array, va: Array):
+        """The per-head views of q, of k transposed and of v."""
+        return (_split_heads(qa, heads),
+                _split_heads(ka, heads).swapaxes(-1, -2),
+                _split_heads(va, heads))
+
+    qs, ks, vs = _saved(q), _saved(k), _saved(v)
+    qd, kt, vd = head_views(q.data, k.data, v.data)
     wd = w_o.data
     q_shape, kt_shape, v_shape = qd.shape, kt.shape, vd.shape
     q_tok, v_tok = q.shape, v.shape
@@ -874,9 +930,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
     cut = (lead[0] + 1) // 2 if lead else 0
     proj_macs = math.prod(ctx_shape) * wd.shape[-1]
 
-    def maps(with_ctx: bool):
+    def maps(qd: Array, kt: Array, vd: Array, with_ctx: bool):
         """The maps A, A plus the bump, and the context if asked for,
-        written per head straight into its token-major array."""
+        written per head straight into its token-major array, from the
+        head views of q, kᵀ and v."""
         y = np.empty(y_shape)
         a = y if bump is None else np.empty(y_shape)
         ctx, c = _head_major(ctx_shape, heads) if with_ctx else (None, None)
@@ -892,7 +949,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
         _halves(cut, halves, attend)
         return y, a, ctx
 
-    y, a, ctx = maps(True)
+    y, a, ctx = maps(qd, kt, vd, True)
     if sink is not None:
         sink.maps, sink.grads = y, None
     del y, a
@@ -900,7 +957,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
     del ctx
 
     def grad_fn(g):
-        y, a, ctx = maps(grad_w)
+        qd, kt, vd = head_views(_restored(qs), _restored(ks), _restored(vs))
+        y, a, ctx = maps(qd, kt, vd, grad_w)
         grad_in = grad_q or grad_k or grad_v
         gw, g = _both(
             lambda: _matmul_grad_b(ctx, g, ctx_shape, wd.shape)

@@ -4,10 +4,12 @@ The expensive steps (baseline training, scoring) run once per module;
 everything else reuses those artifacts.
 """
 
+import gc
 import importlib
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +301,45 @@ def test_finetune_reads_its_checkpoint_once(workdir, cfg, base_ckpt,
     capsys.readouterr()
     # the teacher copied from the loaded base is the teacher read again
     assert outputs[False] == outputs[True]
+
+
+def test_finetune_drops_the_base_before_training(workdir, cfg, base_ckpt,
+                                                plan_file, monkeypatch,
+                                                capsys):
+    # The compressed model trains its own clone of the base's weights and
+    # the teacher is a frozen copy, so no array of the loaded base is
+    # alive when training steps.
+    ft = importlib.import_module("prunemerge.finetune")
+    loaded, alive = [], []
+    load_base, run_epochs = cli._load_base_model, ft.run_epochs
+
+    def loading(path):
+        model = load_base(path)
+        loaded.extend(weakref.ref(p.data) for _, p in model.named_parameters())
+        return model
+
+    def running(model, optimizer, loss_of, *args, **kwargs):
+        def first_step_checked(idx):
+            if not alive:
+                alive.append(sum(ref() is not None for ref in loaded))
+            return loss_of(idx)
+        return run_epochs(model, optimizer, first_step_checked, *args,
+                          **kwargs)
+
+    monkeypatch.setattr(cli, "_load_base_model", loading)
+    monkeypatch.setattr(ft, "run_epochs", running)
+    out, metrics = workdir / "dropped.pmvt", workdir / "dropped.csv"
+    enabled = gc.isenabled()
+    gc.disable()        # reference counting alone frees the base
+    try:
+        assert main(["finetune", "--config", cfg, "--ckpt", base_ckpt,
+                     "--plan", plan_file, "--out", str(out),
+                     "--metrics", str(metrics), "--epochs", "1"]) == 0
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    assert loaded and alive == [0]
 
 
 def test_finetune_freeze_at_minus_one_is_auto(workdir, cfg, base_ckpt,

@@ -1187,24 +1187,32 @@ def _tiny_compressed_model():
     return compress_model(model, plan, learnable_matrices=True), images
 
 
+def _spy_on_normalised_inputs(monkeypatch):
+    """Weak references to the ``xhat`` each ``T.layer_norm`` call saves,
+    in call order."""
+    xhats = []
+    layer_norm = T.layer_norm
+
+    def spy(*args, **kwargs):
+        out = layer_norm(*args, **kwargs)
+        xhats.append(weakref.ref(out._node.rebuild.xhat))
+        return out
+
+    monkeypatch.setattr(T, "layer_norm", spy)
+    return xhats
+
+
 class TestGraphLifetime:
     def test_dropping_logits_frees_the_graph(self, monkeypatch):
         model, images = _tiny_model()
-        keys = []
-
-        def spy(q, k, *args, **kwargs):
-            # k is token-major; the op saves per-head views of its array
-            keys.append(weakref.ref(k.data))
-            return attention(q, k, *args, **kwargs)
-
-        attention = T.attention
-        monkeypatch.setattr(T, "attention", spy)
+        xhats = _spy_on_normalised_inputs(monkeypatch)
         with _gc_off():
             traces = []
             logits = model.forward(images, traces=traces)
-            # Backward reads the keys (the fused attention op saves them),
-            # so the graph keeps them alive, and nothing else does.
-            saved = keys[1]
+            # Backward reads the second block's normalised input (its
+            # first norm saves it), so the graph keeps it alive, and
+            # nothing else does.
+            saved = xhats[2]
             del traces
             assert saved() is not None
             del logits
@@ -1243,22 +1251,16 @@ class TestGraphLifetime:
     def test_backward_frees_saved_arrays_while_the_loss_lives(
             self, monkeypatch):
         model, images = _tiny_model()
-        keys = []
-
-        def spy(q, k, *args, **kwargs):
-            keys.append(weakref.ref(k.data))
-            return attention(q, k, *args, **kwargs)
-
-        attention = T.attention
-        monkeypatch.setattr(T, "attention", spy)
+        xhats = _spy_on_normalised_inputs(monkeypatch)
         with _gc_off():
             loss = T.cross_entropy(model.forward(images), np.array([1, 0]))
-            assert len(keys) == model.config.depth
-            assert all(ref() is not None for ref in keys)
+            assert len(xhats) == 2 * model.config.depth + 1
+            assert all(ref() is not None for ref in xhats)
             tape = T.backward(loss)
-            # Only the attention nodes saved the keys, and the replay
-            # released them; the tape still names every op.
-            assert all(ref() is None for ref in keys)
+            # Only the norm nodes and the recipes they hand out saved the
+            # normalised inputs, and the replay released them; the tape
+            # still names every op.
+            assert all(ref() is None for ref in xhats)
         assert loss.grad == 1.0
         assert [n.name for n in tape.nodes].count("attention") == \
             model.config.depth
@@ -1297,6 +1299,57 @@ class TestGraphLifetime:
             assert [name for name, ref in made if ref() is not None] == []
             T.backward(T.cross_entropy(logits, np.array([1, 0])))
         assert all(p.grad is not None for _, p in model.named_parameters())
+
+    @pytest.mark.parametrize("compressed", [False, True],
+                             ids=["base", "compressed"])
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    def test_no_query_key_or_value_outlives_the_forward(
+            self, monkeypatch, compressed, traced):
+        # Attention saves each operand's recipe, the first norm's recipe
+        # times a weight, and backward rebuilds q, k and v from it.
+        model, images = (_tiny_compressed_model() if compressed
+                         else _tiny_model())
+        made = []
+        attention = T.attention
+
+        def spy(q, k, v, *args, **kwargs):
+            made.extend(weakref.ref(t.data) for t in (q, k, v))
+            return attention(q, k, v, *args, **kwargs)
+
+        monkeypatch.setattr(T, "attention", spy)
+        with _gc_off():
+            logits = model.forward(images, traces=[] if traced else None)
+            assert len(made) == 3 * model.config.depth
+            assert [ref for ref in made if ref() is not None] == []
+            T.backward(T.cross_entropy(logits, np.array([1, 0])))
+        assert all(p.grad is not None for _, p in model.named_parameters())
+
+    @pytest.mark.parametrize("compressed", [False, True],
+                             ids=["base", "compressed"])
+    def test_backward_builds_each_norm_output_once(self, monkeypatch,
+                                                   compressed):
+        # The q, k and v products' weight gradients and attention's
+        # rebuilds of q, k and v all read the first norm's output; its
+        # recipe builds it once and hands every reader that one array.
+        model, images = (_tiny_compressed_model() if compressed
+                         else _tiny_model())
+        loss = T.cross_entropy(model.forward(images), np.array([1, 0]))
+        built = {}
+        array = T._Affine.array
+
+        def spy(recipe, out=None):
+            got = array(recipe, out)
+            if out is None:
+                built.setdefault(id(recipe), (recipe, {}))[1][id(got)] = got
+            return got
+
+        monkeypatch.setattr(T._Affine, "array", spy)
+        T.backward(loss)
+        # Two norms per block, plus the class-row slices of the last
+        # block's first norm and of the final norm.
+        assert [len(arrays) for _, arrays in built.values()] == \
+            [1] * (2 * model.config.depth + 2)
 
     def test_backward_twice_on_compressed_loss_accumulates(self):
         model, images = _tiny_compressed_model()

@@ -183,15 +183,18 @@ def _plan_table(plan, scores) -> str:
 def cmd_finetune(args) -> int:
     cfg = _config_from_args(args)
     base = _load_base_model(args.ckpt)
-    teacher = (_load_base_model(args.teacher) if args.teacher
-               else base).frozen_copy()
+    # The student reads the loaded arrays until its optimizer copies
+    # them, and without --teacher the teacher reads them too.  The teacher
+    # is popped into ``finetune``'s argument, its only reference, which
+    # ``finetune`` drops once it has cached the teacher's logits, so no
+    # loaded array and no teacher array is alive when training steps.
+    teacher = [_load_base_model(args.teacher).frozen_copy() if args.teacher
+               else base.frozen_view()]
     plan = checkpoint.load_plan(args.plan)
     model = compress_model(base, plan, learnable_matrices=True)
-    # The model trains its own clone of the weights and the teacher is a
-    # copy, so the loaded base is read no more.
     del base
     train, val = _load_datasets(cfg)
-    model, metrics, _ = finetune(model, teacher, train,
+    model, metrics, _ = finetune(model, teacher.pop(), train,
                                  distill_config_from(cfg), val_data=val)
     checkpoint.save_model(args.out, model)
     _write_metrics(args.metrics, metrics)

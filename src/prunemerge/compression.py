@@ -33,7 +33,7 @@ from .errors import ContractError, ShapeMismatchError, SingularMatrixError
 from .scoring import rank_descending, round_half_up
 from .tensor import Tensor, from_op
 from .vit import (AttentionTrace, BlockParams, ModelConfig, VisionTransformer,
-                  block_forward, clone_params, model_forward)
+                  block_forward, model_forward, params_view)
 
 RANK_TOL = 1e-10
 
@@ -654,12 +654,20 @@ def identity_plan(depth: int, n_tokens: int,
 class CompressedModel:
     """A vision transformer whose blocks run behind plan entries.
 
-    Owns an independent copy of the base parameters.  Merge and
-    reconstruct matrices are first-class parameters, held as the dense
-    (kept, N) and (N, kept) views of the plan's vectors, so AdamW decays
-    them as matrices; ``export_plan`` reads the vectors back.  When
-    ``learnable_matrices`` they receive gradients (structural zeros and
-    pruned tokens excluded by the grouped ops) until explicitly frozen.
+    Copies no weight: its parameters are read-only views of the base's
+    arrays (``vit.params_view``), so the model reads the base's arrays
+    until an optimizer adopts them.  ``AdamW``'s construction rebinds
+    each ``data`` to a writeable slice of its own buffer, so fine-tuning
+    never writes the base; any other in-place write to these weights
+    raises ValueError.  Until then the base's own writes show through, so
+    do not step an optimizer built on the base after compressing it.
+
+    Merge and reconstruct matrices are first-class parameters, held as
+    the dense (kept, N) and (N, kept) views of the plan's vectors, so
+    AdamW decays them as matrices; ``export_plan`` reads the vectors
+    back.  When ``learnable_matrices`` they receive gradients (structural
+    zeros and pruned tokens excluded by the grouped ops) until explicitly
+    frozen.
     """
 
     def __init__(self, base: VisionTransformer, plan: CompressionPlan,
@@ -667,7 +675,7 @@ class CompressedModel:
         plan.check_fits(base.config)
         self.config = base.config
         self.plan = plan
-        self.params = clone_params(base.config, base.params)
+        self.params = params_view(base.config, base.params)
         self.merge_t: dict[int, Tensor] = {}
         self.recon_t: dict[int, Tensor] = {}
         for layer, entry in enumerate(plan.entries):
@@ -726,4 +734,8 @@ class CompressedModel:
 
 def compress_model(model: VisionTransformer, plan: CompressionPlan,
                    learnable_matrices: bool = False) -> CompressedModel:
+    """``model`` run behind ``plan``: a ``CompressedModel`` that reads
+    ``model``'s weight arrays through read-only views, copying none, and
+    holds the plan's merge and reconstruct weights as its own matrices,
+    which train when ``learnable_matrices``."""
     return CompressedModel(model, plan, learnable_matrices=learnable_matrices)

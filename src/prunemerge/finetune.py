@@ -359,16 +359,18 @@ def finetune(model, teacher: VisionTransformer, train_data: Dataset,
     bit where BLAS gives a row the same bits in any full batch; where n is
     no multiple of the batch size, rows forwarded in the short chunk or the
     short shuffled batch may differ by a few ulps (3 at most at the
-    acceptance shape).
+    acceptance shape).  Once the cache is built, ``finetune`` drops its
+    reference to the teacher, so a teacher the caller passed as a
+    temporary is freed before the first step.
     """
-    for _, p in teacher.named_parameters():
-        if p.requires_grad:
-            raise ContractError("teacher parameters must be frozen")
+    if any(p.requires_grad for _, p in teacher.named_parameters()):
+        raise ContractError("teacher parameters must be frozen")
 
     optimizer = AdamW(model.named_parameters(),
                       weight_decay=config.weight_decay)
     if config.epochs > 0:
         cached = teacher_logits_of(teacher, train_data, config.batch_size)
+    del teacher
 
     def loss_of(idx):
         loss, ce, kl = self_distill_loss(

@@ -47,9 +47,12 @@ slice of it, saves the recipe and rebuilds the array in backward.  A
 weight product of such an output keeps a recipe too (``_Product``, one
 GEMM deep), so ``attention`` saves no q, k or v array: a recorded block
 keeps its two ``xhat`` arrays and its output.  A norm recipe builds its
-array once per backward and hands it to every reader.  A rebuilt array
-reads the current parameter data, as matmul's saved weight already
-does, so change no parameter between a forward and its backward.
+array once per backward and hands it to every reader.  ``embed`` saves
+no patch rows either: given a recipe of them (``vit.patchify`` passes
+the caller's images and the patch geometry), it saves the recipe and
+its backward cuts the rows again.  A rebuilt array reads the current
+parameter data and images, as matmul's saved weight already does, so
+change neither between a forward and its backward.
 
 Inference mode: inside ``with no_grad():`` operations record no node and
 their outputs never require grad, so a forward pass keeps no graph and no
@@ -384,9 +387,10 @@ def _saved(t: Tensor) -> Array | _Affine | _Product:
     return t.data if node is None or node.rebuild is None else node.rebuild
 
 
-def _restored(saved: Array | _Affine | _Product) -> Array:
-    """The array ``_saved`` stood for.  A norm recipe's array is shared
-    with the recipe's other consumers: read it, never write into it."""
+def _restored(saved) -> Array:
+    """The array ``_saved`` stood for, or that any recipe with an
+    ``array()`` method builds.  A norm recipe's array is shared with the
+    recipe's other consumers: read it, never write into it."""
     return saved if isinstance(saved, np.ndarray) else saved.array()
 
 
@@ -736,30 +740,39 @@ def take(x: Tensor, key) -> Tensor:
     return out
 
 
-def embed(patches: Array, w: Tensor, b: Tensor, cls: Tensor,
+def embed(patches, w: Tensor, b: Tensor, cls: Tensor,
           pos: Tensor) -> Tensor:
     """``concat(cls, patches @ w + b) + pos``, the (..., P + 1, D) tokens
     of (..., P, patch_dim) pixel patches, as one node that runs the
     composed ops' kernels in their order and reduces the same slices of
-    the output gradient: bit for bit their results.  It saves the patches
-    only for ``w``'s gradient."""
-    _check_matmul(patches.shape, w.shape)
-    n, d = patches.shape[-2] + 1, w.shape[-1]
+    the output gradient: bit for bit their results.
+
+    ``patches`` is the array or a recipe whose ``array()`` builds a new
+    one each call (``vit.patchify`` passes the images and the patch
+    geometry).  The node saves them only for ``w``'s gradient, and saves
+    a recipe as it is: backward rebuilds the rows, so no patch-sized
+    array outlives the forward.  Do not write what a recipe reads between
+    a forward and its backward."""
+    rows = _restored(patches)
+    _check_matmul(rows.shape, w.shape)
+    n, d = rows.shape[-2] + 1, w.shape[-1]
     if (w.ndim, b.shape, cls.shape, pos.shape) != (2, (d,), (1, d), (n, d)):
         raise ShapeMismatchError(
             f"embed operands do not fit: w {w.shape}, b {b.shape}, "
             f"cls {cls.shape}, pos {pos.shape}")
-    tok = _matmul_data(patches, w.data)
+    tok = _matmul_data(rows, w.data)
     tok += b.data
     data = np.empty(tok.shape[:-2] + (n, d))
     data[..., :1, :] = cls.data
     data[..., 1:, :] = tok
     data += pos.data
-    pd, w_shape = (patches if w.requires_grad else None), w.shape
+    pd = patches if w.requires_grad else None
+    shape, w_shape = rows.shape, w.shape
 
     def grad_fn(g):
         gt = g[..., 1:, :]
-        gw = None if pd is None else _matmul_grad_b(pd, gt, pd.shape, w_shape)
+        gw = None if pd is None else _matmul_grad_b(_restored(pd), gt, shape,
+                                                    w_shape)
         return (gw, _unbroadcast(gt, (d,)),
                 _unbroadcast(g[..., :1, :], (1, d)), _unbroadcast(g, (n, d)))
 

@@ -193,16 +193,35 @@ def extract_patches(images: np.ndarray, config: ModelConfig) -> np.ndarray:
     return x.reshape(b, g * g, ch * p * p)
 
 
+class _PatchRows:
+    """``extract_patches(images, config)`` kept as its arguments: the
+    recipe ``tensor.embed`` saves for its weight gradient in place of the
+    (B, num_patches, patch_dim) rows.  ``array()`` cuts them afresh with
+    ``extract_patches``' own copy, so they are bit for bit the forward's."""
+
+    __slots__ = ("images", "config")
+
+    def __init__(self, images: np.ndarray, config: ModelConfig):
+        self.images, self.config = images, config
+
+    def array(self) -> np.ndarray:
+        return extract_patches(self.images, self.config)
+
+
 def patchify(images: np.ndarray, config: ModelConfig,
              embed: PatchEmbedParams) -> Tensor:
     """Embed pixels into the (B, N, D) token sequence.
 
     Projects flattened patches, prepends the class token at index 0, and
     adds the learned positional embedding (one row per token, class
-    position included), as the one engine node ``tensor.embed``.
+    position included), as the one engine node ``tensor.embed``.  A
+    recorded node keeps the float64 images, not the patch rows, and its
+    backward cuts the rows again: do not write the images between a
+    forward and its backward, as for the parameters.
     """
-    return T.embed(extract_patches(images, config), embed.w, embed.b,
-                   embed.cls, embed.pos)
+    images = np.asarray(images, dtype=np.float64)
+    return T.embed(_PatchRows(images, config), embed.w, embed.b, embed.cls,
+                   embed.pos)
 
 
 def block_forward(z: Tensor, params: BlockParams, heads: int,
@@ -308,16 +327,31 @@ class VisionTransformer:
 
     def frozen_copy(self) -> "VisionTransformer":
         """A gradient-free deep copy, e.g. for use as a distillation teacher."""
-        return VisionTransformer(self.config, clone_params(
+        return VisionTransformer(self.config, params_from_named(
+            self.config,
+            {name: t.data.copy() for name, t in self.named_parameters()},
+            requires_grad=False))
+
+    def frozen_view(self) -> "VisionTransformer":
+        """A gradient-free model over read-only views of this model's
+        arrays (``params_view``): a teacher that copies no weight.  It sees
+        every later write to them, so write none while it is read."""
+        return VisionTransformer(self.config, params_view(
             self.config, self.params, requires_grad=False))
 
 
-def clone_params(config: ModelConfig, params: VitParams,
-                 requires_grad: bool = True) -> VitParams:
-    """A deep copy of ``params``, a parameter tree of ``config``."""
-    return params_from_named(
-        config, {name: t.data.copy() for name, t in params.named_parameters()},
-        requires_grad=requires_grad)
+def params_view(config: ModelConfig, params: VitParams,
+                requires_grad: bool = True) -> VitParams:
+    """A parameter tree over read-only views of ``params``, a parameter
+    tree of ``config``: nothing is copied, and an in-place write through
+    the new tree raises ValueError.  Rebinding a parameter's ``data``, as
+    ``AdamW`` does when it adopts the parameters, parts it from
+    ``params``."""
+    views = {}
+    for name, t in params.named_parameters():
+        views[name] = view = t.data.view()
+        view.flags.writeable = False
+    return params_from_named(config, views, requires_grad=requires_grad)
 
 
 def params_from_named(config: ModelConfig, arrays: dict[str, np.ndarray],
@@ -328,8 +362,8 @@ def params_from_named(config: ModelConfig, arrays: dict[str, np.ndarray],
     Every parameter of ``config`` must be there as a float64 array of the
     shape ``param_shapes`` gives it, and nothing else may be.  Nothing is
     copied: each parameter's ``data`` is the caller's array, so pass
-    arrays nothing else holds or writes (a fresh ``load_arrays`` result,
-    say)."""
+    arrays nothing else writes (a fresh ``load_arrays`` result, say, or
+    the read-only views ``params_view`` passes)."""
     shapes = param_shapes(config)
     stray = sorted(set(arrays) - set(shapes))
     if stray:

@@ -381,6 +381,26 @@ class TestStreamingIO:
                                      back.named_parameters()):
             assert a.data.tobytes() == b.data.tobytes(), name
 
+    def test_compressed_load_holds_one_copy_of_the_weights(self, tmp_path):
+        # The compressed model reads the loaded arrays through views, so
+        # the load peaks at the parameter bytes plus the plan's, not twice
+        # the parameter bytes.
+        config = ModelConfig(image_size=8, patch_size=4, channels=1,
+                             embed_dim=160, depth=2, heads=2, num_classes=4)
+        base = VisionTransformer.build(config, seed=5)
+        param_bytes = sum(p.data.nbytes for _, p in base.named_parameters())
+        scores = [np.random.default_rng(7).uniform(0.1, 1.0, size=5)
+                  for _ in range(2)]
+        comp = compress_model(base, global_plan(scores, rate=0.6,
+                                                pm_threshold=0.2))
+        path = tmp_path / "c.pmvt"
+        save_model(path, comp)
+        (back, _), peak = _traced_peak(load_model, path)
+        assert peak <= param_bytes + 64 * 1024
+        for (name, a), (_, b) in zip(comp.named_parameters(),
+                                     back.named_parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), name
+
     def test_save_allocates_well_under_the_payload(self, tmp_path):
         array = np.random.default_rng(6).standard_normal(2 ** 19)  # 4 MB
         _, peak = _traced_peak(save_arrays, tmp_path / "a.pmvt", {"a": array})

@@ -306,9 +306,9 @@ def test_finetune_reads_its_checkpoint_once(workdir, cfg, base_ckpt,
 def test_finetune_drops_the_base_before_training(workdir, cfg, base_ckpt,
                                                 plan_file, monkeypatch,
                                                 capsys):
-    # The compressed model trains its own clone of the base's weights and
-    # the teacher is a frozen copy, so no array of the loaded base is
-    # alive when training steps.
+    # The compressed model reads the base's arrays until its optimizer
+    # copies them, and the teacher until finetune has cached its logits,
+    # so no array of the loaded base is alive when training steps.
     ft = importlib.import_module("prunemerge.finetune")
     loaded, alive = [], []
     load_base, run_epochs = cli._load_base_model, ft.run_epochs
@@ -340,6 +340,55 @@ def test_finetune_drops_the_base_before_training(workdir, cfg, base_ckpt,
             gc.enable()
     capsys.readouterr()
     assert loaded and alive == [0]
+
+
+@pytest.mark.parametrize("teacher", [False, True],
+                         ids=["base-as-teacher", "teacher-checkpoint"])
+def test_finetune_drops_the_teacher_before_training(workdir, cfg, base_ckpt,
+                                                   plan_file, monkeypatch,
+                                                   capsys, teacher):
+    # The teacher is read only while finetune caches its logits: the
+    # command passes it as a temporary and finetune drops it then, so no
+    # teacher array and no loaded array is alive when training steps.
+    ft = importlib.import_module("prunemerge.finetune")
+    refs, alive = [], []
+    load_base, logits_of = cli._load_base_model, ft.teacher_logits_of
+    run_epochs = ft.run_epochs
+
+    def loading(path):
+        model = load_base(path)
+        refs.extend(weakref.ref(p.data) for _, p in model.named_parameters())
+        return model
+
+    def caching(model, *args):
+        refs.extend(weakref.ref(p.data) for _, p in model.named_parameters())
+        return logits_of(model, *args)
+
+    def running(model, optimizer, loss_of, *args, **kwargs):
+        def first_step_checked(idx):
+            if not alive:
+                alive.append(sum(ref() is not None for ref in refs))
+            return loss_of(idx)
+        return run_epochs(model, optimizer, first_step_checked, *args,
+                          **kwargs)
+
+    monkeypatch.setattr(cli, "_load_base_model", loading)
+    monkeypatch.setattr(ft, "teacher_logits_of", caching)
+    monkeypatch.setattr(ft, "run_epochs", running)
+    out = workdir / "no_teacher.pmvt"
+    enabled = gc.isenabled()
+    gc.disable()        # reference counting alone frees the teacher
+    try:
+        assert main(["finetune", "--config", cfg, "--ckpt", base_ckpt,
+                     "--plan", plan_file, "--out", str(out), "--epochs", "1"]
+                    + (["--teacher", base_ckpt] if teacher else [])) == 0
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    params = len(list(load_base(base_ckpt).named_parameters()))
+    assert len(refs) == (3 if teacher else 2) * params
+    assert alive == [0]
 
 
 def test_finetune_freeze_at_minus_one_is_auto(workdir, cfg, base_ckpt,
@@ -840,9 +889,10 @@ UNCALLED_BY_DESIGN = {
 
 def test_program_paths_call_every_function_of_the_commands(tmp_path):
     # Every command in-process at the default model shape: each scorer,
-    # eval with and without a plan and on an IDX pair, flops in all three
-    # formats, bench as text and JSON, and visualize of named layers,
-    # all under a config file that sets a float key.
+    # finetune with and without --teacher, eval with and without a plan
+    # and on an IDX pair, flops in all three formats, bench as text and
+    # JSON, and visualize of named layers, all under a config file that
+    # sets a float key.
     from prunemerge.data import write_idx
     from prunemerge.scoring import ScorerVariant
     modules = [importlib.import_module(f"prunemerge.{name}") for name in (
@@ -868,6 +918,8 @@ def test_program_paths_call_every_function_of_the_commands(tmp_path):
         ["compress", *cfg, "--ckpt", base, "--scores", scores, "--out", plan],
         ["finetune", *cfg, "--ckpt", base, "--plan", plan, "--out", student,
          "--metrics", student + ".csv"],
+        ["finetune", *cfg, "--ckpt", base, "--plan", plan, "--out", student,
+         "--teacher", base],
         ["eval", *cfg, "--ckpt", student],
         ["eval", *cfg, "--ckpt", base, "--plan", plan],
         ["eval", *cfg, *idx, "--ckpt", base],

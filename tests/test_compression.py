@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -977,11 +978,49 @@ class TestCompressedModel:
         n = base_model.config.num_tokens
         scores = [rng.uniform(0.1, 1.0, size=n) for _ in range(2)]
         plan = global_plan(scores, rate=0.6, pm_threshold=0.2)
-        comp = compress_model(base_model, plan)
-        for _, t in comp.named_parameters():
-            t.data += 1.0
+        comp = compress_model(base_model, plan, learnable_matrices=True)
+        # The compressed model reads the base's arrays, so an in-place
+        # write through it is refused rather than kept apart.
+        for _, t in comp.params.named_parameters():
+            with pytest.raises(ValueError, match="read-only"):
+                t.data += 1.0
+        # Fine-tuning writes the optimizer's own copy.
+        from prunemerge.data import Dataset
+        from prunemerge.finetune import DistillConfig, finetune
+        images = rng.uniform(0, 1, size=(4, 1, 8, 8))
+        finetune(comp, base_model.frozen_copy(),
+                 Dataset(images, np.array([0, 3, 1, 2]), num_classes=4),
+                 DistillConfig(epochs=1, freeze_epoch=1, batch_size=2,
+                               base_lr=1e-2))
+        assert any(not np.array_equal(t.data, before[k])
+                   for k, t in comp.params.named_parameters())
         for k, v in base_model.named_parameters():
-            np.testing.assert_array_equal(v.data, before[k])
+            assert v.data.tobytes() == before[k].tobytes(), k
+
+    def test_compressing_copies_no_weight(self, base_model):
+        plan = identity_plan(2, base_model.config.num_tokens)
+        comp = compress_model(base_model, plan, learnable_matrices=True)
+        pairs = list(zip(base_model.named_parameters(),
+                         comp.params.named_parameters()))
+        assert len(pairs) == len(list(base_model.named_parameters()))
+        for (name, b), (name_c, c) in pairs:
+            assert name == name_c
+            assert np.shares_memory(b.data, c.data), name
+            assert not c.data.flags.writeable, name
+            assert c.requires_grad
+
+    def test_an_optimizer_parts_the_weights_from_the_base(self, base_model):
+        from prunemerge.finetune import AdamW
+        plan = identity_plan(2, base_model.config.num_tokens)
+        comp = compress_model(base_model, plan, learnable_matrices=True)
+        base = [t.data for _, t in base_model.named_parameters()]
+        assert all(np.shares_memory(t.data, b) for (_, t), b
+                   in zip(comp.params.named_parameters(), base))
+        AdamW(comp.named_parameters())
+        for (name, t), b in zip(comp.params.named_parameters(), base):
+            assert t.data.flags.writeable, name
+            assert not np.shares_memory(t.data, b), name
+            np.testing.assert_array_equal(t.data, b)
 
     def test_depth_mismatch_rejected(self, base_model):
         plan = identity_plan(3, base_model.config.num_tokens)
@@ -1002,6 +1041,41 @@ def class_free_plan(n, rng):
     plan = global_plan(scores, rate=0.6, pm_threshold=0.2, class_token=False)
     assert plan.entries[1].mask[0] == 0
     return plan
+
+
+@pytest.mark.parametrize("kind, per_block", [
+    ("base", 2), ("compressed", 2), ("learnable", 3)])
+def test_recorded_forward_keeps_about_two_token_arrays_per_block(kind,
+                                                                 per_block):
+    # numpy reports its buffers to tracemalloc, so the traced memory still
+    # held after a forward, its logits held, is what the whole recorded
+    # graph keeps.  A block keeps its two normalised inputs (the class-row
+    # last block one and a row); learnable matrices add the merge's input
+    # and the reconstruct's block output per compressed layer.  The small
+    # terms are the nodes, their closures and the (B, N, 1) scales.  At
+    # 64 px with 16 px RGB patches (patch_dim 768, 17 tokens, D=64) the
+    # (B, 16, 768) patch rows are 11.3 (B, N, D) arrays, so a forward
+    # that kept them, not the images, would break the bound.
+    config = ModelConfig(image_size=64, patch_size=16, channels=3,
+                         embed_dim=64, depth=3, heads=2, num_classes=4)
+    b, n, d = 4, config.num_tokens, config.embed_dim
+    rng = np.random.default_rng(81)
+    images = rng.uniform(0, 1, size=(b, 3, 64, 64))
+    model = VisionTransformer.build(config, seed=81)
+    if kind != "base":
+        scores = [rng.uniform(0.1, 1.0, size=n) for _ in range(3)]
+        model = compress_model(model, global_plan(scores, 0.6, 0.2),
+                               learnable_matrices=kind == "learnable")
+    model.forward(images)   # first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        logits = model.forward(images)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert logits._node is not None
+    assert kept <= per_block * config.depth * b * n * d * 8 + 64 * 1024
 
 
 class TestClassRowPath:
@@ -1101,7 +1175,7 @@ class TestClassRowPath:
         plan = global_plan(scores, rate=0.6, pm_threshold=0.2)
         comp = compress_model(base_model, plan, learnable_matrices=True)
         for _, p in comp.params.named_parameters():
-            p.data += rng.normal(scale=0.3, size=p.shape)
+            p.data = p.data + rng.normal(scale=0.3, size=p.shape)
 
         def f():
             return float(T.cross_entropy(comp.forward(images), labels).data)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -25,8 +26,7 @@ from .data import load_idx_pair, synthetic_shapes
 from .errors import CheckpointError, ConfigError, ContractError, NumericError
 from .finetune import (evaluate_accuracy, finetune, metrics_to_csv,
                        train_baseline)
-from .flops import (_single_blas_worker, benchmark_json, micro_benchmark,
-                    model_flops)
+from .flops import _single_blas_worker, micro_benchmark, model_flops
 from .runconfig import (distill_config_from, int_list, load_config,
                         model_config_from, resolve_exempt)
 from .scoring import ScorerVariant, collect_scores, export_scores_csv, \
@@ -182,20 +182,19 @@ def _plan_table(plan, scores) -> str:
 
 def cmd_finetune(args) -> int:
     cfg = _config_from_args(args)
-    base = _load_base_model(args.ckpt)
-    # The student reads the loaded arrays until its optimizer copies
-    # them, and without --teacher the teacher reads them too.  The teacher
-    # is popped into ``finetune``'s argument, its only reference, which
-    # ``finetune`` drops once it has cached the teacher's logits, so no
-    # loaded array and no teacher array is alive when training steps.
-    teacher = [_load_base_model(args.teacher).frozen_copy() if args.teacher
-               else base.frozen_view()]
-    plan = checkpoint.load_plan(args.plan)
-    model = compress_model(base, plan, learnable_matrices=True)
-    del base
+    model = compress_model(_load_base_model(args.ckpt),
+                           checkpoint.load_plan(args.plan),
+                           learnable_matrices=True)
     train, val = _load_datasets(cfg)
-    model, metrics, _ = finetune(model, teacher.pop(), train,
-                                 distill_config_from(cfg), val_data=val)
+    # The student reads the loaded arrays until its optimizer copies
+    # them.  The teacher, a view of the checkpoint that supplies it, is
+    # built in the call, so ``finetune`` holds its only reference and
+    # drops it once the teacher's logits are cached: no loaded array is
+    # alive when training steps.
+    model, metrics, _ = finetune(
+        model, (_load_base_model(args.teacher) if args.teacher else
+                VisionTransformer(model.config, model.params)).frozen_view(),
+        train, distill_config_from(cfg), val_data=val)
     checkpoint.save_model(args.out, model)
     _write_metrics(args.metrics, metrics)
     acc = _final_accuracy(model, metrics, train, val)
@@ -223,7 +222,6 @@ def cmd_flops(args) -> int:
     plan = checkpoint.load_plan(args.plan) if args.plan else None
     report = model_flops(model_config_from(cfg), plan)
     if args.json:
-        import json
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     elif args.csv:
         sys.stdout.write(report.to_csv())
@@ -248,8 +246,8 @@ def cmd_bench(args) -> int:
                                seed=args.seed)
                for n_tokens, dim in sizes]
     if args.json:
-        sys.stdout.write(benchmark_json(
-            reports[0] if len(reports) == 1 else reports))
+        print(json.dumps(reports[0] if len(reports) == 1 else reports,
+                         indent=2, sort_keys=True))
         return 0
     for report in reports:
         for name, stats in report["variants"].items():

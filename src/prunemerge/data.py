@@ -6,8 +6,10 @@ value v reads as v / 255.  ``Dataset.batch`` is the one read path: it
 returns float64 pixels either way, so byte images are scaled per batch
 and never inflated to float64 as a whole.
 
-Batch order is a pure function of (seed, epoch), so training runs are
-replayed bit-identically without serializing generator state.
+Training and scoring batches are shuffled, in an order that is a pure
+function of (seed, epoch), so runs are replayed bit-identically without
+serializing generator state.  Evaluation and the teacher's logit cache
+read the dataset in stored order, in slices (``finetune``).
 """
 
 from __future__ import annotations
@@ -213,24 +215,20 @@ def synthetic_shapes(count: int, image_size: int = 28, seed: int = 0) -> Dataset
     return Dataset(images[order], labels[order], NUM_SHAPE_CLASSES)
 
 
-def batch_indices(n: int, batch_size: int, *, seed: int, epoch: int,
-                  shuffle: bool = True):
-    """Yield the index array of each batch over ``n`` examples; the order
-    depends only on (seed, epoch), and the last batch may be short."""
+def batch_indices(n: int, batch_size: int, *, seed: int, epoch: int):
+    """Yield the index array of each batch over ``n`` examples, shuffled:
+    the order depends only on (seed, epoch), and the last batch may be
+    short."""
     if batch_size < 1:
         raise ContractError("batch_size must be positive")
-    if shuffle:
-        order = np.random.default_rng([seed, epoch]).permutation(n)
-    else:
-        order = np.arange(n)
+    order = np.random.default_rng([seed, epoch]).permutation(n)
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]
 
 
-def batches(dataset: Dataset, batch_size: int, *, seed: int, epoch: int,
-            shuffle: bool = True):
+def batches(dataset: Dataset, batch_size: int, *, seed: int, epoch: int):
     """Yield (images, labels) pairs of the batches ``batch_indices``
     picks."""
     for idx in batch_indices(len(dataset), batch_size, seed=seed,
-                             epoch=epoch, shuffle=shuffle):
+                             epoch=epoch):
         yield dataset.batch(idx), dataset.labels[idx]

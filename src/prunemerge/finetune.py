@@ -6,6 +6,8 @@ zero_grad before the forward, the non-finite check, backward/step, the
 metrics rows and per-epoch validation; a trainer gives it a per-batch
 loss closure over batch indices.
 ``finetune`` adds the freeze epoch and the teacher logit cache around it.
+The cache and ``evaluate_accuracy`` read the dataset in stored order
+through one loop of ``no_grad`` forwards.
 
 The distillation objective is cross-entropy plus alpha times the KL term;
 gradients reach the student only.  Merge/reconstruct matrices train as
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import Dataset, batch_indices, batches
+from .data import Dataset, batch_indices
 from .errors import (ConfigError, ContractError, NumericError,
                      ShapeMismatchError)
 from .tensor import Tensor
@@ -271,18 +273,17 @@ def metrics_to_csv(rows: list[dict]) -> str:
 def evaluate_accuracy(model, dataset: Dataset, batch_size: int = 64) -> float:
     """Top-1 accuracy of any object with .forward(images) -> logits.
 
-    Runs under ``no_grad``: no graph is recorded and no gradient changes.
+    Reads the dataset in the stored-order slices ``teacher_logits_of``
+    reads, holding one slice's logits at a time.  Runs under ``no_grad``:
+    no graph is recorded and no gradient changes.
     A label the logits have no class for raises ContractError.
     """
     if len(dataset.labels) == 0:
         raise ContractError("cannot evaluate on an empty dataset")
     hits = 0
-    for images, labels in batches(dataset, batch_size, seed=0, epoch=0,
-                                  shuffle=False):
-        with T.no_grad():
-            logits = model.forward(images)
+    for logits, labels in _stored_order_logits(model, dataset, batch_size):
         T.check_labels(labels, logits.shape[-1])
-        hits += int((np.argmax(logits.data, axis=1) == labels).sum())
+        hits += int((np.argmax(logits, axis=1) == labels).sum())
     return hits / len(dataset.labels)
 
 
@@ -290,11 +291,21 @@ def teacher_logits_of(teacher, dataset: Dataset,
                       batch_size: int) -> np.ndarray:
     """The (n, num_classes) logits of ``teacher`` over ``dataset`` in
     stored order, from ``no_grad`` forwards of ``batch_size`` examples."""
-    with T.no_grad():
-        return np.concatenate([
-            teacher.forward(
-                dataset.batch(slice(start, start + batch_size))).data
-            for start in range(0, len(dataset.labels), batch_size)])
+    return np.concatenate([logits for logits, _ in _stored_order_logits(
+        teacher, dataset, batch_size)])
+
+
+def _stored_order_logits(model, dataset: Dataset, batch_size: int):
+    """Yield the logits array of a ``no_grad`` forward of ``model`` over
+    each slice of ``batch_size`` examples of ``dataset``, in stored
+    order, with the slice's labels."""
+    if batch_size < 1:
+        raise ContractError("batch_size must be positive")
+    for start in range(0, len(dataset.labels), batch_size):
+        rows = slice(start, start + batch_size)
+        with T.no_grad():
+            logits = model.forward(dataset.batch(rows)).data
+        yield logits, dataset.labels[rows]
 
 
 def run_epochs(model, optimizer: AdamW, loss_of, n: int, batch_size: int,

@@ -13,7 +13,6 @@ import contextlib
 import ctypes
 import functools
 import itertools
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -290,7 +289,3 @@ def micro_benchmark(n_tokens: int = 128, dim: int = 128,
         "blas_pinned": pinned,
         "variants": results,
     }
-
-
-def benchmark_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"

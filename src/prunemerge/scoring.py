@@ -130,7 +130,9 @@ def collect_scores(model: VisionTransformer, dataset: data_mod.Dataset, *,
 
     The model is read-only here: each iteration runs a forward pass with
     trace capture and a cross-entropy backward pass purely to obtain
-    gradient maps; no parameters are updated.  Batches cycle through
+    gradient maps; no parameters are updated.  Only ``taylor_token``
+    reads the traced block inputs; every other scorer drops them before
+    backward, so none is kept or given a gradient.  Batches cycle through
     epochs deterministically.  Each layer keeps a running float64 sum,
     divided by the iteration count once at the end.  The random scorer
     reads no batch: each iteration draws one uniform vector per layer
@@ -156,6 +158,9 @@ def collect_scores(model: VisionTransformer, dataset: data_mod.Dataset, *,
                                                seed=seed, epoch=epoch):
             traces: list[AttentionTrace] = []
             logits = model.forward(images, traces=traces)
+            if variant is not ScorerVariant.TAYLOR_TOKEN:
+                for trace in traces:
+                    trace.tokens = None
             loss = T.cross_entropy(logits, labels)
             T.backward(loss)
             per_layer = [scores_from_trace(tr, variant) for tr in traces]

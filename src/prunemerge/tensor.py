@@ -71,11 +71,13 @@ attention's backward also runs to rebuild q, k and v), the output row
 halves of a weight gradient that runs alone (``_matmul_grad_b``, such
 as ``mlp``'s w1 and ``embed``'s weight gradient), layer norm's rows in
 both directions, GELU passes split at a chunk boundary, attention
-maps, softmax and context per half of the leading batch axis, and the
+maps, softmax and context per half of the leading batch axis (q, k and
+v share their lead axes; ``attention`` refuses any other), and the
 halves of an AdamW step's chunks.  A GEMM is split only where each half
 holds two rows and at least ``_LANE_MACS`` multiply-adds, above
 OpenBLAS's small-matrix cut, and the output width is a multiple of
-``_SPLIT_WIDTH``: there a row block keeps the whole product's bits
+``_SPLIT_WIDTH``, and it is cut at a multiple of 8 rows: there a row
+block keeps the whole product's bits on every OpenBLAS kernel checked
 (``_gemm``).  No reduction across rows is split (layer norm's gain
 and offset gradients run whole beside a half), so every bit is the
 serial code's.  Work goes to the lane only above ``_LANE_MACS``
@@ -278,11 +280,16 @@ def _halves(cut: int, worth: bool, part):
 
 
 def _gemm(a: Array, b: Array, out: Array | None = None) -> Array:
-    """``np.matmul(a, b, out=out)`` for 2-D operands, as two halves of
-    the output rows, one per lane, where each half holds two rows and
+    """``np.matmul(a, b, out=out)`` for 2-D operands, as two blocks of
+    the output rows, one per lane, where each block holds two rows and
     ``_LANE_MACS`` multiply-adds and the output width is a multiple of
-    ``_SPLIT_WIDTH``: there a row block keeps the whole product's bits."""
-    cut = len(a) // 2
+    ``_SPLIT_WIDTH``.  The cut falls at a multiple of 8 rows, half the
+    rows rounded down to 8.  Cut so, a block kept the whole product's
+    bits, plain and with a transposed left operand, under each kernel
+    ``OPENBLAS_CORETYPE`` selected: SkylakeX, Haswell, Zen, Sandybridge,
+    Nehalem, Core2, Prescott, Atom and Barcelona.  A cut at half the
+    rows changed most products' bits under Haswell and Nehalem."""
+    cut = len(a) // 16 * 8
     if cut < 2 or cut * b.size < _LANE_MACS or b.shape[1] % _SPLIT_WIDTH:
         return np.matmul(a, b, out=out)
     if out is None:
@@ -668,16 +675,16 @@ def _matmul_data(a: Array, b: Array) -> Array:
 
     A batch of multi-row operands times one matrix runs as one GEMM over
     all rows, written into an array the result owns.  When the lane is
-    free, each half of those rows holds at least two rows and
-    ``_LANE_MACS`` multiply-adds, and the output width is a multiple of
-    ``_SPLIT_WIDTH``, the two row halves run as two GEMMs, one per lane,
-    into the one output; a product run as one side of a ``_both`` pair,
-    or on the lane, runs whole.  Such a row block gets the bits it gets
-    in the whole.  A block can differ below OpenBLAS's small-matrix cut
-    (10**6 multiply-adds, under ``_LANE_MACS``), as a single row, which
-    runs as a GEMV, or in the last columns of a width that is not a
-    multiple of 8.  Single-row operands stay batched: folding those
-    turns B GEMVs into one GEMM, which changes bits.
+    free and ``_gemm``'s rule allows a cut, the two row blocks run as two
+    GEMMs, one per lane, into the one output; a product run as one side
+    of a ``_both`` pair, or on the lane, runs whole.  Such a row block
+    gets the bits it gets in the whole.  A block can differ below
+    OpenBLAS's small-matrix cut (10**6 multiply-adds, under
+    ``_LANE_MACS``), as a single row, which runs as a GEMV, in the last
+    columns of a width that is not a multiple of 8, or, on some kernels,
+    where the cut is no multiple of 8 rows.  Single-row operands stay
+    batched: folding those turns B GEMVs into one GEMM, which changes
+    bits.
     """
     if b.ndim == 2 and a.ndim > 2 and a.shape[-2] > 1:
         out = np.empty(a.shape[:-1] + b.shape[-1:])
@@ -853,13 +860,9 @@ def _head_major(shape: tuple[int, ...], heads: int) -> tuple[Array, Array]:
 def _head_grad(a: Array, b: Array, shape: tuple[int, ...],
                heads: int) -> Array:
     """The token-major ``shape`` gradient whose per-head view is ``a @
-    b`` summed down to that view's shape, each head's product written
-    straight into its columns."""
+    b``, each head's product written straight into its columns."""
     x, view = _head_major(shape, heads)
-    if np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) == view.shape[:-2]:
-        np.matmul(a, b, out=view)
-    else:
-        view[...] = _unbroadcast(np.matmul(a, b), view.shape)
+    np.matmul(a, b, out=view)
     return x
 
 
@@ -869,8 +872,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
     projection ``@ w_o``, as one node.
 
     ``q`` is token-major (..., rows, D) and ``k`` and ``v`` are
-    (..., N, D) (v may have its own width, which is ``w_o``'s row count);
-    the op splits the last axis into ``heads`` heads as views, attends per
+    (..., N, D) (v may have its own width, which is ``w_o``'s row count),
+    all three with one lead shape ``...``, as a block passes them: none
+    broadcasts, and other shapes raise ShapeMismatchError.  The op
+    splits the last axis into ``heads`` heads as views, attends per
     head, writes each head's product into its columns of the token-major
     (..., rows, D_v) context (``_head_major``) and projects it.  Its
     gradients arrive and leave token-major too, each head's q and v
@@ -898,7 +903,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
         raise ShapeMismatchError(
             f"attention operands must be at least 2-D, got {q.shape}, "
             f"{k.shape} and {v.shape}")
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2] \
+    if not q.shape[:-2] == k.shape[:-2] == v.shape[:-2] \
+            or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2] \
             or w_o.shape[:1] != v.shape[-1:] or w_o.ndim != 2:
         raise ShapeMismatchError(
             f"attention shapes do not fit: q {q.shape}, k {k.shape}, "
@@ -920,11 +926,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
     wd = w_o.data
     q_shape, kt_shape, v_shape = qd.shape, kt.shape, vd.shape
     q_tok, v_tok = q.shape, v.shape
-    y_shape = np.broadcast_shapes(q_shape[:-2], kt_shape[:-2]) \
-        + (q_shape[-2], kt_shape[-1])
-    # Token-major, as q: the lead axes of A @ v without the heads axis.
-    ctx_shape = np.broadcast_shapes(y_shape[:-2], v_shape[:-2])[:-1] \
-        + (y_shape[-2], v.shape[-1])
+    y_shape = q_shape[:-1] + kt_shape[-1:]
+    ctx_shape = q_tok[:-1] + v_tok[-1:]
     if bump is not None:
         bump = np.array(bump, dtype=np.float64)
         if bump.shape != y_shape:
@@ -932,12 +935,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w_o: Tensor, heads: int,
                 f"bump of shape {bump.shape} does not fit maps {y_shape}")
     grad_q, grad_k, grad_v = q.requires_grad, k.requires_grad, v.requires_grad
     grad_w = w_o.requires_grad
-    # The two lanes take half of a leading batch axis that q, k and v
-    # share each: numpy runs one GEMM per stacked slice, so a half runs
-    # the very calls of the whole.
+    # The two lanes take half of the leading batch axis: numpy runs one
+    # GEMM per stacked slice, so a half runs the very calls of the whole.
     lead = q.shape[:-2]
-    halves = lead != () and lead[0] >= 2 and k.shape[:-2] == lead \
-        and v.shape[:-2] == lead \
+    halves = lead != () and lead[0] >= 2 \
         and math.prod(y_shape) * (q_shape[-1] + v_shape[-1]) \
         >= 2 * _LANE_MACS
     cut = (lead[0] + 1) // 2 if lead else 0

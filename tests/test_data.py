@@ -408,13 +408,6 @@ def test_batches_cover_everything_once():
     np.testing.assert_array_equal(got, orig)
 
 
-def test_batches_unshuffled_preserve_order():
-    ds = synthetic_shapes(10, image_size=8, seed=0)
-    labs = np.concatenate([l for _, l in
-                           batches(ds, 4, seed=9, epoch=3, shuffle=False)])
-    np.testing.assert_array_equal(labs, ds.labels)
-
-
 def test_batches_are_the_rows_batch_indices_picks():
     ds = synthetic_shapes(17, image_size=8, seed=0)
     picks = list(batch_indices(17, 5, seed=3, epoch=2))

@@ -602,6 +602,19 @@ class TestEvaluateAccuracy:
         with_graph = model.forward(tiny_dataset(20).images[:8])
         np.testing.assert_array_equal(outputs[0].data, with_graph.data)
 
+    def test_reads_the_dataset_in_stored_order(self, compressed_pair):
+        base, _ = compressed_pair
+        data, seen = tiny_dataset(20), []
+
+        class Spy:
+            def forward(self, images):
+                seen.append(images)
+                return base.forward(images)
+
+        evaluate_accuracy(Spy(), data, batch_size=8)
+        assert [len(images) for images in seen] == [8, 8, 4]
+        np.testing.assert_array_equal(np.concatenate(seen), data.images)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ContractError):
             tiny_dataset(8).subset(0, 0)

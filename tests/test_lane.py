@@ -1,18 +1,24 @@
 """The engine's second lane: every output is bit for bit the same with the
 lane on and off, work below the hand-off threshold stays on one lane,
 a weight product's row halves and a weight gradient's output-row halves
-keep the whole GEMM's bits, each split hands off one task from its
-threshold on, work reached while the lane holds a task runs whole, the
-caller's context reaches the lane, errors wait for both halves, and a
-one-CPU process starts no thread."""
+keep the whole GEMM's bits, also under each OpenBLAS kernel the build
+can load, each split hands off one task from its threshold on, work
+reached while the lane holds a task runs whole, the caller's context
+reaches the lane, errors wait for both halves, and a one-CPU process
+starts no thread."""
 
 import functools
+import json
 import os
+import re
+import signal
+import subprocess
 import sys
 import threading
 import time
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +26,7 @@ import pytest
 from prunemerge import tensor as T
 from prunemerge.errors import NumericError
 from prunemerge.finetune import AdamW
+from prunemerge.flops import _single_blas_worker
 
 import identity
 from helpers import fresh_lane, lane_models, on_and_off
@@ -37,23 +44,50 @@ def test_outputs_are_bit_identical_with_the_lane_on_and_off(tag):
     assert (tasks > 0) == (tag == "wide")
 
 
+@pytest.fixture(autouse=True, scope="module")
+def _one_blas_thread():
+    """Every test here runs with BLAS on one thread, the pin ``cli.entry``
+    sets: two BLAS threads beside the lane change a product's bits under
+    some kernels (Haswell), where one thread keeps them."""
+    with _single_blas_worker():
+        yield
+
+
 def _split_table(count, seed=43):
     """``count`` folded products (B, T, K) @ (K, E), B * T odd, with K
-    and E drawn from DeiT widths and each row half at least 2**20
-    multiply-adds: the least a half must hold, up to half as much
-    again, and at least two rows."""
+    and E drawn from DeiT widths and each row block at least 2**20
+    multiply-adds: the least a block must hold, up to half as much
+    again, with rows enough that ``_gemm``'s cut, half the rows rounded
+    down to 8, leaves that many in the first block."""
     rng = np.random.default_rng(seed)
     widths = [48, 96, 192, 384, 768]
     table = []
     for _ in range(count):
         k, e = rng.choice(widths, 2)
-        least = -(-T._LANE_MACS // (k * e))            # rows per half
+        least = -(-T._LANE_MACS // (k * e))            # rows per block
         half = least + int(rng.integers(0, least // 2 + 1))
+        rows = 16 * -(-half // 8)                      # cut >= half
         batch = int(rng.choice([1, 3, 5]))
-        tokens = max(3, -(-(2 * half + 1) // batch)) | 1   # odd, > 1
+        tokens = max(3, -(-rows // batch)) | 1         # odd, > 1
         table.append((rng.normal(size=(batch, tokens, k)),
                       rng.normal(size=(k, e))))
     return table
+
+
+def _halves_of(table, product):
+    """``product`` of each pair of ``table`` with the lane on: the tasks
+    each handed to the lane, and the pairs' shapes where the result's
+    bits differ from the product with the lane forced off."""
+    on, tasks = [], []
+    with fresh_lane(2):
+        for a, b in table:
+            before = T._lane_tasks
+            on.append(product(a, b))
+            tasks.append(T._lane_tasks - before)
+    with fresh_lane(1):
+        off = [product(a, b) for a, b in table]
+    return tasks, [(a.shape, b.shape) for (a, b), x, y in zip(table, on, off)
+                   if x.tobytes() != y.tobytes()]
 
 
 def test_row_halves_above_the_cut_keep_the_whole_products_bits():
@@ -61,18 +95,7 @@ def test_row_halves_above_the_cut_keep_the_whole_products_bits():
     # cut differently from the whole fails here, not in a changed bit
     # somewhere downstream.
     table = _split_table(100)
-    on, tasks = [], []
-    with fresh_lane(2):
-        for a, b in table:
-            before = T._lane_tasks
-            on.append(T._matmul_data(a, b))
-            tasks.append(T._lane_tasks - before)
-    with fresh_lane(1):
-        off = [T._matmul_data(a, b) for a, b in table]
-    assert tasks == [1] * len(table)
-    different = [(a.shape, b.shape) for (a, b), x, y in zip(table, on, off)
-                 if x.tobytes() != y.tobytes()]
-    assert different == []
+    assert _halves_of(table, T._matmul_data) == ([1] * len(table), [])
 
 
 @pytest.mark.parametrize("rows, k, e, tasks", [
@@ -80,8 +103,9 @@ def test_row_halves_above_the_cut_keep_the_whole_products_bits():
     (255, 64, 128, 0), (256, 64, 128, 1), (257, 64, 128, 1),
     # A width that is not a multiple of 16 runs whole.
     (1025, 64, 120, 0), (1025, 64, 100, 0),
-    # So does a product whose half would be a single row.
-    (3, 1024, 1024, 0), (4, 1024, 1024, 1)])
+    # So does a product of fewer than 16 rows, whose cut at a multiple
+    # of 8 rows would leave a block empty.
+    (3, 1024, 1024, 0), (15, 1024, 1024, 0), (16, 1024, 1024, 1)])
 def test_a_product_splits_only_where_its_halves_keep_their_bits(rows, k, e,
                                                                 tasks):
     rng = np.random.default_rng(44)
@@ -111,24 +135,50 @@ def _gradient_table(count, seed=47):
     return table
 
 
+def _weight_gradient(a, g):
+    return T._matmul_grad_b(a, g, a.shape, (a.shape[-1], g.shape[-1]))
+
+
 def test_weight_gradient_halves_keep_the_whole_products_bits():
     # The w1 gradient of ``mlp`` and the weight gradient of ``embed``
     # are this product; its halves cut the output rows.
     table = _gradient_table(60)
-    on, tasks = [], []
-    with fresh_lane(2):
-        for a, g in table:
-            before = T._lane_tasks
-            on.append(T._matmul_grad_b(a, g, a.shape, (a.shape[-1],
-                                                       g.shape[-1])))
-            tasks.append(T._lane_tasks - before)
-    with fresh_lane(1):
-        off = [T._matmul_grad_b(a, g, a.shape, (a.shape[-1], g.shape[-1]))
-               for a, g in table]
-    assert tasks == [1] * len(table)
-    different = [(a.shape, g.shape) for (a, g), x, y in zip(table, on, off)
-                 if x.tobytes() != y.tobytes()]
-    assert different == []
+    assert _halves_of(table, _weight_gradient) == ([1] * len(table), [])
+
+
+def _kernel_tables():
+    """Print, as JSON, the tasks and differing shapes of both split
+    tables: the body of the kernel guard's child process."""
+    print(json.dumps({
+        "plain": _halves_of(_split_table(100), T._matmul_data),
+        "transposed": _halves_of(_gradient_table(60), _weight_gradient)}))
+
+
+@pytest.mark.parametrize("kernel", ["", "Haswell", "Sandybridge", "Nehalem"],
+                         ids=lambda k: k or "default")
+def test_split_products_keep_their_bits_under_each_blas_kernel(kernel):
+    # OpenBLAS picks its CPU kernel when it loads, from OPENBLAS_CORETYPE
+    # where set, so each kernel runs both split tables in its own child,
+    # on one BLAS thread; OPENBLAS_VERBOSE=2 names the kernel loaded.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env.update(OPENBLAS_VERBOSE="2", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    if kernel:
+        env["OPENBLAS_CORETYPE"] = kernel
+    child = subprocess.run(
+        [sys.executable, "-c", "import test_lane; test_lane._kernel_tables()"],
+        cwd=Path(__file__).parent, env=env, capture_output=True, text=True,
+        timeout=120)
+    if child.returncode == -signal.SIGILL:
+        pytest.skip(f"this CPU cannot run the {kernel} kernel")
+    assert child.returncode == 0, child.stderr
+    core = re.search(r"^Core: (\S+)", child.stderr, re.M)
+    if kernel and (core is None or core[1] != kernel):
+        pytest.skip(f"OPENBLAS_CORETYPE={kernel} loaded "
+                    f"{core[1] if core else 'no named'} kernel")
+    tables = json.loads(child.stdout)
+    assert tables["plain"] == [[1] * 100, []]
+    assert tables["transposed"] == [[1] * 60, []]
 
 
 # Each new split as a function of its size: operands at DeiT widths

@@ -1,6 +1,8 @@
 """Unit tests for token importance scoring."""
 
+import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from prunemerge import scoring
 from prunemerge import tensor as T
 from prunemerge import vit
 from prunemerge.compression import generate_merge_matrix
-from prunemerge.data import Dataset, synthetic_shapes
+from prunemerge.data import Dataset, batches, synthetic_shapes
 from prunemerge.errors import ContractError, ShapeMismatchError
 from prunemerge.scoring import ScorerVariant
 
@@ -345,6 +347,48 @@ class TestCollectScores:
         assert not np.allclose(results[ScorerVariant.ATTN_ONLY_AVG][0],
                                default[0])
         assert not np.allclose(results[ScorerVariant.RANDOM][0], default[0])
+
+    @pytest.mark.parametrize(
+        "variant", [v for v in ScorerVariant if v is not ScorerVariant.RANDOM],
+        ids=lambda v: v.value)
+    def test_only_taylor_scoring_keeps_the_block_inputs(
+            self, model_and_data, monkeypatch, variant):
+        # The scores are bit for bit those of traces that keep every
+        # block input.  Only taylor_token, which reads the inputs, keeps
+        # them through backward; every other scorer lets them die before
+        # it, so none takes a gradient.
+        model, ds = model_and_data
+        params = [p for _, p in model.named_parameters()]
+        total = np.zeros((2, 5))
+        for images, labels in itertools.islice(
+                batches(ds, 8, seed=6, epoch=0), 2):
+            traces = []
+            T.backward(T.cross_entropy(model.forward(images, traces=traces),
+                                       labels))
+            total += [scoring.scores_from_trace(t, variant) for t in traces]
+            T.zero_grads(params)
+        block_forward, score, inputs, kept = \
+            vit.block_forward, scoring.scores_from_trace, [], []
+
+        def recording(z, *args, **kwargs):
+            inputs.append(weakref.ref(z))
+            return block_forward(z, *args, **kwargs)
+
+        def scored(trace, v):
+            # Called after backward: the block inputs still alive then.
+            kept.extend(z for ref in inputs if (z := ref()) is not None)
+            inputs.clear()
+            return score(trace, v)
+
+        monkeypatch.setattr(vit, "block_forward", recording)
+        monkeypatch.setattr(scoring, "scores_from_trace", scored)
+        got = scoring.collect_scores(model, ds, iterations=2, batch_size=8,
+                                     seed=6, variant=variant)
+        assert np.stack(got).tobytes() == (total / 2).tobytes()
+        if variant is ScorerVariant.TAYLOR_TOKEN:
+            assert len(kept) == 4 and all(z.grad is not None for z in kept)
+        else:
+            assert kept == []
 
     def test_iterations_hold_one_graph_at_a_time(self):
         # Each backward frees its graph, so the next iteration's forward

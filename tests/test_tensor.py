@@ -502,21 +502,6 @@ class TestAttention:
             np.testing.assert_array_equal(fused.maps, composed.maps)
             np.testing.assert_array_equal(fused.grads, composed.grads)
 
-    @pytest.mark.parametrize("shared", [0, 1, 2], ids=["q", "k", "v"])
-    def test_operand_broadcast_over_the_batch_matches_composed_ops(
-            self, shared):
-        # One operand without the batch axis: its gradient sums the
-        # batch's per-head products before landing token-major.
-        rng = np.random.default_rng(25)
-        shapes = [(2, 3, 4), (2, 5, 4), (2, 5, 6)]
-        shapes[shared] = shapes[shared][1:]
-        inputs = [T.Tensor(rng.normal(size=s), requires_grad=True)
-                  for s in shapes + [(6, 6)]]
-        w = rng.normal(size=(2, 3, 6))
-        _assert_same_run(
-            _run(lambda *t: T.attention(*t, 2, 0.5), inputs, w),
-            _run(lambda *t: composed_attention(*t, 2, 0.5), inputs, w))
-
     def test_constant_operands_get_no_gradient(self):
         rng = np.random.default_rng(22)
         arrays = [rng.normal(size=(2, 4, 6)), rng.normal(size=(2, 6, 6)),
@@ -623,6 +608,13 @@ class TestAttention:
         for heads in (0, 2, 1.0):
             with pytest.raises(ShapeMismatchError, match="heads"):
                 T.attention(q, k, v, w_o, heads, 1.0)
+        # q, k and v share one lead shape; none broadcasts over the batch.
+        for shared in range(3):
+            shapes = [(2, 3, 4), (2, 5, 4), (2, 5, 6)]
+            shapes[shared] = shapes[shared][1:]
+            with pytest.raises(ShapeMismatchError, match="do not fit"):
+                T.attention(*(T.Tensor(np.zeros(s)) for s in shapes),
+                            T.Tensor(np.eye(6)), 2, 0.5)
 
 
 def _mlp_input(kind, x, gamma, beta):

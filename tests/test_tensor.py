@@ -608,13 +608,15 @@ class TestAttention:
         for heads in (0, 2, 1.0):
             with pytest.raises(ShapeMismatchError, match="heads"):
                 T.attention(q, k, v, w_o, heads, 1.0)
+
+    @pytest.mark.parametrize("shared", [0, 1, 2], ids=["q", "k", "v"])
+    def test_operand_without_the_batch_axis_is_rejected(self, shared):
         # q, k and v share one lead shape; none broadcasts over the batch.
-        for shared in range(3):
-            shapes = [(2, 3, 4), (2, 5, 4), (2, 5, 6)]
-            shapes[shared] = shapes[shared][1:]
-            with pytest.raises(ShapeMismatchError, match="do not fit"):
-                T.attention(*(T.Tensor(np.zeros(s)) for s in shapes),
-                            T.Tensor(np.eye(6)), 2, 0.5)
+        shapes = [(2, 3, 4), (2, 5, 4), (2, 5, 6)]
+        shapes[shared] = shapes[shared][1:]
+        with pytest.raises(ShapeMismatchError, match="do not fit"):
+            T.attention(*(T.Tensor(np.zeros(s)) for s in shapes),
+                        T.Tensor(np.eye(6)), 2, 0.5)
 
 
 def _mlp_input(kind, x, gamma, beta):

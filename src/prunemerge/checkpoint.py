@@ -226,8 +226,8 @@ def _config_from(arrays: dict[str, np.ndarray]) -> ModelConfig:
         raise CheckpointError(f"checkpoint config: {e}") from None
 
 
-def save_model(path, model, extra: dict[str, np.ndarray] | None = None) -> None:
-    """Persist a VisionTransformer or CompressedModel.
+def save_model(path, model) -> None:
+    """Persist a VisionTransformer or CompressedModel, and nothing else.
 
     Compressed models store their plan (with the current, possibly
     trained, matrices) alongside the block parameters.
@@ -243,20 +243,25 @@ def save_model(path, model, extra: dict[str, np.ndarray] | None = None) -> None:
     arrays.update(_config_arrays(model.config))
     for name, t in model.params.named_parameters():
         arrays[f"param.{name}"] = t.data
-    if extra:
-        for name, value in extra.items():
-            if name in arrays:
-                raise CheckpointError(f"extra array {name!r} collides with "
-                                      f"a model array")
-            arrays[name] = value
     save_arrays(path, arrays)
 
 
 def load_model(path):
-    """Inverse of save_model; returns the model and any extra arrays."""
+    """Inverse of save_model: the model, and the arrays named outside
+    ``kind`` and the ``config.``, ``param.`` and ``plan.`` namespaces.
+    Every array inside them is read or refused with CheckpointError: a
+    ``config.`` name that is no ``ModelConfig`` field, a ``param.`` name
+    that is no parameter, and any ``plan.`` array of a base checkpoint."""
     arrays = load_arrays(path)
     kind = _int_scalar(arrays, "kind")
     del arrays["kind"]
+    stray = sorted(name for name in arrays
+                   if (name.startswith("config.")
+                       and name[len("config."):] not in _CONFIG_FIELDS)
+                   or (kind == KIND_BASE and name.startswith("plan.")))
+    if stray:
+        raise CheckpointError(f"checkpoint array {stray[0]!r} is read by "
+                              f"no model of kind {kind}")
     config = _config_from(arrays)
     params = {name[len("param."):]: value
               for name, value in arrays.items() if name.startswith("param.")}

@@ -184,10 +184,11 @@ class PlanEntry:
 @dataclass
 class CompressionPlan:
     """One entry per layer, None for an uncompressed (exempt) layer; the
-    plan's depth and exempt layers are read from the entries."""
+    plan's depth and exempt layers are read from the entries.  Every plan
+    keeps token 0, the class token the head reads, live and alone in
+    group 0 of each compressed layer."""
 
     entries: list[PlanEntry | None]
-    class_token: bool = True
 
     @property
     def depth(self) -> int:
@@ -217,7 +218,7 @@ class CompressionPlan:
     def to_arrays(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {
             "plan.depth": np.array(self.depth, dtype=np.int64),
-            "plan.class_token": np.array(int(self.class_token), dtype=np.uint8),
+            "plan.class_token": np.array(1, dtype=np.uint8),
             "plan.uncompressed": np.array(sorted(self.uncompressed),
                                           dtype=np.int64),
         }
@@ -235,12 +236,16 @@ class CompressionPlan:
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "CompressionPlan":
         try:
             depth = int(arrays["plan.depth"])
-            class_token = bool(arrays["plan.class_token"])
+            flag = np.asarray(arrays["plan.class_token"])
             uncompressed = frozenset(int(i) for i in arrays["plan.uncompressed"])
         except KeyError as e:
             raise ContractError(f"plan arrays missing {e}") from None
         except (TypeError, ValueError) as e:
             raise ContractError(f"plan header unreadable: {e}") from None
+        if flag.shape != () or flag.dtype != np.uint8 or flag != 1:
+            raise ContractError(
+                f"plan.class_token must be the u1 scalar 1 (every plan keeps "
+                f"its class token), got {flag.dtype} {flag.tolist()!r:.40}")
         if depth < 0:
             raise ContractError(f"plan depth {depth} is negative")
         if not all(0 <= l < depth for l in uncompressed):
@@ -261,24 +266,24 @@ class CompressionPlan:
             except KeyError as e:
                 raise ContractError(f"plan arrays missing {e}") from None
             try:
-                entries.append(_checked_entry(*parts, class_token))
+                entries.append(_checked_entry(*parts))
             except ContractError as e:
                 raise ContractError(f"plan layer {layer}: {e}") from None
         stray = sorted(set(arrays) - read)
         if stray:
             raise ContractError(
                 f"plan array {stray[0]} belongs to no compressed layer")
-        return cls(entries, class_token)
+        return cls(entries)
 
 
 def _checked_entry(mask: np.ndarray, merge: np.ndarray, recon: np.ndarray,
-                   groups: np.ndarray, class_token: bool) -> PlanEntry:
+                   groups: np.ndarray) -> PlanEntry:
     """A plan entry read from a file, checked for what every plan keeps
     through fine-tuning: the container's dtypes (u1 mask, i8 groups, f8
     weights), agreeing shapes, finite values, a 0/1 mask, groups that
     partition the tokens, pruned tokens exactly at the zero weights of M
-    and R and, with ``class_token``, token 0 live and the only live token
-    of group 0.  Training moves row sums and the class-token weights, so
+    and R and token 0, the class token, live and the only live token of
+    group 0.  Training moves row sums and the class-token weights, so
     those pass."""
     if mask.ndim != 1 or groups.ndim != 2 or groups.shape[1] != 2 \
             or merge.shape != mask.shape or recon.shape != mask.shape \
@@ -299,10 +304,9 @@ def _checked_entry(mask: np.ndarray, merge: np.ndarray, recon: np.ndarray,
             "zero weights of the merge matrix disagree with the mask")
     if recon[mask == 0].any():
         raise ContractError("pruned tokens must have zero reconstruct weights")
-    if class_token and (not live[:1].any() or live[1:groups[0, 1]].any()):
+    if not live[:1].any() or live[1:groups[0, 1]].any():
         raise ContractError(
-            "class_token is set but token 0 is not alone and unpruned in "
-            "group 0")
+            "the class token, token 0, is not alone and unpruned in group 0")
     return PlanEntry(matrix, recon)
 
 
@@ -520,12 +524,12 @@ def reconstruct_tokens(y: Tensor, recon_t: Tensor, merge: MergeMatrix,
     return from_op(data, (y, recon_t, z), grad_fn, "reconstruct_tokens")
 
 
-def pm_forward(z: Tensor, entry: PlanEntry, block: BlockParams, heads: int,
-               trace: AttentionTrace | None = None) -> Tensor:
+def pm_forward(z: Tensor, entry: PlanEntry, block: BlockParams,
+               heads: int) -> Tensor:
     """Compressed layer forward with a frozen plan entry."""
     return pm_forward_tensors(z, Tensor(entry.merge.data),
                               Tensor(entry.reconstruct), entry.merge,
-                              entry.mask, block, heads, trace=trace)
+                              entry.mask, block, heads)
 
 
 def pm_forward_tensors(z: Tensor, merge_t: Tensor, recon_t: Tensor,
@@ -558,18 +562,19 @@ def pm_forward_tensors(z: Tensor, merge_t: Tensor, recon_t: Tensor,
 # ----------------------------------------------------------------------
 
 def global_plan(all_scores: list[np.ndarray], rate: float,
-                pm_threshold: float, exempt_layers=(),
-                class_token: bool = True) -> CompressionPlan:
+                pm_threshold: float, exempt_layers=()) -> CompressionPlan:
     """Budgeted cross-layer plan from concatenated importance scores.
 
-    Exactly round(rate * total) tokens are reserved across the non-exempt
-    layers (class tokens are always among them) and at least the
-    round(pm_threshold * total) lowest-scoring tokens are pruned, capped
-    by the removal budget: a threshold larger than 1 - rate degrades
-    gracefully to pruning every removed token rather than failing.  A
-    class-token layer that reserves no other token has no group for its
-    remaining tokens to join, so they are pruned too and ride the
-    shortcut; that layer keeps its class token alone.
+    Token 0 of every layer is its class token: it is always reserved, as
+    row 0 of M alone, and never merged or pruned.  Exactly
+    round(rate * total) tokens are reserved across the non-exempt layers
+    and at least the round(pm_threshold * total) lowest-scoring other
+    tokens are pruned, capped by the removal budget: a threshold larger
+    than 1 - rate degrades gracefully to pruning every removed token
+    rather than failing.  A layer that reserves no token but its class
+    token has no group for its remaining tokens to join, so they are
+    pruned too and ride the shortcut; that layer keeps its class token
+    alone.
     """
     depth = len(all_scores)
     if depth == 0:
@@ -587,24 +592,23 @@ def global_plan(all_scores: list[np.ndarray], rate: float,
     if not active:
         raise ContractError("every layer is exempt; nothing to compress")
 
-    start = 1 if class_token else 0
     sizes = {l: np.asarray(all_scores[l]).size for l in active}
     total = sum(sizes.values())
-    n_class = len(active) * start
+    n_class = len(active)
     keep = round_half_up(rate * total)
-    if keep < max(n_class, 1):
+    if keep < n_class:
         raise ContractError(
             f"keep budget {keep} cannot cover the {n_class} class tokens")
     prune = min(round_half_up(pm_threshold * total), total - keep)
 
     flat_scores = np.concatenate(
-        [np.asarray(all_scores[l], dtype=np.float64)[start:] for l in active])
+        [np.asarray(all_scores[l], dtype=np.float64)[1:] for l in active])
     if not np.isfinite(flat_scores).all():
         raise ContractError("scores must be finite")
     flat_layer = np.concatenate(
-        [np.full(sizes[l] - start, l, dtype=np.int64) for l in active])
+        [np.full(sizes[l] - 1, l, dtype=np.int64) for l in active])
     flat_token = np.concatenate(
-        [np.arange(start, sizes[l], dtype=np.int64) for l in active])
+        [np.arange(1, sizes[l], dtype=np.int64) for l in active])
 
     order = rank_descending(flat_scores)
     reserved_pos = order[:keep - n_class]
@@ -619,32 +623,23 @@ def global_plan(all_scores: list[np.ndarray], rate: float,
         sel_p = pruned_pos[flat_layer[pruned_pos] == layer]
         reserved = np.sort(flat_token[sel_r])
         pruned = np.sort(flat_token[sel_p])
-        if reserved.size + start == 0:
-            raise ContractError(f"layer {layer} keeps no tokens")
         if reserved.size == 0:
-            pruned = np.arange(start, sizes[layer])
+            pruned = np.arange(1, sizes[layer])
         scores_l = np.asarray(all_scores[layer], dtype=np.float64)
-        merge = _assemble(scores_l, reserved, pruned, class_token)
-        merge.validate(class_token=class_token)
+        merge = _assemble(scores_l, reserved, pruned, True)
+        merge.validate(class_token=True)
         entries.append(PlanEntry(merge, pseudoinverse(merge)))
-
-    plan = CompressionPlan(entries, class_token)
-    if plan.total_kept() != keep:
-        raise ContractError(
-            f"internal budget mismatch: kept {plan.total_kept()}, "
-            f"expected {keep}")
-    return plan
+    return CompressionPlan(entries)
 
 
-def identity_plan(depth: int, n_tokens: int,
-                  class_token: bool = True) -> CompressionPlan:
+def identity_plan(depth: int, n_tokens: int) -> CompressionPlan:
     """A no-op plan: every layer keeps every token in its own group."""
     entries = []
     for _ in range(depth):
         merge = MergeMatrix([(j, j + 1) for j in range(n_tokens)],
                             np.ones(n_tokens))
         entries.append(PlanEntry(merge, pseudoinverse(merge)))
-    return CompressionPlan(entries, class_token)
+    return CompressionPlan(entries)
 
 
 # ----------------------------------------------------------------------
@@ -729,7 +724,7 @@ class CompressedModel:
                 MergeMatrix(list(merge.groups),
                             self.merge_t[layer].data.take(merge.merge_at)),
                 self.recon_t[layer].data.take(merge.recon_at)))
-        return CompressionPlan(entries, self.plan.class_token)
+        return CompressionPlan(entries)
 
 
 def compress_model(model: VisionTransformer, plan: CompressionPlan,

@@ -14,9 +14,9 @@ and AdamW chunks to the engine's second lane, where two CPUs allow one,
 and ``dump`` prints how many tasks ran there.  Per config it holds:
 
 * ``no_grad``, recorded and traced logits of the base model and of the
-  frozen- and learnable-compressed models under a class-token plan, a
-  class-free plan that prunes token 0 in the last layer and the identity
-  plan, with every parameter gradient of the recorded and traced runs
+  frozen- and learnable-compressed models under a class-token plan and
+  the identity plan, with every parameter gradient of the recorded and
+  traced runs
 * every trace's maps, dL/dA and token gradients; the base model's also
   with a bump added to every layer's maps
 * the scores of every scorer that reads a trace (all but ``random``)
@@ -25,10 +25,11 @@ and ``dump`` prints how many tasks ran there.  Per config it holds:
   compressing plan
 
 Besides these, ``plan/NNN`` holds the plan file (or the refusal) of each
-of 200 random ``global_plan`` calls, and ``cli/`` every file and the
-normalised stdout of a short CLI chain on an IDX pair: train-baseline,
-score, compress, finetune, eval, ``flops --csv`` and ``visualize --split
-val``, whose pixmaps are among the files.
+``global_plan`` call that a coin keeps among 200 random draws (117 of
+them), and ``cli/`` every file and the normalised stdout of a short CLI
+chain on an IDX pair: train-baseline, score, compress, finetune, eval,
+``flops --csv`` and ``visualize --split val``, whose pixmaps are among
+the files.
 
 ``compare`` prints each array that differs between two dumps, with its
 largest difference in units in the last place for floats, and exits 1
@@ -79,16 +80,10 @@ SHAPES = {"acc": (ACCEPTANCE, 32), "wide": (CHUNKED, 4)}
 
 
 def _plans(config: ModelConfig, rng: np.random.Generator) -> dict:
-    """The class-token plan, a class-free plan whose last layer prunes
-    token 0, and the identity plan."""
+    """A global plan and the identity plan."""
     n, depth = config.num_tokens, config.depth
     scores = [rng.uniform(0.1, 1.0, n) for _ in range(depth)]
-    free = [rng.uniform(0.1, 1.0, n) for _ in range(depth)]
-    free[-1][0] = 0.0
-    class_free = global_plan(free, 0.7, 0.2, class_token=False)
-    assert class_free.entries[-1].mask[0] == 0
     return {"class": global_plan(scores, 0.7, 0.1),
-            "class_free": class_free,
             "identity": identity_plan(depth, n)}
 
 
@@ -169,17 +164,20 @@ def _model_arrays(out: dict, tag: str, config: ModelConfig, batch: int,
 
 def _random_plans(out: dict, count: int, work: Path) -> None:
     """The saved file of each of ``count`` random ``global_plan`` calls,
-    or the message it was refused with."""
+    or the message it was refused with.  A coin per call skips about half
+    of them, so that plan ``NNN`` reads the same draws as in dumps that
+    also planned the skipped ones without a class token."""
     rng = np.random.default_rng(77)
     for i in range(count):
         depth, n = int(rng.integers(1, 8)), int(rng.integers(2, 40))
         scores = [rng.uniform(0.0, 1.0, n) for _ in range(depth)]
         exempt = [l for l in range(depth) if rng.uniform() < 0.2]
+        rate, threshold = rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.6)
+        if not rng.integers(2):
+            continue
         try:
-            plan = global_plan(scores, float(rng.uniform(0.05, 1.0)),
-                               float(rng.uniform(0.0, 0.6)),
-                               exempt_layers=exempt,
-                               class_token=bool(rng.integers(2)))
+            plan = global_plan(scores, float(rate), float(threshold),
+                               exempt_layers=exempt)
         except ContractError as e:
             out[f"plan/{i:03d}.refused"] = _bytes(str(e).encode())
             continue
@@ -238,8 +236,8 @@ def _cli_chain(out: dict, work: Path) -> None:
 
 def collect(reduced: bool = False) -> dict[str, np.ndarray]:
     """Every array of a dump; ``reduced`` keeps the acceptance shape's
-    base model, trace scorers and class-token plan and 20 random
-    plans."""
+    base model, trace scorers and class-token plan and 20 random plan
+    draws."""
     out: dict[str, np.ndarray] = {}
     shapes = {"acc": SHAPES["acc"]} if reduced else SHAPES
     for tag, (config, batch) in shapes.items():

@@ -163,17 +163,60 @@ class TestModelCodec:
                                       back.forward(images).data)
 
     def test_extra_arrays_travel_alongside(self, tmp_path):
-        model = small_model()
+        # An array named outside the model's namespaces comes back beside
+        # the model.
         path = tmp_path / "m.pmvt"
-        save_model(path, model, extra={"note": np.array(5, dtype=np.int64)})
+        save_model(path, small_model())
+        arrays = {**load_arrays(path), "note": np.array(5, dtype=np.int64)}
+        save_arrays(fresh(path), arrays)
         _, extra = load_model(path)
-        assert int(extra["note"]) == 5
+        assert list(extra) == ["note"] and int(extra["note"]) == 5
 
-    def test_extra_name_collision_rejected(self, tmp_path):
+    @pytest.mark.parametrize("flag", [0, 2])
+    def test_plan_without_its_class_token_flag_is_refused(self, tmp_path,
+                                                          capsys, flag):
+        # A plan file and a compressed checkpoint whose plan.class_token
+        # is not 1, through their readers and every command that reads
+        # them.
         model = small_model()
-        with pytest.raises(CheckpointError):
-            save_model(tmp_path / "m.pmvt", model,
-                       extra={"param.head.w": np.zeros(2)})
+        base, plan, student = (tmp_path / name for name in
+                               ("base.pmvt", "plan.pmvt", "student.pmvt"))
+        save_model(base, model)
+        rng = np.random.default_rng(4)
+        good = global_plan([rng.uniform(0.1, 1, model.config.num_tokens)
+                            for _ in range(2)], rate=0.6, pm_threshold=0.2)
+        save_model(student, compress_model(model, good))
+        for path, arrays in ((plan, good.to_arrays()),
+                             (student, load_arrays(student))):
+            save_arrays(fresh(path), {
+                **arrays, "plan.class_token": np.array(flag, np.uint8)})
+        with pytest.raises(ContractError, match="plan.class_token must"):
+            load_plan(plan)
+        with pytest.raises(ContractError, match="plan.class_token must"):
+            load_model(student)
+        for argv in (["eval", "--ckpt", base, "--plan", plan],
+                     ["finetune", "--ckpt", base, "--plan", plan,
+                      "--out", tmp_path / "out.pmvt"],
+                     ["eval", "--ckpt", student]):
+            assert one_error_line(capsys, argv).startswith(
+                "error: ContractError: plan.class_token must")
+
+    def test_extra_name_collision_rejected(self, tmp_path, capsys):
+        # An array in the model's own namespaces that the loader does not
+        # read is refused, not handed back: a base checkpoint's plan
+        # arrays and a config name that is no ModelConfig field.
+        path = tmp_path / "m.pmvt"
+        save_model(path, small_model())
+        arrays = load_arrays(path)
+        for stray, name in ((PLAN_ARRAYS, "plan.class_token"),
+                            ({"config.foo": np.array(1, np.int64)},
+                             "config.foo")):
+            save_arrays(fresh(path), {**arrays, **stray})
+            with pytest.raises(CheckpointError, match=f"'{name}' is read"):
+                load_model(path)
+            assert one_error_line(capsys, ["eval", "--ckpt", path]) \
+                .startswith(f"error: CheckpointError: checkpoint array "
+                            f"'{name}'")
 
     def test_wrong_object_rejected(self, tmp_path):
         with pytest.raises(ContractError):
@@ -196,25 +239,29 @@ class TestModelCodec:
             np.testing.assert_array_equal(ea.mask, eb.mask)
 
 
-def _saved_plan_arrays(class_token=True):
+def one_error_line(capsys, argv) -> str:
+    """The stderr of a command that must exit 1 with one line and no
+    traceback."""
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def _saved_plan_arrays():
     """Arrays of a saved plan with a pruned token in every compressed
     layer and an exempt layer between two compressed ones."""
     rng = np.random.default_rng(91)
     scores = [rng.uniform(0.1, 1.0, size=9) for _ in range(3)]
     plan = global_plan(scores, rate=0.6, pm_threshold=0.2,
-                       exempt_layers=(1,), class_token=class_token)
+                       exempt_layers=(1,))
     arrays = plan.to_arrays()
     assert all((arrays[f"plan.layer{l}.mask"] == 0).any() for l in (0, 2))
     return arrays
 
 
 PLAN_ARRAYS = _saved_plan_arrays()
-# A plan built without a class token, its flag flipped: layer 0 prunes
-# token 0 and groups live token 1 with it, so the flag cannot hold.
-FLIPPED_FLAG_ARRAYS = {**_saved_plan_arrays(class_token=False),
-                       "plan.class_token": np.array(1, dtype=np.uint8)}
-assert FLIPPED_FLAG_ARRAYS["plan.layer0.mask"][:2].tolist() == [0, 1]
-assert FLIPPED_FLAG_ARRAYS["plan.layer0.groups"][0, 1] > 1
 ENTRY_KEYS = [f"plan.layer{l}.{k}" for l in (0, 2)
               for k in ("mask", "merge", "reconstruct", "groups")]
 CONTAINER_DTYPES = [np.dtype(np.float64), np.dtype(np.int64),
@@ -230,7 +277,8 @@ def one_mutation(draw):
     layer = draw(st.sampled_from([0, 2]))
     p = f"plan.layer{layer}."
     if kind == "flag":
-        arrays = {k: v.copy() for k, v in FLIPPED_FLAG_ARRAYS.items()}
+        arrays["plan.class_token"] = np.array(
+            draw(st.integers(0, 255).filter(lambda v: v != 1)), np.uint8)
     elif kind == "shape":
         key = draw(st.sampled_from(ENTRY_KEYS))
         a = arrays[key]

@@ -452,7 +452,7 @@ def small_block_setup(seed=0, n=5, dim=4, heads=2):
 class TestPmForward:
     def test_identity_plan_is_bit_exact(self):
         rng, block, z = small_block_setup(seed=1)
-        plan = identity_plan(1, 5, class_token=False)
+        plan = identity_plan(1, 5)
         out = pm_forward(Tensor(z), plan.entries[0], block, heads=2)
         ref = block_forward(Tensor(z.copy()), block, heads=2)
         assert np.array_equal(out.data, ref.data)
@@ -519,23 +519,27 @@ class TestPmForward:
 
 class TestGlobalPlan:
     def test_two_layer_worked_example(self):
-        scores = [np.array([9.0, 8.0, 1.0, 2.0]),
-                  np.array([7.0, 3.0, 4.0, 6.0])]
-        plan = global_plan(scores, rate=0.5, pm_threshold=0.25,
-                           class_token=False)
-        assert plan.kept_per_layer() == {0: 2, 1: 2}
-        np.testing.assert_array_equal(plan.entries[0].mask, [1, 1, 0, 0])
-        np.testing.assert_array_equal(plan.entries[1].mask, [1, 1, 1, 1])
-        # layer 1 reserves tokens 0 and 1; tokens 2 and 3 are pruned so the
-        # second group carries token 1 alone
-        assert plan.entries[0].merge.groups == [(0, 1), (1, 4)]
-        np.testing.assert_allclose(plan.entries[0].merge.data[1],
-                                   [0, 1, 0, 0], atol=1e-12)
-        # layer 2 reserves tokens 0 and 3 with nothing pruned
-        assert plan.entries[1].merge.groups == [(0, 1), (1, 4)]
+        # 10 tokens: keep round(5.0) = 5, the two class tokens and the
+        # three best others (9 and 8 in layer 0, 7 in layer 1), and prune
+        # the round(2.5) = 3 lowest others (1, 2 and 3)
+        scores = [np.array([5.0, 9.0, 8.0, 1.0, 2.0]),
+                  np.array([5.0, 7.0, 3.0, 4.0, 6.0])]
+        plan = global_plan(scores, rate=0.5, pm_threshold=0.25)
+        assert plan.kept_per_layer() == {0: 3, 1: 2}
+        np.testing.assert_array_equal(plan.entries[0].mask, [1, 1, 1, 0, 0])
+        np.testing.assert_array_equal(plan.entries[1].mask, [1, 1, 0, 1, 1])
+        # layer 0 reserves tokens 1 and 2; tokens 3 and 4 are pruned so the
+        # last group carries token 2 alone
+        assert plan.entries[0].merge.groups == [(0, 1), (1, 2), (2, 5)]
+        np.testing.assert_allclose(plan.entries[0].merge.data[2],
+                                   [0, 0, 1, 0, 0], atol=1e-12)
+        # layer 1 reserves token 1 and prunes token 2: one group of the rest
+        assert plan.entries[1].merge.groups == [(0, 1), (1, 5)]
         np.testing.assert_allclose(plan.entries[1].merge.data[1],
-                                   np.array([0, 3, 4, 6.0]) / 13.0,
+                                   np.array([0, 7, 0, 4, 6.0]) / 17.0,
                                    atol=1e-12)
+        for entry in plan.entries:
+            np.testing.assert_array_equal(entry.merge.data[0], np.eye(5)[0])
 
     def test_budget_exactness(self):
         rng = np.random.default_rng(55)
@@ -598,10 +602,12 @@ class TestGlobalPlan:
         assert plan.total_kept() == round(0.5 * 16)
 
     def test_layer_starved_of_tokens_raises(self):
+        # keep round(1.0) = 1 token cannot give both layers their class
+        # token, however the scores fall
         scores = [np.array([10.0, 10.0]), np.array([0.1, 0.1])]
-        with pytest.raises(ContractError):
-            global_plan(scores, rate=0.5, pm_threshold=0.0,
-                        class_token=False)
+        with pytest.raises(ContractError,
+                           match="keep budget 1 cannot cover the 2 class"):
+            global_plan(scores, rate=0.25, pm_threshold=0.0)
 
     def test_layer_with_only_its_class_token_reserved_prunes_the_rest(self):
         # 15 tokens, keep round(10.5) = 11: the three class tokens and the
@@ -653,10 +659,12 @@ class TestGlobalPlan:
         scores = [rng.uniform(0, 1, size=9) for _ in range(3)]
         plan = global_plan(scores, rate=0.6, pm_threshold=0.2,
                            exempt_layers=(2,))
-        back = CompressionPlan.from_arrays(plan.to_arrays())
+        arrays = plan.to_arrays()
+        assert arrays["plan.class_token"].dtype == np.uint8
+        assert arrays["plan.class_token"] == 1
+        back = CompressionPlan.from_arrays(arrays)
         assert back.depth == plan.depth
         assert back.uncompressed == plan.uncompressed
-        assert back.class_token == plan.class_token
         for ea, eb in zip(plan.entries, back.entries):
             if ea is None:
                 assert eb is None
@@ -717,21 +725,28 @@ class TestPlanLoading:
             CompressionPlan.from_arrays(arrays)
 
     def test_class_token_flag_checked(self):
-        rng = np.random.default_rng(68)
-        scores = [rng.uniform(0.1, 1.0, size=9) for _ in range(2)]
-        plan = global_plan(scores, rate=0.6, pm_threshold=0.2,
-                           class_token=False)
-        arrays = plan.to_arrays()
-        # Group 0 holds live tokens 0 and 1.
-        assert arrays["plan.layer0.groups"][0, 1] == 2
-        assert arrays["plan.layer0.mask"][:2].tolist() == [1, 1]
-        arrays["plan.class_token"] = np.array(1, dtype=np.uint8)
-        with pytest.raises(ContractError, match="plan layer 0: class_token"):
-            CompressionPlan.from_arrays(arrays)
-        # Token 0 alone in an identity plan satisfies the flag either way.
-        arrays = identity_plan(2, 9, class_token=False).to_arrays()
-        arrays["plan.class_token"] = np.array(1, dtype=np.uint8)
-        assert CompressionPlan.from_arrays(arrays).class_token
+        # The flag is the u1 scalar 1 and nothing else.
+        for flag in (np.array(0, dtype=np.uint8), np.array(2, dtype=np.uint8),
+                     np.array(1, dtype=np.int64), np.array([1], np.uint8)):
+            arrays = self.arrays()
+            arrays["plan.class_token"] = flag
+            with pytest.raises(ContractError, match="plan.class_token must"):
+                CompressionPlan.from_arrays(arrays)
+        # A layer merged without a class token is refused: token 0 pruned,
+        # or live in one group with live token 1.
+        for scores in ([0.01, 0.5, 0.6, 0.7, 0.8, 0.9, 0.4, 0.3, 0.2],
+                       [0.5, 0.4, 0.9, 0.8, 0.7, 0.1, 0.6, 0.05, 0.3]):
+            merge = generate_merge_matrix(np.array(scores), 3, 2)
+            assert not merge.live[0] or merge.live[1:3].all()
+            arrays = self.arrays()
+            for key, value in (("mask", merge.live.astype(np.uint8)),
+                               ("merge", merge.w),
+                               ("reconstruct", pseudoinverse(merge)),
+                               ("groups", np.array(merge.groups, np.int64))):
+                arrays[f"plan.layer0.{key}"] = value
+            with pytest.raises(ContractError,
+                               match="plan layer 0: the class token"):
+                CompressionPlan.from_arrays(arrays)
 
     @pytest.mark.parametrize("key", ["mask", "merge", "reconstruct",
                                      "groups"])
@@ -788,13 +803,13 @@ def base_model():
 
 
 class TestPlanShape:
-    """A plan stores its entries and class-token flag alone: its depth and
-    exempt layers are read from the entries, and ``check_fits`` holds the
-    one rule for which model it applies to."""
+    """A plan stores its entries alone: its depth and exempt layers are
+    read from the entries, and ``check_fits`` holds the one rule for which
+    model it applies to."""
 
-    def test_only_entries_and_class_token_are_stored(self):
+    def test_only_entries_are_stored(self):
         assert [f.name for f in dataclasses.fields(CompressionPlan)] \
-            == ["entries", "class_token"]
+            == ["entries"]
         assert not hasattr(CompressionPlan, "__post_init__")
 
     @staticmethod
@@ -1033,16 +1048,6 @@ class TestCompressedModel:
             compress_model(base_model, plan)
 
 
-def class_free_plan(n, rng):
-    """Two layers planned without a class token; the last layer scores
-    token 0 lowest, so it is pruned there."""
-    scores = [rng.uniform(0.1, 1.0, size=n) for _ in range(2)]
-    scores[1][0] = 0.0
-    plan = global_plan(scores, rate=0.6, pm_threshold=0.2, class_token=False)
-    assert plan.entries[1].mask[0] == 0
-    return plan
-
-
 @pytest.mark.parametrize("kind, per_block", [
     ("base", 2), ("compressed", 2), ("learnable", 3)])
 def test_recorded_forward_keeps_about_two_token_arrays_per_block(kind,
@@ -1092,19 +1097,14 @@ class TestClassRowPath:
                              for n, p in comp.named_parameters()
                              if p.grad is not None}
 
-    @pytest.mark.parametrize("class_token", [True, False])
     @pytest.mark.parametrize("learnable", [True, False])
-    def test_logits_and_grads_match_full_path(self, base_model, class_token,
-                                              learnable):
+    def test_logits_and_grads_match_full_path(self, base_model, learnable):
         rng = np.random.default_rng(76)
         images = rng.uniform(0, 1, size=(3, 1, 8, 8))
         labels = np.array([0, 3, 1])
         n = base_model.config.num_tokens
-        if class_token:
-            scores = [rng.uniform(0.1, 1.0, size=n) for _ in range(2)]
-            plan = global_plan(scores, rate=0.6, pm_threshold=0.2)
-        else:
-            plan = class_free_plan(n, rng)
+        scores = [rng.uniform(0.1, 1.0, size=n) for _ in range(2)]
+        plan = global_plan(scores, rate=0.6, pm_threshold=0.2)
         comp = compress_model(base_model, plan, learnable_matrices=learnable)
         full, full_grads = self.step(comp, images, labels, traced=True)
         row, row_grads = self.step(comp, images, labels, traced=False)
@@ -1127,19 +1127,23 @@ class TestClassRowPath:
         np.testing.assert_array_equal(inference.data, row)
 
     def test_pruned_token_zero_reads_the_shortcut(self, base_model):
+        # No plan prunes token 0, but the layer op takes any merge: a
+        # class-row layer whose merge prunes token 0 returns its input's.
         rng = np.random.default_rng(77)
-        images = rng.uniform(0, 1, size=(2, 1, 8, 8))
-        plan = class_free_plan(base_model.config.num_tokens, rng)
-        comp = compress_model(base_model, plan, learnable_matrices=True)
-        z = patchify(images, comp.config, comp.params.embed)
-        z = pm_forward(z, plan.entries[0], comp.params.blocks[0],
-                       comp.config.heads)
-        entry, layer = plan.entries[1], 1
-        out = pm_forward_tensors(z, comp.merge_t[layer], comp.recon_t[layer],
-                                 entry.merge, entry.mask,
-                                 comp.params.blocks[layer],
-                                 comp.config.heads, class_row=True)
-        assert out.shape == (2, 1, comp.config.embed_dim)
+        config = base_model.config
+        scores = rng.uniform(0.1, 1.0, size=config.num_tokens)
+        scores[0] = 0.0
+        merge = generate_merge_matrix(scores, 2, 1)
+        assert not merge.live[0]
+        z = Tensor(rng.standard_normal((2, config.num_tokens,
+                                        config.embed_dim)))
+        out = pm_forward_tensors(
+            z, Tensor(merge.data, requires_grad=True),
+            Tensor(merge.recon_matrix(pseudoinverse(merge)),
+                   requires_grad=True),
+            merge, merge.live.astype(np.uint8), base_model.params.blocks[1],
+            config.heads, class_row=True)
+        assert out.shape == (2, 1, config.embed_dim)
         np.testing.assert_array_equal(out.data, z.data[:, :1])
 
     def test_every_layer_reconstructs_through_the_module_name(
@@ -1296,8 +1300,9 @@ def test_program_paths_call_every_function_of_compression(base_model,
               for _ in range(config.depth)]
 
     def paths():
-        save_plan(tmp_path / "plan.pmvt",
-                  global_plan(scores, rate=0.6, pm_threshold=0.2))
+        plan = global_plan(scores, rate=0.6, pm_threshold=0.2)
+        plan.total_kept()   # compress prints it
+        save_plan(tmp_path / "plan.pmvt", plan)
         plan = load_plan(tmp_path / "plan.pmvt")
         model_flops(config, plan)
         student = compress_model(base_model, plan, learnable_matrices=True)

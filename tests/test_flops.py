@@ -15,15 +15,19 @@ DEIT_TINY = ModelConfig(image_size=224, patch_size=16, channels=3,
 
 
 def plan_keeping(kept: dict[int, int]) -> CompressionPlan:
-    """A DeiT-tiny plan whose layer l keeps ``kept[l]`` tokens, each entry
-    built with ``generate_merge_matrix``; the other layers are exempt."""
+    """A DeiT-tiny plan whose layer l keeps ``kept[l]`` tokens, its class
+    token among them, each entry built with ``generate_merge_matrix``; the
+    other layers are exempt.  A layer that keeps its class token alone
+    prunes every other token."""
     rng = np.random.default_rng(0)
+    n = DEIT_TINY.num_tokens
     entries: list[PlanEntry | None] = [None] * DEIT_TINY.depth
     for layer, m in kept.items():
-        scores = rng.uniform(0.1, 1, DEIT_TINY.num_tokens)
-        merge = generate_merge_matrix(scores, m, 0)
+        scores = rng.uniform(0.1, 1, n)
+        merge = generate_merge_matrix(scores, m, 0 if m > 1 else n - 1,
+                                      class_token=True)
         entries[layer] = PlanEntry(merge, pseudoinverse(merge))
-    return CompressionPlan(entries, class_token=False)
+    return CompressionPlan(entries)
 
 
 class TestBlockFlops:

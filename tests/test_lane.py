@@ -1,11 +1,12 @@
 """The engine's second lane: every output is bit for bit the same with the
 lane on and off, work below the hand-off threshold stays on one lane,
 a weight product's row halves and a weight gradient's output-row halves
-keep the whole GEMM's bits, also under each OpenBLAS kernel the build
-can load, each split hands off one task from its threshold on, work
-reached while the lane holds a task runs whole, the caller's context
-reaches the lane, errors wait for both halves, and a one-CPU process
-starts no thread."""
+keep the whole GEMM's bits, and so do attention's batch halves, layer
+norm's row halves and the chunk halves of GELU and AdamW, also under
+each OpenBLAS kernel the build can load, each split hands off one task
+from its threshold on, work reached while the lane holds a task runs
+whole, the caller's context reaches the lane, errors wait for both
+halves, and a one-CPU process starts no thread."""
 
 import functools
 import json
@@ -148,18 +149,23 @@ def test_weight_gradient_halves_keep_the_whole_products_bits():
 
 def _kernel_tables():
     """Print, as JSON, the tasks and differing shapes of both split
-    tables: the body of the kernel guard's child process."""
+    tables, and each other cut site's tasks and whether its outputs
+    differ with the lane on and forced off, at the least size that
+    splits: the body of the kernel guard's child process."""
     print(json.dumps({
         "plain": _halves_of(_split_table(100), T._matmul_data),
-        "transposed": _halves_of(_gradient_table(60), _weight_gradient)}))
+        "transposed": _halves_of(_gradient_table(60), _weight_gradient),
+        "sites": {site.__name__: _on_and_off_differ(site, least)
+                  for site, least in CUT_SITES}}))
 
 
 @pytest.mark.parametrize("kernel", ["", "Haswell", "Sandybridge", "Nehalem"],
                          ids=lambda k: k or "default")
 def test_split_products_keep_their_bits_under_each_blas_kernel(kernel):
     # OpenBLAS picks its CPU kernel when it loads, from OPENBLAS_CORETYPE
-    # where set, so each kernel runs both split tables in its own child,
-    # on one BLAS thread; OPENBLAS_VERBOSE=2 names the kernel loaded.
+    # where set, so each kernel runs both split tables and every other
+    # cut site in its own child, on one BLAS thread; OPENBLAS_VERBOSE=2
+    # names the kernel loaded.
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env.update(OPENBLAS_VERBOSE="2", OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(sys.path))
@@ -179,6 +185,8 @@ def test_split_products_keep_their_bits_under_each_blas_kernel(kernel):
     tables = json.loads(child.stdout)
     assert tables["plain"] == [[1] * 100, []]
     assert tables["transposed"] == [[1] * 60, []]
+    assert tables["sites"] == {site.__name__: [1, False]
+                               for site, _ in CUT_SITES}
 
 
 # Each new split as a function of its size: operands at DeiT widths
@@ -234,6 +242,17 @@ def _tasks_of(run):
     return T._lane_tasks - before, out
 
 
+def _on_and_off_differ(site, n):
+    """The tasks ``site`` at size ``n`` hands off with the lane on, and
+    whether its outputs' bits differ from those with the lane forced
+    off."""
+    with fresh_lane(2):
+        tasks, on = _tasks_of(site(n, np.random.default_rng(n)))
+    with fresh_lane(1):
+        off = site(n, np.random.default_rng(n))()
+    return tasks, [x.tobytes() for x in on] != [x.tobytes() for x in off]
+
+
 @pytest.mark.parametrize("site, least", NEW_SPLITS,
                          ids=lambda v: getattr(v, "__name__", str(v)))
 def test_each_new_split_keeps_its_bits_and_hands_off_one_task(site, least):
@@ -252,7 +271,22 @@ def test_each_new_split_keeps_its_bits_and_hands_off_one_task(site, least):
 
 def _gelu_site(n, rng):
     x = rng.normal(size=n)
-    return lambda: T._gelu_halves(x, y=np.empty(n))
+
+    def run():
+        y = np.empty(n)
+        T._gelu_halves(x, y=y)
+        return [y]
+    return run
+
+
+def _gelu_backward_site(n, rng):
+    x, g = rng.normal(size=n), rng.normal(size=n)
+
+    def run():
+        y, dx = np.empty(n), g.copy()
+        T._gelu_halves(x, y=y, g=dx, dx=dx)
+        return [y, dx]
+    return run
 
 
 def _attention_site(n, rng):
@@ -261,14 +295,26 @@ def _attention_site(n, rng):
     # output product's halves stay below it.
     q, k, v = (T.Tensor(rng.normal(size=(2, n, 64))) for _ in range(3))
     w_o = T.Tensor(rng.normal(size=(64, 64)))
-    return lambda: T.attention(q, k, v, w_o, 1, 0.125)
+    return lambda: [T.attention(q, k, v, w_o, 1, 0.125).data]
 
 
 def _adamw_site(n, rng):
     p = T.Tensor(rng.normal(size=n), requires_grad=True)
     optimizer = AdamW([("p", p)])
     p.grad = rng.normal(size=n)
-    return lambda: optimizer.step(1e-2)
+
+    def run():
+        optimizer.step(1e-2)
+        return [p.data, optimizer.m["p"], optimizer.v["p"]]
+    return run
+
+
+# (site, least size that splits) of every cut but ``_gemm``'s, which the
+# kernel guard checks under each OpenBLAS kernel.
+CUT_SITES = [(_attention_site, 91), (_layer_norm_forward, 342),
+             (_layer_norm_backward, 342), (_gelu_site, 2 * T._CHUNK),
+             (_gelu_backward_site, 2 * T._CHUNK),
+             (_adamw_site, 2 * T._CHUNK)]
 
 
 @pytest.mark.parametrize("site, least", [

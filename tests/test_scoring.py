@@ -254,12 +254,12 @@ class TestAccumulate:
                                    variant=ScorerVariant.RANDOM)
 
 
-def _prune_mask(scores, prune_count: int, class_token: bool = True):
+def _prune_mask(scores, prune_count: int):
     """The keep mask of a plan entry that prunes ``prune_count`` tokens and
     keeps every other token."""
     scores = np.asarray(scores)
     merge = generate_merge_matrix(scores, scores.size - prune_count,
-                                  prune_count, class_token=class_token)
+                                  prune_count, class_token=True)
     return merge.live.astype(np.uint8)
 
 
@@ -280,9 +280,8 @@ class TestTokenMask:
         np.testing.assert_array_equal(mask, [1, 0, 0, 0])
 
     def test_ties_prune_higher_index_first(self):
-        mask = _prune_mask(np.array([0.5, 0.2, 0.2, 0.2]), 2,
-                           class_token=False)
-        np.testing.assert_array_equal(mask, [1, 1, 0, 0])
+        mask = _prune_mask(np.array([0.5, 0.2, 0.2, 0.2, 0.2]), 2)
+        np.testing.assert_array_equal(mask, [1, 1, 1, 0, 0])
 
     def test_zero_count_exact(self):
         rng = np.random.default_rng(42)

@@ -157,22 +157,20 @@ def test_reconstruction_black_exactly_at_pruned_patches():
 
 def random_entry(rng):
     """An image, a plan entry and a config drawn at random: 1 or 3
-    channels, class-token or class-free plans, merge and reconstruct
-    weights drifted as training moves them, and groups of zero weight."""
+    channels, merge and reconstruct weights drifted as training moves
+    them, and groups of zero weight."""
     channels, grid, patch = (int(rng.choice([1, 3])),
                              int(rng.integers(1, 6)), int(rng.integers(1, 4)))
     config = ModelConfig(image_size=grid * patch, patch_size=patch,
                          channels=channels, embed_dim=8, depth=2, heads=2)
     n = config.num_tokens
-    class_token = bool(rng.integers(2))
     while True:
         try:
             plan = global_plan([rng.uniform(0, 1, n) for _ in range(2)],
                                float(rng.uniform(0.2, 1.0)),
-                               float(rng.uniform(0.0, 0.5)),
-                               class_token=class_token)
+                               float(rng.uniform(0.0, 0.5)))
             break
-        except ContractError:   # a class-free layer left with no tokens
+        except ContractError:   # a budget below the two class tokens
             continue
     entry = plan.entries[int(rng.integers(2))]
     w, r = entry.merge.w.copy(), entry.r.copy()
